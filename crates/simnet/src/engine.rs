@@ -271,13 +271,14 @@ impl StageState {
         slot
     }
 
-    /// Starts service on `pkt` at time `t`: one `serve()` call, the
-    /// cold-pool insert, and the Done event push. Shared by arrivals,
-    /// queue pulls on completion, and outage-recovery drains — the
-    /// caller has already bumped `busy`/`in_service_pkts` and emitted
-    /// its dispatch hook.
+    /// Starts service on `pkt` at time `t`: payload synthesis (when the
+    /// run has payloads on), one `serve()` call, the cold-pool insert,
+    /// and the Done event push. Shared by arrivals, queue pulls on
+    /// completion, and outage-recovery drains — the caller has already
+    /// bumped `busy`/`in_service_pkts` and emitted its dispatch hook.
     #[inline]
     fn begin_service(&mut self, stage: usize, pkt: Packet, t: u64, core: &mut EventCore) {
+        let pkt = core.fill_payload(pkt);
         let (verdict, svc_ns) = self.cfg.service.serve(&pkt);
         let svc_ns = scaled(svc_ns, self.slow_factor);
         self.busy_ns += u128::from(svc_ns);
@@ -322,6 +323,34 @@ pub struct PayloadConfig {
     pub attack_prob: f64,
     /// Patterns to embed (the DPI experiments' ground truth).
     pub needles: Vec<Vec<u8>>,
+}
+
+/// L2–L4 header bytes: a packet's synthesized payload is its frame
+/// size minus these.
+const HEADER_BYTES: usize = 54;
+
+/// One run's payload synthesis: the run's payload seed and the engine's
+/// [`PayloadConfig`], its needles borrowed as slices once per run.
+///
+/// Payload bytes are a pure function of `(seed, packet id, length,
+/// attack_prob, needles)` ([`Packet::with_payload`]), so *when* they are
+/// made cannot change any output. The engine makes them as a packet
+/// first enters service, and packets dropped or still queued before
+/// that never pay for them.
+pub(crate) struct PayloadSynth<'p> {
+    seed: u64,
+    attack_prob: f64,
+    needles: Vec<&'p [u8]>,
+}
+
+impl<'p> PayloadSynth<'p> {
+    pub(crate) fn new(cfg: &'p PayloadConfig, seed: u64) -> Self {
+        PayloadSynth {
+            seed,
+            attack_prob: cfg.attack_prob,
+            needles: cfg.needles.iter().map(Vec::as_slice).collect(),
+        }
+    }
 }
 
 // ── SoA event layout ────────────────────────────────────────────────
@@ -416,9 +445,9 @@ struct FusedHop {
 
 /// Hot-path event state threaded through the dispatch helpers: the
 /// scheduler, the seq mint, the live/peak/total accounting the old
-/// event slab kept, the fused-hop FIFO, and the engine-level cold
-/// slabs of the SoA layout.
-pub(crate) struct EventCore {
+/// event slab kept, the fused-hop FIFO, the engine-level cold slabs of
+/// the SoA layout, and the run's payload synthesis.
+pub(crate) struct EventCore<'p> {
     pub(crate) events: EventScheduler,
     seq: u64,
     live: usize,
@@ -438,9 +467,25 @@ pub(crate) struct EventCore {
     /// Sharded runs only: the stage-ownership map and per-destination
     /// outboxes. `None` (serial runs) keeps `forward` on its old path.
     pub(crate) route: Option<crate::shard::ShardRoute>,
+    /// Payload synthesis at service start; `None` on header-only runs.
+    payload: Option<PayloadSynth<'p>>,
 }
 
-impl EventCore {
+impl<'p> EventCore<'p> {
+    /// Attaches `pkt`'s payload as it enters service, unless the run
+    /// has payloads off or the packet already carries one (a hop from
+    /// an earlier stage).
+    #[inline]
+    fn fill_payload(&self, pkt: Packet) -> Packet {
+        match &self.payload {
+            Some(p) if pkt.payload.is_empty() => {
+                let len = (pkt.size_bytes as usize).saturating_sub(HEADER_BYTES);
+                pkt.with_payload(len, p.seed, p.attack_prob, &p.needles)
+            }
+            _ => pkt,
+        }
+    }
+
     /// Mints the next seq, counting the event as live — the accounting
     /// the old event slab did on insert, kept so `total_events` and
     /// `peak_live_events` stay bit-identical.
@@ -569,6 +614,7 @@ impl EventCore {
         kind: SchedulerKind,
         fused: bool,
         route: Option<crate::shard::ShardRoute>,
+        payload: Option<PayloadSynth<'p>>,
     ) -> Self {
         EventCore {
             events: EventScheduler::new(kind),
@@ -583,6 +629,7 @@ impl EventCore {
             batch_free: Vec::new(),
             fused,
             route,
+            payload,
         }
     }
 
@@ -722,6 +769,7 @@ fn try_flush_batches(
             if let Some(o) = obs.as_mut() {
                 o.on_dispatch(t, pkt.id, stage, t - enq_t);
             }
+            let pkt = core.fill_payload(pkt);
             let (verdict, svc_ns) = st.cfg.service.serve(&pkt);
             total_ns += svc_ns;
             results.push((pkt, verdict));
@@ -914,6 +962,19 @@ impl Engine {
             warmup_ns,
         )
     }
+}
+
+/// The run's arrivals as header-only packets: ids number the stubs in
+/// order, and the stream ends at `duration_ns`. Shared by the serial
+/// loop and the sharded entry injector.
+pub(crate) fn arrival_packets(
+    stubs: impl Iterator<Item = apples_workload::PacketStub>,
+    duration_ns: u64,
+) -> impl Iterator<Item = Packet> {
+    stubs
+        .take_while(move |stub| stub.t_ns < duration_ns)
+        .zip(0u64..)
+        .map(|(stub, id)| Packet::new(id, stub.flow, stub.tuple, stub.size_bytes, stub.t_ns))
 }
 
 /// Handles one arrival at `stage`: start service, enqueue, or drop.
@@ -1292,6 +1353,7 @@ impl Engine {
             batch_free: std::mem::take(&mut self.batch_free),
             fused: self.fused,
             route: None,
+            payload: self.payload.as_ref().map(|p| PayloadSynth::new(p, payload_seed)),
         };
         core.fwd.clear();
         core.arrive_slots.clear();
@@ -1333,29 +1395,13 @@ impl Engine {
         redrain.clear();
 
         // Arrivals are injected lazily: workload arrival times are
-        // monotone, so holding the single next stub (rather than the
+        // monotone, so holding the single next packet (rather than the
         // whole packet sequence) preserves event order exactly while
-        // keeping memory independent of run length. Packet ids number
-        // arrivals in stub order.
-        let needle_refs: Vec<Vec<u8>> =
-            self.payload.as_ref().map(|p| p.needles.clone()).unwrap_or_default();
-        let refs: Vec<&[u8]> = needle_refs.iter().map(|n| n.as_slice()).collect();
-        let attack_prob = self.payload.as_ref().map(|p| p.attack_prob);
-        let mut pkt_id = 0u64;
-        let mut stubs = stubs.take_while(|stub| stub.t_ns < duration_ns);
-        let make_packet = |stub: apples_workload::PacketStub, id: u64| {
-            let mut pkt = Packet::new(id, stub.flow, stub.tuple, stub.size_bytes, stub.t_ns);
-            if let Some(prob) = attack_prob {
-                let len = (stub.size_bytes as usize).saturating_sub(54); // L2-L4 headers
-                pkt = pkt.with_payload(len, payload_seed, prob, &refs);
-            }
-            pkt
-        };
-        let mut next_arrival: Option<Packet> = stubs.next().map(|s| {
-            let p = make_packet(s, pkt_id);
-            pkt_id += 1;
-            p
-        });
+        // keeping memory independent of run length. That packet is
+        // header-only: payloads are made at service start, so a packet
+        // dropped or still queued before then never pays for one.
+        let mut arrivals = arrival_packets(stubs, duration_ns);
+        let mut next_arrival = arrivals.next();
         // Sim-time of the previous bucket, for span attribution.
         let mut last_t = 0u64;
 
@@ -1373,11 +1419,7 @@ impl Engine {
                 // lint: allow(P1, reason = "invariant: take_arrival is only true when next_arrival matched Some in the selection above")
                 let mut pkt = next_arrival.take().expect("checked above");
                 let t = pkt.t_arrival_ns;
-                next_arrival = stubs.next().map(|s| {
-                    let p = make_packet(s, pkt_id);
-                    pkt_id += 1;
-                    p
-                });
+                next_arrival = arrivals.next();
                 // Injection-point faults: hash decisions on the packet
                 // id, independent of schedule and of each other.
                 if let Some(plan) = &fault_plan {

@@ -6,7 +6,7 @@
 
 use super::{FailMode, NetworkFunction, NfVerdict};
 use crate::packet::Packet;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 
 /// Cycles per payload byte scanned (automaton transition + load).
 pub const PER_BYTE_CYCLES: u64 = 4;
@@ -22,14 +22,17 @@ pub enum MatchPolicy {
     Alert,
 }
 
-/// A classical Aho–Corasick automaton over byte patterns.
+/// Bytes per transition-table row: one column per input byte value.
+const ALPHABET: usize = 256;
+
+/// An Aho–Corasick automaton over byte patterns, with its failure links
+/// folded into a dense transition table: a scan is one table load per
+/// payload byte, with no failure-link chasing.
 #[derive(Debug, Clone)]
 pub struct AhoCorasick {
-    // goto function: per-state byte -> state. Ordered map so automaton
-    // construction (BFS over transitions) is insertion-order
-    // independent and fully deterministic.
-    goto_: Vec<BTreeMap<u8, u32>>,
-    fail: Vec<u32>,
+    // `delta[s * ALPHABET + b]`: the state after reading byte `b` in
+    // state `s`, failure transitions included.
+    delta: Vec<u32>,
     // number of patterns ending at each state (via output links).
     out: Vec<u32>,
 }
@@ -38,6 +41,9 @@ impl AhoCorasick {
     /// Builds the automaton from the given patterns (empty patterns are
     /// ignored).
     pub fn build(patterns: &[&[u8]]) -> Self {
+        // goto function: per-state byte -> state. Ordered map so the
+        // state numbering and the BFS below are insertion-order
+        // independent and fully deterministic.
         let mut goto_: Vec<BTreeMap<u8, u32>> = vec![BTreeMap::new()];
         let mut out: Vec<u32> = vec![0];
 
@@ -62,54 +68,45 @@ impl AhoCorasick {
             out[state as usize] += 1;
         }
 
-        // BFS failure links.
+        // Fold the failure links into dense rows in BFS order. A state's
+        // failure target is strictly shallower, so its row is complete
+        // by the time the state is reached: the state's row is that row
+        // with the state's own goto edges written over it, and a child's
+        // failure target is one lookup in it.
+        let mut delta = vec![0u32; goto_.len() * ALPHABET];
         let mut fail = vec![0u32; goto_.len()];
-        let mut queue: std::collections::VecDeque<u32> = goto_[0].values().copied().collect();
+        let mut queue: VecDeque<u32> = VecDeque::new();
+        for (&b, &t) in &goto_[0] {
+            delta[usize::from(b)] = t;
+            queue.push_back(t);
+        }
         while let Some(s) = queue.pop_front() {
-            let transitions: Vec<(u8, u32)> =
-                goto_[s as usize].iter().map(|(b, t)| (*b, *t)).collect();
-            for (b, t) in transitions {
+            let s = s as usize;
+            let (row, fail_row) = (s * ALPHABET, fail[s] as usize * ALPHABET);
+            delta.copy_within(fail_row..fail_row + ALPHABET, row);
+            for (&b, &t) in &goto_[s] {
+                let ft = delta[fail_row + usize::from(b)];
+                fail[t as usize] = ft;
+                out[t as usize] += out[ft as usize];
+                delta[row + usize::from(b)] = t;
                 queue.push_back(t);
-                let mut f = fail[s as usize];
-                loop {
-                    if let Some(&next) = goto_[f as usize].get(&b) {
-                        if next != t {
-                            fail[t as usize] = next;
-                        }
-                        break;
-                    }
-                    if f == 0 {
-                        break;
-                    }
-                    f = fail[f as usize];
-                }
-                out[t as usize] += out[fail[t as usize] as usize];
             }
         }
-        AhoCorasick { goto_, fail, out }
+        AhoCorasick { delta, out }
     }
 
     /// Number of automaton states.
     pub fn states(&self) -> usize {
-        self.goto_.len()
+        self.out.len()
     }
 
     /// Counts pattern occurrences in `haystack`.
     pub fn count_matches(&self, haystack: &[u8]) -> u64 {
-        let mut state = 0u32;
+        let mut state = 0usize;
         let mut matches = 0u64;
         for &b in haystack {
-            loop {
-                if let Some(&next) = self.goto_[state as usize].get(&b) {
-                    state = next;
-                    break;
-                }
-                if state == 0 {
-                    break;
-                }
-                state = self.fail[state as usize];
-            }
-            matches += u64::from(self.out[state as usize]);
+            state = self.delta[state * ALPHABET + usize::from(b)] as usize;
+            matches += u64::from(self.out[state]);
         }
         matches
     }

@@ -3,7 +3,10 @@
 //! A [`Packet`] carries its wire size, flow identity (an IPv4 5-tuple
 //! from the workload generator), arrival timestamp, and — only when a
 //! payload-inspecting function is in the pipeline — synthesized payload
-//! bytes. Payloads use the in-repo [`Payload`] type: clones inside the
+//! bytes. Packets enter the engine header-only; the engine attaches the
+//! payload ([`Packet::with_payload`]) when a packet first enters
+//! service, so packets dropped or still queued before then never carry
+//! one. Payloads use the in-repo [`Payload`] type: clones inside the
 //! pipeline are reference-counted, not copied, and the (overwhelmingly
 //! common) empty payload allocates nothing at all.
 
@@ -78,7 +81,8 @@ pub struct Packet {
     pub size_bytes: u32,
     /// Arrival time at the first stage, simulated nanoseconds.
     pub t_arrival_ns: u64,
-    /// L4 payload bytes (empty unless synthesized for DPI workloads).
+    /// L4 payload bytes (empty unless synthesized for DPI workloads,
+    /// which happens as the packet first enters service).
     pub payload: Payload,
     /// Set by the fault-injection layer when the packet was corrupted
     /// in transit; NFs apply their fail-open/fail-closed policy to it.

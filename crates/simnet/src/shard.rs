@@ -54,7 +54,8 @@
 //! so the final merge is exact.
 
 use crate::engine::{
-    arrive, walk_bucket, Engine, EventCore, RunResult, StageConfig, StageReport, StageState,
+    arrival_packets, arrive, walk_bucket, Engine, EventCore, PayloadSynth, RunResult, StageConfig,
+    StageReport, StageState,
 };
 use crate::fault::{FaultAction, FaultPlan};
 use crate::nf::NfVerdict;
@@ -441,11 +442,11 @@ fn placeholder_stage() -> StageState {
 /// One shard's complete run state. Workers own theirs for the whole
 /// run; everything inside is thread-local except the core's outboxes,
 /// which are flushed into the shared mailboxes under their mutexes.
-struct ShardCtx {
+struct ShardCtx<'p> {
     me: usize,
     offset: usize,
     stages: Vec<StageState>,
-    core: EventCore,
+    core: EventCore<'p>,
     sink: SinkStats,
     batch_pool: Vec<Vec<(Packet, NfVerdict)>>,
     bucket: Vec<(u64, u64, usize)>,
@@ -494,58 +495,26 @@ impl ArrivalSource for NoArrivals {
 }
 
 /// Lazy arrival injection for the entry shard — the serial loop's
-/// logic verbatim: one pending stub at a time, packet ids in stub
-/// order, payload synthesis, and the plan's injection-point hash
-/// decisions (drops / corruption).
-struct EntryArrivals<I: Iterator<Item = apples_workload::PacketStub>> {
-    stubs: I,
+/// logic verbatim: one pending arrival at a time from
+/// [`arrival_packets`], and the plan's injection-point hash decisions
+/// (drops / corruption). Packets enter header-only; each shard's core
+/// synthesizes payloads at service start, as the serial engine does.
+struct EntryArrivals<I: Iterator<Item = Packet>> {
+    arrivals: I,
     next: Option<Packet>,
-    pkt_id: u64,
-    payload_seed: u64,
-    attack_prob: Option<f64>,
-    needles: Vec<Vec<u8>>,
     faults: Option<FaultPlan>,
     injected_drops: u64,
     corrupted: u64,
 }
 
-impl<I: Iterator<Item = apples_workload::PacketStub>> EntryArrivals<I> {
-    fn new(
-        stubs: I,
-        payload_seed: u64,
-        attack_prob: Option<f64>,
-        needles: Vec<Vec<u8>>,
-        faults: Option<FaultPlan>,
-    ) -> Self {
-        let mut ea = EntryArrivals {
-            stubs,
-            next: None,
-            pkt_id: 0,
-            payload_seed,
-            attack_prob,
-            needles,
-            faults,
-            injected_drops: 0,
-            corrupted: 0,
-        };
-        ea.next = ea.stubs.next().map(|s| ea.make(s));
-        ea
-    }
-
-    fn make(&mut self, stub: apples_workload::PacketStub) -> Packet {
-        let id = self.pkt_id;
-        self.pkt_id += 1;
-        let mut pkt = Packet::new(id, stub.flow, stub.tuple, stub.size_bytes, stub.t_ns);
-        if let Some(prob) = self.attack_prob {
-            let len = (stub.size_bytes as usize).saturating_sub(54); // L2-L4 headers
-            let refs: Vec<&[u8]> = self.needles.iter().map(|n| n.as_slice()).collect();
-            pkt = pkt.with_payload(len, self.payload_seed, prob, &refs);
-        }
-        pkt
+impl<I: Iterator<Item = Packet>> EntryArrivals<I> {
+    fn new(mut arrivals: I, faults: Option<FaultPlan>) -> Self {
+        let next = arrivals.next();
+        EntryArrivals { arrivals, next, faults, injected_drops: 0, corrupted: 0 }
     }
 }
 
-impl<I: Iterator<Item = apples_workload::PacketStub>> ArrivalSource for EntryArrivals<I> {
+impl<I: Iterator<Item = Packet>> ArrivalSource for EntryArrivals<I> {
     fn want_inject(&self, peek: Option<u64>, epoch_end: u64) -> bool {
         match (&self.next, peek) {
             (Some(a), Some(t)) => a.t_arrival_ns < epoch_end && a.t_arrival_ns <= t,
@@ -558,7 +527,7 @@ impl<I: Iterator<Item = apples_workload::PacketStub>> ArrivalSource for EntryArr
         // lint: allow(P1, reason = "invariant: the driver only calls inject_next when want_inject saw Some(next)")
         let mut pkt = self.next.take().expect("checked by want_inject");
         let t = pkt.t_arrival_ns;
-        self.next = self.stubs.next().map(|s| self.make(s));
+        self.next = self.arrivals.next();
         if let Some(plan) = &self.faults {
             if plan.drops(pkt.id) {
                 self.injected_drops += 1;
@@ -803,7 +772,9 @@ pub(crate) fn run_sharded(
                 st.reset();
             }
             let route = ShardRoute { owner: plan.owner.clone(), me: s, out: vec![Vec::new(); n] };
-            let mut core = EventCore::new_for_run(engine.scheduler, engine.fused, Some(route));
+            let payload = engine.payload.as_ref().map(|p| PayloadSynth::new(p, payload_seed));
+            let mut core =
+                EventCore::new_for_run(engine.scheduler, engine.fused, Some(route), payload);
             // The shard's slice of the fault plan gets its lowest local
             // seqs, mirroring the serial engine pushing the whole plan
             // first; plan order within a shard is preserved.
@@ -864,13 +835,8 @@ pub(crate) fn run_sharded(
         // lint: allow(S1, reason = "epoch-barrier shard runtime: mailbox cells are single-writer single-reader per phase; the Mutex only satisfies Sync across the scope spawn")
         (0..n).map(|_| (0..n).map(|_| Mutex::new(Vec::new())).collect()).collect();
 
-    let mut entry_arrivals = EntryArrivals::new(
-        stubs.take_while(|stub| stub.t_ns < duration_ns),
-        payload_seed,
-        engine.payload.as_ref().map(|p| p.attack_prob),
-        engine.payload.as_ref().map(|p| p.needles.clone()).unwrap_or_default(),
-        fault_plan.clone(),
-    );
+    let mut entry_arrivals =
+        EntryArrivals::new(arrival_packets(stubs, duration_ns), fault_plan.clone());
 
     // lint: allow(D3, reason = "epoch-barrier shard workers: scoped threads joined before return; every cross-thread interaction is barrier-ordered and the merge discipline makes results byte-identical to the serial engine")
     let finished: Vec<(usize, ShardCtx)> = std::thread::scope(|scope| {
@@ -1093,7 +1059,7 @@ mod tests {
         // anything minted during the walk. Adversarial same-timestamp
         // classes: every event lands at t=1000.
         let route = ShardRoute { owner: vec![0, 0], me: 0, out: vec![Vec::new()] };
-        let mut core = EventCore::new_for_run(SchedulerKind::Wheel, true, Some(route));
+        let mut core = EventCore::new_for_run(SchedulerKind::Wheel, true, Some(route), None);
         let tuple = test_tuple();
         // "Earlier epoch" local events.
         core.enqueue_arrive(1000, 0, Packet::new(0, 0, tuple, 64, 900));
@@ -1118,7 +1084,7 @@ mod tests {
     #[test]
     fn remote_forwards_divert_to_the_outbox_without_minting() {
         let route = ShardRoute { owner: vec![0, 1], me: 0, out: vec![Vec::new(), Vec::new()] };
-        let mut core = EventCore::new_for_run(SchedulerKind::Wheel, true, Some(route));
+        let mut core = EventCore::new_for_run(SchedulerKind::Wheel, true, Some(route), None);
         let tuple = test_tuple();
         let before = core.total;
         core.forward(500, 1, Packet::new(0, 0, tuple, 64, 500));

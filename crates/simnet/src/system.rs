@@ -856,20 +856,27 @@ impl Deployment {
 
     /// Canonical digest of everything that determines a run's simulated
     /// outputs: the deployment shape, scheduler, fault spec, payload
-    /// switch, workload spec, and measurement window.
+    /// synthesis (attack probability and needle bytes), workload spec,
+    /// and measurement window.
     pub fn config_digest(
         &self,
         workload: &WorkloadSpec,
         duration_ns: u64,
         warmup_ns: u64,
     ) -> String {
+        // Payloads off keeps the original `payload=false` field, so every
+        // stamp of a header-only deployment is unchanged.
+        let payload = match &self.payload {
+            None => "false".to_owned(),
+            Some((prob, needles)) => format!("true:{:016x}:{needles:?}", prob.to_bits()),
+        };
         let s = format!(
             "name={};stages={};sched={};faults={:?};payload={};wl={:?};dur={};warm={}",
             self.name,
             self.stage_factories.len(),
             self.scheduler.label(),
             self.faults,
-            self.payload.is_some(),
+            payload,
             workload,
             duration_ns,
             warmup_ns
@@ -1379,6 +1386,20 @@ mod tests {
         assert_ne!(a.config_digest, longer);
         let clean = Deployment::cpu_host("prov", 1, firewall_chain(10));
         assert_eq!(clean.provenance(&wl, 10_000_000, 1_000_000).fault_digest, "none");
+        // Payload synthesis determines DPI verdicts: deployments that
+        // differ only in attack probability, or only in needles, must
+        // not share a digest.
+        let digest = |prob: f64, needles: &[&[u8]]| {
+            Deployment::cpu_host("prov", 1, firewall_chain(10))
+                .with_payloads(prob, needles.iter().map(|n| n.to_vec()).collect())
+                .config_digest(&wl, 10_000_000, 1_000_000)
+        };
+        let base = digest(0.01, &[b"EVIL", b"cmd.exe"]);
+        assert_eq!(base, digest(0.01, &[b"EVIL", b"cmd.exe"]));
+        assert_ne!(base, clean.config_digest(&wl, 10_000_000, 1_000_000));
+        assert_ne!(base, digest(0.02, &[b"EVIL", b"cmd.exe"]), "attack probability ignored");
+        assert_ne!(base, digest(0.01, &[b"EVIL", b"cmd.exf"]), "needle bytes ignored");
+        assert_ne!(base, digest(0.01, &[b"EVILcmd.exe"]), "needle boundaries ignored");
     }
 
     #[test]

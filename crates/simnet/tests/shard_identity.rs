@@ -6,12 +6,14 @@
 //! canonicalizes any same-timestamp interleaving, and these tests hold
 //! the epoch-barrier merge to exactly that oracle.
 
-use apples_simnet::engine::BatchPolicy;
+use apples_simnet::engine::{BatchPolicy, StageConfig};
 use apples_simnet::fault::FaultSpec;
+use apples_simnet::nf::dpi::{Dpi, MatchPolicy};
 use apples_simnet::nf::firewall::{synth_rules, Action, Firewall};
 use apples_simnet::nf::NfChain;
 use apples_simnet::sched::SchedulerKind;
-use apples_simnet::system::{Deployment, Measurement};
+use apples_simnet::service::{FixedTime, NfService};
+use apples_simnet::system::{Deployment, DeploymentBuilder, Measurement};
 use apples_workload::WorkloadSpec;
 
 const RUN_NS: u64 = 10_000_000;
@@ -19,6 +21,28 @@ const WARMUP_NS: u64 = 1_000_000;
 
 fn firewall_chain(rules: usize) -> impl Fn() -> NfChain {
     move || NfChain::new(vec![Box::new(Firewall::new(synth_rules(rules, 0.05, 7), Action::Deny))])
+}
+
+/// A block-mode IPS over the demo signatures.
+fn dpi_chain() -> NfChain {
+    NfChain::new(vec![Box::new(Dpi::new(&Dpi::demo_signatures(), MatchPolicy::Block))])
+}
+
+/// Attack payload share for the DPI shapes.
+const ATTACK_PROB: f64 = 0.05;
+
+fn dpi_needles() -> Vec<Vec<u8>> {
+    Dpi::demo_signatures().iter().map(|s| s.to_vec()).collect()
+}
+
+/// The payload-synthesizing contender: its only policy drops are DPI
+/// verdicts on synthesized payloads.
+const DPI_CONTENDER: &str = "smartnic-dpi";
+
+/// A run that skipped payload synthesis would scan empty payloads and
+/// drop nothing — and agree with itself. The DPI shapes must block.
+fn assert_dpi_blocked(name: &str, m: &Measurement) {
+    assert!(m.policy_drops > 0, "{name}: DPI blocked nothing; payloads were not synthesized");
 }
 
 /// Bitwise equality over every field a run produces — floats compared
@@ -94,6 +118,13 @@ fn shardable_deployments() -> Vec<Contender> {
                 Deployment::switch_frontend("switch-2c", firewall_chain(100), 2, NfChain::empty)
             }),
         ),
+        (
+            DPI_CONTENDER,
+            Box::new(|| {
+                Deployment::smartnic_offload(DPI_CONTENDER, 4, dpi_chain, 1, NfChain::empty)
+                    .with_payloads(ATTACK_PROB, dpi_needles())
+            }),
+        ),
     ]
 }
 
@@ -103,6 +134,9 @@ fn sharded_runs_are_byte_identical_across_shapes_schedulers_and_shard_counts() {
     for (name, mk) in shardable_deployments() {
         for kind in [SchedulerKind::Wheel, SchedulerKind::Heap] {
             let serial = mk().with_scheduler(kind).run(&wl, RUN_NS, WARMUP_NS);
+            if name == DPI_CONTENDER {
+                assert_dpi_blocked(name, &serial);
+            }
             for shards in [1, 2, 4] {
                 let sharded =
                     mk().with_scheduler(kind).with_shards(shards).run(&wl, RUN_NS, WARMUP_NS);
@@ -141,6 +175,9 @@ fn sharded_runs_are_byte_identical_with_fusion_off() {
     let wl = WorkloadSpec::cbr(2e6, 1500, 16, 5);
     for (name, mk) in shardable_deployments() {
         let serial = mk().with_fusion(false).run(&wl, RUN_NS, WARMUP_NS);
+        if name == DPI_CONTENDER {
+            assert_dpi_blocked(name, &serial);
+        }
         let sharded = mk().with_fusion(false).with_shards(4).run(&wl, RUN_NS, WARMUP_NS);
         assert_identical(name, &serial, &sharded, "unfused-x4");
     }
@@ -165,6 +202,45 @@ fn sharded_batched_pipeline_keeps_batch_timers_local_and_identical() {
         for shards in [2, 4] {
             let sharded = mk().with_shards(shards).run(&wl, RUN_NS, WARMUP_NS);
             assert_identical("gpu-batch", &serial, &sharded, &format!("fused={fused}x{shards}"));
+        }
+    }
+}
+
+#[test]
+fn sharded_batched_dpi_pipeline_synthesizes_payloads_identically() {
+    // The batch stage leads, so packets meet their first service model
+    // in a batch flush and get their payloads there (behind a per-packet
+    // stage they would arrive already carrying one).
+    let wl = WorkloadSpec::cbr(2e6, 512, 16, 5);
+    for fused in [true, false] {
+        let mk = move || {
+            DeploymentBuilder::new("gpu-dpi")
+                .stage(|| {
+                    StageConfig::new(
+                        "gpu",
+                        2,
+                        8192,
+                        Box::new(FixedTime::new("gpu-kernel", dpi_chain(), 30)),
+                    )
+                    .with_batching(BatchPolicy::new(32, 100_000, 15_000))
+                })
+                .stage(|| {
+                    StageConfig::new(
+                        "host-cores",
+                        1,
+                        1024,
+                        Box::new(NfService::host_core(NfChain::empty())),
+                    )
+                })
+                .payloads(ATTACK_PROB, dpi_needles())
+                .build()
+                .with_fusion(fused)
+        };
+        let serial = mk().run(&wl, RUN_NS, WARMUP_NS);
+        assert_dpi_blocked("gpu-dpi", &serial);
+        for shards in [2, 4] {
+            let sharded = mk().with_shards(shards).run(&wl, RUN_NS, WARMUP_NS);
+            assert_identical("gpu-dpi", &serial, &sharded, &format!("fused={fused}x{shards}"));
         }
     }
 }

@@ -195,6 +195,23 @@ cargo run -q --release --offline -p apples-bench --bin xp -- \
   bench --quick --out target/bench-obs.json --check-obs reports/obs_overhead.txt \
   > /dev/null
 
+echo "== perfbench =="
+# The benchmark (perfbench/, its own Cargo package) pins an output
+# digest for each workload at its default and held-out seed. Its
+# self-tests run first; then each workload runs one second per seed and
+# must report every op correct, so any change to the simulated output of
+# the three benchmarked deployments fails CI here.
+cargo test -q --offline --manifest-path perfbench/Cargo.toml
+for run in sim-cluster:71 sim-cluster:1071 sim-ips:17 sim-ips:1017 sim-faults:1 sim-faults:1001; do
+  cargo run -q --release --offline --manifest-path perfbench/Cargo.toml -- \
+    --workload "${run%%:*}" --seed "${run##*:}" --seconds 1 --trace 0 \
+    | tail -n 1 | tee target/perfbench.json
+  if ! grep -q '"correct": true' target/perfbench.json; then
+    echo "perfbench ${run}: an op failed its checks (see the lines above)" >&2
+    exit 1
+  fi
+done
+
 echo "== dependency hygiene: workspace members only =="
 if cargo tree --offline -e normal --prefix none | grep -v '^apples' | grep -q '[^[:space:]]'; then
   echo "external crates found in cargo tree:" >&2

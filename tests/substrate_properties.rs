@@ -4,7 +4,7 @@
 //! run explores the identical sequence).
 
 use apples::simnet::engine::{Engine, StageConfig};
-use apples::simnet::nf::dpi::AhoCorasick;
+use apples::simnet::nf::dpi::{AhoCorasick, Dpi};
 use apples::simnet::nf::firewall::{Action, BucketedFirewall, Firewall, Rule};
 use apples::simnet::nf::{NetworkFunction, NfChain};
 use apples::simnet::packet::Packet;
@@ -62,30 +62,62 @@ fn bucketed_firewall_matches_linear_semantics() {
     }
 }
 
-/// Aho–Corasick counts exactly what a naive scan counts.
+/// Counts every (possibly overlapping) occurrence of every pattern.
+fn naive_matches(patterns: &[Vec<u8>], haystack: &[u8]) -> u64 {
+    patterns
+        .iter()
+        .map(|p| {
+            if p.len() > haystack.len() {
+                0
+            } else {
+                haystack.windows(p.len()).filter(|w| *w == p.as_slice()).count() as u64
+            }
+        })
+        .sum()
+}
+
+/// Aho–Corasick counts exactly what a naive scan counts: on a small
+/// alphabet (dense overlaps, deep failure chains), on one spanning the
+/// whole byte range (so every column of the transition table is read),
+/// and on DPI-shaped payloads with the demo signatures planted into
+/// a–z filler by `Packet::with_payload` itself.
 #[test]
 fn aho_corasick_matches_naive_search() {
-    let mut rng = Rng::seed_from_u64(0x50B2);
-    for _ in 0..300 {
-        let patterns: Vec<Vec<u8>> = (0..rng.range_usize(1, 6))
-            .map(|_| (0..rng.range_usize(1, 5)).map(|_| rng.range_u8_inclusive(97, 100)).collect())
-            .collect();
-        let haystack: Vec<u8> =
-            (0..rng.range_usize(0, 200)).map(|_| rng.range_u8_inclusive(97, 100)).collect();
+    let check = |patterns: &[Vec<u8>], haystack: &[u8]| {
         let refs: Vec<&[u8]> = patterns.iter().map(|p| p.as_slice()).collect();
         let ac = AhoCorasick::build(&refs);
-        let naive: u64 = patterns
-            .iter()
-            .map(|p| {
-                if p.len() > haystack.len() {
-                    0
-                } else {
-                    haystack.windows(p.len()).filter(|w| *w == p.as_slice()).count() as u64
-                }
-            })
-            .sum();
-        assert_eq!(ac.count_matches(&haystack), naive);
+        assert_eq!(ac.count_matches(haystack), naive_matches(patterns, haystack), "{patterns:?}");
+    };
+    // 0x00 and 0xFF bound the table's columns; 0x90 is the NOP sled in
+    // the demo signatures; the rest spread across the range.
+    const SPANNING: [u8; 11] = [0x00, 0x01, 0x0A, 0x20, 0x61, 0x7F, 0x80, 0x90, 0xC3, 0xFE, 0xFF];
+    let small: fn(&mut Rng) -> u8 = |rng| rng.range_u8_inclusive(97, 100);
+    let spanning: fn(&mut Rng) -> u8 = |rng| SPANNING[rng.range_usize(0, SPANNING.len())];
+    let mut rng = Rng::seed_from_u64(0x50B2);
+    for draw in [small, spanning] {
+        for _ in 0..300 {
+            let patterns: Vec<Vec<u8>> = (0..rng.range_usize(1, 6))
+                .map(|_| (0..rng.range_usize(1, 5)).map(|_| draw(&mut rng)).collect())
+                .collect();
+            let haystack: Vec<u8> = (0..rng.range_usize(0, 200)).map(|_| draw(&mut rng)).collect();
+            check(&patterns, &haystack);
+        }
     }
+
+    let signatures: Vec<Vec<u8>> = Dpi::demo_signatures().iter().map(|s| s.to_vec()).collect();
+    let mut planted = 0;
+    for id in 0..200u64 {
+        let len = rng.range_usize(0, 1500);
+        let pkt = Packet::new(id, 0, random_tuple(&mut rng), 1500, 0).with_payload(
+            len,
+            0x50B2,
+            0.5,
+            &Dpi::demo_signatures(),
+        );
+        planted += u64::from(naive_matches(&signatures, &pkt.payload) > 0);
+        check(&signatures, &pkt.payload);
+    }
+    assert!(planted > 50, "only {planted} payloads carried a signature");
 }
 
 /// No pipeline configuration loses or invents packets. This is the
