@@ -15,8 +15,8 @@
 
 use crate::report::ExperimentReport;
 use crate::scenarios::{
-    baseline_host, faulted, measure, measure_quick, perturbed_workload, saturating_workload,
-    severity_ladder, smartnic_system, switch_system, to_gbps,
+    baseline_host, contenders, faulted, measure, measure_quick, perturbed_workload,
+    saturating_workload, severity_ladder, smartnic_system, to_gbps,
 };
 use apples_core::report::Csv;
 use apples_core::scaling::IdealLinear;
@@ -27,15 +27,6 @@ use apples_simnet::system::Measurement;
 const RESAMPLES: usize = 300;
 /// Seed for the (deterministic) bootstrap resampling stream.
 const BOOTSTRAP_SEED: u64 = 0xB007;
-
-/// The three worked-example contenders: label plus a (Send) constructor,
-/// so pool workers can build each deployment on their own thread.
-type Build = fn() -> apples_simnet::system::Deployment;
-const CONTENDERS: [(&str, Build); 3] = [
-    ("base-2c", || baseline_host(2)),
-    ("smartnic", smartnic_system),
-    ("switch-2c", || switch_system(2)),
-];
 
 /// Frontier membership under faults: which systems stay Pareto-optimal
 /// on (throughput, watts) as the severity ladder climbs.
@@ -52,9 +43,9 @@ pub fn run_frontier() -> ExperimentReport {
     // 4 severities x 3 systems; each severity's trio runs on the pool.
     let rows = crate::pool::Pool::new().map(severity_ladder("robustness-frontier"), |(name, s)| {
         let runs = crate::pool::Pool::new().run::<(&'static str, Measurement), _>(
-            CONTENDERS
-                .into_iter()
-                .map(|(label, build)| {
+            contenders()
+                .iter()
+                .map(|&(label, build)| {
                     Box::new(move || {
                         (label, measure(&faulted(build(), s), &saturating_workload(1)))
                     })

@@ -10,12 +10,10 @@
 
 use crate::report::ExperimentReport;
 use crate::scenarios::{
-    baseline_host, faulted, perturbed_workload, severity_ladder, smartnic_system, switch_system,
-    RUN_NS, WARMUP_NS,
+    contenders, faulted, perturbed_workload, severity_ladder, RUN_NS, WARMUP_NS,
 };
 use apples_core::report::Csv;
 use apples_obs::ObsConfig;
-use apples_simnet::system::Deployment;
 
 /// The moderate rung of the (effective) severity ladder, where faults
 /// bite without flattening every distribution. Read from
@@ -26,14 +24,6 @@ fn moderate_severity() -> f64 {
         .into_iter()
         .find(|(name, _)| name == "moderate")
         .map_or(0.5, |(_, s)| s)
-}
-
-fn contenders() -> Vec<(&'static str, Deployment)> {
-    vec![
-        ("base-2c", baseline_host(2)),
-        ("smartnic", smartnic_system()),
-        ("switch-2c", switch_system(2)),
-    ]
 }
 
 /// Runs the telemetry experiment.
@@ -62,9 +52,9 @@ pub fn run() -> ExperimentReport {
         "svc_p99_ns",
     ]);
     for (cond, severity) in [("clean", 0.0), ("moderate", moderate_severity())] {
-        for (label, d) in contenders() {
+        for &(label, build) in contenders() {
             let wl = perturbed_workload(120.0, 1, severity);
-            let (m, obs) = faulted(d, severity).run_observed(
+            let (m, obs) = faulted(build(), severity).run_observed(
                 &wl,
                 RUN_NS,
                 WARMUP_NS,

@@ -16,11 +16,9 @@ pub mod baseline;
 pub mod experiments;
 pub mod microbench;
 pub mod pool;
-pub mod profilecmd;
 pub mod report;
-pub mod sanitizecmd;
+pub mod runcmd;
 pub mod scenarios;
-pub mod tracecmd;
 pub mod wallclock;
 pub mod xpall;
 

@@ -27,24 +27,25 @@
 //!                        # exit 1 if observability overhead exceeds ceiling
 //! xp bench --export-baseline reports/baseline.json
 //!                        # dump per-scenario events/s + bootstrap CI
-//! xp trace smartnic --out trace.json
-//!                        # traced run -> Chrome trace_event file
-//! xp trace smartnic --severity 0.5 --summarize
-//!                        # ... plus the top-N summary table
-//! xp trace base-2c --scheduler heap --out t.json
+//! xp run smartnic        # one scenario, unobserved reference + observed
+//!                        # run; summary to stdout, exit 1 unless the
+//!                        # observed run is bit-identical to the reference
+//! xp run smartnic --severity 0.5 --trace trace.json
+//!                        # ... plus the Chrome trace_event file
+//! xp run base-2c --scheduler heap --trace t.json
 //!                        # byte-identical to the wheel file (invariant)
-//! xp profile smartnic    # folded-stack (flamegraph) profile to stdout
-//! xp profile cluster --shards 4 --out prof.folded
-//!                        # ... with per-shard compute/barrier/merge lanes
+//! xp run cluster --shards 4 --profile prof.folded
+//!                        # folded-stack (flamegraph) profile with
+//!                        # per-shard compute/barrier/merge lanes
+//! xp run base-2c --sanitize --severity 0.5 --perturb-seed 7
+//!                        # ... with the order sanitizer: a perturbed
+//!                        # observed run plus a check-only run
 //! xp lint                # static-analysis pass over the workspace
 //! xp lint --json         # ... with machine-readable output
 //! xp lint --root DIR     # ... over another tree (fixtures, CI sandboxes)
 //! xp lint --baseline reports/lint_baseline.json
 //!                        # grandfather known findings by fingerprint:
 //!                        # legacy entries inform, new findings fail
-//! xp sanitize smartnic   # order-sanitized + perturbed run; exit 1 if
-//!                        # the bytes diverge from the plain run
-//! xp sanitize base-2c --scheduler heap --severity 0.5 --perturb-seed 7
 //! ```
 
 #![forbid(unsafe_code)]
@@ -53,6 +54,12 @@ use apples_bench::experiments::ALL_IDS;
 use apples_bench::xpall::{run_all, run_gc, XpAllOptions};
 use apples_store::Store;
 use std::path::PathBuf;
+
+/// Removes `flag` from `args`; true when it was there.
+fn take_switch(args: &mut Vec<String>, flag: &str) -> bool {
+    let pos = args.iter().position(|a| a == flag);
+    pos.map(|pos| args.remove(pos)).is_some()
+}
 
 fn take_flag_value(args: &mut Vec<String>, flag: &str) -> Option<String> {
     let pos = args.iter().position(|a| a == flag)?;
@@ -71,13 +78,7 @@ fn run_lint(mut args: Vec<String>) -> ! {
     let root =
         take_flag_value(&mut args, "--root").map_or_else(|| PathBuf::from("."), PathBuf::from);
     let baseline = take_flag_value(&mut args, "--baseline").map(PathBuf::from);
-    let json = match args.iter().position(|a| a == "--json") {
-        Some(pos) => {
-            args.remove(pos);
-            true
-        }
-        None => false,
-    };
+    let json = take_switch(&mut args, "--json");
     if !args.is_empty() {
         eprintln!("usage: xp lint [--json] [--root DIR] [--baseline FILE]");
         std::process::exit(2);
@@ -116,253 +117,94 @@ fn run_lint(mut args: Vec<String>) -> ! {
     }
 }
 
-/// `xp trace`: run one scenario fully observed; write the Chrome trace
-/// and/or print the summary table.
-fn run_trace_cmd(mut args: Vec<String>) -> ! {
-    use apples_bench::tracecmd::{run_trace, scenario_ids, TraceOptions};
-    use apples_simnet::sched::SchedulerKind;
-
-    let usage = || -> ! {
-        eprintln!(
-            "usage: xp trace <scenario> [--out FILE] [--summarize] [--scheduler wheel|heap] \
-             [--severity S] [--seed N] [--ring EVENTS]"
-        );
-        eprintln!("scenarios: {}", scenario_ids().join(", "));
+/// Takes `flag`'s value and parses it with `parse`, which returns `None`
+/// for a value outside the flag's domain; exits 2 naming `expected` then.
+fn parse_flag<T>(
+    args: &mut Vec<String>,
+    flag: &str,
+    expected: &str,
+    parse: impl Fn(&str) -> Option<T>,
+) -> Option<T> {
+    let raw = take_flag_value(args, flag)?;
+    let value = parse(&raw);
+    if value.is_none() {
+        eprintln!("{flag} requires {expected}, got '{raw}'");
         std::process::exit(2);
-    };
-    let out = take_flag_value(&mut args, "--out").map(PathBuf::from);
-    let scheduler = match take_flag_value(&mut args, "--scheduler").as_deref() {
-        None | Some("wheel") => SchedulerKind::Wheel,
-        Some("heap") => SchedulerKind::Heap,
-        Some(other) => {
-            eprintln!("--scheduler must be 'wheel' or 'heap', got '{other}'");
-            std::process::exit(2);
-        }
-    };
-    let severity = match take_flag_value(&mut args, "--severity") {
-        Some(s) => match s.parse::<f64>() {
-            Ok(v) if (0.0..=1.0).contains(&v) => v,
-            _ => {
-                eprintln!("--severity requires a number in [0, 1], got '{s}'");
-                std::process::exit(2);
-            }
-        },
-        None => 0.0,
-    };
-    let seed = match take_flag_value(&mut args, "--seed") {
-        Some(s) => match s.parse::<u64>() {
-            Ok(v) => v,
-            Err(_) => {
-                eprintln!("--seed requires an unsigned integer, got '{s}'");
-                std::process::exit(2);
-            }
-        },
-        None => 1,
-    };
-    let ring = match take_flag_value(&mut args, "--ring") {
-        Some(s) => match s.parse::<usize>() {
-            Ok(v) if v > 0 => v,
-            _ => {
-                eprintln!("--ring requires a positive integer, got '{s}'");
-                std::process::exit(2);
-            }
-        },
-        None => TraceOptions::default().ring,
-    };
-    let summarize = match args.iter().position(|a| a == "--summarize") {
-        Some(pos) => {
-            args.remove(pos);
-            true
-        }
-        None => false,
-    };
-    if args.len() != 1 || args[0].starts_with("--") {
-        usage();
     }
-    let opts = TraceOptions { scenario: args.remove(0), scheduler, severity, seed, ring };
-    let Some(result) = run_trace(&opts) else {
-        eprintln!(
-            "unknown scenario '{}' (choose from: {})",
-            opts.scenario,
-            scenario_ids().join(", ")
-        );
-        std::process::exit(2);
-    };
-    match (&out, summarize) {
-        (None, false) => print!("{}", result.chrome_json),
-        _ => {
-            if let Some(path) = &out {
-                if let Err(e) = std::fs::write(path, &result.chrome_json) {
-                    eprintln!("cannot write {}: {e}", path.display());
-                    std::process::exit(1);
-                }
-                println!("wrote {}", path.display());
-            }
-            if summarize {
-                print!("{}", result.summary);
-            }
-        }
-    }
-    std::process::exit(0);
+    value
 }
 
-/// `xp profile`: run one scenario under the diagnosis observer set;
-/// write the folded-stack flamegraph input and print the summary.
-fn run_profile_cmd(mut args: Vec<String>) -> ! {
-    use apples_bench::profilecmd::{profile_scenario_ids, run_profile, ProfileOptions};
+/// `xp run`: run one scenario unobserved and observed (plus check-only
+/// sanitized with `--sanitize`), write the requested artifacts, print
+/// the summary, and exit 1 unless every run matched the reference.
+fn run_scenario_cmd(mut args: Vec<String>) -> ! {
+    use apples_bench::runcmd::{run, RunOptions, DEFAULT_PERTURB_SEED};
+    use apples_bench::scenarios::SCENARIOS;
+    use apples_obs::observer::DEFAULT_TRACE_CAPACITY;
     use apples_simnet::sched::SchedulerKind;
 
+    let ids = SCENARIOS.iter().map(|&(id, _)| id).collect::<Vec<_>>().join(", ");
     let usage = || -> ! {
         eprintln!(
-            "usage: xp profile <scenario> [--out FILE] [--shards N] [--scheduler wheel|heap] \
-             [--severity S] [--seed N]"
+            "usage: xp run <scenario> [--scheduler wheel|heap] [--severity S] [--seed N] \
+             [--shards N] [--trace FILE [--ring EVENTS]] [--profile FILE] \
+             [--sanitize [--perturb-seed N]]"
         );
-        eprintln!("scenarios: {}", profile_scenario_ids().join(", "));
+        eprintln!("scenarios: {ids}");
         std::process::exit(2);
     };
-    let out = take_flag_value(&mut args, "--out").map(PathBuf::from);
-    let scheduler = match take_flag_value(&mut args, "--scheduler").as_deref() {
-        None | Some("wheel") => SchedulerKind::Wheel,
-        Some("heap") => SchedulerKind::Heap,
-        Some(other) => {
-            eprintln!("--scheduler must be 'wheel' or 'heap', got '{other}'");
-            std::process::exit(2);
-        }
-    };
-    let severity = match take_flag_value(&mut args, "--severity") {
-        Some(s) => match s.parse::<f64>() {
-            Ok(v) if (0.0..=1.0).contains(&v) => v,
-            _ => {
-                eprintln!("--severity requires a number in [0, 1], got '{s}'");
-                std::process::exit(2);
-            }
-        },
-        None => 0.0,
-    };
-    let seed = match take_flag_value(&mut args, "--seed") {
-        Some(s) => match s.parse::<u64>() {
-            Ok(v) => v,
-            Err(_) => {
-                eprintln!("--seed requires an unsigned integer, got '{s}'");
-                std::process::exit(2);
-            }
-        },
-        None => 1,
-    };
-    let shards = match take_flag_value(&mut args, "--shards") {
-        Some(s) => match s.parse::<usize>() {
-            Ok(v) if v >= 1 => v,
-            _ => {
-                eprintln!("--shards requires an integer >= 1, got '{s}'");
-                std::process::exit(2);
-            }
-        },
-        None => 1,
-    };
-    if args.len() != 1 || args[0].starts_with("--") {
+    let trace = take_flag_value(&mut args, "--trace").map(PathBuf::from);
+    let profile = take_flag_value(&mut args, "--profile").map(PathBuf::from);
+    let scheduler = parse_flag(&mut args, "--scheduler", "'wheel' or 'heap'", |s| {
+        [SchedulerKind::Wheel, SchedulerKind::Heap].into_iter().find(|k| k.label() == s)
+    });
+    let severity = parse_flag(&mut args, "--severity", "a number in [0, 1]", |s| {
+        s.parse::<f64>().ok().filter(|v| (0.0..=1.0).contains(v))
+    });
+    let seed = parse_flag(&mut args, "--seed", "an unsigned integer", |s| s.parse().ok());
+    let shards = parse_flag(&mut args, "--shards", "an integer >= 1", |s| {
+        s.parse::<usize>().ok().filter(|&n| n >= 1)
+    });
+    let ring = parse_flag(&mut args, "--ring", "a positive integer", |s| {
+        s.parse::<usize>().ok().filter(|&n| n > 0)
+    });
+    let perturb_seed =
+        parse_flag(&mut args, "--perturb-seed", "an unsigned integer", |s| s.parse().ok());
+    let sanitize = take_switch(&mut args, "--sanitize");
+    // `--ring` sizes the trace and `--perturb-seed` seeds the sanitizer:
+    // each is a usage error without the flag it qualifies. A trace ring
+    // cannot be sharded, so `--trace` with `--shards` > 1 would quietly
+    // observe a serial run; refuse it instead.
+    let dangling = (ring.is_some() && trace.is_none())
+        || (perturb_seed.is_some() && !sanitize)
+        || (trace.is_some() && shards.is_some_and(|n| n > 1));
+    if dangling || args.len() != 1 || args[0].starts_with("--") {
         usage();
     }
-    let opts = ProfileOptions { scenario: args.remove(0), scheduler, severity, seed, shards };
-    let Some(result) = run_profile(&opts) else {
-        eprintln!(
-            "unknown scenario '{}' (choose from: {})",
-            opts.scenario,
-            profile_scenario_ids().join(", ")
-        );
+    let opts = RunOptions {
+        scenario: args.remove(0),
+        scheduler: scheduler.unwrap_or(SchedulerKind::Wheel),
+        severity: severity.unwrap_or(0.0),
+        seed: seed.unwrap_or(1),
+        shards: shards.unwrap_or(1),
+        trace_ring: trace.is_some().then(|| ring.unwrap_or(DEFAULT_TRACE_CAPACITY)),
+        perturb_seed: sanitize.then(|| perturb_seed.unwrap_or(DEFAULT_PERTURB_SEED)),
+    };
+    let Some(result) = run(&opts) else {
+        eprintln!("unknown scenario '{}' (choose from: {ids})", opts.scenario);
         std::process::exit(2);
     };
-    match &out {
-        None => print!("{}", result.folded),
-        Some(path) => {
-            if let Err(e) = std::fs::write(path, &result.folded) {
+    for (path, body) in [(trace, result.chrome_json.as_deref()), (profile, Some(&result.folded))] {
+        if let (Some(path), Some(body)) = (path, body) {
+            if let Err(e) = std::fs::write(&path, body) {
                 eprintln!("cannot write {}: {e}", path.display());
                 std::process::exit(1);
             }
             println!("wrote {}", path.display());
-            print!("{}", result.summary);
         }
     }
-    std::process::exit(if result.identical { 0 } else { 1 });
-}
-
-/// `xp sanitize`: run one scenario three ways (plain, checked,
-/// perturbed) and gate on byte-identity of the measurements.
-fn run_sanitize_cmd(mut args: Vec<String>) -> ! {
-    use apples_bench::sanitizecmd::{run_sanitize, sanitize_scenario_ids, SanitizeOptions};
-    use apples_simnet::sched::SchedulerKind;
-
-    let usage = || -> ! {
-        eprintln!(
-            "usage: xp sanitize <scenario> [--scheduler wheel|heap] [--severity S] [--seed N] \
-             [--perturb-seed N] [--shards N]"
-        );
-        eprintln!("scenarios: {}", sanitize_scenario_ids().join(", "));
-        std::process::exit(2);
-    };
-    let scheduler = match take_flag_value(&mut args, "--scheduler").as_deref() {
-        None | Some("wheel") => SchedulerKind::Wheel,
-        Some("heap") => SchedulerKind::Heap,
-        Some(other) => {
-            eprintln!("--scheduler must be 'wheel' or 'heap', got '{other}'");
-            std::process::exit(2);
-        }
-    };
-    let severity = match take_flag_value(&mut args, "--severity") {
-        Some(s) => match s.parse::<f64>() {
-            Ok(v) if (0.0..=1.0).contains(&v) => v,
-            _ => {
-                eprintln!("--severity requires a number in [0, 1], got '{s}'");
-                std::process::exit(2);
-            }
-        },
-        None => 0.0,
-    };
-    let parse_seed = |flag: &str, default: u64, args: &mut Vec<String>| -> u64 {
-        match take_flag_value(args, flag) {
-            Some(s) => match s.parse::<u64>() {
-                Ok(v) => v,
-                Err(_) => {
-                    eprintln!("{flag} requires an unsigned integer, got '{s}'");
-                    std::process::exit(2);
-                }
-            },
-            None => default,
-        }
-    };
-    let seed = parse_seed("--seed", 1, &mut args);
-    let perturb_seed =
-        parse_seed("--perturb-seed", SanitizeOptions::default().perturb_seed, &mut args);
-    let shards = match take_flag_value(&mut args, "--shards") {
-        Some(s) => match s.parse::<usize>() {
-            Ok(v) if v >= 1 => v,
-            _ => {
-                eprintln!("--shards requires an integer >= 1, got '{s}'");
-                std::process::exit(2);
-            }
-        },
-        None => 1,
-    };
-    if args.len() != 1 || args[0].starts_with("--") {
-        usage();
-    }
-    let opts = SanitizeOptions {
-        scenario: args.remove(0),
-        scheduler,
-        severity,
-        seed,
-        perturb_seed,
-        shards,
-    };
-    let Some(result) = run_sanitize(&opts) else {
-        eprintln!(
-            "unknown scenario '{}' (choose from: {})",
-            opts.scenario,
-            sanitize_scenario_ids().join(", ")
-        );
-        std::process::exit(2);
-    };
     print!("{}", result.summary);
-    std::process::exit(if result.identical { 0 } else { 1 });
+    std::process::exit(if result.passed { 0 } else { 1 });
 }
 
 fn main() {
@@ -373,19 +215,16 @@ fn main() {
         run_lint(args);
     }
 
-    if args.first().map(String::as_str) == Some("trace") {
+    if args.first().map(String::as_str) == Some("run") {
         args.remove(0);
-        run_trace_cmd(args);
+        run_scenario_cmd(args);
     }
 
-    if args.first().map(String::as_str) == Some("profile") {
-        args.remove(0);
-        run_profile_cmd(args);
-    }
-
-    if args.first().map(String::as_str) == Some("sanitize") {
-        args.remove(0);
-        run_sanitize_cmd(args);
+    if let Some(verb @ ("trace" | "profile" | "sanitize")) = args.first().map(String::as_str) {
+        eprintln!(
+            "'xp {verb}' is now 'xp run <scenario> [--trace FILE] [--profile FILE] [--sanitize]'"
+        );
+        std::process::exit(2);
     }
 
     if args.first().map(String::as_str) == Some("gc") {
@@ -426,36 +265,16 @@ fn main() {
         let compare_baseline = take_flag_value(&mut args, "--baseline").map(PathBuf::from);
         // None = flag absent: per-entry and file-level defaults from the
         // baseline file apply, then DEFAULT_MAX_DROP.
-        let max_drop = match take_flag_value(&mut args, "--max-drop") {
-            Some(v) => match v.parse::<f64>() {
-                Ok(d) if (0.0..1.0).contains(&d) => Some(d),
-                _ => {
-                    eprintln!("--max-drop requires a fraction in [0, 1), got '{v}'");
-                    std::process::exit(2);
-                }
-            },
-            None => None,
-        };
-        let replications = match take_flag_value(&mut args, "--replications") {
-            Some(n) => match n.parse::<usize>() {
-                Ok(n) if n > 0 => n,
-                _ => {
-                    eprintln!("--replications requires a positive integer, got '{n}'");
-                    std::process::exit(2);
-                }
-            },
-            None => 0,
-        };
-        let mut take_flag = |flag: &str| match args.iter().position(|a| a == flag) {
-            Some(pos) => {
-                args.remove(pos);
-                true
-            }
-            None => false,
-        };
-        let quick = take_flag("--quick");
-        let faults = take_flag("--faults");
-        let strict = take_flag("--strict");
+        let max_drop = parse_flag(&mut args, "--max-drop", "a fraction in [0, 1)", |s| {
+            s.parse::<f64>().ok().filter(|d| (0.0..1.0).contains(d))
+        });
+        let replications = parse_flag(&mut args, "--replications", "a positive integer", |s| {
+            s.parse::<usize>().ok().filter(|&n| n > 0)
+        })
+        .unwrap_or(0);
+        let quick = take_switch(&mut args, "--quick");
+        let faults = take_switch(&mut args, "--faults");
+        let strict = take_switch(&mut args, "--strict");
         if !args.is_empty() {
             eprintln!(
                 "usage: xp bench [--quick] [--faults] [--replications N] [--out FILE] \
@@ -580,25 +399,11 @@ fn main() {
     let md_dir = take_flag_value(&mut args, "--md-dir").map(PathBuf::from);
     let store_root =
         take_flag_value(&mut args, "--store-dir").map_or_else(Store::default_root, PathBuf::from);
-    let threads = match take_flag_value(&mut args, "--threads") {
-        Some(n) => match n.parse::<usize>() {
-            Ok(n) if n > 0 => Some(n),
-            _ => {
-                eprintln!("--threads requires a positive integer, got '{n}'");
-                std::process::exit(2);
-            }
-        },
-        None => None,
-    };
-    let mut take_flag = |flag: &str| match args.iter().position(|a| a == flag) {
-        Some(pos) => {
-            args.remove(pos);
-            true
-        }
-        None => false,
-    };
-    let no_cache = take_flag("--no-cache");
-    let explain = take_flag("--explain");
+    let threads = parse_flag(&mut args, "--threads", "a positive integer", |s| {
+        s.parse::<usize>().ok().filter(|&n| n > 0)
+    });
+    let no_cache = take_switch(&mut args, "--no-cache");
+    let explain = take_switch(&mut args, "--explain");
 
     if args.iter().any(|a| a == "--list") {
         for id in ALL_IDS {
@@ -611,7 +416,7 @@ fn main() {
         eprintln!(
             "usage: xp [--csv-dir DIR] [--md-dir DIR] [--threads N] [--store-dir DIR] \
              [--no-cache] [--explain] [--list] \
-             <experiment-id>... | all | bench | gc | lint | trace | profile | sanitize"
+             <experiment-id>... | all | bench | gc | lint | run"
         );
         eprintln!("experiments: {}", ALL_IDS.join(", "));
         std::process::exit(2);

@@ -53,6 +53,8 @@ use apples_simnet::engine::{
 use apples_simnet::nf::NfChain;
 use apples_simnet::sched::{EventScheduler, SchedulerKind};
 use apples_simnet::service::{FixedTime, LineRate, NfService};
+use apples_simnet::system::{Deployment, Measurement, RunOpts};
+use apples_simnet::OrderSanitizer;
 use apples_workload::WorkloadSpec;
 
 /// Knobs for a bench run.
@@ -354,7 +356,7 @@ fn harness_jobs() -> Vec<u64> {
     (0..8).collect()
 }
 
-fn run_harness_batch(pool: &Pool) -> Vec<(u64, u64, u64)> {
+fn run_harness_batch(pool: &Pool) -> Vec<String> {
     // Alternate deployments so jobs are unevenly sized (exercises the
     // stealing path on multi-core machines).
     pool.map(harness_jobs(), |seed| {
@@ -364,7 +366,7 @@ fn run_harness_batch(pool: &Pool) -> Vec<(u64, u64, u64)> {
         } else {
             measure_quick(&smartnic_system(), &wl)
         };
-        (m.throughput_bps.to_bits(), m.mean_latency_ns.to_bits(), m.policy_drops)
+        m.fingerprint()
     })
 }
 
@@ -380,7 +382,7 @@ fn sweep_worker_counts() -> Vec<usize> {
 
 fn harness_sweep(all_identical: &mut bool) -> Json {
     let counts = sweep_worker_counts();
-    let mut serial_out: Option<Vec<(u64, u64, u64)>> = None;
+    let mut serial_out: Option<Vec<String>> = None;
     let mut serial_ms = 0.0f64;
     let entries = counts
         .into_iter()
@@ -417,24 +419,12 @@ fn harness_sweep(all_identical: &mut bool) -> Json {
 /// The multi-host scenario the intra-run scaling measurement uses: an
 /// 8-host replicated cluster behind an ECMP splitter — the topology
 /// the shard planner splits into a splitter shard plus host shards.
-fn scaling_deployment() -> apples_simnet::system::Deployment {
-    apples_simnet::system::Deployment::replicated_cluster(
-        "cluster-8x2",
-        8,
-        2,
-        0.1,
-        crate::scenarios::firewall_chain,
-    )
+fn scaling_deployment() -> Deployment {
+    Deployment::replicated_cluster("cluster-8x2", 8, 2, 0.1, crate::scenarios::firewall_chain)
 }
 
-/// A measurement reduced to its identity-relevant bit patterns.
-fn scaling_digest(m: &apples_simnet::system::Measurement) -> (u64, u64, u64, u64) {
-    (
-        m.throughput_bps.to_bits(),
-        m.mean_latency_ns.to_bits(),
-        m.p99_latency_ns.to_bits(),
-        m.policy_drops,
-    )
+fn diagnosed() -> RunOpts {
+    RunOpts { observer: Some(ObsConfig::diagnosis()), ..RunOpts::default() }
 }
 
 /// Interleaved same-binary A/B at each shard count: serial and sharded
@@ -448,7 +438,7 @@ fn single_run_scaling(quick: bool, all_identical: &mut bool) -> Json {
     let sim_ns: u64 = if quick { 10_000_000 } else { 40_000_000 };
     let wl = WorkloadSpec::cbr(20e6, 1500, 64, 5);
     let serial = scaling_deployment();
-    let reference = scaling_digest(&serial.run(&wl, sim_ns, 0));
+    let reference = serial.run(&wl, sim_ns, 0).fingerprint();
     // lint: allow(D3, reason = "core-count probe only: reads available_parallelism, spawns nothing; reported so scaling numbers are interpretable on small runners")
     let cores = std::thread::available_parallelism().map_or(1, usize::from);
     let entries = [1usize, 2, 4]
@@ -466,8 +456,8 @@ fn single_run_scaling(quick: bool, all_identical: &mut bool) -> Json {
                 let clock = WallClock::start();
                 let b = sharded.run(&wl, sim_ns, 0);
                 let sharded_ms = clock.elapsed_ms();
-                identical &= scaling_digest(&a) == reference;
-                identical &= scaling_digest(&b) == reference;
+                identical &= a.fingerprint() == reference;
+                identical &= b.fingerprint() == reference;
                 serial_walls.push(serial_ms);
                 sharded_walls.push(sharded_ms);
                 speedups.push(serial_ms / sharded_ms.max(1e-9));
@@ -478,9 +468,9 @@ fn single_run_scaling(quick: bool, all_identical: &mut bool) -> Json {
             // is) instead of leaving it as prose. The diagnosed
             // measurement must still match the serial reference.
             let diagnosis = if n > 1 {
-                let (m, _, diag) = sharded.run_diagnosed(&wl, sim_ns, 0, &ObsConfig::diagnosis());
-                identical &= scaling_digest(&m) == reference;
-                diag.map_or_else(Json::obj, |d| {
+                let out = sharded.run_with(&wl, sim_ns, 0, diagnosed());
+                identical &= out.measurement.fingerprint() == reference;
+                out.shard_diag.map_or_else(Json::obj, |d| {
                     let (compute, barrier, merge) = d.fractions();
                     Json::obj()
                         .field("compute_fraction", compute)
@@ -535,8 +525,7 @@ fn scaling_diagnosis_section(quick: bool, all_identical: &mut bool) -> Json {
     const DIAG_TRIALS: usize = 3;
     let sim_ns: u64 = if quick { 10_000_000 } else { 40_000_000 };
     let wl = WorkloadSpec::cbr(20e6, 1500, 64, 5);
-    let reference = scaling_digest(&scaling_deployment().run(&wl, sim_ns, 0));
-    let cfg = ObsConfig::diagnosis();
+    let reference = scaling_deployment().run(&wl, sim_ns, 0).fingerprint();
     let entries = [2usize, 4]
         .into_iter()
         .map(|n| {
@@ -547,9 +536,9 @@ fn scaling_diagnosis_section(quick: bool, all_identical: &mut bool) -> Json {
             let mut identical = true;
             let mut last = None;
             for _ in 0..DIAG_TRIALS {
-                let (m, _, diag) = d.run_diagnosed(&wl, sim_ns, 0, &cfg);
-                identical &= scaling_digest(&m) == reference;
-                if let Some(diag) = diag {
+                let out = d.run_with(&wl, sim_ns, 0, diagnosed());
+                identical &= out.measurement.fingerprint() == reference;
+                if let Some(diag) = out.shard_diag {
                     let (c, b, g) = diag.fractions();
                     compute.push(c);
                     barrier.push(b);
@@ -591,18 +580,10 @@ fn scaling_diagnosis_section(quick: bool, all_identical: &mut bool) -> Json {
 // Robustness section: faulted runs must stay deterministic too.
 // ---------------------------------------------------------------------
 
-/// One faulted measurement reduced to its bit pattern for identity
-/// checks: throughput, latency, and the three fault counters.
-fn faulted_digest(seed: u64, severity: f64) -> (u64, u64, u64, u64, u64) {
+/// One faulted measurement of the SmartNIC system.
+fn faulted_run(seed: u64, severity: f64) -> Measurement {
     let wl = perturbed_workload(120.0, seed, severity);
-    let m = measure_quick(&faulted(smartnic_system(), severity), &wl);
-    (
-        m.throughput_bps.to_bits(),
-        m.mean_latency_ns.to_bits(),
-        m.fault_drops,
-        m.injected_drops,
-        m.corrupted,
-    )
+    measure_quick(&faulted(smartnic_system(), severity), &wl)
 }
 
 /// Per-severity robustness entries: `replications` faulted measurements
@@ -617,15 +598,17 @@ fn robustness_section(replications: usize, all_identical: &mut bool) -> Json {
         .filter(|&&(_, s)| s > 0.0)
         .map(|&(name, s)| {
             let seeds: Vec<u64> = (0..replications as u64).map(|i| 301 + i).collect();
-            let serial = Pool::with_workers(1).map(seeds.clone(), |seed| faulted_digest(seed, s));
-            let pooled = Pool::new().map(seeds.clone(), |seed| faulted_digest(seed, s));
-            let parallel_identical = serial == pooled;
-            let replayed = Pool::with_workers(1).map(seeds, |seed| faulted_digest(seed, s));
-            let replay_identical = serial == replayed;
+            let serial = Pool::with_workers(1).map(seeds.clone(), |seed| faulted_run(seed, s));
+            let reference: Vec<String> = serial.iter().map(Measurement::fingerprint).collect();
+            let pooled = Pool::new().map(seeds.clone(), |seed| faulted_run(seed, s).fingerprint());
+            let parallel_identical = pooled == reference;
+            let replayed =
+                Pool::with_workers(1).map(seeds, |seed| faulted_run(seed, s).fingerprint());
+            let replay_identical = replayed == reference;
             *all_identical &= parallel_identical && replay_identical;
-            let gbps: Vec<f64> = serial.iter().map(|d| f64::from_bits(d.0) / 1e9).collect();
+            let gbps: Vec<f64> = serial.iter().map(|m| m.throughput_bps / 1e9).collect();
             let ci = bootstrap_mean_ci(&gbps, 300, 0xB007);
-            let fault_drops: u64 = serial.iter().map(|d| d.2 + d.3).sum();
+            let fault_drops: u64 = serial.iter().map(|m| m.fault_drops + m.injected_drops).sum();
             Json::obj()
                 .field("severity", name)
                 .field("replications", replications)
@@ -748,18 +731,9 @@ fn obs_section(quick: bool, all_identical: &mut bool, overhead_ratio: &mut f64) 
     );
     let (m_off, (m_spans, _), (m_on, obs)) = timing.outs;
     let [off_ms, spans_ms, full_ms] = timing.min_ms;
-    let digest = |m: &apples_simnet::system::Measurement| {
-        (
-            m.throughput_bps.to_bits(),
-            m.mean_latency_ns.to_bits(),
-            m.p99_latency_ns.to_bits(),
-            m.policy_drops,
-            m.fault_drops,
-            m.watts.to_bits(),
-        )
-    };
+    let reference = m_off.fingerprint();
     let observed_numbers_identical =
-        digest(&m_off) == digest(&m_on) && digest(&m_off) == digest(&m_spans);
+        m_on.fingerprint() == reference && m_spans.fingerprint() == reference;
     *all_identical &= observed_numbers_identical;
     let (ratio, full_ratio) = timing.ratios;
     *overhead_ratio = ratio;
@@ -812,25 +786,19 @@ fn sanitizer_section(quick: bool, all_identical: &mut bool) -> Json {
     let wl = saturating_workload(1);
     let run_ns: u64 = if quick { 10_000_000 } else { 20_000_000 };
     let trials = if quick { 9 } else { 11 };
+    let sanitized = |sanitizer| RunOpts { sanitizer: Some(sanitizer), ..RunOpts::default() };
     let timing = interleaved_overhead(
         trials,
         || d.run(&wl, run_ns, 0),
-        || d.run_sanitized(&wl, run_ns, 0, None),
-        || d.run_sanitized(&wl, run_ns, 0, Some(0xD15F)),
+        || d.run_with(&wl, run_ns, 0, sanitized(OrderSanitizer::new())),
+        || d.run_with(&wl, run_ns, 0, sanitized(OrderSanitizer::with_perturbation(0xD15F))),
     );
-    let (m_off, (m_check, _), (m_perturb, report)) = timing.outs;
+    let (m_off, checked, perturbed) = timing.outs;
     let [off_ms, check_ms, perturb_ms] = timing.min_ms;
-    let digest = |m: &apples_simnet::system::Measurement| {
-        (
-            m.throughput_bps.to_bits(),
-            m.mean_latency_ns.to_bits(),
-            m.p99_latency_ns.to_bits(),
-            m.policy_drops,
-            m.fault_drops,
-            m.watts.to_bits(),
-        )
-    };
-    let identical = digest(&m_off) == digest(&m_check) && digest(&m_off) == digest(&m_perturb);
+    let reference = m_off.fingerprint();
+    let identical = checked.measurement.fingerprint() == reference
+        && perturbed.measurement.fingerprint() == reference;
+    let report = perturbed.sanitizer.unwrap_or_default();
     *all_identical &= identical;
     let (check_ratio, perturb_ratio) = timing.ratios;
     Json::obj()
@@ -1192,8 +1160,9 @@ mod tests {
 
     #[test]
     fn faulted_digests_replay_bit_for_bit() {
-        assert_eq!(faulted_digest(301, 1.0), faulted_digest(301, 1.0));
-        assert_ne!(faulted_digest(301, 0.0), faulted_digest(301, 1.0), "faults must bite");
+        let fingerprint = |severity| faulted_run(301, severity).fingerprint();
+        assert_eq!(fingerprint(1.0), fingerprint(1.0));
+        assert_ne!(fingerprint(0.0), fingerprint(1.0), "faults must bite");
     }
 
     fn summary(events: f64, identical: bool, obs_ratio: f64) -> BenchSummary {

@@ -1,0 +1,448 @@
+//! `xp run`: run one registered scenario with diagnostics attached, and
+//! check bit for bit that attaching them changed no simulated number.
+//!
+//! Every invocation measures one `(scenario, severity, seed)` at one
+//! operating point — [`RUN_GBPS`] offered over [`RUN_NS`], with
+//! [`WARMUP_NS`] excluded — in up to three runs:
+//!
+//! 1. the reference: unobserved, serial, production scheduler;
+//! 2. the observed run, at the chosen scheduler and shard count, with
+//!    telemetry, spans and the time series, plus the trace ring when
+//!    tracing and the seeded interleaving perturber when sanitizing;
+//! 3. when sanitizing, a check-only sanitized run at the same settings.
+//!    It checks the engine's native dispatch order, which the perturbed
+//!    run sorts back into place before checking.
+//!
+//! Runs 2 and 3 must match the reference's [`Measurement::fingerprint`],
+//! and run 3 must check events without perturbing any; otherwise the
+//! CLI exits 1. Run 2 yields the artifacts: the Chrome trace (sim-time
+//! timestamps and a `scheduler-invariant` provenance stamp, so wheel and
+//! heap export the same bytes), the folded-stack profile in flamegraph
+//! "collapsed" format (`engine;...` span phases, plus one
+//! `shards;shard-N;...` wall-clock lane stack per shard when the run
+//! sharded), and the summary.
+
+use crate::scenarios::{faulted, perturbed_workload, scenario, to_gbps, RUN_NS, WARMUP_NS};
+use apples_obs::chrome::chrome_trace;
+use apples_obs::{ObsConfig, Phase, TraceDrop, TraceFault, TraceKind, Tracer};
+use apples_simnet::sched::SchedulerKind;
+use apples_simnet::system::{Measurement, RunOpts, RunOutput};
+use apples_simnet::{OrderSanitizer, SanitizerReport};
+
+/// Offered load for every `xp run`, Gbps — the operating point the
+/// verdict experiments judge at, and the one the golden trace's
+/// provenance digest pins.
+pub const RUN_GBPS: f64 = 120.0;
+
+/// Perturber seed when `--sanitize` is given without `--perturb-seed`.
+pub const DEFAULT_PERTURB_SEED: u64 = 0xD15F;
+
+/// Options for one `xp run` invocation.
+#[derive(Debug, Clone)]
+pub struct RunOptions {
+    /// Scenario id (see [`crate::scenarios::SCENARIOS`]).
+    pub scenario: String,
+    /// Event scheduler for the observed and check-only runs.
+    pub scheduler: SchedulerKind,
+    /// Fault-ladder severity in `[0, 1]`; 0 runs clean.
+    pub severity: f64,
+    /// Workload seed.
+    pub seed: u64,
+    /// Shard count for the observed and check-only runs; the reference
+    /// always runs serially, so shards > 1 gates the sharded engine
+    /// against the serial one.
+    pub shards: usize,
+    /// Trace ring bound — the file keeps the last `ring` events; `None`
+    /// runs untraced. The ring cannot be sharded: a traced observed run
+    /// is serial whatever `shards` says, so the CLI refuses the pair.
+    pub trace_ring: Option<usize>,
+    /// Interleaving-perturber seed; `None` runs unsanitized.
+    pub perturb_seed: Option<u64>,
+}
+
+impl Default for RunOptions {
+    fn default() -> Self {
+        RunOptions {
+            scenario: "smartnic".to_owned(),
+            scheduler: SchedulerKind::Wheel,
+            severity: 0.0,
+            seed: 1,
+            shards: 1,
+            trace_ring: None,
+            perturb_seed: None,
+        }
+    }
+}
+
+/// One `xp run`'s artifacts and verdict.
+#[derive(Debug)]
+pub struct RunArtifacts {
+    /// Chrome `trace_event` JSON, pretty-rendered (byte-stable); `None`
+    /// when untraced.
+    pub chrome_json: Option<String>,
+    /// Folded-stack profile (flamegraph collapsed format).
+    pub folded: String,
+    /// Human-readable summary.
+    pub summary: String,
+    /// Whether every run matched the reference bit for bit and the
+    /// check-only sanitizer checked events without perturbing any.
+    pub passed: bool,
+}
+
+/// Makes the runs and renders the artifacts. Returns `None` for an
+/// unknown scenario id.
+pub fn run(opts: &RunOptions) -> Option<RunArtifacts> {
+    let build = || scenario(&opts.scenario).map(|d| faulted(d, opts.severity));
+    let wl = perturbed_workload(RUN_GBPS, opts.seed, opts.severity);
+    let production = build()?;
+    let reference = production.run(&wl, RUN_NS, WARMUP_NS);
+    let d = build()?.with_scheduler(opts.scheduler).with_shards(opts.shards);
+    let trace_capacity = opts.trace_ring.map_or(0, |ring| ring.max(1));
+    let observer = ObsConfig { trace_capacity, ..ObsConfig::full() };
+    let sanitizer = opts.perturb_seed.map(OrderSanitizer::with_perturbation);
+    let observed =
+        d.run_with(&wl, RUN_NS, WARMUP_NS, RunOpts { observer: Some(observer), sanitizer });
+    let checked = opts.perturb_seed.map(|_| {
+        let opts = RunOpts { sanitizer: Some(OrderSanitizer::new()), ..RunOpts::default() };
+        let out = d.run_with(&wl, RUN_NS, WARMUP_NS, opts);
+        (out.measurement, out.sanitizer.unwrap_or_default())
+    });
+
+    let mut failures = Vec::new();
+    let want = reference.fingerprint();
+    let same = |m: &Measurement| m.fingerprint() == want;
+    if !same(&observed.measurement) {
+        failures.push("the observed run diverged from the reference".to_owned());
+    }
+    if let Some((measurement, rep)) = &checked {
+        if !same(measurement) {
+            failures.push("the check-only run diverged from the reference".to_owned());
+        }
+        if rep.perturbed != 0 || rep.events == 0 {
+            failures.push(format!(
+                "the check-only sanitizer perturbed {} and checked {} events",
+                rep.perturbed, rep.events
+            ));
+        }
+    }
+
+    let names: Vec<String> = reference.stages.iter().map(|s| s.name.to_owned()).collect();
+    let obs = observed.observer.as_ref();
+    let tracer = obs.and_then(|o| o.tracer.as_ref());
+    let chrome_json = tracer.map(|tracer| {
+        // Provenance comes from the scenario under its production
+        // scheduler, then declares itself scheduler-invariant: the whole
+        // point of a sim-time trace is that wheel and heap produce the
+        // same file.
+        let mut prov = production.provenance(&wl, RUN_NS, WARMUP_NS);
+        prov.scheduler = "scheduler-invariant".to_owned();
+        chrome_trace(tracer, &names, &prov).render_pretty()
+    });
+    let check_only = checked.as_ref().map(|(_, rep)| rep);
+    let summary = summarize(opts, &names, &observed, check_only, &failures);
+    Some(RunArtifacts {
+        chrome_json,
+        folded: folded_stacks(&observed),
+        summary,
+        passed: failures.is_empty(),
+    })
+}
+
+/// The observed run's folded stacks: engine phases, then one lane stack
+/// per shard when the run sharded.
+fn folded_stacks(observed: &RunOutput) -> String {
+    let spans = observed.observer.as_ref().and_then(|o| o.spans.as_ref());
+    let mut folded = spans.map_or_else(String::new, |spans| spans.to_folded("engine"));
+    if let Some(diag) = observed.shard_diag.as_ref() {
+        // Integer microseconds, floored at 1 so a lane that ran is
+        // never invisible to a renderer.
+        let us = |ns: u128| -> u64 { u64::try_from(ns / 1_000).unwrap_or(u64::MAX).max(1) };
+        for lane in &diag.lanes {
+            for (frame, ns) in [
+                ("compute", lane.compute_ns),
+                ("barrier-wait", lane.barrier_ns),
+                ("merge", lane.merge_ns),
+            ] {
+                folded.push_str(&format!("shards;shard-{};{frame} {}\n", lane.shard, us(ns)));
+            }
+        }
+    }
+    folded
+}
+
+fn summarize(
+    opts: &RunOptions,
+    names: &[String],
+    observed: &RunOutput,
+    check_only: Option<&SanitizerReport>,
+    failures: &[String],
+) -> String {
+    let mut out = format!(
+        "run: {} (scheduler {}, severity {}, seed {}, shards {}, {RUN_GBPS} Gbps offered)\n",
+        opts.scenario,
+        opts.scheduler.label(),
+        opts.severity,
+        opts.seed,
+        opts.shards
+    );
+    out.push_str(&format!(
+        "  throughput: {:.3} Gbps delivered\n",
+        to_gbps(observed.measurement.throughput_bps)
+    ));
+    let name_of = |i: usize| names.get(i).cloned().unwrap_or_else(|| format!("stage{i}"));
+    let obs = observed.observer.as_ref();
+    if let Some(tel) = obs.and_then(|o| o.telemetry.as_ref()) {
+        if let Some(i) = tel.busiest_stage() {
+            out.push_str(&format!(
+                "  busiest stage: {} ({} served)\n",
+                name_of(i),
+                tel.stages[i].served
+            ));
+        }
+        if let Some(i) = tel.deepest_queue() {
+            out.push_str(&format!(
+                "  deepest queue: {} (peak depth {})\n",
+                name_of(i),
+                tel.stages[i].peak_depth
+            ));
+        }
+        // Top-N stages by packets served.
+        let mut order: Vec<usize> = (0..tel.stages.len()).collect();
+        order.sort_by_key(|&i| (std::cmp::Reverse(tel.stages[i].served), i));
+        out.push_str("  top stages by served:\n");
+        out.push_str(&format!(
+            "    {:<12} {:>10} {:>8} {:>10} {:>12} {:>12}\n",
+            "stage", "served", "drops", "peak_depth", "wait_p99_ns", "svc_p99_ns"
+        ));
+        for &i in order.iter().take(5) {
+            let st = &tel.stages[i];
+            out.push_str(&format!(
+                "    {:<12} {:>10} {:>8} {:>10} {:>12} {:>12}\n",
+                name_of(i),
+                st.served,
+                st.drops(),
+                st.peak_depth,
+                st.wait_ns.quantile(0.99),
+                st.service_ns.quantile(0.99)
+            ));
+        }
+    }
+    if let Some(spans) = obs.and_then(|o| o.spans.as_ref()) {
+        out.push_str("  engine phases (est self wall):\n");
+        for ph in Phase::ALL {
+            let p = spans.phase(ph);
+            out.push_str(&format!(
+                "    {:<14} {:>10} spans {:>12.0} us\n",
+                ph.label(),
+                p.count,
+                p.est_wall_ns() / 1e3
+            ));
+        }
+    }
+    match observed.shard_diag.as_ref() {
+        Some(diag) => {
+            let (compute, barrier, merge) = diag.fractions();
+            out.push_str(&format!(
+                "  shard lanes ({} shards, epoch {} ns): compute {:.1}% / barrier-wait {:.1}% / \
+                 merge {:.1}%\n",
+                diag.shards,
+                diag.epoch_ns,
+                compute * 100.0,
+                barrier * 100.0,
+                merge * 100.0
+            ));
+            out.push_str(&format!(
+                "  load balance: jain {:.3}, predicted max speedup {:.2}x, {} hops exchanged\n",
+                diag.jain_index(),
+                diag.predicted_max_speedup(),
+                diag.hops_exchanged()
+            ));
+        }
+        None => out.push_str("  shard lanes: none (serial run)\n"),
+    }
+    if let Some(ts) = obs.and_then(|o| o.timeseries.as_ref()) {
+        let (peak_idx, peak) = ts.peak_interval().unwrap_or((0, 0));
+        out.push_str(&format!(
+            "  timeseries: {} intervals of {:.3} ms, peak {} dispatches at interval {}\n",
+            ts.len(),
+            ts.interval_ns() as f64 / 1e6,
+            peak,
+            peak_idx
+        ));
+    }
+    if let Some(tracer) = obs.and_then(|o| o.tracer.as_ref()) {
+        out.push_str(&format!(
+            "  ring: emitted={} retained={} overwritten={}\n",
+            tracer.emitted(),
+            tracer.len(),
+            tracer.overwritten()
+        ));
+        out.push_str(&fault_to_drop_gap(tracer));
+    }
+    if let (Some(perturbed), Some(check_only)) = (observed.sanitizer.as_ref(), check_only) {
+        out.push_str(&format!(
+            "  sanitizer: {} events in {} buckets (max same-time class {}), {} shuffled and \
+             re-merged by seq (perturb-seed {:#x})\n",
+            perturbed.events,
+            perturbed.buckets,
+            perturbed.max_bucket,
+            perturbed.perturbed,
+            opts.perturb_seed.unwrap_or_default()
+        ));
+        out.push_str(&format!(
+            "  check-only sanitizer: {} events checked, {} perturbed\n",
+            check_only.events, check_only.perturbed
+        ));
+    }
+    if failures.is_empty() {
+        out.push_str("  verdict: every run bit-identical to the unobserved serial reference\n");
+    } else {
+        out.push_str(&format!("  verdict: FAILED — {}\n", failures.join("; ")));
+    }
+    out
+}
+
+/// The retained-window gap between the first fault action and the first
+/// fault-attributed loss — how long the system absorbed the fault before
+/// packets started dying.
+fn fault_to_drop_gap(tracer: &Tracer) -> String {
+    // From the first fault action on; an injected drop is both a fault
+    // action and a fault-attributed loss.
+    let mut from_fault =
+        tracer.events().skip_while(|ev| !matches!(ev.kind, TraceKind::Fault { .. })).peekable();
+    let first_fault = from_fault.peek().map(|ev| ev.t_ns);
+    let first_loss = from_fault.find(|ev| {
+        matches!(
+            ev.kind,
+            TraceKind::Fault { fault: TraceFault::InjectedDrop, .. }
+                | TraceKind::Drop { reason: TraceDrop::Fault, .. }
+        )
+    });
+    match (first_fault, first_loss.map(|ev| ev.t_ns)) {
+        (Some(f), Some(l)) => {
+            format!("  first fault -> first fault-loss gap: {} ns\n", l.saturating_sub(f))
+        }
+        (Some(_), None) => "  faults traced, no fault-attributed loss in window\n".to_owned(),
+        (None, _) => "  no faults traced (clean run)\n".to_owned(),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use apples_obs::observer::DEFAULT_TRACE_CAPACITY;
+
+    /// Runs `opts`, which must pass and emit well-formed folded stacks.
+    fn run_ok(opts: RunOptions) -> RunArtifacts {
+        let out = run(&opts).expect("registered scenario");
+        assert!(out.passed, "{}", out.summary);
+        assert!(!out.folded.is_empty(), "profile emitted no stacks");
+        for line in out.folded.lines() {
+            let (stack, value) = line.rsplit_once(' ').expect("line has a value");
+            assert!(!stack.is_empty() && !stack.contains(' '), "bad stack: {line}");
+            assert!(value.parse::<u64>().is_ok(), "bad value: {line}");
+        }
+        out
+    }
+
+    /// `summary` minus its header (which names the scheduler) and the
+    /// engine-phase block (wall-clock estimates): every line left is a
+    /// sim-time figure.
+    fn sim_time_lines(summary: &str) -> Vec<&str> {
+        let mut in_phases = false;
+        let keep = |line: &&str| {
+            if !line.starts_with("    ") {
+                in_phases = line.starts_with("  engine phases");
+            }
+            !in_phases
+        };
+        summary.lines().skip(1).filter(keep).collect()
+    }
+
+    fn sanitized(opts: RunOptions) -> RunOptions {
+        RunOptions { perturb_seed: Some(DEFAULT_PERTURB_SEED), ..opts }
+    }
+
+    #[test]
+    fn unknown_scenario_is_none() {
+        let opts = RunOptions { scenario: "nope".to_owned(), ..RunOptions::default() };
+        assert!(run(&opts).is_none());
+    }
+
+    #[test]
+    fn trace_files_are_scheduler_invariant() {
+        let wheel = RunOptions {
+            scenario: "base-2c".to_owned(),
+            severity: 0.5,
+            trace_ring: Some(DEFAULT_TRACE_CAPACITY),
+            ..RunOptions::default()
+        };
+        let heap = RunOptions { scheduler: SchedulerKind::Heap, ..wheel.clone() };
+        let (a, b) = (run_ok(wheel.clone()), run_ok(heap));
+        let trace = a.chrome_json.expect("traced");
+        assert_eq!(Some(&trace), b.chrome_json.as_ref(), "wheel and heap traces must match");
+        assert!(trace.contains("\"scheduler-invariant\""));
+        // The whole-run telemetry (busiest stage, peak depths, p99 wait
+        // and service, ring counts, fault gap) must match too; only the
+        // header and the wall-clock engine phases may differ.
+        let (a, b) = (sim_time_lines(&a.summary), sim_time_lines(&b.summary));
+        assert!(a.iter().any(|l| l.contains("ring: emitted=")), "{a:#?}");
+        assert_eq!(a, b, "wheel and heap summaries must agree on every sim-time line");
+        let clean = run_ok(RunOptions { severity: 0.0, ..wheel });
+        assert!(clean.summary.contains("no faults traced"), "{}", clean.summary);
+    }
+
+    #[test]
+    fn faulted_run_names_the_fault_gap_and_nests_fault_apply() {
+        let out = run_ok(sanitized(RunOptions {
+            severity: 1.0,
+            trace_ring: Some(DEFAULT_TRACE_CAPACITY),
+            ..RunOptions::default()
+        }));
+        for needle in [
+            "busiest stage",
+            "deepest queue",
+            "first fault",
+            "top stages by served",
+            "check-only sanitizer",
+        ] {
+            assert!(out.summary.contains(needle), "missing {needle:?} in:\n{}", out.summary);
+        }
+        assert!(out.folded.contains("engine;dispatch;fault-apply "), "{}", out.folded);
+    }
+
+    #[test]
+    fn sharded_profiles_add_one_lane_stack_per_shard() {
+        for shards in [2, 4] {
+            let opts =
+                RunOptions { scenario: "cluster".to_owned(), shards, ..RunOptions::default() };
+            let out = run_ok(sanitized(opts));
+            for shard in 0..shards {
+                for lane in ["compute", "barrier-wait", "merge"] {
+                    let frame = format!("shards;shard-{shard};{lane} ");
+                    assert!(out.folded.contains(&frame), "missing {frame} in:\n{}", out.folded);
+                }
+            }
+            assert!(out.summary.contains("predicted max speedup"), "{}", out.summary);
+            assert!(out.summary.contains(&format!("shards {shards}")), "{}", out.summary);
+        }
+    }
+
+    #[test]
+    fn serial_and_sanitized_runs_match_the_reference() {
+        let serial = run_ok(RunOptions::default());
+        assert!(serial.folded.contains("engine;dispatch"), "{}", serial.folded);
+        assert!(!serial.folded.contains("shards;"), "serial run must not emit lanes");
+        assert!(serial.summary.contains("serial run"), "{}", serial.summary);
+        assert!(serial.chrome_json.is_none(), "an untraced run exports no trace");
+        for opts in [
+            RunOptions::default(),
+            RunOptions { scheduler: SchedulerKind::Heap, ..RunOptions::default() },
+            RunOptions { scenario: "rss".to_owned(), shards: 2, ..RunOptions::default() },
+            RunOptions { scenario: "base-2c".to_owned(), severity: 0.5, ..RunOptions::default() },
+        ] {
+            let out = run_ok(sanitized(opts));
+            assert!(out.summary.contains("check-only sanitizer"), "{}", out.summary);
+        }
+    }
+}

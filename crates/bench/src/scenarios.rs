@@ -175,6 +175,37 @@ pub fn switch_system(host_cores: u32) -> Deployment {
     )
 }
 
+/// A scenario constructor. A plain `fn` pointer, so the registry is a
+/// static table and pool workers can build a deployment on their own
+/// thread.
+pub type Build = fn() -> Deployment;
+
+/// Every scenario id `xp run` accepts, with its constructor. The first
+/// three are the worked example's contenders ([`contenders`]); `cluster`
+/// and `rss` are the declared-steer fan-outs the shard planner splits.
+/// Deployment names are part of config digests and store keys, so they
+/// stay fixed whatever the ids are.
+pub static SCENARIOS: [(&str, Build); 5] = [
+    ("base-2c", || baseline_host(2)),
+    ("smartnic", smartnic_system),
+    ("switch-2c", || switch_system(2)),
+    ("cluster", || {
+        Deployment::replicated_cluster("cluster", 4, 2, CONTENTION_ALPHA, firewall_chain)
+    }),
+    ("rss", || Deployment::cpu_host_rss("rss", 4, firewall_chain)),
+];
+
+/// Builds the scenario registered under `id`; `None` for an unknown id.
+pub fn scenario(id: &str) -> Option<Deployment> {
+    SCENARIOS.iter().find(|&&(name, _)| name == id).map(|&(_, build)| build())
+}
+
+/// The worked example's three contenders: baseline host, SmartNIC
+/// offload, switch front-end.
+pub fn contenders() -> &'static [(&'static str, Build)] {
+    &SCENARIOS[..3]
+}
+
 /// The reference MTU-sized workload at `gbps` offered load.
 pub fn mtu_workload(gbps: f64, seed: u64) -> WorkloadSpec {
     let rate_pps = gbps * 1e9 / (1520.0 * 8.0); // 1500 B + wire overhead
@@ -334,6 +365,19 @@ mod tests {
                 assert_eq!(*s, want_s);
             }
         }
+    }
+
+    #[test]
+    fn registry_ids_are_unique_and_every_id_builds_and_runs() {
+        let wl = mtu_workload(12.0, 1);
+        for (i, &(id, _)) in SCENARIOS.iter().enumerate() {
+            assert!(SCENARIOS[..i].iter().all(|&(other, _)| other != id), "duplicate id {id}");
+            let d = scenario(id).expect("registered id builds");
+            assert!(measure_quick(&d, &wl).throughput_bps > 0.0, "{id} delivered nothing");
+        }
+        assert!(scenario("nope").is_none());
+        let ids: Vec<&str> = contenders().iter().map(|&(id, _)| id).collect();
+        assert_eq!(ids, ["base-2c", "smartnic", "switch-2c"]);
     }
 
     #[test]

@@ -841,18 +841,13 @@ impl Engine {
         self.observer.take()
     }
 
-    /// The attached observer, if any.
-    pub fn observer(&self) -> Option<&RunObserver> {
-        self.observer.as_ref()
-    }
-
     /// Attaches the runtime order sanitizer for subsequent runs: the
     /// dispatch walk is shadowed with monotone-time / unique-seq /
     /// merge-order invariant checks (and, when the sanitizer was built
     /// with [`OrderSanitizer::with_perturbation`], a seeded shuffle of
     /// every same-timestamp equivalence class that the seq-keyed merge
     /// must undo). Results must stay byte-identical to an unsanitized
-    /// run — that identity is asserted by tests and the `xp sanitize`
+    /// run — that identity is asserted by tests and the `xp run --sanitize`
     /// gate, not here.
     pub fn with_sanitizer(mut self, sanitizer: OrderSanitizer) -> Self {
         self.sanitizer = Some(sanitizer);
@@ -864,21 +859,11 @@ impl Engine {
         self.sanitizer.take()
     }
 
-    /// The attached sanitizer, if any.
-    pub fn sanitizer(&self) -> Option<&OrderSanitizer> {
-        self.sanitizer.as_ref()
-    }
-
     /// Removes and returns the scaling diagnosis collected by the most
     /// recent run, if that run actually sharded (serial runs — including
     /// silent fallbacks — leave `None`).
     pub fn take_shard_diag(&mut self) -> Option<crate::shard::ShardDiag> {
         self.shard_diag.take()
-    }
-
-    /// Stage names in pipeline order (labels for telemetry and traces).
-    pub fn stage_names(&self) -> Vec<String> {
-        self.stages.iter().map(|s| s.cfg.name.to_owned()).collect()
     }
 
     /// Selects the event-queue discipline. The timing wheel is the

@@ -113,11 +113,6 @@ impl OrderSanitizer {
         s
     }
 
-    /// Whether the perturber is armed.
-    pub fn perturbs(&self) -> bool {
-        self.perturb_seed.is_some()
-    }
-
     /// The accumulated report.
     pub fn report(&self) -> &SanitizerReport {
         &self.report

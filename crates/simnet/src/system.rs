@@ -22,6 +22,7 @@ use crate::nf::NfChain;
 use crate::sanitizer::{OrderSanitizer, SanitizerReport};
 use crate::sched::SchedulerKind;
 use crate::service::{FixedTime, NfService};
+use crate::shard::ShardDiag;
 use apples_core::{OperatingPoint, System};
 use apples_metrics::cost::{CostMetric, DeviceClass};
 use apples_metrics::perf::PerfMetric;
@@ -707,31 +708,7 @@ impl Deployment {
 
     /// Runs the deployment against a workload and measures it.
     pub fn run(&self, workload: &WorkloadSpec, duration_ns: u64, warmup_ns: u64) -> Measurement {
-        self.run_inner(workload, duration_ns, warmup_ns, None, None).0
-    }
-
-    /// Runs the deployment with the runtime order sanitizer shadowing
-    /// the dispatch walk (see [`crate::sanitizer::OrderSanitizer`]).
-    /// `perturb_seed` arms the interleaving perturber: every
-    /// same-timestamp equivalence class is shuffled and re-merged by
-    /// `seq` before dispatch. Either way the simulated numbers must be
-    /// byte-identical to [`Deployment::run`] — the `xp sanitize` gate
-    /// and the sanitizer tests assert that identity.
-    pub fn run_sanitized(
-        &self,
-        workload: &WorkloadSpec,
-        duration_ns: u64,
-        warmup_ns: u64,
-        perturb_seed: Option<u64>,
-    ) -> (Measurement, SanitizerReport) {
-        let san = match perturb_seed {
-            Some(seed) => OrderSanitizer::with_perturbation(seed),
-            None => OrderSanitizer::new(),
-        };
-        let (m, _, san, _) = self.run_inner_full(workload, duration_ns, warmup_ns, None, Some(san));
-        // The engine hands the sanitizer back exactly when one was
-        // attached; the fallback keeps this total.
-        (m, san.map(|s| s.report().clone()).unwrap_or_default())
+        self.run_with(workload, duration_ns, warmup_ns, RunOpts::default()).measurement
     }
 
     /// Runs the deployment with observability attached: same simulated
@@ -745,61 +722,25 @@ impl Deployment {
         warmup_ns: u64,
         cfg: &ObsConfig,
     ) -> (Measurement, RunObserver) {
-        let (m, obs) =
-            self.run_inner(workload, duration_ns, warmup_ns, Some(RunObserver::new(cfg)), None);
+        let opts = RunOpts { observer: Some(cfg.clone()), ..RunOpts::default() };
+        let out = self.run_with(workload, duration_ns, warmup_ns, opts);
         // The engine hands the observer back exactly when one was
         // attached; the fallback is unreachable but keeps this total.
-        (m, obs.unwrap_or_else(|| RunObserver::new(cfg)))
+        (out.measurement, out.observer.unwrap_or_else(|| RunObserver::new(cfg)))
     }
 
-    /// Runs the deployment with observability attached and also returns
-    /// the scaling diagnosis ([`crate::shard::ShardDiag`]) when the run
-    /// actually sharded: the per-shard wall-time decomposition
-    /// (compute / barrier-stall / merge), barrier-wait histograms, and
-    /// mailbox traffic. Serial runs (including silent fallbacks — an
-    /// unpartitionable pipeline, a non-shardable observer) return
-    /// `None`. Simulated numbers are byte-identical to
-    /// [`Deployment::run`] either way.
-    pub fn run_diagnosed(
+    /// Runs the deployment with whatever `opts` attaches. The simulated
+    /// numbers are bit-identical to [`Deployment::run`] whatever that is:
+    /// observers and the order sanitizer never feed back into the
+    /// simulation, and the perturber's shuffles are undone by the
+    /// seq-keyed merge before dispatch.
+    pub fn run_with(
         &self,
         workload: &WorkloadSpec,
         duration_ns: u64,
         warmup_ns: u64,
-        cfg: &ObsConfig,
-    ) -> (Measurement, RunObserver, Option<crate::shard::ShardDiag>) {
-        let (m, obs, _, diag) = self.run_inner_full(
-            workload,
-            duration_ns,
-            warmup_ns,
-            Some(RunObserver::new(cfg)),
-            None,
-        );
-        (m, obs.unwrap_or_else(|| RunObserver::new(cfg)), diag)
-    }
-
-    fn run_inner(
-        &self,
-        workload: &WorkloadSpec,
-        duration_ns: u64,
-        warmup_ns: u64,
-        observer: Option<RunObserver>,
-        sanitizer: Option<OrderSanitizer>,
-    ) -> (Measurement, Option<RunObserver>) {
-        let (m, obs, _, _) =
-            self.run_inner_full(workload, duration_ns, warmup_ns, observer, sanitizer);
-        (m, obs)
-    }
-
-    #[allow(clippy::type_complexity)]
-    fn run_inner_full(
-        &self,
-        workload: &WorkloadSpec,
-        duration_ns: u64,
-        warmup_ns: u64,
-        observer: Option<RunObserver>,
-        sanitizer: Option<OrderSanitizer>,
-    ) -> (Measurement, Option<RunObserver>, Option<OrderSanitizer>, Option<crate::shard::ShardDiag>)
-    {
+        opts: RunOpts,
+    ) -> RunOutput {
         let stages: Vec<StageConfig> = self.stage_factories.iter().map(|f| f()).collect();
         let mut engine = Engine::new(stages)
             .with_scheduler(self.scheduler)
@@ -812,15 +753,15 @@ impl Deployment {
         if let Some(plan) = self.fault_plan(workload.seed, duration_ns) {
             engine = engine.with_fault_plan(plan);
         }
-        if let Some(obs) = observer {
-            engine = engine.with_observer(obs);
+        if let Some(cfg) = &opts.observer {
+            engine = engine.with_observer(RunObserver::new(cfg));
         }
-        if let Some(san) = sanitizer {
+        if let Some(san) = opts.sanitizer {
             engine = engine.with_sanitizer(san);
         }
         let result = engine.run(workload, duration_ns, warmup_ns);
         let observer = engine.take_observer();
-        let sanitizer = engine.take_sanitizer();
+        let sanitizer = engine.take_sanitizer().map(|s| s.report().clone());
         let shard_diag = engine.take_shard_diag();
 
         let total_watts: f64 = self
@@ -851,7 +792,7 @@ impl Deployment {
             watts: total_watts,
             stages: result.stages,
         };
-        (measurement, observer, sanitizer, shard_diag)
+        RunOutput { measurement, observer, sanitizer, shard_diag }
     }
 
     /// Canonical digest of everything that determines a run's simulated
@@ -905,6 +846,37 @@ impl Deployment {
     }
 }
 
+/// What one [`Deployment::run_with`] call attaches to the engine. The
+/// default attaches nothing: a plain run. The shard count is not here;
+/// it is a property of the deployment ([`Deployment::with_shards`]).
+#[derive(Debug, Default)]
+pub struct RunOpts {
+    /// Observability to collect; `None` runs unobserved.
+    pub observer: Option<ObsConfig>,
+    /// The order sanitizer to shadow the dispatch walk with — check-only
+    /// ([`OrderSanitizer::new`]) or perturbing
+    /// ([`OrderSanitizer::with_perturbation`]); `None` runs unsanitized.
+    pub sanitizer: Option<OrderSanitizer>,
+}
+
+/// Everything one [`Deployment::run_with`] call produced.
+#[derive(Debug)]
+pub struct RunOutput {
+    /// The simulated numbers.
+    pub measurement: Measurement,
+    /// The observer with everything it collected, exactly when one was
+    /// attached.
+    pub observer: Option<RunObserver>,
+    /// What the sanitizer verified, exactly when one was attached.
+    pub sanitizer: Option<SanitizerReport>,
+    /// The scaling diagnosis (per-shard compute / barrier-stall / merge
+    /// wall time, barrier-wait histograms, mailbox traffic) when the run
+    /// actually sharded. Serial runs — including silent fallbacks for an
+    /// unpartitionable pipeline or a non-shardable observer — leave
+    /// `None`.
+    pub shard_diag: Option<ShardDiag>,
+}
+
 /// Everything a run measured, plus conversions to methodology inputs.
 #[derive(Debug, Clone)]
 pub struct Measurement {
@@ -939,6 +911,15 @@ pub struct Measurement {
 }
 
 impl Measurement {
+    /// Every field of the measurement, per-stage reports included, in its
+    /// derived `Debug` form. That form lists every field, new ones too,
+    /// and prints each float as the shortest decimal that round-trips, so
+    /// two runs produced the same numbers exactly when their fingerprints
+    /// are equal: one ULP of drift anywhere shows.
+    pub fn fingerprint(&self) -> String {
+        format!("{self:?}")
+    }
+
     /// Energy per delivered bit, in joules/bit — the JouleSort-style
     /// (the paper's reference 28) energy-efficiency figure: average power over
     /// delivered throughput. `None` when nothing was delivered.
@@ -1305,14 +1286,32 @@ mod tests {
     }
 
     #[test]
+    fn fingerprint_sees_stage_counters_and_low_float_bits() {
+        let m = Deployment::cpu_host("fp", 2, firewall_chain(50)).run(
+            &light_workload(),
+            10_000_000,
+            1_000_000,
+        );
+        let base = m.fingerprint();
+        assert_eq!(base, m.clone().fingerprint());
+        let mut drops = m.clone();
+        drops.stages[0].queue_drops += 1;
+        assert_ne!(drops.fingerprint(), base, "a stage's queue_drops must show");
+        let mut watts = m.clone();
+        watts.watts = f64::from_bits(watts.watts.to_bits() ^ 1);
+        assert_ne!(watts.fingerprint(), base, "the low bit of a float must show");
+        let mut util = m.clone();
+        util.stages[0].utilization = f64::from_bits(util.stages[0].utilization.to_bits() ^ 1);
+        assert_ne!(util.fingerprint(), base, "the low bit of a stage float must show");
+    }
+
+    #[test]
     fn measurements_are_deterministic() {
         let d = Deployment::cpu_host("det", 2, firewall_chain(50));
         let wl = light_workload();
         let a = d.run(&wl, 10_000_000, 1_000_000);
         let b = d.run(&wl, 10_000_000, 1_000_000);
-        assert_eq!(a.throughput_bps, b.throughput_bps);
-        assert_eq!(a.watts, b.watts);
-        assert_eq!(a.p99_latency_ns, b.p99_latency_ns);
+        assert_eq!(a.fingerprint(), b.fingerprint());
     }
 
     #[test]
@@ -1325,9 +1324,7 @@ mod tests {
         };
         let a = mk().run(&wl, 10_000_000, 1_000_000);
         let b = mk().run(&wl, 10_000_000, 1_000_000);
-        assert_eq!(a.throughput_bps.to_bits(), b.throughput_bps.to_bits());
-        assert_eq!(a.injected_drops, b.injected_drops);
-        assert_eq!(a.fault_drops, b.fault_drops);
+        assert_eq!(a.fingerprint(), b.fingerprint());
         assert!(a.injected_drops > 0, "severity 0.8 must drop packets at the injection point");
         let clean =
             Deployment::cpu_host("clean", 2, firewall_chain(50)).run(&wl, 10_000_000, 1_000_000);
@@ -1346,9 +1343,7 @@ mod tests {
         let nulled = Deployment::cpu_host("a", 2, firewall_chain(50))
             .with_faults(FaultSpec::none())
             .run(&wl, 10_000_000, 1_000_000);
-        assert_eq!(clean.throughput_bps.to_bits(), nulled.throughput_bps.to_bits());
-        assert_eq!(clean.mean_latency_ns.to_bits(), nulled.mean_latency_ns.to_bits());
-        assert_eq!(clean.watts.to_bits(), nulled.watts.to_bits());
+        assert_eq!(clean.fingerprint(), nulled.fingerprint());
     }
 
     #[test]
@@ -1360,9 +1355,7 @@ mod tests {
         };
         let plain = mk().run(&wl, 10_000_000, 1_000_000);
         let (observed, obs) = mk().run_observed(&wl, 10_000_000, 1_000_000, &ObsConfig::full());
-        assert_eq!(plain.throughput_bps.to_bits(), observed.throughput_bps.to_bits());
-        assert_eq!(plain.p99_latency_ns.to_bits(), observed.p99_latency_ns.to_bits());
-        assert_eq!(plain.fault_drops, observed.fault_drops);
+        assert_eq!(plain.fingerprint(), observed.fingerprint());
         let tracer = obs.tracer.as_ref().unwrap();
         assert!(tracer.emitted() > 0, "a loaded run must emit trace events");
         let tel = obs.telemetry.as_ref().unwrap();

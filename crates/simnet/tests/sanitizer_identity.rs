@@ -10,18 +10,32 @@
 //! would run. If any engine path secretly depends on pre-merge buffer
 //! order, these tests break today instead of during that refactor.
 
+use apples_obs::ObsConfig;
 use apples_simnet::fault::FaultSpec;
+use apples_simnet::nf::dpi::{Dpi, MatchPolicy};
 use apples_simnet::nf::firewall::{synth_rules, Action, Firewall};
 use apples_simnet::nf::NfChain;
 use apples_simnet::sched::SchedulerKind;
-use apples_simnet::system::{Deployment, Measurement};
-use apples_workload::WorkloadSpec;
+use apples_simnet::system::{Deployment, Measurement, RunOpts};
+use apples_simnet::{OrderSanitizer, SanitizerReport};
+use apples_workload::{ArrivalProcess, PacketSizeDist, WorkloadSpec};
 
 const RUN_NS: u64 = 10_000_000;
 const WARMUP_NS: u64 = 1_000_000;
 
 fn firewall_chain(rules: usize) -> impl Fn() -> NfChain {
     move || NfChain::new(vec![Box::new(Firewall::new(synth_rules(rules, 0.05, 7), Action::Deny))])
+}
+
+/// Runs `d` with `sanitizer` shadowing the dispatch walk.
+fn run_sanitized(
+    d: &Deployment,
+    wl: &WorkloadSpec,
+    sanitizer: OrderSanitizer,
+) -> (Measurement, SanitizerReport) {
+    let opts = RunOpts { sanitizer: Some(sanitizer), ..RunOpts::default() };
+    let out = d.run_with(wl, RUN_NS, WARMUP_NS, opts);
+    (out.measurement, out.sanitizer.expect("an attached sanitizer hands back its report"))
 }
 
 type Contender = (&'static str, Box<dyn Fn() -> Deployment>);
@@ -73,13 +87,16 @@ fn sanitized_runs_are_byte_identical_across_contenders_and_schedulers() {
             let plain = mk().with_scheduler(kind).run(&wl, RUN_NS, WARMUP_NS);
             // Check-only sanitizer.
             let (checked, rep) =
-                mk().with_scheduler(kind).run_sanitized(&wl, RUN_NS, WARMUP_NS, None);
+                run_sanitized(&mk().with_scheduler(kind), &wl, OrderSanitizer::new());
             assert_identical(name, &plain, &checked, "check");
             assert!(rep.events > 0, "{name}: sanitizer saw no events");
             assert_eq!(rep.perturbed, 0, "{name}: check-only mode must not perturb");
             // Perturbed sanitizer: shuffled equivalence classes, same bytes.
-            let (perturbed, _) =
-                mk().with_scheduler(kind).run_sanitized(&wl, RUN_NS, WARMUP_NS, Some(0xD15F));
+            let (perturbed, _) = run_sanitized(
+                &mk().with_scheduler(kind),
+                &wl,
+                OrderSanitizer::with_perturbation(0xD15F),
+            );
             assert_identical(name, &plain, &perturbed, "perturb");
         }
     }
@@ -106,7 +123,8 @@ fn batched_pipelines_exercise_the_perturber_on_multi_event_classes() {
     for fused in [true, false] {
         let make = mk(fused);
         let plain = make().run(&wl, RUN_NS, WARMUP_NS);
-        let (perturbed, rep) = make().run_sanitized(&wl, RUN_NS, WARMUP_NS, Some(0xBEEF));
+        let (perturbed, rep) =
+            run_sanitized(&make(), &wl, OrderSanitizer::with_perturbation(0xBEEF));
         assert_identical("gpu-batch", &plain, &perturbed, "perturb");
         if !fused {
             assert!(rep.max_bucket > 1, "batch completions must collide timestamps");
@@ -123,7 +141,7 @@ fn sanitized_runs_survive_fault_plans_and_unfused_hops() {
             .with_faults(FaultSpec::at_severity(0.8))
     };
     let plain = mk().run(&wl, RUN_NS, WARMUP_NS);
-    let (perturbed, _) = mk().run_sanitized(&wl, RUN_NS, WARMUP_NS, Some(7));
+    let (perturbed, _) = run_sanitized(&mk(), &wl, OrderSanitizer::with_perturbation(7));
     assert_identical("faulted", &plain, &perturbed, "perturb");
     assert_eq!(plain.injected_drops, perturbed.injected_drops);
     assert_eq!(plain.fault_drops, perturbed.fault_drops);
@@ -135,7 +153,7 @@ fn sanitized_runs_survive_fault_plans_and_unfused_hops() {
             .with_fusion(false)
     };
     let unfused_plain = mk2().run(&wl, RUN_NS, WARMUP_NS);
-    let (unfused_perturbed, rep) = mk2().run_sanitized(&wl, RUN_NS, WARMUP_NS, Some(7));
+    let (unfused_perturbed, rep) = run_sanitized(&mk2(), &wl, OrderSanitizer::with_perturbation(7));
     assert_identical("unfused", &unfused_plain, &unfused_perturbed, "perturb");
     assert!(rep.events > 0);
 }
@@ -146,10 +164,68 @@ fn perturbation_seed_does_not_leak_into_results() {
     // the same canonical order — and therefore the same bytes.
     let wl = WorkloadSpec::cbr(2e6, 1500, 16, 5);
     let mk = || Deployment::cpu_host("seeds", 2, firewall_chain(100));
-    let (a, ra) = mk().run_sanitized(&wl, RUN_NS, WARMUP_NS, Some(1));
-    let (b, rb) = mk().run_sanitized(&wl, RUN_NS, WARMUP_NS, Some(0xFFFF_FFFF));
+    let (a, ra) = run_sanitized(&mk(), &wl, OrderSanitizer::with_perturbation(1));
+    let (b, rb) = run_sanitized(&mk(), &wl, OrderSanitizer::with_perturbation(0xFFFF_FFFF));
     assert_identical("seeds", &a, &b, "cross-seed");
     // Both perturbed the same population of events.
     assert_eq!(ra.events, rb.events);
     assert_eq!(ra.buckets, rb.buckets);
+}
+
+#[test]
+fn observed_perturbed_runs_keep_the_bytes_at_every_shard_count() {
+    // Everything `xp run --sanitize` attaches to one run at once —
+    // telemetry, spans and the time series, plus the perturber — on the
+    // serial and the sharded engine. Bursty Poisson arrivals of IMIX
+    // frames collide on timestamps, so the perturber has classes to
+    // shuffle; under CBR the largest class is one event.
+    let wl = WorkloadSpec {
+        sizes: PacketSizeDist::Imix,
+        arrivals: ArrivalProcess::Poisson { rate_pps: 4e6 },
+        flows: 64,
+        zipf_s: 1.0,
+        seed: 5,
+    }
+    .with_overload_bursts(3.0, 500_000, 2_000_000);
+    let dpi_chain =
+        || NfChain::new(vec![Box::new(Dpi::new(&Dpi::demo_signatures(), MatchPolicy::Block))]);
+    let needles: Vec<Vec<u8>> = Dpi::demo_signatures().iter().map(|s| s.to_vec()).collect();
+    let shapes: Vec<Contender> = vec![
+        (
+            "cluster",
+            Box::new(|| Deployment::replicated_cluster("cluster", 4, 2, 0.1, firewall_chain(100))),
+        ),
+        (
+            "smartnic-dpi",
+            Box::new(move || {
+                Deployment::smartnic_offload("smartnic-dpi", 4, dpi_chain, 1, NfChain::empty)
+                    .with_payloads(0.05, needles.clone())
+            }),
+        ),
+    ];
+    let observer = ObsConfig { trace_capacity: 0, telemetry: true, spans: true, timeseries: true };
+    for (name, mk) in shapes {
+        let plain = mk().run(&wl, RUN_NS, WARMUP_NS);
+        for shards in [1, 2, 4] {
+            let opts = RunOpts {
+                observer: Some(observer.clone()),
+                sanitizer: Some(OrderSanitizer::with_perturbation(0xD15F)),
+            };
+            let out = mk().with_shards(shards).run_with(&wl, RUN_NS, WARMUP_NS, opts);
+            assert_eq!(
+                out.measurement.fingerprint(),
+                plain.fingerprint(),
+                "{name}x{shards}: observed perturbed run diverged from the plain run"
+            );
+            assert_eq!(
+                out.shard_diag.is_some(),
+                shards > 1,
+                "{name}x{shards}: a scaling diagnosis exactly when the run shards"
+            );
+            let rep = out.sanitizer.expect("an attached sanitizer hands back its report");
+            assert!(rep.perturbed > 0, "{name}x{shards}: the perturber never fired");
+            let obs = out.observer.expect("an attached observer is handed back");
+            assert!(obs.timeseries.is_some_and(|ts| ts.total_dispatches() > 0), "{name}x{shards}");
+        }
+    }
 }

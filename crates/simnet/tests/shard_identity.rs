@@ -13,7 +13,8 @@ use apples_simnet::nf::firewall::{synth_rules, Action, Firewall};
 use apples_simnet::nf::NfChain;
 use apples_simnet::sched::SchedulerKind;
 use apples_simnet::service::{FixedTime, NfService};
-use apples_simnet::system::{Deployment, DeploymentBuilder, Measurement};
+use apples_simnet::system::{Deployment, DeploymentBuilder, Measurement, RunOpts};
+use apples_simnet::OrderSanitizer;
 use apples_workload::WorkloadSpec;
 
 const RUN_NS: u64 = 10_000_000;
@@ -252,11 +253,15 @@ fn sanitizer_perturbation_on_a_sharded_run_keeps_the_bytes() {
     // serial bytes, and the merged report must have seen real work.
     let wl = WorkloadSpec::cbr(2e6, 1500, 16, 5);
     let mk = || Deployment::replicated_cluster("cluster-san", 8, 2, 0.1, firewall_chain(100));
+    let perturbed = |seed| RunOpts {
+        sanitizer: Some(OrderSanitizer::with_perturbation(seed)),
+        ..RunOpts::default()
+    };
     let serial = mk().run(&wl, RUN_NS, WARMUP_NS);
     for shards in [2, 4] {
-        let (sharded, rep) =
-            mk().with_shards(shards).run_sanitized(&wl, RUN_NS, WARMUP_NS, Some(0xD15F));
-        assert_identical("cluster-san", &serial, &sharded, &format!("perturbed-x{shards}"));
+        let out = mk().with_shards(shards).run_with(&wl, RUN_NS, WARMUP_NS, perturbed(0xD15F));
+        let rep = out.sanitizer.expect("an attached sanitizer hands back its report");
+        assert_identical("cluster-san", &serial, &out.measurement, &format!("perturbed-x{shards}"));
         assert!(rep.events > 0, "sanitizer saw no events on the sharded run");
     }
 
@@ -272,9 +277,9 @@ fn sanitizer_perturbation_on_a_sharded_run_keeps_the_bytes() {
         .with_fusion(false)
     };
     let serial2 = mk2().run(&batched, RUN_NS, WARMUP_NS);
-    let (sharded2, rep2) =
-        mk2().with_shards(2).run_sanitized(&batched, RUN_NS, WARMUP_NS, Some(0xBEEF));
-    assert_identical("gpu-san", &serial2, &sharded2, "perturbed-x2");
+    let out2 = mk2().with_shards(2).run_with(&batched, RUN_NS, WARMUP_NS, perturbed(0xBEEF));
+    let rep2 = out2.sanitizer.expect("an attached sanitizer hands back its report");
+    assert_identical("gpu-san", &serial2, &out2.measurement, "perturbed-x2");
     assert!(rep2.max_bucket > 1, "batch completions must collide timestamps");
     assert!(rep2.perturbed > 0, "perturber never fired on the sharded batch run");
 }

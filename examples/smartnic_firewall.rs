@@ -49,8 +49,7 @@ fn main() {
     // Cross-check the event scheduler itself: the default timing wheel
     // and the reference binary heap must report the same measurement.
     let heap = measure(&smartnic_system().with_scheduler(SchedulerKind::Heap), &wl);
-    assert_eq!(nic.throughput_bps.to_bits(), heap.throughput_bps.to_bits());
-    assert_eq!(nic.watts.to_bits(), heap.watts.to_bits());
+    assert_eq!(nic.fingerprint(), heap.fingerprint());
 
     // The fair comparison, with the measured scaling model.
     let result =

@@ -3,6 +3,7 @@
 # fetch (i.e. any external dependency creeping back in) is a failure.
 set -euo pipefail
 cd "$(dirname "$0")/.."
+XP=(cargo run -q --release --offline -p apples-bench --bin xp --)
 
 echo "== fmt =="
 cargo fmt --all -- --check
@@ -33,8 +34,7 @@ echo "== lint =="
 # not grandfathered by the fingerprint baseline. The JSON output is then
 # spot-checked against the published schema (reports/lint-schema.json):
 # schema_version 2 with per-finding reformat-stable fingerprints.
-cargo run -q --release --offline -p apples-bench --bin xp -- \
-  lint --json --baseline reports/lint_baseline.json | tee target/lint.json
+"${XP[@]}" lint --json --baseline reports/lint_baseline.json | tee target/lint.json
 for key in '"schema_version": 2' '"legacy"' '"deny"' '"warn"' '"suppressed"' '"findings"'; do
   if ! grep -q "${key}" target/lint.json; then
     echo "lint --json output is missing ${key} (see reports/lint-schema.json)" >&2
@@ -44,8 +44,7 @@ done
 # Per-finding keys (fingerprint, legacy flag) only show up when there
 # ARE findings, so check them against the known-bad fixture tree (which
 # exits 1 by design — that exit is the fixture working, not a failure).
-cargo run -q --release --offline -p apples-bench --bin xp -- \
-  lint --json --root crates/lint/tests/fixtures/bad_workspace \
+"${XP[@]}" lint --json --root crates/lint/tests/fixtures/bad_workspace \
   > target/lint-fixture.json || true
 for key in '"fingerprint"' '"legacy": false' '"rule"' '"severity"' '"snippet"'; do
   if ! grep -q "${key}" target/lint-fixture.json; then
@@ -56,33 +55,42 @@ done
 
 echo "== sanitizer: order invariants + perturbed byte-identity =="
 # The dynamic half of the shard-safety analyzer (DESIGN.md §11): each
-# worked-example scenario runs plain, order-checked, and with the
-# seeded interleaving perturber shuffling every same-timestamp
-# equivalence class; any byte divergence or invariant trip exits 1.
-# Schedulers alternate so both disciplines stay under the sanitizer.
-cargo run -q --release --offline -p apples-bench --bin xp -- \
-  sanitize base-2c --scheduler wheel
-cargo run -q --release --offline -p apples-bench --bin xp -- \
-  sanitize smartnic --scheduler heap --severity 0.5
-cargo run -q --release --offline -p apples-bench --bin xp -- \
-  sanitize switch-2c --scheduler wheel --perturb-seed 7
+# worked-example scenario runs as an unobserved serial reference, once
+# observed with the seeded interleaving perturber shuffling every
+# same-timestamp equivalence class, and once under the check-only
+# sanitizer. `xp run` exits 1 on any byte divergence, any invariant
+# trip, or a check-only run that perturbed or checked nothing; each run
+# prints its verdict line. Schedulers alternate so both disciplines stay
+# under the sanitizer.
+"${XP[@]}" run base-2c --sanitize --scheduler wheel | tail -n 1
+"${XP[@]}" run smartnic --sanitize --scheduler heap --severity 0.5 | tail -n 1
+"${XP[@]}" run switch-2c --sanitize --scheduler wheel --perturb-seed 7 | tail -n 1
+# Usage errors exit 2: an unknown scenario, a trace of a sharded run
+# (the trace ring cannot be sharded), and the verbs `xp run` replaced.
+for cmd in "run nope" "run cluster --shards 2 --trace target/unused.json" \
+  "trace smartnic" "profile smartnic" "sanitize smartnic"; do
+  status=0
+  # shellcheck disable=SC2086 # each entry is a list of words
+  "${XP[@]}" ${cmd} > /dev/null 2>&1 || status=$?
+  if [ "${status}" -ne 2 ]; then
+    echo "xp ${cmd} exited ${status}, want 2" >&2
+    exit 1
+  fi
+done
 
 echo "== shards: epoch-barrier runs are byte-identical to serial =="
 # The sharded engine's identity gate (DESIGN.md §12): three shardable
-# scenarios run at shard counts 1, 2, and 4; the plain run inside each
-# sanitize invocation stays serial, so every invocation is a live
+# scenarios run at shard counts 1, 2, and 4; the reference run inside
+# each `xp run` stays serial, so every invocation is a live
 # serial-vs-sharded byte comparison (exit 1 on any divergence). The
-# perturber is armed on every run, so the cluster x4 case doubles as the
-# required sanitizer-perturbation-on-a-sharded-run check. Scaling
-# efficiency itself is measured by the bench stage below and lands in
-# BENCH_simnet.json under "single_run_scaling".
+# perturber is armed on every observed run, so the cluster x4 case
+# doubles as the required sanitizer-perturbation-on-a-sharded-run check.
+# Scaling efficiency itself is measured by the bench stage below and
+# lands in BENCH_simnet.json under "single_run_scaling".
 for n in 1 2 4; do
-  cargo run -q --release --offline -p apples-bench --bin xp -- \
-    sanitize cluster --shards "${n}" --severity 0.3
-  cargo run -q --release --offline -p apples-bench --bin xp -- \
-    sanitize rss --shards "${n}" --scheduler heap
-  cargo run -q --release --offline -p apples-bench --bin xp -- \
-    sanitize smartnic --shards "${n}" --perturb-seed 7
+  "${XP[@]}" run cluster --sanitize --shards "${n}" --severity 0.3 | tail -n 1
+  "${XP[@]}" run rss --sanitize --shards "${n}" --scheduler heap | tail -n 1
+  "${XP[@]}" run smartnic --sanitize --shards "${n}" --perturb-seed 7 | tail -n 1
 done
 
 echo "== store: incremental experiment cache =="
@@ -94,7 +102,6 @@ echo "== store: incremental experiment cache =="
 # experiment's subtree, and `xp gc` must reap exactly the four
 # override-keyed orphans it left behind.
 rm -rf target/store-ci
-XP=(cargo run -q --release --offline -p apples-bench --bin xp --)
 "${XP[@]}" --store-dir target/store-ci --explain all \
   > target/store-cold.txt 2> target/store-cold-explain.txt
 grep -q "re-ran 27/27 experiments" target/store-cold-explain.txt
@@ -133,10 +140,8 @@ echo "== perf sanity: scheduler + harness identity, relative baseline =="
 # defaults > built-in 0.15; the checked-in file ships 0.30 for shared
 # runners), if forward-2stage/wheel drops under its absolute min_floor,
 # or if any fused_speedup lands below 0.85.
-cargo run -q --release --offline -p apples-bench --bin xp -- \
-  bench --quick --out target/bench-quick.json \
-  --baseline reports/baseline.json --strict \
-  > /dev/null
+"${XP[@]}" bench --quick --out target/bench-quick.json \
+  --baseline reports/baseline.json --strict > /dev/null
 # The post-rearchitecture identity sweep: all golden reports and the
 # golden trace fixture must be byte-identical to the checked-in files
 # (they run inside the tier-1 suite too; re-running them here makes the
@@ -149,10 +154,8 @@ echo "== robustness: fault injection stays deterministic =="
 # severity's serial/parallel and replay digests must agree bit-for-bit
 # (the robustness section folds into identical_results, which the
 # --baseline gate requires to be true). DESIGN.md §7 has the contract.
-cargo run -q --release --offline -p apples-bench --bin xp -- \
-  bench --quick --faults --out target/bench-faults.json \
-  --baseline reports/baseline.json --strict \
-  > /dev/null
+"${XP[@]}" bench --quick --faults --out target/bench-faults.json \
+  --baseline reports/baseline.json --strict > /dev/null
 
 echo "== observability: trace determinism + overhead ceiling =="
 # A traced run is a pure function of (seed, spec): the same scenario
@@ -160,24 +163,21 @@ echo "== observability: trace determinism + overhead ceiling =="
 # Chrome trace files. Note: APPLES_TOOLCHAIN / APPLES_GIT_REV are left
 # unset here on purpose; golden fixtures bake in the "unrecorded"
 # fallback, and stamping real values is an opt-in for humans.
-cargo run -q --release --offline -p apples-bench --bin xp -- \
-  trace smartnic --severity 0.5 --ring 4096 --scheduler wheel \
-  --out target/trace-wheel.json > /dev/null
-cargo run -q --release --offline -p apples-bench --bin xp -- \
-  trace smartnic --severity 0.5 --ring 4096 --scheduler heap \
-  --out target/trace-heap.json > /dev/null
+"${XP[@]}" run smartnic --severity 0.5 --scheduler wheel \
+  --trace target/trace-wheel.json --ring 4096 > /dev/null
+"${XP[@]}" run smartnic --severity 0.5 --scheduler heap \
+  --trace target/trace-heap.json --ring 4096 > /dev/null
 if ! cmp -s target/trace-wheel.json target/trace-heap.json; then
   echo "trace files differ across schedulers: tracing leaked schedule state" >&2
   exit 1
 fi
-# Flamegraph export smoke: a sharded diagnosed run must exit 0 (its
+# Flamegraph export smoke: a sharded observed run must exit 0 (its
 # measurement byte-identical to the unobserved reference) and emit
 # well-formed folded stacks — every line `frames... <integer>`, with
 # both the engine-phase and per-shard lane roots present.
-cargo run -q --release --offline -p apples-bench --bin xp -- \
-  profile cluster --shards 2 --out target/prof.folded > /dev/null
+"${XP[@]}" run cluster --shards 2 --profile target/prof.folded > /dev/null
 if [ ! -s target/prof.folded ]; then
-  echo "xp profile emitted an empty folded-stack file" >&2
+  echo "xp run --profile emitted an empty folded-stack file" >&2
   exit 1
 fi
 if grep -qvE '^[^ ]+ [0-9]+$' target/prof.folded; then
@@ -191,9 +191,8 @@ grep -q '^shards;shard-1;barrier-wait ' target/prof.folded
 # + sim-time metrics ring): the full bench already ran above; re-gate
 # the quick bench with the obs ceiling so a hook-path regression fails
 # CI (<5%, reports/obs_overhead.txt).
-cargo run -q --release --offline -p apples-bench --bin xp -- \
-  bench --quick --out target/bench-obs.json --check-obs reports/obs_overhead.txt \
-  > /dev/null
+"${XP[@]}" bench --quick --out target/bench-obs.json \
+  --check-obs reports/obs_overhead.txt > /dev/null
 
 echo "== perfbench =="
 # The benchmark (perfbench/, its own Cargo package) pins an output

@@ -5,9 +5,11 @@
 
 use apples_bench::experiments::run;
 use apples_bench::scenarios::{
-    baseline_host, faulted, measure_quick, perturbed_workload, saturating_workload, smartnic_system,
+    baseline_host, faulted, measure_quick, perturbed_workload, saturating_workload, scenario,
+    smartnic_system,
 };
 use apples_bench::Pool;
+use apples_simnet::Measurement;
 
 /// Experiment reports render byte-identically under serial and
 /// work-stealing schedules. The subset includes the experiments that
@@ -35,14 +37,7 @@ fn measurements_are_bit_identical_across_schedules() {
             } else {
                 measure_quick(&smartnic_system(), &wl)
             };
-            (
-                m.throughput_bps.to_bits(),
-                m.throughput_pps.to_bits(),
-                m.mean_latency_ns.to_bits(),
-                m.loss_rate.to_bits(),
-                m.watts.to_bits(),
-                m.policy_drops,
-            )
+            m.fingerprint()
         })
     };
     let serial = batch(Pool::with_workers(1));
@@ -102,24 +97,7 @@ fn wheel_scheduler_matches_heap_baseline_on_all_scenarios() {
         let wl = saturating_workload(3);
         let wheel = measure_quick(&build().with_scheduler(SchedulerKind::Wheel), &wl);
         let heap = measure_quick(&build().with_scheduler(SchedulerKind::Heap), &wl);
-        assert_eq!(
-            wheel.throughput_bps.to_bits(),
-            heap.throughput_bps.to_bits(),
-            "throughput diverged on {name}"
-        );
-        assert_eq!(
-            wheel.mean_latency_ns.to_bits(),
-            heap.mean_latency_ns.to_bits(),
-            "latency diverged on {name}"
-        );
-        assert_eq!(
-            wheel.p99_latency_ns.to_bits(),
-            heap.p99_latency_ns.to_bits(),
-            "p99 diverged on {name}"
-        );
-        assert_eq!(wheel.loss_rate.to_bits(), heap.loss_rate.to_bits(), "loss diverged on {name}");
-        assert_eq!(wheel.policy_drops, heap.policy_drops, "policy drops diverged on {name}");
-        assert_eq!(wheel.watts.to_bits(), heap.watts.to_bits(), "watts diverged on {name}");
+        assert_eq!(wheel.fingerprint(), heap.fingerprint(), "wheel and heap diverged on {name}");
     }
 }
 
@@ -134,25 +112,14 @@ fn repeated_runs_render_byte_identical_reports() {
     assert_eq!(first, second);
 }
 
-/// One fault-injected measurement reduced to its complete bit pattern,
-/// fault counters included.
-fn faulted_bits(seed: u64, severity: f64) -> (u64, u64, u64, u64, u64, u64, u64, u64) {
+/// One fault-injected measurement.
+fn faulted_run(seed: u64, severity: f64) -> Measurement {
     let wl = perturbed_workload(120.0, seed, severity);
-    let m = if seed.is_multiple_of(2) {
+    if seed.is_multiple_of(2) {
         measure_quick(&faulted(baseline_host(2), severity), &wl)
     } else {
         measure_quick(&faulted(smartnic_system(), severity), &wl)
-    };
-    (
-        m.throughput_bps.to_bits(),
-        m.mean_latency_ns.to_bits(),
-        m.loss_rate.to_bits(),
-        m.watts.to_bits(),
-        m.policy_drops,
-        m.fault_drops,
-        m.injected_drops,
-        m.corrupted,
-    )
+    }
 }
 
 /// Fault injection must not cost any determinism: the same faulted
@@ -163,16 +130,19 @@ fn faulted_measurements_are_bit_identical_across_schedules() {
     let batch = |pool: Pool| {
         pool.map((0..6u64).collect(), |seed| {
             let severity = [0.25, 0.5, 1.0][(seed % 3) as usize];
-            faulted_bits(seed, severity)
+            faulted_run(seed, severity)
         })
     };
     let serial = batch(Pool::with_workers(1));
-    let two = batch(Pool::with_workers(2));
-    let machine = batch(Pool::new());
-    assert_eq!(serial, two, "faulted results changed between 1 and 2 workers");
-    assert_eq!(serial, machine, "faulted results changed at machine parallelism");
+    let fingerprints = |runs: &[Measurement]| runs.iter().map(Measurement::fingerprint).collect();
+    let want: Vec<String> = fingerprints(&serial);
+    assert_eq!(want, fingerprints(&batch(Pool::with_workers(2))), "changed at 2 workers");
+    assert_eq!(want, fingerprints(&batch(Pool::new())), "changed at machine parallelism");
     // And the faults actually did something in at least one run.
-    assert!(serial.iter().any(|r| r.5 + r.6 > 0), "no faults fired anywhere: {serial:?}");
+    assert!(
+        serial.iter().any(|m| m.fault_drops + m.injected_drops > 0),
+        "no faults fired anywhere: {want:?}"
+    );
 }
 
 /// A faulted run is replayable from its inputs alone: rebuilding the
@@ -181,7 +151,8 @@ fn faulted_measurements_are_bit_identical_across_schedules() {
 #[test]
 fn faulted_runs_replay_from_seed_and_spec() {
     for seed in 0..4u64 {
-        assert_eq!(faulted_bits(seed, 1.0), faulted_bits(seed, 1.0), "seed {seed}");
+        let replay = || faulted_run(seed, 1.0).fingerprint();
+        assert_eq!(replay(), replay(), "seed {seed}");
     }
 }
 
@@ -192,28 +163,11 @@ fn faulted_runs_replay_from_seed_and_spec() {
 fn wheel_scheduler_matches_heap_baseline_under_faults() {
     use apples_simnet::SchedulerKind;
 
-    type BuildFn = Box<dyn Fn() -> apples_simnet::Deployment>;
-    let deployments: Vec<(&str, BuildFn)> = vec![
-        ("baseline-2c", Box::new(|| baseline_host(2))),
-        ("smartnic", Box::new(smartnic_system)),
-    ];
-    for (name, build) in deployments {
+    for id in ["base-2c", "smartnic"] {
+        let build = || faulted(scenario(id).expect("registered scenario"), 1.0);
         let wl = perturbed_workload(120.0, 9, 1.0);
-        let wheel = measure_quick(&faulted(build(), 1.0).with_scheduler(SchedulerKind::Wheel), &wl);
-        let heap = measure_quick(&faulted(build(), 1.0).with_scheduler(SchedulerKind::Heap), &wl);
-        assert_eq!(
-            wheel.throughput_bps.to_bits(),
-            heap.throughput_bps.to_bits(),
-            "throughput diverged on faulted {name}"
-        );
-        assert_eq!(
-            wheel.mean_latency_ns.to_bits(),
-            heap.mean_latency_ns.to_bits(),
-            "latency diverged on faulted {name}"
-        );
-        assert_eq!(wheel.fault_drops, heap.fault_drops, "fault drops diverged on {name}");
-        assert_eq!(wheel.injected_drops, heap.injected_drops, "injected diverged on {name}");
-        assert_eq!(wheel.corrupted, heap.corrupted, "corruption diverged on {name}");
-        assert_eq!(wheel.policy_drops, heap.policy_drops, "policy drops diverged on {name}");
+        let wheel = measure_quick(&build().with_scheduler(SchedulerKind::Wheel), &wl);
+        let heap = measure_quick(&build().with_scheduler(SchedulerKind::Heap), &wl);
+        assert_eq!(wheel.fingerprint(), heap.fingerprint(), "diverged on faulted {id}");
     }
 }

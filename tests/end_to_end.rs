@@ -120,9 +120,7 @@ fn identical_deployments_yield_identical_costs() {
     let wl = mtu_workload(5.0, 27);
     let a = measure(&baseline_host(2), &wl);
     let b = measure(&baseline_host(2), &wl);
-    assert_eq!(a.watts, b.watts);
-    assert_eq!(a.throughput_bps, b.throughput_bps);
-    assert_eq!(a.p99_latency_ns, b.p99_latency_ns);
+    assert_eq!(a.fingerprint(), b.fingerprint());
 }
 
 #[test]

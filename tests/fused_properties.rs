@@ -30,36 +30,6 @@ fn scenario_pool() -> Vec<(&'static str, BuildFn)> {
     ]
 }
 
-/// Every measured number reduced to its exact bit pattern, per-stage
-/// reports included — "byte-identical" means this whole tuple agrees.
-fn digest(m: &apples_simnet::system::Measurement) -> Vec<u64> {
-    let mut d = vec![
-        m.throughput_bps.to_bits(),
-        m.throughput_pps.to_bits(),
-        m.mean_latency_ns.to_bits(),
-        m.p99_latency_ns.to_bits(),
-        m.loss_rate.to_bits(),
-        m.jain_index.map_or(0, f64::to_bits),
-        m.policy_drops,
-        m.fault_drops,
-        m.injected_drops,
-        m.corrupted,
-        m.watts.to_bits(),
-    ];
-    for s in &m.stages {
-        d.extend([
-            s.utilization.to_bits(),
-            s.arrivals,
-            s.served,
-            s.queue_drops,
-            s.policy_drops,
-            s.fault_drops,
-            s.in_flight,
-        ]);
-    }
-    d
-}
-
 /// Seeded random (scenario, severity, seed, scheduler) combos: the
 /// fused and unfused paths must produce byte-identical measurements on
 /// every draw. Failures print the full combo so any counterexample is
@@ -91,8 +61,8 @@ fn fused_pipeline_matches_unfused_on_random_combos() {
         let unfused =
             measure_quick(&with_severity(build()).with_scheduler(kind).with_fusion(false), &wl);
         assert_eq!(
-            digest(&fused),
-            digest(&unfused),
+            fused.fingerprint(),
+            unfused.fingerprint(),
             "fused/unfused diverged: draw {draw}, scenario {name}, severity {sev_name}, \
              seed {seed}, scheduler {kind:?}"
         );
@@ -108,12 +78,13 @@ fn fused_pipeline_matches_unfused_on_random_combos() {
 fn fusion_and_scheduler_axes_commute() {
     for (name, build) in scenario_pool() {
         let wl = saturating_workload(11);
-        let reference = digest(&measure_quick(&build().with_scheduler(SchedulerKind::Wheel), &wl));
+        let reference =
+            measure_quick(&build().with_scheduler(SchedulerKind::Wheel), &wl).fingerprint();
         for kind in [SchedulerKind::Wheel, SchedulerKind::Heap] {
             for fused in [true, false] {
                 let m = measure_quick(&build().with_scheduler(kind).with_fusion(fused), &wl);
                 assert_eq!(
-                    digest(&m),
+                    m.fingerprint(),
                     reference,
                     "{name} diverged at scheduler {kind:?}, fused {fused}"
                 );
@@ -131,6 +102,6 @@ fn fused_pipeline_matches_unfused_across_severity_ladder() {
         let wl = perturbed_workload(120.0, 5, severity);
         let fused = measure_quick(&faulted(smartnic_system(), severity), &wl);
         let unfused = measure_quick(&faulted(smartnic_system(), severity).with_fusion(false), &wl);
-        assert_eq!(digest(&fused), digest(&unfused), "diverged at severity {sev_name}");
+        assert_eq!(fused.fingerprint(), unfused.fingerprint(), "diverged at severity {sev_name}");
     }
 }

@@ -13,21 +13,29 @@
 //! git diff tests/golden_traces/
 //! ```
 
+use apples_bench::runcmd::{run, RunOptions};
 use apples_bench::scenarios::{
-    baseline_host, faulted, firewall_chain, perturbed_workload, RUN_NS, WARMUP_NS,
+    baseline_host, faulted, perturbed_workload, scenario, RUN_NS, WARMUP_NS,
 };
-use apples_bench::tracecmd::{run_trace, TraceOptions};
 use apples_bench::Pool;
 use apples_obs::{LogHistogram, ObsConfig, TimeSeries};
 use apples_rng::Rng;
 use apples_simnet::sched::SchedulerKind;
-use apples_simnet::system::{Deployment, Measurement};
+use apples_simnet::system::{Deployment, RunOpts};
 use std::path::PathBuf;
 
-fn moderate_smartnic(scheduler: SchedulerKind) -> TraceOptions {
+fn moderate_smartnic(scheduler: SchedulerKind) -> RunOptions {
     // A compact ring keeps the golden fixture reviewable while still
     // spanning thousands of events across every stage.
-    TraceOptions { scenario: "smartnic".to_owned(), scheduler, severity: 0.5, seed: 1, ring: 1024 }
+    RunOptions { scheduler, severity: 0.5, trace_ring: Some(1024), ..RunOptions::default() }
+}
+
+/// The Chrome trace of one `xp run`, whose runs must all have matched
+/// the unobserved reference.
+fn trace_of(opts: &RunOptions) -> String {
+    let out = run(opts).expect("registered scenario");
+    assert!(out.passed, "{}", out.summary);
+    out.chrome_json.expect("traced run")
 }
 
 // ---------------------------------------------------------------------
@@ -36,16 +44,13 @@ fn moderate_smartnic(scheduler: SchedulerKind) -> TraceOptions {
 
 #[test]
 fn trace_files_are_identical_across_schedulers_and_worker_counts() {
-    let reference =
-        run_trace(&moderate_smartnic(SchedulerKind::Wheel)).expect("known scenario").chrome_json;
+    let reference = trace_of(&moderate_smartnic(SchedulerKind::Wheel));
 
     // Both schedulers, traced on a multi-worker pool: every file must
     // equal the serially-produced wheel reference byte-for-byte.
     let kinds =
         vec![SchedulerKind::Wheel, SchedulerKind::Heap, SchedulerKind::Wheel, SchedulerKind::Heap];
-    let traced = Pool::with_workers(4).map(kinds, |kind| {
-        run_trace(&moderate_smartnic(kind)).expect("known scenario").chrome_json
-    });
+    let traced = Pool::with_workers(4).map(kinds, |kind| trace_of(&moderate_smartnic(kind)));
     for (i, json) in traced.iter().enumerate() {
         assert_eq!(
             json, &reference,
@@ -57,19 +62,11 @@ fn trace_files_are_identical_across_schedulers_and_worker_counts() {
 
 #[test]
 fn trace_files_depend_on_seed_and_severity() {
-    let base = run_trace(&moderate_smartnic(SchedulerKind::Wheel)).expect("ok").chrome_json;
-    let other_seed = TraceOptions { seed: 2, ..moderate_smartnic(SchedulerKind::Wheel) };
-    assert_ne!(
-        base,
-        run_trace(&other_seed).expect("ok").chrome_json,
-        "different seeds must trace differently"
-    );
-    let clean = TraceOptions { severity: 0.0, ..moderate_smartnic(SchedulerKind::Wheel) };
-    assert_ne!(
-        base,
-        run_trace(&clean).expect("ok").chrome_json,
-        "fault severity must show up in the trace"
-    );
+    let base = trace_of(&moderate_smartnic(SchedulerKind::Wheel));
+    let other_seed = RunOptions { seed: 2, ..moderate_smartnic(SchedulerKind::Wheel) };
+    assert_ne!(base, trace_of(&other_seed), "different seeds must trace differently");
+    let clean = RunOptions { severity: 0.0, ..moderate_smartnic(SchedulerKind::Wheel) };
+    assert_ne!(base, trace_of(&clean), "fault severity must show up in the trace");
 }
 
 // ---------------------------------------------------------------------
@@ -89,7 +86,7 @@ fn chrome_trace_matches_its_golden_fixture() {
     if regen {
         std::fs::create_dir_all(&dir).expect("create tests/golden_traces");
     }
-    let json = run_trace(&moderate_smartnic(SchedulerKind::Wheel)).expect("ok").chrome_json;
+    let json = trace_of(&moderate_smartnic(SchedulerKind::Wheel));
     let path = dir.join("smartnic-moderate.json");
     if regen {
         std::fs::write(&path, &json).expect("write fixture");
@@ -213,12 +210,7 @@ fn observed_and_unobserved_runs_agree_bit_for_bit() {
     let d = faulted(baseline_host(2), 0.5);
     let plain = d.run(&wl, RUN_NS, WARMUP_NS);
     let (observed, obs) = d.run_observed(&wl, RUN_NS, WARMUP_NS, &ObsConfig::full());
-    assert_eq!(plain.throughput_bps.to_bits(), observed.throughput_bps.to_bits());
-    assert_eq!(plain.mean_latency_ns.to_bits(), observed.mean_latency_ns.to_bits());
-    assert_eq!(plain.p99_latency_ns.to_bits(), observed.p99_latency_ns.to_bits());
-    assert_eq!(plain.policy_drops, observed.policy_drops);
-    assert_eq!(plain.fault_drops, observed.fault_drops);
-    assert_eq!(plain.watts.to_bits(), observed.watts.to_bits());
+    assert_eq!(plain.fingerprint(), observed.fingerprint());
     // And the observer actually saw the run.
     assert!(obs.tracer.as_ref().is_some_and(|t| t.emitted() > 0));
     assert!(obs.telemetry.as_ref().is_some_and(|t| t.stages.iter().any(|s| s.arrivals > 0)));
@@ -295,42 +287,32 @@ fn timeseries_merge_commutes_under_eviction() {
 // Diagnosis metrics must not perturb: schedulers x fusion x shards.
 // ---------------------------------------------------------------------
 
-fn bits(m: &Measurement) -> (u64, u64, u64, u64, u64, u64) {
-    (
-        m.throughput_bps.to_bits(),
-        m.mean_latency_ns.to_bits(),
-        m.p99_latency_ns.to_bits(),
-        m.policy_drops,
-        m.fault_drops,
-        m.watts.to_bits(),
-    )
-}
-
 fn cluster() -> Deployment {
-    faulted(Deployment::replicated_cluster("cluster", 4, 2, 0.1, firewall_chain), 0.3)
+    faulted(scenario("cluster").expect("registered scenario"), 0.3)
 }
 
 #[test]
 fn diagnosis_metrics_stay_invisible_across_schedulers_fusion_and_shards() {
     let wl = perturbed_workload(12.0, 3, 0.3);
-    let reference = bits(&cluster().run(&wl, RUN_NS, WARMUP_NS));
+    let reference = cluster().run(&wl, RUN_NS, WARMUP_NS).fingerprint();
     for kind in [SchedulerKind::Wheel, SchedulerKind::Heap] {
         for fused in [true, false] {
             for shards in 1..=4usize {
                 let d = cluster().with_scheduler(kind).with_fusion(fused).with_shards(shards);
-                let (m, obs, diag) =
-                    d.run_diagnosed(&wl, RUN_NS, WARMUP_NS, &ObsConfig::diagnosis());
+                let opts = RunOpts { observer: Some(ObsConfig::diagnosis()), ..RunOpts::default() };
+                let out = d.run_with(&wl, RUN_NS, WARMUP_NS, opts);
                 assert_eq!(
-                    bits(&m),
+                    out.measurement.fingerprint(),
                     reference,
                     "metrics-on run diverged ({kind:?}, fused={fused}, shards={shards})"
                 );
+                let obs = out.observer.expect("an attached observer is handed back");
                 assert!(
                     obs.timeseries.as_ref().is_some_and(|ts| ts.total_dispatches() > 0),
                     "series empty ({kind:?}, fused={fused}, shards={shards})"
                 );
                 if fused && (shards == 2 || shards == 4) {
-                    let diag = diag.expect("cluster plan must shard at 2 and 4");
+                    let diag = out.shard_diag.expect("cluster plan must shard at 2 and 4");
                     let (c, b, g) = diag.fractions();
                     assert!(
                         (c + b + g - 1.0).abs() < 1e-9,
@@ -353,25 +335,19 @@ fn sharded_observed_counters_match_serial_observed() {
     // bins align); gauges only bound the serial value, so they stay out
     // of the comparison.
     let wl = perturbed_workload(12.0, 3, 0.3);
-    let cfg = ObsConfig::telemetry_only();
+    let cfg = ObsConfig { trace_capacity: 0, telemetry: true, spans: false, timeseries: true };
     let (m_serial, serial) = cluster().run_observed(&wl, RUN_NS, WARMUP_NS, &cfg);
     let names: Vec<String> = m_serial.stages.iter().map(|s| s.name.to_owned()).collect();
     let serial_tel = serial.telemetry.as_ref().expect("telemetry on").to_json(&names).render();
-
-    let diag_cfg = ObsConfig::diagnosis();
-    let (_, serial_diag, _) = cluster().run_diagnosed(&wl, RUN_NS, WARMUP_NS, &diag_cfg);
-    let serial_series = serial_diag.timeseries.as_ref().expect("series on");
+    let serial_series = serial.timeseries.as_ref().expect("series on");
 
     for shards in [2usize, 4] {
         let (m, sharded) = cluster().with_shards(shards).run_observed(&wl, RUN_NS, WARMUP_NS, &cfg);
-        assert_eq!(bits(&m), bits(&m_serial), "shards={shards}");
+        assert_eq!(m.fingerprint(), m_serial.fingerprint(), "shards={shards}");
         let sharded_tel =
             sharded.telemetry.as_ref().expect("telemetry on").to_json(&names).render();
         assert_eq!(sharded_tel, serial_tel, "telemetry diverged at shards={shards}");
-
-        let (_, obs, _) =
-            cluster().with_shards(shards).run_diagnosed(&wl, RUN_NS, WARMUP_NS, &diag_cfg);
-        let series = obs.timeseries.as_ref().expect("series on");
+        let series = sharded.timeseries.as_ref().expect("series on");
         assert_eq!(series.len(), serial_series.len(), "bin count at shards={shards}");
         for ((idx_a, a), (idx_b, b)) in series.bins().zip(serial_series.bins()) {
             assert_eq!(idx_a, idx_b, "bin index at shards={shards}");

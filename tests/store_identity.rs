@@ -125,19 +125,9 @@ fn cached_measurements_are_substrate_invariant_across_schedulers_and_shards() {
                 [(&host, &reference, "baseline-2c"), (&switch, &reference_switch, "switch-4c")]
             {
                 assert_eq!(
-                    got.throughput_bps.to_bits(),
-                    want.throughput_bps.to_bits(),
-                    "{name} throughput diverged under {sched:?}/{shards} shards"
-                );
-                assert_eq!(
-                    got.p99_latency_ns.to_bits(),
-                    want.p99_latency_ns.to_bits(),
-                    "{name} p99 diverged under {sched:?}/{shards} shards"
-                );
-                assert_eq!(
-                    got.loss_rate.to_bits(),
-                    want.loss_rate.to_bits(),
-                    "{name} loss diverged under {sched:?}/{shards} shards"
+                    got.fingerprint(),
+                    want.fingerprint(),
+                    "{name} diverged under {sched:?}/{shards} shards"
                 );
             }
         }
