@@ -1,12 +1,12 @@
 //! Dev probe decomposing forward-2stage per-packet cost into stub
-//! generation, packet minting, raw wheel traffic, and the full engine
+//! generation, packet minting, raw event-queue traffic, and the full engine
 //! run. Not wired into CI; run with
 //! `cargo run --release -p apples-bench --example hotpath_probe`.
 
 use apples_bench::wallclock::WallClock;
 use apples_simnet::engine::StageConfig;
 use apples_simnet::nf::NfChain;
-use apples_simnet::sched::{EventScheduler, SchedulerKind};
+use apples_simnet::sched::EventScheduler;
 use apples_simnet::service::{LineRate, NfService};
 use apples_simnet::{Engine, Packet};
 use apples_workload::WorkloadSpec;
@@ -46,10 +46,10 @@ fn main() {
     let pkt_ms = t0.elapsed_ms();
     println!("stub+packet: {pkt_ms:.1} ms = {:.0} ns/pkt (bits {bits})", pkt_ms * 1e6 / n as f64);
 
-    // 3. Raw wheel at engine-like occupancy: 2 pushes + drains per
+    // 3. Raw event queue at engine-like occupancy: 2 pushes + drains per
     //    packet at ~125 ns spacing.
     let t0 = WallClock::start();
-    let mut s = EventScheduler::new(SchedulerKind::Wheel);
+    let mut s = EventScheduler::new();
     let mut seq = 0u64;
     let mut now = 0u64;
     let mut bucket = Vec::new();
@@ -70,13 +70,13 @@ fn main() {
         s.drain_bucket(&mut bucket);
         pops += bucket.len() as u64;
     }
-    let wheel_ms = t0.elapsed_ms();
+    let queue_ms = t0.elapsed_ms();
     println!(
-        "wheel 2ev/pkt: {wheel_ms:.1} ms = {:.0} ns/pkt ({pops} pops, cursor {now})",
-        wheel_ms * 1e6 / n as f64
+        "queue 2ev/pkt: {queue_ms:.1} ms = {:.0} ns/pkt ({pops} pops, cursor {now})",
+        queue_ms * 1e6 / n as f64
     );
 
-    // 4. Full engine run (fused, wheel).
+    // 4. Full engine run (fused).
     let mut engine = forward_pipeline();
     let t0 = WallClock::start();
     let r = engine.run(&wl, sim_ns, 0);

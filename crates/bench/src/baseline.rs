@@ -2,13 +2,13 @@
 //! relative perf gating (the export half shipped with
 //! `--export-baseline`).
 //!
-//! Instead of a static floor, each scenario is gated against the
-//! *measured* baseline: the recorded bootstrap CI on events/second,
-//! shrunk by a relative `max_drop` allowance. A scenario regresses when
-//! its current CI upper bound falls below the baseline CI lower bound
-//! scaled by `(1 - max_drop)` — i.e. when even the most favorable
-//! reading of today's run cannot overlap the most conservative reading
-//! of the recorded run after the allowance. Interval overlap, not
+//! Each scenario is gated against the *measured* baseline: the
+//! recorded bootstrap CI on events/second, shrunk by a relative
+//! `max_drop` allowance. A scenario regresses when its current CI upper
+//! bound falls below the baseline CI lower bound scaled by
+//! `(1 - max_drop)` — i.e. when even the most favorable reading of
+//! today's run cannot overlap the most conservative reading of the
+//! recorded run after the allowance. Interval overlap, not
 //! point-estimate comparison, per the statistical-evaluation playbook:
 //! two noisy medians an epsilon apart must not flip a gate.
 //!
@@ -26,20 +26,27 @@
 //! - `3` — the baseline file does not exist.
 //! - `4` — the baseline file exists but cannot be parsed.
 
-use crate::microbench::{BenchSummary, EngineBaseline, FUSED_SPEEDUP_MIN};
+use crate::microbench::{BenchSummary, EngineBaseline};
 
 /// Relative drop allowed before a scenario counts as regressed.
 /// Deliberately loose: wall-clock noise on shared CI runners is real,
 /// and the CI-overlap rule already absorbs run-to-run variance.
 pub const DEFAULT_MAX_DROP: f64 = 0.15;
 
+/// Fusion must never cost throughput. The gate tolerates 15% of
+/// measurement noise because pipelines with nothing to fuse (batch-gpu
+/// is a single stage, so no zero-latency hops exist) measure ~1.0 and
+/// would flake on an exact `>= 1.0` bound — and on shared/virtualized
+/// CI hosts the median-of-3 ratio of two short runs still jitters by
+/// ~10%. The gate exists to catch fusion *pessimizations* (a real bug
+/// lands well below 0.85), not to certify a precise ratio.
+pub(crate) const FUSED_SPEEDUP_MIN: f64 = 0.85;
+
 /// One recorded scenario from a `--export-baseline` file.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BaselineEntry {
-    /// Scenario name (`forward-2stage`, `batch-gpu`).
+    /// Scenario name (`forward-2stage`, `batch-gpu`); unique per file.
     pub scenario: String,
-    /// Scheduler label (`wheel` / `heap`).
-    pub scheduler: String,
     /// Recorded median event throughput, events/second.
     pub events_per_sec: f64,
     /// Recorded bootstrap CI lower bound.
@@ -117,7 +124,9 @@ fn validate_max_drop(v: Option<f64>, ctx: &str) -> Result<(), String> {
 }
 
 /// Parses a `--export-baseline` file. Returns a descriptive error for
-/// anything that is not a well-formed baseline (exit code 4 material).
+/// anything that is not a well-formed baseline (exit code 4 material),
+/// including two entries for one scenario: the gate would check one
+/// measurement against both.
 pub fn parse_baseline(src: &str) -> Result<Baseline, String> {
     if !src.contains("\"baseline\"") {
         return Err("not a baseline export (no \"baseline\" tag)".to_owned());
@@ -148,7 +157,6 @@ pub fn parse_baseline(src: &str) -> Result<Baseline, String> {
         let obj = &rest[open..open + close + 1];
         entries.push(BaselineEntry {
             scenario: string_field(obj, "scenario")?,
-            scheduler: string_field(obj, "scheduler")?,
             events_per_sec: number_field(obj, "events_per_sec")?,
             ci_lo: number_field(obj, "events_per_sec_ci_lo")?,
             ci_hi: number_field(obj, "events_per_sec_ci_hi")?,
@@ -167,14 +175,14 @@ pub fn parse_baseline(src: &str) -> Result<Baseline, String> {
     if entries.is_empty() {
         return Err("baseline has no engine entries".to_owned());
     }
-    for e in &entries {
-        if !(e.ci_lo.is_finite() && e.ci_hi.is_finite() && e.ci_lo <= e.ci_hi) {
-            return Err(format!(
-                "{}/{}: malformed CI [{}, {}]",
-                e.scenario, e.scheduler, e.ci_lo, e.ci_hi
-            ));
+    for (i, e) in entries.iter().enumerate() {
+        if entries[..i].iter().any(|earlier| earlier.scenario == e.scenario) {
+            return Err(format!("{}: more than one entry for the scenario", e.scenario));
         }
-        validate_max_drop(e.max_drop, &format!("{}/{}", e.scenario, e.scheduler))?;
+        if !(e.ci_lo.is_finite() && e.ci_hi.is_finite() && e.ci_lo <= e.ci_hi) {
+            return Err(format!("{}: malformed CI [{}, {}]", e.scenario, e.ci_lo, e.ci_hi));
+        }
+        validate_max_drop(e.max_drop, &e.scenario)?;
     }
     Ok(Baseline { max_drop, entries })
 }
@@ -198,25 +206,24 @@ pub fn compare(
         let max_drop =
             b.max_drop.or(cli_max_drop).or(baseline.max_drop).unwrap_or(DEFAULT_MAX_DROP);
         let floor = b.ci_lo * (1.0 - max_drop);
-        match current.iter().find(|c| c.scenario == b.scenario && c.scheduler == b.scheduler) {
-            None => failures.push(format!(
-                "{}/{}: in baseline but not measured by this run",
-                b.scenario, b.scheduler
-            )),
+        match current.iter().find(|c| c.scenario == b.scenario) {
+            None => {
+                failures.push(format!("{}: in baseline but not measured by this run", b.scenario))
+            }
             Some(c) => {
                 if c.ci_hi < floor {
                     failures.push(format!(
-                        "{}/{}: regressed — current CI [{:.3e}, {:.3e}] ev/s is entirely below \
+                        "{}: regressed — current CI [{:.3e}, {:.3e}] ev/s is entirely below \
                          baseline lower bound {:.3e} x (1 - {max_drop}) = {:.3e}",
-                        b.scenario, b.scheduler, c.ci_lo, c.ci_hi, b.ci_lo, floor
+                        b.scenario, c.ci_lo, c.ci_hi, b.ci_lo, floor
                     ));
                 }
                 if let Some(min_floor) = b.min_floor {
                     if c.ci_hi < min_floor {
                         failures.push(format!(
-                            "{}/{}: below the absolute min_floor — current CI \
+                            "{}: below the absolute min_floor — current CI \
                              [{:.3e}, {:.3e}] ev/s is entirely below {:.3e}",
-                            b.scenario, b.scheduler, c.ci_lo, c.ci_hi, min_floor
+                            b.scenario, c.ci_lo, c.ci_hi, min_floor
                         ));
                     }
                 }
@@ -227,8 +234,7 @@ pub fn compare(
 }
 
 /// The full `--baseline` gate: everything [`compare`] checks, plus the
-/// identity and fusion invariants the static floor gate used to carry —
-/// so retiring `--check-floor` from CI loses no coverage.
+/// identity invariant and the `FUSED_SPEEDUP_MIN` fusion floor.
 pub fn check(
     summary: &BenchSummary,
     baseline: &Baseline,
@@ -236,14 +242,14 @@ pub fn check(
 ) -> Vec<String> {
     let mut failures = Vec::new();
     if !summary.identical_results {
-        failures.push("identical_results is false: a scheduler or schedule changed results".into());
+        failures.push("identical_results is false: a run diverged from its reference".into());
     }
     for b in &summary.engine_baselines {
         if b.fused_speedup < FUSED_SPEEDUP_MIN {
             failures.push(format!(
-                "{} ({}): fused_speedup {:.3} below the {FUSED_SPEEDUP_MIN} floor — \
+                "{}: fused_speedup {:.3} below the {FUSED_SPEEDUP_MIN} floor — \
                  pipeline fusion made the engine slower",
-                b.scenario, b.scheduler, b.fused_speedup
+                b.scenario, b.fused_speedup
             ));
         }
     }
@@ -255,10 +261,9 @@ pub fn check(
 mod tests {
     use super::*;
 
-    fn entry(scenario: &str, scheduler: &'static str, lo: f64, hi: f64) -> EngineBaseline {
+    fn entry(scenario: &str, lo: f64, hi: f64) -> EngineBaseline {
         EngineBaseline {
             scenario: scenario.to_owned(),
-            scheduler,
             events_per_sec: (lo + hi) / 2.0,
             ci_lo: lo,
             ci_hi: hi,
@@ -277,7 +282,6 @@ mod tests {
   "engine": [
     {
       "scenario": "forward-2stage",
-      "scheduler": "wheel",
       "events_per_sec": 2.0e7,
       "events_per_sec_ci_lo": 1.9e7,
       "events_per_sec_ci_hi": 2.1e7,
@@ -285,7 +289,6 @@ mod tests {
     },
     {
       "scenario": "batch-gpu",
-      "scheduler": "heap",
       "events_per_sec": 5.0e6,
       "events_per_sec_ci_lo": 4.8e6,
       "events_per_sec_ci_hi": 5.2e6,
@@ -302,7 +305,6 @@ mod tests {
         assert_eq!(base.max_drop, Some(0.15));
         assert_eq!(base.entries.len(), 2);
         assert_eq!(base.entries[0].scenario, "forward-2stage");
-        assert_eq!(base.entries[0].scheduler, "wheel");
         assert!((base.entries[0].ci_lo - 1.9e7).abs() < 1.0);
         assert_eq!(base.entries[0].max_drop, None);
         assert_eq!(base.entries[0].min_floor, None);
@@ -316,7 +318,6 @@ mod tests {
   "engine": [
     {
       "scenario": "forward-2stage",
-      "scheduler": "wheel",
       "events_per_sec": 2.0e7,
       "events_per_sec_ci_lo": 1.9e7,
       "events_per_sec_ci_hi": 2.1e7,
@@ -339,7 +340,6 @@ mod tests {
   "engine": [
     {
       "scenario": "a",
-      "scheduler": "wheel",
       "events_per_sec": 1.0,
       "events_per_sec_ci_lo": 1.0,
       "events_per_sec_ci_hi": 1.0
@@ -355,22 +355,25 @@ mod tests {
         assert!(parse_baseline("{}").is_err(), "no baseline tag");
         assert!(parse_baseline(r#"{"baseline": "simnet-engine"}"#).is_err(), "no engine array");
         assert!(
-            parse_baseline(
-                r#"{"baseline": "x", "engine": [{"scenario": "a", "scheduler": "wheel"}]}"#
-            )
-            .is_err(),
+            parse_baseline(r#"{"baseline": "x", "engine": [{"scenario": "a"}]}"#).is_err(),
             "entry missing numbers"
         );
+    }
+
+    #[test]
+    fn rejects_two_entries_for_one_scenario() {
+        // Two entries for one scenario would gate one measurement
+        // twice, so the file is malformed (exit 4).
+        let src = sample_export().replace("\"batch-gpu\"", "\"forward-2stage\"");
+        let err = parse_baseline(&src).expect_err("duplicate scenario");
+        assert!(err.contains("forward-2stage: more than one entry"), "{err}");
     }
 
     #[test]
     fn overlapping_intervals_pass_the_gate() {
         let base = parse_baseline(&sample_export()).expect("parses");
         // Slightly slower but CI still overlaps the shrunk baseline.
-        let current = vec![
-            entry("forward-2stage", "wheel", 1.7e7, 1.8e7),
-            entry("batch-gpu", "heap", 4.5e6, 4.9e6),
-        ];
+        let current = vec![entry("forward-2stage", 1.7e7, 1.8e7), entry("batch-gpu", 4.5e6, 4.9e6)];
         assert!(compare(&current, &base, None).is_empty());
     }
 
@@ -378,22 +381,19 @@ mod tests {
     fn clear_regressions_fail_the_gate() {
         let base = parse_baseline(&sample_export()).expect("parses");
         // Half the recorded throughput: no overlap at any reasonable drop.
-        let current = vec![
-            entry("forward-2stage", "wheel", 0.9e7, 1.0e7),
-            entry("batch-gpu", "heap", 4.8e6, 5.2e6),
-        ];
+        let current = vec![entry("forward-2stage", 0.9e7, 1.0e7), entry("batch-gpu", 4.8e6, 5.2e6)];
         let failures = compare(&current, &base, None);
         assert_eq!(failures.len(), 1);
-        assert!(failures[0].contains("forward-2stage/wheel"));
+        assert!(failures[0].contains("forward-2stage: regressed"));
     }
 
     #[test]
     fn missing_scenarios_count_as_regressions() {
         let base = parse_baseline(&sample_export()).expect("parses");
-        let current = vec![entry("forward-2stage", "wheel", 1.9e7, 2.1e7)];
+        let current = vec![entry("forward-2stage", 1.9e7, 2.1e7)];
         let failures = compare(&current, &base, None);
         assert_eq!(failures.len(), 1);
-        assert!(failures[0].contains("batch-gpu/heap"));
+        assert!(failures[0].contains("batch-gpu"));
         assert!(failures[0].contains("not measured"));
     }
 
@@ -401,9 +401,9 @@ mod tests {
     fn new_scenarios_without_a_baseline_pass() {
         let base = parse_baseline(&sample_export()).expect("parses");
         let current = vec![
-            entry("forward-2stage", "wheel", 1.9e7, 2.1e7),
-            entry("batch-gpu", "heap", 4.8e6, 5.2e6),
-            entry("brand-new", "wheel", 1.0, 2.0),
+            entry("forward-2stage", 1.9e7, 2.1e7),
+            entry("batch-gpu", 4.8e6, 5.2e6),
+            entry("brand-new", 1.0, 2.0),
         ];
         assert!(compare(&current, &base, None).is_empty());
     }
@@ -413,10 +413,7 @@ mod tests {
         let mut base = parse_baseline(&sample_export()).expect("parses");
         // forward-2stage baseline ci_lo = 1.9e7. Current ci_hi = 1.5e7:
         // a ~21% drop below the recorded lower bound.
-        let current = vec![
-            entry("forward-2stage", "wheel", 1.4e7, 1.5e7),
-            entry("batch-gpu", "heap", 4.8e6, 5.2e6),
-        ];
+        let current = vec![entry("forward-2stage", 1.4e7, 1.5e7), entry("batch-gpu", 4.8e6, 5.2e6)];
         // File default 0.15 → fails.
         assert_eq!(compare(&current, &base, None).len(), 1);
         // Explicit CLI 0.30 beats the file default → passes.
@@ -434,10 +431,7 @@ mod tests {
         // floor is not.
         base.entries[0].ci_lo = 1.0e6;
         base.entries[0].min_floor = Some(5.0e6);
-        let current = vec![
-            entry("forward-2stage", "wheel", 1.0e6, 1.1e6),
-            entry("batch-gpu", "heap", 4.8e6, 5.2e6),
-        ];
+        let current = vec![entry("forward-2stage", 1.0e6, 1.1e6), entry("batch-gpu", 4.8e6, 5.2e6)];
         let failures = compare(&current, &base, None);
         assert_eq!(failures.len(), 1, "{failures:?}");
         assert!(failures[0].contains("min_floor"), "{failures:?}");
@@ -448,12 +442,11 @@ mod tests {
         use crate::microbench::BenchSummary;
         let base = parse_baseline(&sample_export()).expect("parses");
         let mut summary = BenchSummary {
-            forward_wheel_events_per_sec: 2.0e7,
             identical_results: true,
             obs_overhead_ratio: 1.0,
             engine_baselines: vec![
-                entry("forward-2stage", "wheel", 1.9e7, 2.1e7),
-                entry("batch-gpu", "heap", 4.8e6, 5.2e6),
+                entry("forward-2stage", 1.9e7, 2.1e7),
+                entry("batch-gpu", 4.8e6, 5.2e6),
             ],
         };
         assert!(check(&summary, &base, None).is_empty());

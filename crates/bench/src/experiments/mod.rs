@@ -117,14 +117,13 @@ pub fn fault_digest(id: &str) -> String {
 /// report carries and the store keys on, which is what makes a cache
 /// hit provably equivalent to a re-run.
 pub fn experiment_provenance(id: &str) -> Provenance {
-    Provenance::new(1, "wheel", fault_digest(id), config_digest(id))
+    Provenance::new(1, fault_digest(id), config_digest(id))
 }
 
 /// Stamps a report with the harness-level provenance: the reference
-/// workload seed, the production scheduler, the fault digest (the
-/// severity-ladder digest for fault-injecting experiments, `none`
-/// otherwise), and a digest over the shared scenario calibration that
-/// every experiment builds on.
+/// workload seed, the fault digest (the severity-ladder digest for
+/// fault-injecting experiments, `none` otherwise), and a digest over
+/// the shared scenario calibration that every experiment builds on.
 fn stamp(mut report: ExperimentReport) -> ExperimentReport {
     report.set_provenance(experiment_provenance(report.id));
     report
@@ -189,7 +188,6 @@ mod tests {
     fn every_report_is_provenance_stamped() {
         let clean = run("fig2").expect("known id");
         let p = clean.provenance.as_ref().expect("stamped");
-        assert_eq!(p.scheduler, "wheel");
         assert_eq!(p.fault_digest, "none");
         let faulted = run("robustness-crossover").expect("known id");
         let pf = faulted.provenance.as_ref().expect("stamped");

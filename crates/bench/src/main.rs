@@ -21,8 +21,6 @@
 //! xp bench --baseline reports/baseline.json --strict
 //!                        # exit nonzero on identity break or a CI-vs-CI
 //!                        # regression past the resolved max_drop
-//! xp bench --check-floor floor.txt
-//!                        # ad-hoc absolute gate (identity + static floor)
 //! xp bench --check-obs reports/obs_overhead.txt
 //!                        # exit 1 if observability overhead exceeds ceiling
 //! xp bench --export-baseline reports/baseline.json
@@ -32,8 +30,6 @@
 //!                        # observed run is bit-identical to the reference
 //! xp run smartnic --severity 0.5 --trace trace.json
 //!                        # ... plus the Chrome trace_event file
-//! xp run base-2c --scheduler heap --trace t.json
-//!                        # byte-identical to the wheel file (invariant)
 //! xp run cluster --shards 4 --profile prof.folded
 //!                        # folded-stack (flamegraph) profile with
 //!                        # per-shard compute/barrier/merge lanes
@@ -141,23 +137,18 @@ fn run_scenario_cmd(mut args: Vec<String>) -> ! {
     use apples_bench::runcmd::{run, RunOptions, DEFAULT_PERTURB_SEED};
     use apples_bench::scenarios::SCENARIOS;
     use apples_obs::observer::DEFAULT_TRACE_CAPACITY;
-    use apples_simnet::sched::SchedulerKind;
 
     let ids = SCENARIOS.iter().map(|&(id, _)| id).collect::<Vec<_>>().join(", ");
     let usage = || -> ! {
         eprintln!(
-            "usage: xp run <scenario> [--scheduler wheel|heap] [--severity S] [--seed N] \
-             [--shards N] [--trace FILE [--ring EVENTS]] [--profile FILE] \
-             [--sanitize [--perturb-seed N]]"
+            "usage: xp run <scenario> [--severity S] [--seed N] [--shards N] \
+             [--trace FILE [--ring EVENTS]] [--profile FILE] [--sanitize [--perturb-seed N]]"
         );
         eprintln!("scenarios: {ids}");
         std::process::exit(2);
     };
     let trace = take_flag_value(&mut args, "--trace").map(PathBuf::from);
     let profile = take_flag_value(&mut args, "--profile").map(PathBuf::from);
-    let scheduler = parse_flag(&mut args, "--scheduler", "'wheel' or 'heap'", |s| {
-        [SchedulerKind::Wheel, SchedulerKind::Heap].into_iter().find(|k| k.label() == s)
-    });
     let severity = parse_flag(&mut args, "--severity", "a number in [0, 1]", |s| {
         s.parse::<f64>().ok().filter(|v| (0.0..=1.0).contains(v))
     });
@@ -183,7 +174,6 @@ fn run_scenario_cmd(mut args: Vec<String>) -> ! {
     }
     let opts = RunOptions {
         scenario: args.remove(0),
-        scheduler: scheduler.unwrap_or(SchedulerKind::Wheel),
         severity: severity.unwrap_or(0.0),
         seed: seed.unwrap_or(1),
         shards: shards.unwrap_or(1),
@@ -259,7 +249,6 @@ fn main() {
         args.remove(0);
         let out = take_flag_value(&mut args, "--out")
             .map_or_else(|| PathBuf::from("BENCH_simnet.json"), PathBuf::from);
-        let floor_path = take_flag_value(&mut args, "--check-floor").map(PathBuf::from);
         let obs_path = take_flag_value(&mut args, "--check-obs").map(PathBuf::from);
         let baseline_path = take_flag_value(&mut args, "--export-baseline").map(PathBuf::from);
         let compare_baseline = take_flag_value(&mut args, "--baseline").map(PathBuf::from);
@@ -278,8 +267,8 @@ fn main() {
         if !args.is_empty() {
             eprintln!(
                 "usage: xp bench [--quick] [--faults] [--replications N] [--out FILE] \
-                 [--check-floor FLOOR_FILE] [--check-obs CEILING_FILE] \
-                 [--export-baseline FILE] [--baseline FILE [--strict] [--max-drop F]]"
+                 [--check-obs CEILING_FILE] [--export-baseline FILE] \
+                 [--baseline FILE [--strict] [--max-drop F]]"
             );
             std::process::exit(2);
         }
@@ -348,27 +337,6 @@ fn main() {
                     std::process::exit(2);
                 }
                 eprintln!("(advisory: pass --strict to make this fatal)");
-            }
-        }
-        if let Some(floor_path) = floor_path {
-            let floor_text = match std::fs::read_to_string(&floor_path) {
-                Ok(text) => text,
-                Err(e) => {
-                    eprintln!("cannot read floor file {}: {e}", floor_path.display());
-                    std::process::exit(1);
-                }
-            };
-            let failures = apples_bench::microbench::check_floor(&summary, &floor_text);
-            if failures.is_empty() {
-                println!(
-                    "perf-sanity OK: {:.2}M events/s on forward-2stage (wheel), all results identical",
-                    summary.forward_wheel_events_per_sec / 1e6
-                );
-            } else {
-                for f in &failures {
-                    eprintln!("perf-sanity FAILED: {f}");
-                }
-                std::process::exit(1);
             }
         }
         if let Some(obs_path) = obs_path {

@@ -16,8 +16,8 @@ pub struct ExperimentReport {
     pub measured: Vec<String>,
     /// Machine-readable series, named.
     pub tables: Vec<(String, Csv)>,
-    /// Replay stamp: seed, scheduler, fault digest, config digest,
-    /// toolchain, git rev. Stamped by the experiment runner so every
+    /// Replay stamp: seed, fault digest, config digest, toolchain,
+    /// git rev. Stamped by the experiment runner so every
     /// rendered artifact says what produced it.
     pub provenance: Option<Provenance>,
 }
@@ -148,9 +148,9 @@ mod tests {
         let mut r = ExperimentReport::new("figZ", "Provenance check");
         r.measured_line("ok");
         assert!(!r.render().contains("provenance:"), "unstamped report carries no stamp");
-        r.set_provenance(Provenance::new(9, "wheel", "none", "cafe"));
+        r.set_provenance(Provenance::new(9, "none", "cafe"));
         let text = r.render();
-        assert!(text.contains("provenance: seed=9 scheduler=wheel"), "{text}");
+        assert!(text.contains("provenance: seed=9 fault=none"), "{text}");
         let md = r.render_markdown();
         assert!(md.contains("**Provenance:** `seed=9"), "{md}");
     }

@@ -5,8 +5,8 @@
 //! operating point — [`RUN_GBPS`] offered over [`RUN_NS`], with
 //! [`WARMUP_NS`] excluded — in up to three runs:
 //!
-//! 1. the reference: unobserved, serial, production scheduler;
-//! 2. the observed run, at the chosen scheduler and shard count, with
+//! 1. the reference: unobserved and serial;
+//! 2. the observed run, at the chosen shard count, with
 //!    telemetry, spans and the time series, plus the trace ring when
 //!    tracing and the seeded interleaving perturber when sanitizing;
 //! 3. when sanitizing, a check-only sanitized run at the same settings.
@@ -16,16 +16,14 @@
 //! Runs 2 and 3 must match the reference's [`Measurement::fingerprint`],
 //! and run 3 must check events without perturbing any; otherwise the
 //! CLI exits 1. Run 2 yields the artifacts: the Chrome trace (sim-time
-//! timestamps and a `scheduler-invariant` provenance stamp, so wheel and
-//! heap export the same bytes), the folded-stack profile in flamegraph
-//! "collapsed" format (`engine;...` span phases, plus one
-//! `shards;shard-N;...` wall-clock lane stack per shard when the run
-//! sharded), and the summary.
+//! timestamps only, so repeat runs export the same bytes), the
+//! folded-stack profile in flamegraph "collapsed" format (`engine;...`
+//! span phases, plus one `shards;shard-N;...` wall-clock lane stack per
+//! shard when the run sharded), and the summary.
 
 use crate::scenarios::{faulted, perturbed_workload, scenario, to_gbps, RUN_NS, WARMUP_NS};
 use apples_obs::chrome::chrome_trace;
 use apples_obs::{ObsConfig, Phase, TraceDrop, TraceFault, TraceKind, Tracer};
-use apples_simnet::sched::SchedulerKind;
 use apples_simnet::system::{Measurement, RunOpts, RunOutput};
 use apples_simnet::{OrderSanitizer, SanitizerReport};
 
@@ -42,8 +40,6 @@ pub const DEFAULT_PERTURB_SEED: u64 = 0xD15F;
 pub struct RunOptions {
     /// Scenario id (see [`crate::scenarios::SCENARIOS`]).
     pub scenario: String,
-    /// Event scheduler for the observed and check-only runs.
-    pub scheduler: SchedulerKind,
     /// Fault-ladder severity in `[0, 1]`; 0 runs clean.
     pub severity: f64,
     /// Workload seed.
@@ -64,7 +60,6 @@ impl Default for RunOptions {
     fn default() -> Self {
         RunOptions {
             scenario: "smartnic".to_owned(),
-            scheduler: SchedulerKind::Wheel,
             severity: 0.0,
             seed: 1,
             shards: 1,
@@ -96,7 +91,7 @@ pub fn run(opts: &RunOptions) -> Option<RunArtifacts> {
     let wl = perturbed_workload(RUN_GBPS, opts.seed, opts.severity);
     let production = build()?;
     let reference = production.run(&wl, RUN_NS, WARMUP_NS);
-    let d = build()?.with_scheduler(opts.scheduler).with_shards(opts.shards);
+    let d = build()?.with_shards(opts.shards);
     let trace_capacity = opts.trace_ring.map_or(0, |ring| ring.max(1));
     let observer = ObsConfig { trace_capacity, ..ObsConfig::full() };
     let sanitizer = opts.perturb_seed.map(OrderSanitizer::with_perturbation);
@@ -130,12 +125,7 @@ pub fn run(opts: &RunOptions) -> Option<RunArtifacts> {
     let obs = observed.observer.as_ref();
     let tracer = obs.and_then(|o| o.tracer.as_ref());
     let chrome_json = tracer.map(|tracer| {
-        // Provenance comes from the scenario under its production
-        // scheduler, then declares itself scheduler-invariant: the whole
-        // point of a sim-time trace is that wheel and heap produce the
-        // same file.
-        let mut prov = production.provenance(&wl, RUN_NS, WARMUP_NS);
-        prov.scheduler = "scheduler-invariant".to_owned();
+        let prov = production.provenance(&wl, RUN_NS, WARMUP_NS);
         chrome_trace(tracer, &names, &prov).render_pretty()
     });
     let check_only = checked.as_ref().map(|(_, rep)| rep);
@@ -178,12 +168,8 @@ fn summarize(
     failures: &[String],
 ) -> String {
     let mut out = format!(
-        "run: {} (scheduler {}, severity {}, seed {}, shards {}, {RUN_GBPS} Gbps offered)\n",
-        opts.scenario,
-        opts.scheduler.label(),
-        opts.severity,
-        opts.seed,
-        opts.shards
+        "run: {} (severity {}, seed {}, shards {}, {RUN_GBPS} Gbps offered)\n",
+        opts.scenario, opts.severity, opts.seed, opts.shards
     );
     out.push_str(&format!(
         "  throughput: {:.3} Gbps delivered\n",
@@ -345,9 +331,8 @@ mod tests {
         out
     }
 
-    /// `summary` minus its header (which names the scheduler) and the
-    /// engine-phase block (wall-clock estimates): every line left is a
-    /// sim-time figure.
+    /// `summary` minus the engine-phase block (wall-clock estimates):
+    /// every line left is a sim-time figure.
     fn sim_time_lines(summary: &str) -> Vec<&str> {
         let mut in_phases = false;
         let keep = |line: &&str| {
@@ -356,7 +341,7 @@ mod tests {
             }
             !in_phases
         };
-        summary.lines().skip(1).filter(keep).collect()
+        summary.lines().filter(keep).collect()
     }
 
     fn sanitized(opts: RunOptions) -> RunOptions {
@@ -370,25 +355,23 @@ mod tests {
     }
 
     #[test]
-    fn trace_files_are_scheduler_invariant() {
-        let wheel = RunOptions {
+    fn repeat_traced_runs_export_identical_files() {
+        let traced = RunOptions {
             scenario: "base-2c".to_owned(),
             severity: 0.5,
             trace_ring: Some(DEFAULT_TRACE_CAPACITY),
             ..RunOptions::default()
         };
-        let heap = RunOptions { scheduler: SchedulerKind::Heap, ..wheel.clone() };
-        let (a, b) = (run_ok(wheel.clone()), run_ok(heap));
+        let (a, b) = (run_ok(traced.clone()), run_ok(traced.clone()));
         let trace = a.chrome_json.expect("traced");
-        assert_eq!(Some(&trace), b.chrome_json.as_ref(), "wheel and heap traces must match");
-        assert!(trace.contains("\"scheduler-invariant\""));
+        assert_eq!(Some(&trace), b.chrome_json.as_ref(), "repeat traces must match");
         // The whole-run telemetry (busiest stage, peak depths, p99 wait
         // and service, ring counts, fault gap) must match too; only the
-        // header and the wall-clock engine phases may differ.
+        // wall-clock engine phases may differ.
         let (a, b) = (sim_time_lines(&a.summary), sim_time_lines(&b.summary));
         assert!(a.iter().any(|l| l.contains("ring: emitted=")), "{a:#?}");
-        assert_eq!(a, b, "wheel and heap summaries must agree on every sim-time line");
-        let clean = run_ok(RunOptions { severity: 0.0, ..wheel });
+        assert_eq!(a, b, "repeat summaries must agree on every sim-time line");
+        let clean = run_ok(RunOptions { severity: 0.0, ..traced });
         assert!(clean.summary.contains("no faults traced"), "{}", clean.summary);
     }
 
@@ -437,7 +420,6 @@ mod tests {
         assert!(serial.chrome_json.is_none(), "an untraced run exports no trace");
         for opts in [
             RunOptions::default(),
-            RunOptions { scheduler: SchedulerKind::Heap, ..RunOptions::default() },
             RunOptions { scenario: "rss".to_owned(), shards: 2, ..RunOptions::default() },
             RunOptions { scenario: "base-2c".to_owned(), severity: 0.5, ..RunOptions::default() },
         ] {

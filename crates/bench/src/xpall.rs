@@ -168,7 +168,7 @@ fn build_dag(ids: &[String], golden_dir: &Path) -> Result<(Dag, Vec<IdNodes>), S
     let mut dag = Dag::new();
     // Environment fields come through the same sanctioned path the
     // provenance stamp uses.
-    let env = Provenance::new(0, "env-probe", "none", "none");
+    let env = Provenance::new(0, "none", "none");
     let scenario = dag.add(
         "scenario",
         "calibration",

@@ -358,7 +358,7 @@ fn lint_file(rel: &str, src: &str, report: &mut LintReport) {
         // D3 — raw threads outside the pool.
         if rel != D3_EXEMPT && (code.contains("thread::spawn") || code.contains("std::thread")) {
             let message = if rel == D3_SCHED_MODULE {
-                "raw std::thread in the event scheduler: timing-wheel bucket order is only \
+                "raw std::thread in the event scheduler: event-queue bucket order is only \
                  deterministic single-threaded"
                     .to_owned()
             } else {

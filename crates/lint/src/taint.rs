@@ -2,11 +2,10 @@
 //! intraprocedural **ordering-taint** dataflow pass over the token tree.
 //!
 //! The engine's whole determinism story rests on the `(t_ns, seq,
-//! stage)` ordering key: every identity gate (wheel-vs-heap,
-//! fused-vs-unfused, serial-vs-parallel, the future sharded
-//! epoch-barrier merge) compares runs that must order events
-//! identically. Three things can silently break that before any test
-//! notices:
+//! stage)` ordering key: every identity gate (fused-vs-unfused,
+//! serial-vs-parallel, serial-vs-sharded) compares runs that must
+//! order events identically. Three things can silently break that
+//! before any test notices:
 //!
 //! - **S1 — shared mutable state** reachable from dispatch paths
 //!   (`static mut`, `RefCell`/`Cell`/`UnsafeCell`, lock-guarded cells).
@@ -16,7 +15,7 @@
 //!   go through `apples-rng`'s explicit streams or replay dies.
 //! - **S3 — ordering taint**: a value derived from a wall-clock read,
 //!   hash-iteration order, or a pointer/address cast flowing into
-//!   `t_ns`, `seq`, or a wheel-slot computation. This is the dataflow
+//!   `t_ns`, `seq`, or an event slot index. This is the dataflow
 //!   rule: the *source* may be fine on its own (an allocator address is
 //!   harmless until it becomes a sort key), so the pass tracks
 //!   function-local taint from sources through `let` bindings, `for`

@@ -6,7 +6,7 @@
 //! ```json
 //! {
 //!   "displayTimeUnit": "ns",
-//!   "provenance": { "seed": ..., "scheduler": "scheduler-invariant", ... },
+//!   "provenance": { "seed": ..., "fault_digest": ..., ... },
 //!   "emitted": 123, "retained": 123, "overwritten": 0,
 //!   "traceEvents": [ ... ]
 //! }
@@ -122,7 +122,7 @@ mod tests {
 
     #[test]
     fn export_has_the_advertised_shape() {
-        let prov = Provenance::new(7, "scheduler-invariant", "none", "cafe");
+        let prov = Provenance::new(7, "none", "cafe");
         let names = vec!["host".to_owned(), "sink-side".to_owned()];
         let s = chrome_trace(&sample_tracer(), &names, &prov).render_pretty();
         for key in [
@@ -146,7 +146,7 @@ mod tests {
 
     #[test]
     fn export_is_deterministic() {
-        let prov = Provenance::new(7, "scheduler-invariant", "none", "cafe");
+        let prov = Provenance::new(7, "none", "cafe");
         let a = chrome_trace(&sample_tracer(), &[], &prov).render();
         let b = chrome_trace(&sample_tracer(), &[], &prov).render();
         assert_eq!(a, b);
@@ -154,7 +154,7 @@ mod tests {
 
     #[test]
     fn tracks_cover_stages_seen_in_events_even_unnamed() {
-        let prov = Provenance::new(1, "scheduler-invariant", "none", "00");
+        let prov = Provenance::new(1, "none", "00");
         let s = chrome_trace(&sample_tracer(), &[], &prov).render();
         assert!(s.contains("\"stage0\""), "{s}");
         assert!(s.contains("\"stage1\""), "{s}");

@@ -1,7 +1,7 @@
 //! Deterministic observability for the simulation workspace.
 //!
 //! Everything here is driven by *sim-time*: the trace of a run is a pure
-//! function of `(seed, spec)`, byte-identical across schedulers and
+//! function of `(seed, spec)`, byte-identical across repeat runs and
 //! worker counts, so a trace file is evidence — not an anecdote. The
 //! crate provides four pieces, composable via [`RunObserver`]:
 //!
@@ -16,10 +16,10 @@
 //!   phases, cheap enough to leave on (<5% overhead, enforced by the
 //!   bench harness), with folded-stack export for flamegraph tooling;
 //! - [`timeseries`]: a sim-time interval ring of throughput, live
-//!   events, scheduler occupancy, and per-stage queue depth, with
+//!   events, event-queue occupancy, and per-stage queue depth, with
 //!   commutative/associative cross-shard merge;
-//! - [`provenance`]: the stamp (seed, scheduler, fault digest, config
-//!   digest, toolchain, git rev) that makes any emitted artifact
+//! - [`provenance`]: the stamp (seed, fault digest, config digest,
+//!   toolchain, git rev) that makes any emitted artifact
 //!   replayable from its own header.
 //!
 //! The only wall-clock read in the crate is the span profiler's sampled

@@ -12,21 +12,17 @@ use crate::timeseries::TimeSeries;
 use crate::trace::{TraceDrop, TraceEvent, TraceFault, TraceKind, TraceSink, Tracer};
 use apples_core::json::Json;
 
-/// Structural counters from the event scheduler: how the wheel (or
-/// heap) moved the run along. Pure functions of the event schedule, so
-/// deterministic for a given `(seed, spec)` — but *not* invariant
-/// across scheduler kinds (the heap never cascades), which is why they
-/// live beside the trace rather than inside it.
+/// Structural counters from the event queue: how many events it took
+/// and how many timestamp buckets it handed out. Pure functions of the
+/// event schedule, so deterministic for a given `(seed, spec)` — but
+/// *not* invariant across fusion modes (fused hops bypass the queue),
+/// which is why they live beside the trace rather than inside it.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SchedCounters {
     /// Events pushed into the scheduler.
     pub pushes: u64,
     /// Timestamp buckets drained (one dispatch pass each).
     pub buckets_drained: u64,
-    /// Wheel level-cascades performed (always 0 for the heap).
-    pub cascades: u64,
-    /// Overflow-tree epoch promotions (always 0 for the heap).
-    pub overflow_promotions: u64,
 }
 
 impl SchedCounters {
@@ -34,17 +30,11 @@ impl SchedCounters {
     pub fn merge(&mut self, other: SchedCounters) {
         self.pushes += other.pushes;
         self.buckets_drained += other.buckets_drained;
-        self.cascades += other.cascades;
-        self.overflow_promotions += other.overflow_promotions;
     }
 
     /// Deterministic JSON rendering.
     pub fn to_json(&self) -> Json {
-        Json::obj()
-            .field("pushes", self.pushes)
-            .field("buckets_drained", self.buckets_drained)
-            .field("cascades", self.cascades)
-            .field("overflow_promotions", self.overflow_promotions)
+        Json::obj().field("pushes", self.pushes).field("buckets_drained", self.buckets_drained)
     }
 }
 

@@ -1,8 +1,8 @@
 //! Provenance stamping: the header that makes an artifact replayable.
 //!
 //! Every emitted report and JSON artifact carries a `provenance` block:
-//! the seed, scheduler kind, fault-spec digest, and config digest fully
-//! determine the simulated numbers (replay those four and the artifact
+//! the seed, fault-spec digest, and config digest fully determine the
+//! simulated numbers (replay those three and the artifact
 //! reproduces bit-for-bit); toolchain and git revision record *where*
 //! it was produced. The environment fields come from `APPLES_TOOLCHAIN`
 //! / `APPLES_GIT_REV` — the sanctioned env path, set by CI — and fall
@@ -22,10 +22,6 @@ pub use apples_core::digest::{fnv1a, fnv1a_hex};
 pub struct Provenance {
     /// Workload seed the run derives from.
     pub seed: u64,
-    /// Scheduler kind (`wheel` / `heap`), or `scheduler-invariant` for
-    /// artifacts the determinism contract guarantees are identical
-    /// across schedulers (trace files).
-    pub scheduler: String,
     /// Digest of the fault spec (`none` when faults are off).
     pub fault_digest: String,
     /// Digest of the deployment/workload configuration.
@@ -45,13 +41,11 @@ impl Provenance {
     /// git revision are read from the environment.
     pub fn new(
         seed: u64,
-        scheduler: impl Into<String>,
         fault_digest: impl Into<String>,
         config_digest: impl Into<String>,
     ) -> Self {
         Provenance {
             seed,
-            scheduler: scheduler.into(),
             fault_digest: fault_digest.into(),
             config_digest: config_digest.into(),
             toolchain: env_or_unrecorded("APPLES_TOOLCHAIN"),
@@ -63,7 +57,6 @@ impl Provenance {
     pub fn to_json(&self) -> Json {
         Json::obj()
             .field("seed", self.seed)
-            .field("scheduler", self.scheduler.as_str())
             .field("fault_digest", self.fault_digest.as_str())
             .field("config_digest", self.config_digest.as_str())
             .field("toolchain", self.toolchain.as_str())
@@ -77,7 +70,6 @@ impl Provenance {
     pub fn cache_key(&self) -> CacheKey {
         CacheKey::new()
             .with("seed", self.seed.to_string())
-            .with("scheduler", self.scheduler.as_str())
             .with("fault", self.fault_digest.as_str())
             .with("config", self.config_digest.as_str())
             .with("toolchain", self.toolchain.as_str())
@@ -87,13 +79,8 @@ impl Provenance {
     /// One-line rendering for markdown/plain-text reports.
     pub fn render_compact(&self) -> String {
         format!(
-            "seed={} scheduler={} fault={} config={} toolchain={} rev={}",
-            self.seed,
-            self.scheduler,
-            self.fault_digest,
-            self.config_digest,
-            self.toolchain,
-            self.git_rev
+            "seed={} fault={} config={} toolchain={} rev={}",
+            self.seed, self.fault_digest, self.config_digest, self.toolchain, self.git_rev
         )
     }
 }
@@ -119,42 +106,36 @@ mod tests {
 
     #[test]
     fn stamp_renders_every_field() {
-        let p = Provenance::new(42, "wheel", "none", "abcd");
+        let p = Provenance::new(42, "none", "abcd");
         let line = p.render_compact();
-        for part in ["seed=42", "scheduler=wheel", "fault=none", "config=abcd"] {
+        for part in ["seed=42", "fault=none", "config=abcd"] {
             assert!(line.contains(part), "{line}");
         }
         let json = p.to_json().render();
-        for key in [
-            "\"seed\"",
-            "\"scheduler\"",
-            "\"fault_digest\"",
-            "\"config_digest\"",
-            "\"toolchain\"",
-            "\"git_rev\"",
-        ] {
+        for key in
+            ["\"seed\"", "\"fault_digest\"", "\"config_digest\"", "\"toolchain\"", "\"git_rev\""]
+        {
             assert!(json.contains(key), "missing {key} in {json}");
         }
     }
 
     #[test]
     fn cache_key_mirrors_the_stamp_fields() {
-        let p = Provenance::new(42, "wheel", "none", "abcd");
+        let p = Provenance::new(42, "none", "abcd");
         let key = p.cache_key();
         assert_eq!(key.component("seed"), Some("42"));
-        assert_eq!(key.component("scheduler"), Some("wheel"));
         assert_eq!(key.component("fault"), Some("none"));
         assert_eq!(key.component("config"), Some("abcd"));
         assert_eq!(key.component("toolchain"), Some(p.toolchain.as_str()));
         assert_eq!(key.component("rev"), Some(p.git_rev.as_str()));
         // Any replay-determining field change must move the digest.
-        let other = Provenance::new(43, "wheel", "none", "abcd");
+        let other = Provenance::new(43, "none", "abcd");
         assert_ne!(key.digest(), other.cache_key().digest());
     }
 
     #[test]
     fn env_fallback_is_the_stable_string() {
-        let p = Provenance::new(1, "heap", "none", "00");
+        let p = Provenance::new(1, "none", "00");
         // Only assert the fallback when the variables are genuinely
         // unset (the default everywhere goldens are regenerated).
         if std::env::var("APPLES_TOOLCHAIN").is_err() {

@@ -19,8 +19,8 @@ use std::time::Instant;
 /// Engine phases the profiler covers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Phase {
-    /// Advancing the scheduler and draining the next event bucket.
-    WheelAdvance,
+    /// Draining the next timestamp bucket from the event queue.
+    BucketDrain,
     /// Dispatching the drained bucket's events through the stages.
     Dispatch,
     /// Applying fault-plan actions.
@@ -29,12 +29,12 @@ pub enum Phase {
 
 impl Phase {
     /// All phases, in reporting order.
-    pub const ALL: [Phase; 3] = [Phase::WheelAdvance, Phase::Dispatch, Phase::FaultApply];
+    pub const ALL: [Phase; 3] = [Phase::BucketDrain, Phase::Dispatch, Phase::FaultApply];
 
     /// Stable label used in reports.
     pub fn label(self) -> &'static str {
         match self {
-            Phase::WheelAdvance => "wheel-advance",
+            Phase::BucketDrain => "bucket-drain",
             Phase::Dispatch => "dispatch",
             Phase::FaultApply => "fault-apply",
         }
@@ -42,7 +42,7 @@ impl Phase {
 
     fn idx(self) -> usize {
         match self {
-            Phase::WheelAdvance => 0,
+            Phase::BucketDrain => 0,
             Phase::Dispatch => 1,
             Phase::FaultApply => 2,
         }
@@ -176,7 +176,7 @@ impl SpanProfiler {
                 out.push_str(&format!("{root};{stack} {}\n", (us.round() as u64).max(1)));
             }
         };
-        line("wheel-advance", self.phase(Phase::WheelAdvance).count, est_us(Phase::WheelAdvance));
+        line("bucket-drain", self.phase(Phase::BucketDrain).count, est_us(Phase::BucketDrain));
         let dispatch_self = (est_us(Phase::Dispatch) - fault_us).max(0.0);
         line("dispatch", self.phase(Phase::Dispatch).count, dispatch_self);
         line("dispatch;fault-apply", self.phase(Phase::FaultApply).count, fault_us);
@@ -251,10 +251,10 @@ mod tests {
     fn raii_span_attributes_on_drop() {
         let mut prof = SpanProfiler::new();
         {
-            let mut s = prof.span(Phase::WheelAdvance);
+            let mut s = prof.span(Phase::BucketDrain);
             s.attribute_sim_ns(123);
         }
-        let p = prof.phase(Phase::WheelAdvance);
+        let p = prof.phase(Phase::BucketDrain);
         assert_eq!(p.count, 1);
         assert_eq!(p.sim_ns, 123);
         assert_eq!(prof.total_spans(), 1);
@@ -274,20 +274,20 @@ mod tests {
         for _ in 0..3 {
             let tok = a.begin(Phase::Dispatch);
             a.end(Phase::Dispatch, tok, 10);
-            let tok = b.begin(Phase::WheelAdvance);
-            b.end(Phase::WheelAdvance, tok, 7);
+            let tok = b.begin(Phase::BucketDrain);
+            b.end(Phase::BucketDrain, tok, 7);
         }
         a.merge(&b);
         assert_eq!(a.phase(Phase::Dispatch).count, 3);
-        assert_eq!(a.phase(Phase::WheelAdvance).count, 3);
-        assert_eq!(a.phase(Phase::WheelAdvance).sim_ns, 21);
+        assert_eq!(a.phase(Phase::BucketDrain).count, 3);
+        assert_eq!(a.phase(Phase::BucketDrain).sim_ns, 21);
         assert_eq!(a.total_spans(), 6);
     }
 
     #[test]
     fn folded_output_is_wellformed_and_nests_faults_under_dispatch() {
         let mut prof = SpanProfiler::new();
-        prof.phases[Phase::WheelAdvance.idx()] =
+        prof.phases[Phase::BucketDrain.idx()] =
             PhaseProfile { count: 10, sim_ns: 0, sampled_wall_ns: 5_000_000, samples: 10 };
         prof.phases[Phase::Dispatch.idx()] =
             PhaseProfile { count: 10, sim_ns: 0, sampled_wall_ns: 9_000_000, samples: 10 };
@@ -298,7 +298,7 @@ mod tests {
         assert_eq!(
             lines,
             vec![
-                "engine;wheel-advance 5000",
+                "engine;bucket-drain 5000",
                 "engine;dispatch 7000",
                 "engine;dispatch;fault-apply 2000"
             ]
@@ -316,7 +316,7 @@ mod tests {
         let tok = prof.begin(Phase::Dispatch);
         prof.end(Phase::Dispatch, tok, 5);
         let folded = prof.to_folded("engine");
-        assert!(!folded.contains("wheel-advance"), "{folded}");
+        assert!(!folded.contains("bucket-drain"), "{folded}");
         assert!(!folded.contains("fault-apply"), "{folded}");
         assert!(folded.contains("engine;dispatch "), "{folded}");
     }
@@ -325,7 +325,7 @@ mod tests {
     fn json_lists_every_phase_in_order() {
         let prof = SpanProfiler::new();
         let s = prof.to_json().render();
-        let a = s.find("wheel-advance").unwrap();
+        let a = s.find("bucket-drain").unwrap();
         let b = s.find("\"dispatch\"").unwrap();
         let c = s.find("fault-apply").unwrap();
         assert!(a < b && b < c, "{s}");

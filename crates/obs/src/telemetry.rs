@@ -1,10 +1,10 @@
 //! Per-stage telemetry: deterministic counters plus log-scale
 //! histograms of queue depth, queue wait, and service time.
 //!
-//! A [`Telemetry`] is pure sim-time state — identical across schedulers
-//! and worker counts — and shards merge associatively (bin-wise), so a
-//! parallel harness can collect per-worker telemetry and fold it in any
-//! order.
+//! A [`Telemetry`] is pure sim-time state — identical across fusion
+//! modes and worker counts — and shards merge associatively (bin-wise),
+//! so a parallel harness can collect per-worker telemetry and fold it in
+//! any order.
 
 use crate::hist::LogHistogram;
 use apples_core::json::Json;

@@ -3,14 +3,14 @@
 //! The run is cut into fixed sim-time intervals (`interval_ns` wide);
 //! each retained interval holds one [`SeriesBin`] of counters (events
 //! dispatched, enqueues, drops, faults) and gauges (peak live events,
-//! peak scheduler occupancy, per-stage peak queue depth). The ring
+//! peak event-queue occupancy, per-stage peak queue depth). The ring
 //! keeps the most recent [`TimeSeries::capacity`] intervals: when a new
 //! interval opens past the window, the oldest bins are evicted, so
 //! memory stays flat on arbitrarily long runs.
 //!
 //! Everything here is keyed by *sim time*, so the series is a pure
-//! function of `(seed, spec)` — identical across schedulers, fusion
-//! modes, and shard counts for the counter fields. Cross-shard merge is
+//! function of `(seed, spec)` — identical across fusion modes and
+//! shard counts for the counter fields. Cross-shard merge is
 //! commutative and associative like [`crate::LogHistogram`]: bins align
 //! by interval index, counters add, gauges take the max, and the
 //! eviction threshold is the max interval seen minus the capacity —
@@ -44,7 +44,7 @@ pub struct SeriesBin {
     pub faults: u64,
     /// Peak live (in-flight) events observed this interval.
     pub peak_live: u64,
-    /// Peak scheduler (wheel/heap) occupancy observed this interval.
+    /// Peak event-queue occupancy observed this interval.
     pub peak_sched: u64,
     /// Peak queue depth per stage this interval, index-aligned with
     /// the deployment's stage list (grows on demand).
@@ -208,7 +208,7 @@ impl TimeSeries {
     }
 
     /// Gauge sample at sim time `t_ns`: `live` in-flight events and
-    /// `sched_len` events resident in the scheduler. The engine calls
+    /// `sched_len` events resident in the event queue. The engine calls
     /// this once per drained bucket.
     #[inline]
     pub fn on_tick(&mut self, t_ns: u64, live: u64, sched_len: u64) {

@@ -16,8 +16,8 @@
 //! The hot path is allocation-free in steady state. Events are split
 //! struct-of-arrays (DESIGN.md §10): the *hot* half is the scheduler
 //! entry itself — `(t_ns, seq, tag)`, 24 bytes, where the tag packs the
-//! event kind, the stage, and a cold-payload index — so wheel buckets
-//! are cache-line-dense. The *cold* half (the packet in service, its
+//! event kind, the stage, and a cold-payload index — so the event queue
+//! is cache-line-dense. The *cold* half (the packet in service, its
 //! verdict, batch result buffers) lives in flat per-stage pools and
 //! engine-level slabs touched only at dispatch, reclaimed through free
 //! lists the moment an event fires, so resident memory is O(live
@@ -26,7 +26,7 @@
 //!
 //! Zero-latency forwards (a stage settling a packet into the next stage
 //! at the same timestamp) are *fused*: they ride a FIFO straight back
-//! into the dispatch walk instead of re-enqueueing through the wheel,
+//! into the dispatch walk instead of re-enqueueing through the queue,
 //! while still minting seqs so the processing order — and therefore
 //! every report and trace — is bit-identical to the unfused reference
 //! path ([`Engine::with_fusion`]).
@@ -41,7 +41,7 @@ use crate::fault::{FaultAction, FaultPlan};
 use crate::nf::NfVerdict;
 use crate::packet::Packet;
 use crate::sanitizer::OrderSanitizer;
-use crate::sched::{EventScheduler, SchedulerKind};
+use crate::sched::EventScheduler;
 use crate::service::ServiceModel;
 use crate::stats::{DropReason, SinkStats};
 use apples_obs::span::SpanToken;
@@ -383,7 +383,7 @@ const KIND_BATCH_DONE: u64 = 3;
 const KIND_FAULT: u64 = 4;
 
 // Size-regression guards: the hot slot must never regrow past a cache
-// line (it is the entire per-event footprint inside wheel buckets), and
+// line (it is the entire per-event footprint inside the event queue), and
 // the tag packing assumes the scheduler's payload word holds 64 bits.
 const _: () = assert!(std::mem::size_of::<crate::sched::EventKey>() <= 64);
 const _: () = assert!(std::mem::size_of::<usize>() == 8);
@@ -421,7 +421,7 @@ type DoneSlot = (Packet, NfVerdict, u64);
 type BatchSlot = (Vec<(Packet, NfVerdict)>, u64);
 
 /// Bytes per *hot* event slot: one scheduler entry `(t_ns, seq, tag)`.
-/// This is what wheel buckets and the heap actually move per event.
+/// This is what the event queue actually moves per event.
 pub fn hot_slot_bytes() -> usize {
     std::mem::size_of::<crate::sched::EventKey>()
 }
@@ -436,7 +436,7 @@ pub fn cold_slot_bytes() -> usize {
 /// A zero-latency forward waiting in the fused-hop FIFO: a packet that
 /// finished service and settles into its next stage at the same
 /// timestamp, carrying the seq it was minted with so the dispatch walk
-/// can merge it in exact `(t, seq)` order against wheel events.
+/// can merge it in exact `(t, seq)` order against queued events.
 struct FusedHop {
     seq: u64,
     stage: usize,
@@ -611,13 +611,12 @@ impl<'p> EventCore<'p> {
     /// shard; the serial path reuses the engine's pooled buffers
     /// instead).
     pub(crate) fn new_for_run(
-        kind: SchedulerKind,
         fused: bool,
         route: Option<crate::shard::ShardRoute>,
         payload: Option<PayloadSynth<'p>>,
     ) -> Self {
         EventCore {
-            events: EventScheduler::new(kind),
+            events: EventScheduler::new(),
             seq: 0,
             live: 0,
             peak_live: 0,
@@ -645,7 +644,6 @@ impl<'p> EventCore<'p> {
 pub struct Engine {
     pub(crate) stages: Vec<StageState>,
     pub(crate) payload: Option<PayloadConfig>,
-    pub(crate) scheduler: SchedulerKind,
     /// Fault plan applied to every run; `None` = fault-free.
     pub(crate) fault_plan: Option<FaultPlan>,
     /// Pooled batch-result buffers, persisted across `run` calls so a
@@ -690,7 +688,8 @@ pub struct Engine {
 /// The raw result of a run.
 ///
 /// `PartialEq` compares every field (histogram counts included) — the
-/// A/B scheduler tests lean on it to assert byte-identical runs.
+/// A/B tests (fused/unfused, serial/sharded) lean on it to assert
+/// byte-identical runs.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RunResult {
     /// Sink-side statistics over the measurement window.
@@ -811,7 +810,6 @@ impl Engine {
         Engine {
             stages: stages.into_iter().map(StageState::from_cfg).collect(),
             payload: None,
-            scheduler: SchedulerKind::Wheel,
             fault_plan: None,
             batch_pool: Vec::new(),
             bucket_buf: Vec::new(),
@@ -866,16 +864,8 @@ impl Engine {
         self.shard_diag.take()
     }
 
-    /// Selects the event-queue discipline. The timing wheel is the
-    /// default; the heap baseline exists for A/B determinism tests —
-    /// both produce byte-identical results on every workload.
-    pub fn with_scheduler(mut self, kind: SchedulerKind) -> Self {
-        self.scheduler = kind;
-        self
-    }
-
     /// Splits subsequent runs across `n` shards (default 1 = serial),
-    /// each with its own timing wheel and event pools, synchronized by
+    /// each with its own event queue and event pools, synchronized by
     /// conservative epoch barriers with cross-shard hops exchanged in
     /// per-epoch outboxes. Results are **byte-identical** to the serial
     /// engine: per-shard seq allocation plus the destination-side merge
@@ -906,10 +896,10 @@ impl Engine {
         self
     }
 
-    /// Attaches a fault plan: its windowed transitions become timing-
-    /// wheel events and its per-packet hash decisions gate the
-    /// injection point. An empty plan leaves runs bit-for-bit
-    /// unchanged; `(seed, plan)` fully determines the perturbation.
+    /// Attaches a fault plan: its windowed transitions become scheduled
+    /// events and its per-packet hash decisions gate the injection
+    /// point. An empty plan leaves runs bit-for-bit unchanged;
+    /// `(seed, plan)` fully determines the perturbation.
     pub fn with_fault_plan(mut self, plan: FaultPlan) -> Self {
         self.fault_plan = Some(plan);
         self
@@ -1102,8 +1092,8 @@ pub(crate) fn settle(
 /// and scheduler re-drains (events minted *during* the walk at exactly
 /// `t`). That merge is precisely the order the serial heap engine pops
 /// — fused hops mint seqs exactly where their Arrive events used to —
-/// so results, traces, and telemetry are bit-identical across
-/// scheduler kinds and fusion modes.
+/// so results, traces, and telemetry are bit-identical across fusion
+/// modes.
 ///
 /// Shared verbatim by the serial run loop and each shard's worker loop:
 /// the sharded engine's claim to byte-identity rests on every shard
@@ -1135,15 +1125,15 @@ pub(crate) fn walk_bucket(
                 s.on_refill(t, bucket, i);
             }
         }
-        let wheel_seq = bucket.get(i).map(|&(_, s, _)| s);
+        let queued_seq = bucket.get(i).map(|&(_, s, _)| s);
         let hop_seq = core.fwd.front().map(|h| h.seq);
-        let use_wheel = match (wheel_seq, hop_seq) {
+        let use_queued = match (queued_seq, hop_seq) {
             (None, None) => break,
             (Some(_), None) => true,
             (None, Some(_)) => false,
             (Some(w), Some(h)) => w < h,
         };
-        if !use_wheel {
+        if !use_queued {
             // lint: allow(P1, reason = "invariant: hop_seq matched Some in the merge selection directly above")
             let hop = core.fwd.pop_front().expect("checked above");
             core.retire();
@@ -1326,7 +1316,7 @@ impl Engine {
         // needs; clearing (not replacing) retains their capacity, so a
         // reused engine's steady state allocates nothing.
         let mut core = EventCore {
-            events: EventScheduler::new(self.scheduler),
+            events: EventScheduler::new(),
             seq: 0,
             live: 0,
             peak_live: 0,
@@ -1361,7 +1351,7 @@ impl Engine {
 
         // Materialize the fault plan's windowed transitions as ordinary
         // events before anything else runs: they get the lowest seqs, so
-        // their relative order is fixed under both scheduler kinds.
+        // their relative order is fixed.
         let fault_plan = self.fault_plan.take();
         if let Some(plan) = &fault_plan {
             for e in plan.events.iter().filter(|e| e.t_ns <= duration_ns) {
@@ -1451,8 +1441,8 @@ impl Engine {
             // arrivals at <= this time were injected above, and none can
             // appear mid-walk (stub times are monotone), so the
             // arrival/event interleave is unchanged too.
-            let adv_tok = match obs.as_mut() {
-                Some(o) => o.span_begin(Phase::WheelAdvance),
+            let drain_tok = match obs.as_mut() {
+                Some(o) => o.span_begin(Phase::BucketDrain),
                 None => SpanToken::noop(),
             };
             core.events.drain_bucket(&mut bucket);
@@ -1463,7 +1453,7 @@ impl Engine {
                 None => break,
             };
             if let Some(o) = obs.as_mut() {
-                o.span_end(Phase::WheelAdvance, adv_tok, t.saturating_sub(last_t));
+                o.span_end(Phase::BucketDrain, drain_tok, t.saturating_sub(last_t));
             }
             last_t = t;
             if t > duration_ns {
@@ -1882,48 +1872,6 @@ mod tests {
     }
 
     #[test]
-    fn wheel_and_heap_schedulers_produce_identical_results() {
-        // The core A/B: the timing wheel must be observationally
-        // indistinguishable from the reference heap — full RunResult
-        // equality (histogram counts included) across pipeline shapes.
-        type Build = (&'static str, fn() -> Engine, WorkloadSpec);
-        let builds: Vec<Build> = vec![
-            ("forward-2stage", || Engine::new(vec![forwarding_stage(2)]), {
-                WorkloadSpec::cbr(5e6, 200, 16, 9)
-            }),
-            (
-                "overloaded",
-                || {
-                    Engine::new(vec![
-                        StageConfig::new(
-                            "front",
-                            1,
-                            32,
-                            Box::new(NfService::host_core(NfChain::empty())),
-                        ),
-                        StageConfig::new("back", 1, 8, Box::new(LineRate::new("1G", 1e9))),
-                    ])
-                },
-                WorkloadSpec::cbr(15e6, 700, 8, 1),
-            ),
-            (
-                "batch-gpu",
-                || Engine::new(vec![batch_stage(16, 30_000, 5_000)]),
-                WorkloadSpec::cbr(2e6, 200, 8, 3),
-            ),
-        ];
-        for (name, build, wl) in builds {
-            let a = build()
-                .with_scheduler(crate::sched::SchedulerKind::Wheel)
-                .run(&wl, 5_000_000, 500_000);
-            let b = build()
-                .with_scheduler(crate::sched::SchedulerKind::Heap)
-                .run(&wl, 5_000_000, 500_000);
-            assert_eq!(a, b, "scheduler A/B mismatch on {name}");
-        }
-    }
-
-    #[test]
     fn scratch_buffers_retain_capacity_across_runs() {
         // The batch-result pool and the bucket buffer persist on the
         // engine: a second run must start with the first run's
@@ -2007,22 +1955,6 @@ mod tests {
         let a = mk().run(&wl, 5_000_000, 500_000);
         let b = mk().run(&wl, 5_000_000, 500_000);
         assert_eq!(a, b, "(seed, FaultPlan) must fully determine the run");
-    }
-
-    #[test]
-    fn faulted_wheel_and_heap_runs_are_identical() {
-        let mk = |kind| {
-            Engine::new(vec![
-                StageConfig::new("front", 2, 64, Box::new(NfService::host_core(NfChain::empty()))),
-                StageConfig::new("back", 1, 64, Box::new(LineRate::new("10G", 10e9))),
-            ])
-            .with_fault_plan(severe_plan(2))
-            .with_scheduler(kind)
-        };
-        let wl = WorkloadSpec::cbr(4e6, 400, 8, 5);
-        let a = mk(crate::sched::SchedulerKind::Wheel).run(&wl, 5_000_000, 500_000);
-        let b = mk(crate::sched::SchedulerKind::Heap).run(&wl, 5_000_000, 500_000);
-        assert_eq!(a, b, "fault events must not break the scheduler A/B");
     }
 
     #[test]

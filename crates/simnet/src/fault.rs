@@ -16,7 +16,7 @@
 //!   lists*: `FaultPlan::derive` walks a forked [`apples_rng::Rng`]
 //!   stream per (stage, fault-kind) pair and lays out the full schedule
 //!   of start/end events before the simulation begins. The engine
-//!   pushes them into the timing wheel as first-class events, so replay
+//!   pushes them into its event queue as first-class events, so replay
 //!   needs only `(seed, FaultSpec)` — or the derived plan itself.
 //!
 //! Either way, a fault run is fully replayable from the pair

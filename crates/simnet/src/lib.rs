@@ -45,7 +45,7 @@ pub use engine::{Engine, StageReport};
 pub use fault::{FaultAction, FaultEvent, FaultPlan, FaultSpec, OutageSpec, SlowdownSpec};
 pub use packet::Packet;
 pub use sanitizer::{OrderSanitizer, SanitizerReport};
-pub use sched::{EventScheduler, SchedulerKind, TimingWheel};
+pub use sched::EventScheduler;
 pub use shard::{ShardDiag, ShardLane};
 pub use stats::{LatencyHistogram, SinkStats};
 pub use system::{Deployment, Measurement};

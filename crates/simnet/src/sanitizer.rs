@@ -4,7 +4,7 @@
 //!
 //! The engine's determinism contract is a total order on events —
 //! `(t_ns, seq, stage)` — and every identity gate in the test suite
-//! (wheel-vs-heap, fused-vs-unfused, serial-vs-parallel measurement)
+//! (fused-vs-unfused, serial-vs-sharded, serial-vs-parallel measurement)
 //! is downstream of it. The sanitizer turns the contract into runtime
 //! assertions on a real run:
 //!
@@ -17,7 +17,7 @@
 //! 3. **Merged dispatch order**: within one timestamp walk, dispatched
 //!    seqs are strictly ascending *across* the three merged sources
 //!    (drained bucket, fused-hop FIFO, same-time re-drains) — exactly
-//!    the order the serial heap engine would pop.
+//!    the order an unfused serial run pops them in.
 //! 4. **Stage sanity**: every event targets a stage inside the
 //!    pipeline.
 //!
@@ -48,7 +48,7 @@ pub struct SanitizerReport {
     /// Timestamp buckets checked (initial drains; re-drains fold into
     /// the same walk).
     pub buckets: u64,
-    /// Events dispatched under invariant checking (wheel + fused hops).
+    /// Events dispatched under invariant checking (queued + fused hops).
     pub events: u64,
     /// Events whose bucket tail was permuted by the perturber before
     /// the seq-keyed merge restored canonical order.
@@ -139,7 +139,7 @@ impl OrderSanitizer {
             assert!(
                 t > prev,
                 "order-sanitizer: bucket time went backwards ({prev} -> {t}): \
-                 the wheel must drain strictly monotone timestamps"
+                 the event queue must drain strictly monotone timestamps"
             );
         }
         self.last_t = Some(t);
@@ -206,7 +206,7 @@ impl OrderSanitizer {
         self.report.merge(&child.report);
     }
 
-    /// One event leaves the merged walk (wheel bucket or fused-hop
+    /// One event leaves the merged walk (drained bucket or fused-hop
     /// FIFO). Verifies global seq uniqueness and strictly ascending
     /// dispatch order within the timestamp.
     pub fn on_dispatch(&mut self, t: u64, seq: u64, stage: usize, n_stages: usize) {

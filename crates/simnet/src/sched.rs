@@ -1,49 +1,12 @@
-//! Event schedulers: the hierarchical timing wheel that runs the
-//! engine's hot path, and the binary-heap baseline kept for A/B
-//! verification.
+//! The event queue: a binary heap drained one timestamp bucket at a
+//! time.
 //!
 //! The engine orders events by `(time, seq)` — `time` in simulated
 //! nanoseconds, `seq` a monotone tie-breaker minted at push time — and
-//! pops them in exactly that total order. The original implementation
-//! was a `BinaryHeap`, paying `O(log n)` comparison discipline per
-//! event. This module replaces it with a **hierarchical timing wheel**
-//! (calendar queue) with O(1) amortized insert and extract:
-//!
-//! - **4 levels × 4096 slots**, 12 bits of the timestamp per level, so
-//!   the wheel spans 2^48 ns (~3.3 days) of horizon from the cursor.
-//!   Level 0 slots are 1 ns wide: one slot is one exact timestamp,
-//!   which is what makes bucket draining preserve the total order. The
-//!   wide level 0 is deliberate: packet workloads schedule almost
-//!   everything within a few µs of the cursor, and a 4096 ns level-0
-//!   window files those pushes directly at level 0 — no upper-level
-//!   detour, no cascade to pay later.
-//! - An **overflow tree** (`BTreeMap<time, entries>`) holds far-future
-//!   timers beyond the current 2^48 ns epoch; when the wheel drains
-//!   into a new epoch, the overflow entries of that epoch are promoted
-//!   into the wheel in one pass.
-//! - **Two-level occupancy bitmaps** per level (4096 bits as 64 `u64`
-//!   words plus one summary word over the words) make "find the next
-//!   non-empty slot" two `trailing_zeros` instructions instead of a
-//!   scan.
-//! - An exact **`min_time` cache** (updated by `min` on push, recomputed
-//!   once per bucket drain) gives O(1) `peek_time`, which the engine
-//!   calls every loop iteration to interleave lazily-injected arrivals.
-//! - A **same-window fast path** in the cursor advance: when the next
-//!   bucket shares the cursor's 4096 ns level-0 window, neither an
-//!   epoch change nor a cascade is possible (either would require an
-//!   upper timestamp bit to differ), so the drain skips both checks
-//!   and swaps the level-0 slot straight out. On dense timelines this
-//!   is nearly every drain.
-//!
-//! ## Determinism
-//!
-//! Pop order is *identical* to the heap's: strictly ascending
-//! `(time, seq)`. Level-0 slots are single timestamps, entries within a
-//! slot are sorted by `seq` at drain, and same-time pushes that arrive
-//! while a bucket is being dispatched are merged into the live bucket
-//! in `seq` position. `runs_match_heap_order` and the engine's A/B
-//! tests pin this: serial results are byte-identical under either
-//! scheduler.
+//! pops them in exactly that total order. A `BinaryHeap` over the
+//! `(time, seq, tag)` triple gives that order directly; the engine's
+//! scenarios hold only a handful of live events, so `O(log n)` per push
+//! and pop is a few comparisons (DESIGN.md §5, "The event queue").
 //!
 //! ## The one ordering contract
 //!
@@ -51,12 +14,12 @@
 //! bucket's timestamp (the engine can't: every event it schedules while
 //! processing time `t` is at `≥ t`, and arrivals are merged in time
 //! order *before* the bucket at their timestamp is drained). Pushes at
-//! exactly the current bucket time are legal and land in the live
-//! bucket.
+//! exactly the current bucket time are legal and come back in the next
+//! drain of that timestamp, in `seq` position.
 
 use apples_obs::SchedCounters;
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap};
+use std::collections::BinaryHeap;
 
 /// A scheduled event: `(time_ns, seq, tag)`. The tag is an opaque
 /// 64-bit word the engine packs its event kind, stage, and cold-payload
@@ -64,525 +27,96 @@ use std::collections::{BTreeMap, BinaryHeap};
 /// never interprets it.
 pub type EventKey = (u64, u64, usize);
 
-/// Which event-queue discipline an [`Engine`](crate::Engine) runs on.
-///
-/// `Wheel` is the default and the only production scheduler; `Heap` is
-/// retained so determinism tests can assert the wheel's pop order is
-/// byte-identical to the reference discipline.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SchedulerKind {
-    /// The hierarchical timing wheel (production default).
-    Wheel,
-    /// The `BinaryHeap` baseline (A/B verification only).
-    Heap,
-}
-
-impl SchedulerKind {
-    /// Stable lowercase name used in provenance stamps and CLI flags.
-    pub fn label(self) -> &'static str {
-        match self {
-            SchedulerKind::Wheel => "wheel",
-            SchedulerKind::Heap => "heap",
-        }
-    }
-}
-
-const SLOT_BITS: u32 = 12;
-const SLOTS: usize = 1 << SLOT_BITS;
-const LEVELS: usize = 4;
-/// Bits of timestamp the wheel covers; times whose upper bits differ
-/// from the cursor's live in the overflow tree.
-const WHEEL_BITS: u32 = SLOT_BITS * LEVELS as u32;
-const WORDS: usize = SLOTS / 64;
-
-/// One wheel level: 4096 slots of pending entries plus a two-level
-/// occupancy bitmap (64 slot words + one summary word over the words)
-/// so empty slots cost nothing to skip and "first occupied" is two
-/// `trailing_zeros`.
-struct Level {
-    /// Fixed-size boxed array (not a slice): slot indexes are always
-    /// masked with `SLOTS - 1`, so the compiler elides every bounds
-    /// check on this hot-path access.
-    slots: Box<[Vec<EventKey>; SLOTS]>,
-    occupied: [u64; WORDS],
-    /// Bit `w` set iff `occupied[w] != 0`. WORDS is at most 64, so the
-    /// summary is a single word (enforced below).
-    summary: u64,
-}
-
-const _: () =
-    assert!(WORDS >= 1 && WORDS <= 64, "the summary bitmap is a single u64 over the slot words");
-
-impl Level {
-    fn new() -> Self {
-        let slots = (0..SLOTS).map(|_| Vec::new()).collect::<Vec<_>>().into_boxed_slice();
-        // lint: allow(P1, reason = "invariant: the boxed slice is built with exactly SLOTS elements on the previous line")
-        let slots = slots.try_into().expect("slot array is SLOTS long");
-        Level { slots, occupied: [0; WORDS], summary: 0 }
-    }
-
-    #[inline]
-    fn set(&mut self, idx: usize) {
-        self.occupied[idx / 64] |= 1u64 << (idx % 64);
-        self.summary |= 1u64 << (idx / 64);
-    }
-
-    #[inline]
-    fn clear(&mut self, idx: usize) {
-        let w = idx / 64;
-        self.occupied[w] &= !(1u64 << (idx % 64));
-        if self.occupied[w] == 0 {
-            self.summary &= !(1u64 << w);
-        }
-    }
-
-    #[inline]
-    fn is_set(&self, idx: usize) -> bool {
-        self.occupied[idx / 64] & (1u64 << (idx % 64)) != 0
-    }
-
-    /// Lowest occupied slot index, if any: summary word → slot word.
-    #[inline]
-    fn first_occupied(&self) -> Option<usize> {
-        if self.summary == 0 {
-            return None;
-        }
-        let w = self.summary.trailing_zeros() as usize;
-        Some(w * 64 + self.occupied[w].trailing_zeros() as usize)
-    }
-}
-
-/// The hierarchical timing wheel. See the module docs for the design;
-/// use it through [`EventScheduler`] unless benchmarking it directly.
-pub struct TimingWheel {
-    levels: [Level; LEVELS],
-    /// Cursor: the timestamp of the most recently drained bucket. All
-    /// wheel/overflow entries are `> now`; same-time entries are in
-    /// `ready`.
-    now: u64,
-    /// Exact minimum over wheel + overflow (not `ready`); `None` when
-    /// both are empty. Maintained by `min` on push, recomputed once per
-    /// bucket drain.
-    min_time: Option<u64>,
-    /// Far-future entries (beyond the cursor's 2^48 ns epoch), keyed by
-    /// exact timestamp; values are `(seq, slot)`.
-    overflow: BTreeMap<u64, Vec<(u64, usize)>>,
-    /// The live bucket: entries at one single timestamp, sorted by
-    /// `seq`. Swapped out whole by `drain_bucket`.
-    ready: Vec<EventKey>,
-    /// Reusable scratch for cascading a slot without aliasing `self`.
-    cascade_buf: Vec<EventKey>,
-    len: usize,
-    /// Structural counters for observability: pure functions of the
-    /// push/drain schedule, so deterministic per `(seed, spec)`.
+/// The engine's event queue: pending events in `(time, seq)` order,
+/// handed out one timestamp bucket at a time.
+#[derive(Default)]
+pub struct EventScheduler {
+    heap: BinaryHeap<Reverse<EventKey>>,
+    /// Push/drain counters: pure functions of the push/drain schedule,
+    /// so deterministic per `(seed, spec)`.
     counters: SchedCounters,
 }
 
-impl TimingWheel {
-    /// An empty wheel with its cursor at t = 0.
-    pub fn new() -> Self {
-        TimingWheel {
-            levels: std::array::from_fn(|_| Level::new()),
-            now: 0,
-            min_time: None,
-            overflow: BTreeMap::new(),
-            ready: Vec::new(),
-            cascade_buf: Vec::new(),
-            len: 0,
-            counters: SchedCounters::default(),
-        }
-    }
-
-    /// Number of pending entries (including the live bucket).
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// True when nothing is pending.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Schedules an entry. `t` must be at or after the last drained
-    /// bucket's timestamp (see the module-level ordering contract).
-    #[inline]
-    pub fn push(&mut self, t: u64, seq: u64, slot: usize) {
-        self.len += 1;
-        self.counters.pushes += 1;
-        self.place(t, seq, slot);
-    }
-
-    /// Structural counters accumulated so far.
-    pub fn counters(&self) -> SchedCounters {
-        self.counters
-    }
-
-    /// Earliest pending timestamp, if any. O(1).
-    #[inline]
-    pub fn peek_time(&self) -> Option<u64> {
-        match self.ready.first() {
-            // The live bucket is at the cursor, which everything in the
-            // wheel and overflow is strictly after.
-            Some(&(t, _, _)) => Some(t),
-            None => self.min_time,
-        }
-    }
-
-    /// Moves every entry at the earliest pending timestamp into `out`
-    /// (cleared first), in ascending `seq` order. Leaves `out` empty
-    /// when nothing is pending. O(1) amortized: cascades touch each
-    /// entry at most once per wheel level over its lifetime.
-    #[inline]
-    pub fn drain_bucket(&mut self, out: &mut Vec<EventKey>) {
-        out.clear();
-        if self.ready.is_empty() {
-            let Some(t) = self.min_time else { return };
-            // Same-window fast path: when t shares the cursor's level-0
-            // window, every upper timestamp bit matches the cursor's,
-            // so no epoch change and no cascade is possible — and
-            // because entries at upper levels (or in overflow) differ
-            // from the cursor in exactly those bits, the minimum entry
-            // at t must already sit at level 0. Its slot holds only
-            // exact-time-t entries (one slot = one timestamp within the
-            // window), so it *is* the bucket: swap it straight into
-            // `out`. On dense timelines (deltas under the 4096 ns
-            // window) this is nearly every drain.
-            if (t >> SLOT_BITS) == (self.now >> SLOT_BITS) {
-                self.now = t;
-                let idx0 = (t as usize) & (SLOTS - 1);
-                let lvl = &mut self.levels[0];
-                debug_assert!(lvl.is_set(idx0), "min_time must point at a level-0 slot");
-                std::mem::swap(out, &mut lvl.slots[idx0]);
-                lvl.clear(idx0);
-                if out.len() > 1 {
-                    // All entries share timestamp t; order by seq.
-                    out.sort_unstable_by_key(|&(_, rs, _)| rs);
-                }
-                self.len -= out.len();
-                self.counters.buckets_drained += 1;
-                self.min_time = self.compute_min();
-                return;
-            }
-            self.advance_to(t);
-        }
-        self.len -= self.ready.len();
-        if !self.ready.is_empty() {
-            self.counters.buckets_drained += 1;
-        }
-        std::mem::swap(out, &mut self.ready);
-    }
-
-    /// Files an entry into `ready`, a wheel level, or the overflow tree
-    /// according to the current cursor. Does not touch `len`.
-    fn place(&mut self, t: u64, seq: u64, slot: usize) {
-        if t <= self.now {
-            // Same-time-as-live-bucket push (engine: an event processed
-            // at t scheduling a follow-up at t). Insert in (time, seq)
-            // position; the common case is an append.
-            let pos = self
-                .ready
-                .iter()
-                .rposition(|&(rt, rs, _)| (rt, rs) <= (t, seq))
-                .map_or(0, |p| p + 1);
-            self.ready.insert(pos, (t, seq, slot));
-            return;
-        }
-        // Branchless level select: the highest timestamp bit on which t
-        // and the cursor differ picks the level directly (12 bits per
-        // level). A differing bit at or above WHEEL_BITS means t is in
-        // a different 2^48 ns epoch — the overflow tree's territory —
-        // so the old per-level window scan and the separate epoch check
-        // collapse into one leading_zeros.
-        let diff_bit = 63 - (t ^ self.now).leading_zeros();
-        let level = (diff_bit / SLOT_BITS) as usize;
-        if level >= LEVELS {
-            self.overflow.entry(t).or_default().push((seq, slot));
-        } else {
-            let idx = ((t >> (SLOT_BITS * level as u32)) as usize) & (SLOTS - 1);
-            self.levels[level].slots[idx].push((t, seq, slot));
-            self.levels[level].set(idx);
-        }
-        self.min_time = Some(self.min_time.map_or(t, |m| m.min(t)));
-    }
-
-    /// Advances the cursor to `t` (the exact wheel/overflow minimum),
-    /// promoting overflow entries on an epoch change, cascading upper
-    /// levels down, and loading the bucket at `t` into `ready`.
-    /// The slow path of a drain: the target bucket is outside the
-    /// cursor's level-0 window, so epoch promotion and cascades apply
-    /// (`drain_bucket` handles the same-window case inline).
-    fn advance_to(&mut self, t: u64) {
-        let old = self.now;
-        self.now = t;
-
-        // Far-future promotion: on entering a new 2^48 ns epoch, pull
-        // that whole epoch out of the overflow tree and re-file it.
-        if (t >> WHEEL_BITS) != (old >> WHEEL_BITS) && !self.overflow.is_empty() {
-            // NB: not `checked_shl` — that only guards the shift
-            // *amount*, and `(epoch + 1) << WHEEL_BITS` wraps silently
-            // to 0 in the last representable epoch, which would leave
-            // every overflow entry stranded.
-            let next_epoch = (t >> WHEEL_BITS) + 1;
-            let promoted = if next_epoch > (u64::MAX >> WHEEL_BITS) {
-                // The cursor is in the last representable epoch: every
-                // remaining overflow entry belongs to it.
-                std::mem::take(&mut self.overflow)
-            } else {
-                let tail = self.overflow.split_off(&(next_epoch << WHEEL_BITS));
-                std::mem::replace(&mut self.overflow, tail)
-            };
-            for (time, entries) in promoted {
-                self.counters.overflow_promotions += entries.len() as u64;
-                for (seq, slot) in entries {
-                    self.place(time, seq, slot);
-                }
-            }
-        }
-
-        // Cascade: re-file the upper-level slot containing t at each
-        // level, top down. Slots whose window did not change are
-        // provably empty, so this is harmless and branch-cheap.
-        for k in (1..LEVELS).rev() {
-            let idx = ((t >> (SLOT_BITS * k as u32)) as usize) & (SLOTS - 1);
-            if self.levels[k].is_set(idx) {
-                self.counters.cascades += 1;
-                let mut buf = std::mem::take(&mut self.cascade_buf);
-                std::mem::swap(&mut buf, &mut self.levels[k].slots[idx]);
-                self.levels[k].clear(idx);
-                for (et, es, eslot) in buf.drain(..) {
-                    self.place(et, es, eslot);
-                }
-                self.cascade_buf = buf;
-            }
-        }
-
-        // The level-0 slot at t is the bucket: one exact timestamp.
-        // Entries re-filed at exactly t by the cascade are already in
-        // `ready`; merge and order by seq.
-        let idx0 = (t as usize) & (SLOTS - 1);
-        if self.levels[0].is_set(idx0) {
-            let mut buf = std::mem::take(&mut self.cascade_buf);
-            std::mem::swap(&mut buf, &mut self.levels[0].slots[idx0]);
-            self.levels[0].clear(idx0);
-            self.ready.append(&mut buf);
-            self.cascade_buf = buf;
-        }
-        // Singleton buckets — the overwhelmingly common case on sparse
-        // timelines — are trivially sorted; skip the sort dispatch.
-        if self.ready.len() > 1 {
-            self.ready.sort_unstable_by_key(|&(rt, rs, _)| (rt, rs));
-        }
-
-        self.min_time = self.compute_min();
-    }
-
-    /// Exact minimum over the wheel levels and the overflow tree,
-    /// exploiting the level ordering invariant: every entry at level k
-    /// is strictly earlier than every entry at level k+1, and the
-    /// overflow tree holds the latest entries of all.
-    fn compute_min(&self) -> Option<u64> {
-        if let Some(idx) = self.levels[0].first_occupied() {
-            // Level-0 slots are exact timestamps within the cursor's
-            // 4096 ns window.
-            return Some((self.now >> SLOT_BITS << SLOT_BITS) | idx as u64);
-        }
-        for k in 1..LEVELS {
-            if let Some(idx) = self.levels[k].first_occupied() {
-                // The earliest occupied slot of the first non-empty
-                // level holds the global minimum; scan it for the exact
-                // time (paid once per drain, amortized by the cascade).
-                return self.levels[k].slots[idx].iter().map(|&(et, _, _)| et).min();
-            }
-        }
-        self.overflow.keys().next().copied()
-    }
-}
-
-impl Default for TimingWheel {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-/// The engine-facing scheduler: the timing wheel, or the binary-heap
-/// baseline behind the same bucket-drain interface.
-// The wheel variant carries its occupancy bitmaps inline (~2 KiB) so the
-// drain hot path never chases a pointer to reach them; the enum lives
-// once per engine, so the size skew costs nothing.
-#[allow(clippy::large_enum_variant)]
-pub enum EventScheduler {
-    /// Hierarchical timing wheel (production).
-    Wheel(TimingWheel),
-    /// `BinaryHeap` reference discipline (A/B tests and benchmarks).
-    Heap {
-        /// The reference heap itself.
-        heap: BinaryHeap<Reverse<EventKey>>,
-        /// Push/drain counters (cascade counters stay 0: heaps never
-        /// cascade or promote).
-        counters: SchedCounters,
-    },
-}
-
 impl EventScheduler {
-    /// Creates an empty scheduler of the requested kind.
-    pub fn new(kind: SchedulerKind) -> Self {
-        match kind {
-            SchedulerKind::Wheel => EventScheduler::Wheel(TimingWheel::new()),
-            SchedulerKind::Heap => {
-                EventScheduler::Heap { heap: BinaryHeap::new(), counters: SchedCounters::default() }
-            }
-        }
+    /// An empty event queue.
+    pub fn new() -> Self {
+        Self::default()
     }
 
-    /// Schedules `(t, seq, slot)`.
+    /// Schedules `(t, seq, slot)`. `t` must be at or after the last
+    /// drained bucket's timestamp (see the module-level contract).
     pub fn push(&mut self, t: u64, seq: u64, slot: usize) {
-        match self {
-            EventScheduler::Wheel(w) => w.push(t, seq, slot),
-            EventScheduler::Heap { heap, counters } => {
-                counters.pushes += 1;
-                heap.push(Reverse((t, seq, slot)));
-            }
-        }
+        self.counters.pushes += 1;
+        self.heap.push(Reverse((t, seq, slot)));
     }
 
     /// Earliest pending timestamp, if any.
     pub fn peek_time(&self) -> Option<u64> {
-        match self {
-            EventScheduler::Wheel(w) => w.peek_time(),
-            EventScheduler::Heap { heap, .. } => heap.peek().map(|&Reverse((t, _, _))| t),
-        }
+        self.heap.peek().map(|&Reverse((t, _, _))| t)
     }
 
-    /// Drains every entry sharing the earliest timestamp into `out`
-    /// (cleared first), in `(time, seq)` order.
+    /// Moves every entry at the earliest pending timestamp into `out`
+    /// (cleared first), in ascending `seq` order. Leaves `out` empty
+    /// when nothing is pending.
     pub fn drain_bucket(&mut self, out: &mut Vec<EventKey>) {
-        match self {
-            EventScheduler::Wheel(w) => w.drain_bucket(out),
-            EventScheduler::Heap { heap, counters } => {
-                out.clear();
-                let Some(&Reverse((t, _, _))) = heap.peek() else { return };
-                counters.buckets_drained += 1;
-                while let Some(&Reverse((et, _, _))) = heap.peek() {
-                    if et != t {
-                        break;
-                    }
-                    if let Some(Reverse(entry)) = heap.pop() {
-                        out.push(entry);
-                    }
-                }
+        out.clear();
+        let Some(t) = self.peek_time() else { return };
+        self.counters.buckets_drained += 1;
+        while self.peek_time() == Some(t) {
+            if let Some(Reverse(entry)) = self.heap.pop() {
+                out.push(entry);
             }
         }
     }
 
     /// Structural counters: how many pushes and bucket drains this
-    /// scheduler performed (plus wheel-only cascade/promotion tallies).
-    /// Deterministic per `(seed, spec)` but **not** invariant across
-    /// scheduler kinds — reported beside traces, never inside them.
+    /// queue performed. Deterministic per `(seed, spec)`; reported
+    /// beside traces, never inside them.
     pub fn counters(&self) -> SchedCounters {
-        match self {
-            EventScheduler::Wheel(w) => w.counters(),
-            EventScheduler::Heap { counters, .. } => *counters,
-        }
+        self.counters
     }
 
     /// Number of pending entries.
     pub fn len(&self) -> usize {
-        match self {
-            EventScheduler::Wheel(w) => w.len(),
-            EventScheduler::Heap { heap, .. } => heap.len(),
-        }
+        self.heap.len()
     }
 
     /// True when nothing is pending.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.heap.is_empty()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use apples_rng::Rng;
-
-    /// Pops everything from a scheduler as a flat `(time, seq)` list.
-    fn pop_all(s: &mut EventScheduler) -> Vec<(u64, u64)> {
-        let mut out = Vec::new();
-        let mut bucket = Vec::new();
-        loop {
-            s.drain_bucket(&mut bucket);
-            if bucket.is_empty() {
-                break;
-            }
-            out.extend(bucket.iter().map(|&(t, q, _)| (t, q)));
-        }
-        out
-    }
 
     #[test]
     fn single_bucket_round_trip() {
-        let mut w = EventScheduler::new(SchedulerKind::Wheel);
-        w.push(42, 0, 7);
-        w.push(42, 1, 8);
-        assert_eq!(w.peek_time(), Some(42));
-        assert_eq!(w.len(), 2);
+        let mut s = EventScheduler::new();
+        s.push(42, 0, 7);
+        s.push(42, 1, 8);
+        assert_eq!(s.peek_time(), Some(42));
+        assert_eq!(s.len(), 2);
         let mut bucket = Vec::new();
-        w.drain_bucket(&mut bucket);
+        s.drain_bucket(&mut bucket);
         assert_eq!(bucket, vec![(42, 0, 7), (42, 1, 8)]);
-        assert!(w.is_empty());
-        w.drain_bucket(&mut bucket);
+        assert!(s.is_empty());
+        s.drain_bucket(&mut bucket);
         assert!(bucket.is_empty());
     }
 
     #[test]
-    fn level_boundary_times_order_correctly() {
-        // Events exactly at every wheel-level boundary (4096^k) plus
-        // their neighbors: the cascade must keep the total order exact
-        // where a slot index wraps to zero.
-        let mut w = EventScheduler::new(SchedulerKind::Wheel);
-        let mut want = Vec::new();
-        let mut seq = 0u64;
-        for k in 1..=3u32 {
-            let b = 1u64 << (SLOT_BITS * k);
-            for t in [b - 1, b, b + 1] {
-                w.push(t, seq, 0);
-                want.push((t, seq));
-                seq += 1;
-            }
-        }
-        want.sort_unstable();
-        assert_eq!(pop_all(&mut w), want);
-    }
-
-    #[test]
-    fn far_future_overflow_promotes_on_epoch_change() {
-        // Entries beyond the 2^48 ns horizon live in the overflow tree;
-        // draining into their epoch must promote them in exact order —
-        // including two distinct far epochs and an entry that lands
-        // back in the wheel mid-epoch.
-        let epoch = 1u64 << WHEEL_BITS;
-        let mut w = EventScheduler::new(SchedulerKind::Wheel);
-        let times =
-            [5, epoch + 3, epoch + 3, 2 * epoch + 77, 3 * epoch, 3 * epoch + epoch / 2, 900];
-        let mut want = Vec::new();
-        for (seq, &t) in times.iter().enumerate() {
-            w.push(t, seq as u64, 0);
-            want.push((t, seq as u64));
-        }
-        want.sort_unstable();
-        assert_eq!(pop_all(&mut w), want);
-    }
-
-    #[test]
     fn same_timestamp_orders_by_seq_under_perturbed_insertion() {
-        // Push one timestamp's entries in scrambled seq order (the
-        // slot Vec sees them out of order); the drain must sort them.
-        let mut w = EventScheduler::new(SchedulerKind::Wheel);
+        // Push one timestamp's entries in scrambled seq order; the
+        // drain must hand them back sorted by seq.
+        let mut s = EventScheduler::new();
         let seqs = [9u64, 2, 14, 0, 7, 3, 11, 1];
         for &q in &seqs {
-            w.push(1000, q, q as usize);
+            s.push(1000, q, q as usize);
         }
         let mut bucket = Vec::new();
-        w.drain_bucket(&mut bucket);
+        s.drain_bucket(&mut bucket);
         let got: Vec<u64> = bucket.iter().map(|&(_, q, _)| q).collect();
         let mut want = seqs.to_vec();
         want.sort_unstable();
@@ -591,85 +125,38 @@ mod tests {
 
     #[test]
     fn pushes_at_the_live_bucket_time_merge_in_seq_position() {
-        let mut w = EventScheduler::new(SchedulerKind::Wheel);
-        w.push(50, 0, 0);
-        w.push(50, 2, 2);
+        let mut s = EventScheduler::new();
+        s.push(50, 0, 0);
+        s.push(50, 2, 2);
         let mut bucket = Vec::new();
-        w.drain_bucket(&mut bucket);
+        s.drain_bucket(&mut bucket);
         assert_eq!(bucket.len(), 2);
         // While the bucket at t=50 is live, a same-time follow-up (with
         // a higher seq, as the engine mints them) joins the next drain
         // of the same timestamp.
-        w.push(50, 3, 3);
-        w.push(51, 4, 4);
-        assert_eq!(w.peek_time(), Some(50));
-        w.drain_bucket(&mut bucket);
+        s.push(50, 3, 3);
+        s.push(51, 4, 4);
+        assert_eq!(s.peek_time(), Some(50));
+        s.drain_bucket(&mut bucket);
         assert_eq!(bucket, vec![(50, 3, 3)]);
-        w.drain_bucket(&mut bucket);
+        s.drain_bucket(&mut bucket);
         assert_eq!(bucket, vec![(51, 4, 4)]);
     }
 
     #[test]
-    fn randomized_runs_match_heap_order_exactly() {
-        // The conclusive A/B: a workload-shaped random schedule (mixed
-        // short/long horizons, same-time collisions, occasional
-        // far-future timers) pops identically from wheel and heap.
-        let mut rng = Rng::seed_from_u64(0x5EED_CA1E);
-        for round in 0..20u64 {
-            let mut wheel = EventScheduler::new(SchedulerKind::Wheel);
-            let mut heap = EventScheduler::new(SchedulerKind::Heap);
-            let mut seq = 0u64;
-            let mut now = 0u64;
-            let push_both =
-                |t: u64, seq: &mut u64, w: &mut EventScheduler, h: &mut EventScheduler| {
-                    w.push(t, *seq, *seq as usize);
-                    h.push(t, *seq, *seq as usize);
-                    *seq += 1;
-                };
-            for _ in 0..200 {
-                let delta = match rng.range_u64(0, 10) {
-                    0 => 0,
-                    1..=5 => rng.range_u64(1, 300),
-                    6..=8 => rng.range_u64(300, 100_000),
-                    _ => rng.range_u64(1 << (WHEEL_BITS - 2), 1 << (WHEEL_BITS + 1)), // cross epochs
-                };
-                push_both(now + delta, &mut seq, &mut wheel, &mut heap);
-            }
-            // Interleave drains with fresh same-or-later pushes, the
-            // way the engine does.
-            let mut wb = Vec::new();
-            let mut hb = Vec::new();
-            while !wheel.is_empty() || !heap.is_empty() {
-                assert_eq!(wheel.peek_time(), heap.peek_time(), "round {round}");
-                wheel.drain_bucket(&mut wb);
-                heap.drain_bucket(&mut hb);
-                assert_eq!(wb, hb, "round {round}");
-                if let Some(&(t, _, _)) = wb.first() {
-                    now = t;
-                    if rng.range_u64(0, 3) == 0 {
-                        let d = rng.range_u64(0, 500);
-                        push_both(now + d, &mut seq, &mut wheel, &mut heap);
-                    }
-                }
-            }
-            assert_eq!(wheel.peek_time(), None);
-        }
-    }
-
-    #[test]
     fn len_tracks_pushes_and_drains() {
-        let mut w = EventScheduler::new(SchedulerKind::Wheel);
+        let mut s = EventScheduler::new();
         for i in 0..100u64 {
-            w.push(i * 17 % 5000, i, 0);
+            s.push(i * 17 % 5000, i, 0);
         }
-        assert_eq!(w.len(), 100);
+        assert_eq!(s.len(), 100);
         let mut bucket = Vec::new();
         let mut popped = 0;
-        while !w.is_empty() {
-            w.drain_bucket(&mut bucket);
+        while !s.is_empty() {
+            s.drain_bucket(&mut bucket);
             popped += bucket.len();
         }
         assert_eq!(popped, 100);
-        assert_eq!(w.len(), 0);
+        assert_eq!(s.len(), 0);
     }
 }

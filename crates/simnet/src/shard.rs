@@ -1,6 +1,6 @@
 //! Sharded conservative-PDES execution: one engine run split across
 //! N shards (threads), each owning a subset of stages with its own
-//! timing wheel and SoA event pools, synchronized by conservative
+//! event queue and SoA event pools, synchronized by conservative
 //! epoch barriers — **byte-identical to the serial engine**.
 //!
 //! ## Why this is hard
@@ -602,7 +602,7 @@ fn flush_outbox(ctx: &mut ShardCtx, mailbox: &Mailbox, n_shards: usize) {
 /// shard exactly as the serial loop interleaves them.
 ///
 /// Inbound hops are minted here, not at the epoch merge: a hop at `t`
-/// takes its seq only once the wheel's next event is at-or-past `t`,
+/// takes its seq only once the queue's next event is at-or-past `t`,
 /// i.e. after every seq this shard mints while walking buckets earlier
 /// than `t`. Serially those walk-mints happened at sim-times before
 /// `t` and the hop was minted at `t` — deferring keeps the two seq
@@ -637,14 +637,14 @@ fn process_epoch(
             // unprocessed (drained but never dispatched).
             break;
         }
-        let adv_tok = match ctx.obs.as_mut() {
-            Some(o) => o.span_begin(Phase::WheelAdvance),
+        let drain_tok = match ctx.obs.as_mut() {
+            Some(o) => o.span_begin(Phase::BucketDrain),
             None => SpanToken::noop(),
         };
         ctx.core.events.drain_bucket(&mut ctx.bucket);
         let Some(&(t, _, _)) = ctx.bucket.first() else { break };
         if let Some(o) = ctx.obs.as_mut() {
-            o.span_end(Phase::WheelAdvance, adv_tok, t.saturating_sub(ctx.last_t));
+            o.span_end(Phase::BucketDrain, drain_tok, t.saturating_sub(ctx.last_t));
             // Per-bucket gauge sample, as in the serial loop; live and
             // occupancy gauges are per-shard here, so the merged series
             // bounds (rather than equals) the serial gauges.
@@ -773,8 +773,7 @@ pub(crate) fn run_sharded(
             }
             let route = ShardRoute { owner: plan.owner.clone(), me: s, out: vec![Vec::new(); n] };
             let payload = engine.payload.as_ref().map(|p| PayloadSynth::new(p, payload_seed));
-            let mut core =
-                EventCore::new_for_run(engine.scheduler, engine.fused, Some(route), payload);
+            let mut core = EventCore::new_for_run(engine.fused, Some(route), payload);
             // The shard's slice of the fault plan gets its lowest local
             // seqs, mirroring the serial engine pushing the whole plan
             // first; plan order within a shard is preserved.
@@ -958,7 +957,6 @@ mod tests {
     use super::*;
     use crate::engine::{NextHop, StageConfig};
     use crate::nf::NfChain;
-    use crate::sched::SchedulerKind;
     use crate::service::NfService;
 
     fn stage(name: &'static str) -> StageConfig {
@@ -1059,7 +1057,7 @@ mod tests {
         // anything minted during the walk. Adversarial same-timestamp
         // classes: every event lands at t=1000.
         let route = ShardRoute { owner: vec![0, 0], me: 0, out: vec![Vec::new()] };
-        let mut core = EventCore::new_for_run(SchedulerKind::Wheel, true, Some(route), None);
+        let mut core = EventCore::new_for_run(true, Some(route), None);
         let tuple = test_tuple();
         // "Earlier epoch" local events.
         core.enqueue_arrive(1000, 0, Packet::new(0, 0, tuple, 64, 900));
@@ -1084,7 +1082,7 @@ mod tests {
     #[test]
     fn remote_forwards_divert_to_the_outbox_without_minting() {
         let route = ShardRoute { owner: vec![0, 1], me: 0, out: vec![Vec::new(), Vec::new()] };
-        let mut core = EventCore::new_for_run(SchedulerKind::Wheel, true, Some(route), None);
+        let mut core = EventCore::new_for_run(true, Some(route), None);
         let tuple = test_tuple();
         let before = core.total;
         core.forward(500, 1, Packet::new(0, 0, tuple, 64, 500));

@@ -20,7 +20,6 @@ use crate::engine::{Engine, PayloadConfig, StageConfig, StageReport};
 use crate::fault::{FaultPlan, FaultSpec};
 use crate::nf::NfChain;
 use crate::sanitizer::{OrderSanitizer, SanitizerReport};
-use crate::sched::SchedulerKind;
 use crate::service::{FixedTime, NfService};
 use crate::shard::ShardDiag;
 use apples_core::{OperatingPoint, System};
@@ -114,7 +113,6 @@ impl DeploymentBuilder {
             stage_factories: self.stage_factories,
             power_lines: self.power_lines,
             payload: self.payload,
-            scheduler: SchedulerKind::Wheel,
             faults: None,
             fused: true,
             shards: 1,
@@ -148,7 +146,6 @@ pub struct Deployment {
     stage_factories: Vec<StageFactory>,
     power_lines: Vec<PowerLine>,
     payload: Option<(f64, Vec<Vec<u8>>)>,
-    scheduler: SchedulerKind,
     faults: Option<FaultSpec>,
     fused: bool,
     shards: usize,
@@ -186,7 +183,6 @@ impl Deployment {
                 },
             ],
             payload: None,
-            scheduler: SchedulerKind::Wheel,
             faults: None,
             fused: true,
             shards: 1,
@@ -232,7 +228,6 @@ impl Deployment {
                 },
             ],
             payload: None,
-            scheduler: SchedulerKind::Wheel,
             faults: None,
             fused: true,
             shards: 1,
@@ -289,7 +284,6 @@ impl Deployment {
                 },
             ],
             payload: None,
-            scheduler: SchedulerKind::Wheel,
             faults: None,
             fused: true,
             shards: 1,
@@ -350,7 +344,6 @@ impl Deployment {
                 },
             ],
             payload: None,
-            scheduler: SchedulerKind::Wheel,
             faults: None,
             fused: true,
             shards: 1,
@@ -415,7 +408,6 @@ impl Deployment {
                 },
             ],
             payload: None,
-            scheduler: SchedulerKind::Wheel,
             faults: None,
             fused: true,
             shards: 1,
@@ -497,7 +489,6 @@ impl Deployment {
             stage_factories,
             power_lines,
             payload: None,
-            scheduler: SchedulerKind::Wheel,
             faults: None,
             fused: true,
             shards: 1,
@@ -568,7 +559,6 @@ impl Deployment {
             stage_factories,
             power_lines,
             payload: None,
-            scheduler: SchedulerKind::Wheel,
             faults: None,
             fused: true,
             shards: 1,
@@ -625,7 +615,6 @@ impl Deployment {
                 },
             ],
             payload: None,
-            scheduler: SchedulerKind::Wheel,
             faults: None,
             fused: true,
             shards: 1,
@@ -638,17 +627,9 @@ impl Deployment {
         self
     }
 
-    /// Selects the event-queue discipline for runs of this deployment.
-    /// The timing wheel is the default; the heap baseline exists for
-    /// A/B determinism checks — results are byte-identical either way.
-    pub fn with_scheduler(mut self, kind: SchedulerKind) -> Self {
-        self.scheduler = kind;
-        self
-    }
-
     /// Selects whether zero-latency stage hops are fused (processed in
     /// the same timestamp walk, the default) or re-enqueued through the
-    /// event scheduler one hop at a time. The unfused path is the
+    /// event queue one hop at a time. The unfused path is the
     /// reference oracle for the fusion optimization — results are
     /// byte-identical either way.
     pub fn with_fusion(mut self, fused: bool) -> Self {
@@ -742,10 +723,7 @@ impl Deployment {
         opts: RunOpts,
     ) -> RunOutput {
         let stages: Vec<StageConfig> = self.stage_factories.iter().map(|f| f()).collect();
-        let mut engine = Engine::new(stages)
-            .with_scheduler(self.scheduler)
-            .with_fusion(self.fused)
-            .with_shards(self.shards);
+        let mut engine = Engine::new(stages).with_fusion(self.fused).with_shards(self.shards);
         if let Some((prob, needles)) = &self.payload {
             engine = engine
                 .with_payloads(PayloadConfig { attack_prob: *prob, needles: needles.clone() });
@@ -796,7 +774,7 @@ impl Deployment {
     }
 
     /// Canonical digest of everything that determines a run's simulated
-    /// outputs: the deployment shape, scheduler, fault spec, payload
+    /// outputs: the deployment shape, fault spec, payload
     /// synthesis (attack probability and needle bytes), workload spec,
     /// and measurement window.
     pub fn config_digest(
@@ -812,10 +790,9 @@ impl Deployment {
             Some((prob, needles)) => format!("true:{:016x}:{needles:?}", prob.to_bits()),
         };
         let s = format!(
-            "name={};stages={};sched={};faults={:?};payload={};wl={:?};dur={};warm={}",
+            "name={};stages={};faults={:?};payload={};wl={:?};dur={};warm={}",
             self.name,
             self.stage_factories.len(),
-            self.scheduler.label(),
             self.faults,
             payload,
             workload,
@@ -839,7 +816,6 @@ impl Deployment {
         };
         Provenance::new(
             workload.seed,
-            self.scheduler.label(),
             fault_digest,
             self.config_digest(workload, duration_ns, warmup_ns),
         )
@@ -1372,7 +1348,6 @@ mod tests {
         let a = d.provenance(&wl, 10_000_000, 1_000_000);
         let b = d.provenance(&wl, 10_000_000, 1_000_000);
         assert_eq!(a, b);
-        assert_eq!(a.scheduler, "wheel");
         assert_ne!(a.fault_digest, "none");
         // The digest must react to any replay-determining change.
         let longer = d.config_digest(&wl, 20_000_000, 1_000_000);

@@ -1,7 +1,7 @@
 //! The order-sanitizer's own identity gate: a sanitized run — with or
 //! without the interleaving perturber — must produce **byte-identical**
-//! measurements to a plain run, under both scheduler disciplines, with
-//! batching, multi-stage offload pipelines, and fault plans in play.
+//! measurements to a plain run, with batching, multi-stage offload
+//! pipelines, unfused hops, and fault plans in play.
 //!
 //! This is the oracle a future sharded engine will be held to: the
 //! perturber delivers every same-timestamp equivalence class in a
@@ -15,7 +15,6 @@ use apples_simnet::fault::FaultSpec;
 use apples_simnet::nf::dpi::{Dpi, MatchPolicy};
 use apples_simnet::nf::firewall::{synth_rules, Action, Firewall};
 use apples_simnet::nf::NfChain;
-use apples_simnet::sched::SchedulerKind;
 use apples_simnet::system::{Deployment, Measurement, RunOpts};
 use apples_simnet::{OrderSanitizer, SanitizerReport};
 use apples_workload::{ArrivalProcess, PacketSizeDist, WorkloadSpec};
@@ -80,25 +79,18 @@ fn assert_identical(name: &str, plain: &Measurement, sanitized: &Measurement, mo
 }
 
 #[test]
-fn sanitized_runs_are_byte_identical_across_contenders_and_schedulers() {
+fn sanitized_runs_are_byte_identical_across_contenders() {
     let wl = WorkloadSpec::cbr(2e6, 1500, 16, 5);
     for (name, mk) in deployments() {
-        for kind in [SchedulerKind::Wheel, SchedulerKind::Heap] {
-            let plain = mk().with_scheduler(kind).run(&wl, RUN_NS, WARMUP_NS);
-            // Check-only sanitizer.
-            let (checked, rep) =
-                run_sanitized(&mk().with_scheduler(kind), &wl, OrderSanitizer::new());
-            assert_identical(name, &plain, &checked, "check");
-            assert!(rep.events > 0, "{name}: sanitizer saw no events");
-            assert_eq!(rep.perturbed, 0, "{name}: check-only mode must not perturb");
-            // Perturbed sanitizer: shuffled equivalence classes, same bytes.
-            let (perturbed, _) = run_sanitized(
-                &mk().with_scheduler(kind),
-                &wl,
-                OrderSanitizer::with_perturbation(0xD15F),
-            );
-            assert_identical(name, &plain, &perturbed, "perturb");
-        }
+        let plain = mk().run(&wl, RUN_NS, WARMUP_NS);
+        // Check-only sanitizer.
+        let (checked, rep) = run_sanitized(&mk(), &wl, OrderSanitizer::new());
+        assert_identical(name, &plain, &checked, "check");
+        assert!(rep.events > 0, "{name}: sanitizer saw no events");
+        assert_eq!(rep.perturbed, 0, "{name}: check-only mode must not perturb");
+        // Perturbed sanitizer: shuffled equivalence classes, same bytes.
+        let (perturbed, _) = run_sanitized(&mk(), &wl, OrderSanitizer::with_perturbation(0xD15F));
+        assert_identical(name, &plain, &perturbed, "perturb");
     }
 }
 
@@ -146,7 +138,7 @@ fn sanitized_runs_survive_fault_plans_and_unfused_hops() {
     assert_eq!(plain.injected_drops, perturbed.injected_drops);
     assert_eq!(plain.fault_drops, perturbed.fault_drops);
 
-    // Unfused hops re-enqueue through the scheduler: a different event
+    // Unfused hops re-enqueue through the event queue: a different event
     // population for the sanitizer to check, same bytes out.
     let mk2 = || {
         Deployment::smartnic_offload("unfused", 4, firewall_chain(50), 1, NfChain::empty)

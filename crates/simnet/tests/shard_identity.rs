@@ -1,7 +1,6 @@
 //! The sharded engine's identity gate: a run at any shard count must
 //! produce **byte-identical** measurements to the serial engine —
-//! across scheduler disciplines, fusion modes, fault severities, and
-//! deployment shapes. This is the contract DESIGN.md §12 commits to;
+//! across fusion modes, fault severities, and deployment shapes. This is the contract DESIGN.md §12 commits to;
 //! the sanitizer-identity suite proved the seq-keyed merge discipline
 //! canonicalizes any same-timestamp interleaving, and these tests hold
 //! the epoch-barrier merge to exactly that oracle.
@@ -11,7 +10,6 @@ use apples_simnet::fault::FaultSpec;
 use apples_simnet::nf::dpi::{Dpi, MatchPolicy};
 use apples_simnet::nf::firewall::{synth_rules, Action, Firewall};
 use apples_simnet::nf::NfChain;
-use apples_simnet::sched::SchedulerKind;
 use apples_simnet::service::{FixedTime, NfService};
 use apples_simnet::system::{Deployment, DeploymentBuilder, Measurement, RunOpts};
 use apples_simnet::OrderSanitizer;
@@ -130,19 +128,16 @@ fn shardable_deployments() -> Vec<Contender> {
 }
 
 #[test]
-fn sharded_runs_are_byte_identical_across_shapes_schedulers_and_shard_counts() {
+fn sharded_runs_are_byte_identical_across_shapes_and_shard_counts() {
     let wl = WorkloadSpec::cbr(2e6, 1500, 16, 5);
     for (name, mk) in shardable_deployments() {
-        for kind in [SchedulerKind::Wheel, SchedulerKind::Heap] {
-            let serial = mk().with_scheduler(kind).run(&wl, RUN_NS, WARMUP_NS);
-            if name == DPI_CONTENDER {
-                assert_dpi_blocked(name, &serial);
-            }
-            for shards in [1, 2, 4] {
-                let sharded =
-                    mk().with_scheduler(kind).with_shards(shards).run(&wl, RUN_NS, WARMUP_NS);
-                assert_identical(name, &serial, &sharded, &format!("{}x{shards}", kind.label()));
-            }
+        let serial = mk().run(&wl, RUN_NS, WARMUP_NS);
+        if name == DPI_CONTENDER {
+            assert_dpi_blocked(name, &serial);
+        }
+        for shards in [1, 2, 4] {
+            let sharded = mk().with_shards(shards).run(&wl, RUN_NS, WARMUP_NS);
+            assert_identical(name, &serial, &sharded, &format!("x{shards}"));
         }
     }
 }
@@ -170,7 +165,7 @@ fn sharded_runs_are_byte_identical_under_fault_plans_at_every_severity() {
 
 #[test]
 fn sharded_runs_are_byte_identical_with_fusion_off() {
-    // Unfused hops re-enqueue through the scheduler, so cross-shard
+    // Unfused hops re-enqueue through the event queue, so cross-shard
     // merges interleave with a different local event population — the
     // bytes must not care.
     let wl = WorkloadSpec::cbr(2e6, 1500, 16, 5);
@@ -188,7 +183,7 @@ fn sharded_runs_are_byte_identical_with_fusion_off() {
 fn sharded_batched_pipeline_keeps_batch_timers_local_and_identical() {
     // The GPU batcher's kernel completions re-enqueue whole batches at
     // one timestamp; with the batch stage on its own shard, the timeout
-    // and completion timers run on that shard's wheel alone.
+    // and completion timers run on that shard's event queue alone.
     let wl = WorkloadSpec::cbr(8e6, 1500, 16, 5);
     for fused in [true, false] {
         let mk = move || {
@@ -285,9 +280,9 @@ fn sanitizer_perturbation_on_a_sharded_run_keeps_the_bytes() {
 }
 
 #[test]
-fn randomized_scenario_severity_scheduler_shard_matrix_is_identical() {
+fn randomized_scenario_severity_fusion_shard_matrix_is_identical() {
     // Property-style sweep: a seeded xorshift walks a randomized slice
-    // of the full scenario × severity × scheduler × fusion × shard-count
+    // of the full scenario × severity × fusion × shard-count
     // space each run of the suite (deterministically — the seed is
     // fixed), asserting serial/sharded identity at every point.
     let mut state = 0x9E37_79B9_7F4A_7C15u64;
@@ -301,7 +296,6 @@ fn randomized_scenario_severity_scheduler_shard_matrix_is_identical() {
         let r = next();
         let scenario = r % 3;
         let severity = [0.0, 0.3, 0.7, 1.0][(r >> 2) as usize % 4];
-        let kind = if (r >> 4) % 2 == 0 { SchedulerKind::Wheel } else { SchedulerKind::Heap };
         let fused = (r >> 5) % 2 == 0;
         let shards = [2, 3, 4][(r >> 6) as usize % 3];
         let rate = [1e6, 2e6, 4e6][(r >> 8) as usize % 3];
@@ -317,7 +311,7 @@ fn randomized_scenario_severity_scheduler_shard_matrix_is_identical() {
                     NfChain::empty,
                 ),
             };
-            let d = d.with_scheduler(kind).with_fusion(fused);
+            let d = d.with_fusion(fused);
             if severity > 0.0 {
                 d.with_faults(FaultSpec::at_severity(severity))
             } else {
@@ -331,7 +325,7 @@ fn randomized_scenario_severity_scheduler_shard_matrix_is_identical() {
             "randomized",
             &serial,
             &sharded,
-            &format!("scn{scenario}-sev{severity}-{}-fused{fused}-x{shards}", kind.label()),
+            &format!("scn{scenario}-sev{severity}-fused{fused}-x{shards}"),
         );
     }
 }

@@ -3,8 +3,8 @@
 //! Content-addressed experiment store (ROADMAP item 2, after repx's
 //! incremental pipelines): artifacts are cached under the FNV-1a digest
 //! of a typed [`CacheKey`](apples_core::digest::CacheKey) built from
-//! the PR-5 provenance stamp (seed, scheduler, fault digest, config
-//! digest, toolchain, git rev), plus the upstream structure of a
+//! the provenance stamp (seed, fault digest, config digest, toolchain,
+//! git rev), plus the upstream structure of a
 //! hand-rolled DAG (scenario → fault sweep points → run → report →
 //! figure). A warm `xp all` short-circuits every hit; any single digest
 //! component change re-addresses exactly the dependent subtree.

@@ -194,7 +194,6 @@ fn every_provenance_component_flip_is_detected_by_name() {
     let store = Store::open(temp_root("components"));
     let base = CacheKey::new()
         .with("seed", "1")
-        .with("scheduler", "wheel")
         .with("fault", "none")
         .with("config", "abcd")
         .with("toolchain", "unrecorded")
@@ -202,7 +201,6 @@ fn every_provenance_component_flip_is_detected_by_name() {
     store.publish("run", "exp", &base, b"artifact").expect("publish");
     for (component, flipped) in [
         ("seed", "2"),
-        ("scheduler", "heap"),
         ("fault", "f00d"),
         ("config", "dcba"),
         ("toolchain", "rustc 1.99"),

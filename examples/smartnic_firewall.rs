@@ -46,11 +46,6 @@ fn main() {
         nic.watts
     );
 
-    // Cross-check the event scheduler itself: the default timing wheel
-    // and the reference binary heap must report the same measurement.
-    let heap = measure(&smartnic_system().with_scheduler(SchedulerKind::Heap), &wl);
-    assert_eq!(nic.fingerprint(), heap.fingerprint());
-
     // The fair comparison, with the measured scaling model.
     let result =
         Evaluation::new(nic.as_system(), base1.as_system()).with_baseline_scaling(&curve).run();

@@ -60,15 +60,16 @@ echo "== sanitizer: order invariants + perturbed byte-identity =="
 # same-timestamp equivalence class, and once under the check-only
 # sanitizer. `xp run` exits 1 on any byte divergence, any invariant
 # trip, or a check-only run that perturbed or checked nothing; each run
-# prints its verdict line. Schedulers alternate so both disciplines stay
-# under the sanitizer.
-"${XP[@]}" run base-2c --sanitize --scheduler wheel | tail -n 1
-"${XP[@]}" run smartnic --sanitize --scheduler heap --severity 0.5 | tail -n 1
-"${XP[@]}" run switch-2c --sanitize --scheduler wheel --perturb-seed 7 | tail -n 1
+# prints its verdict line.
+"${XP[@]}" run base-2c --sanitize | tail -n 1
+"${XP[@]}" run smartnic --sanitize --severity 0.5 | tail -n 1
+"${XP[@]}" run switch-2c --sanitize --perturb-seed 7 | tail -n 1
 # Usage errors exit 2: an unknown scenario, a trace of a sharded run
-# (the trace ring cannot be sharded), and the verbs `xp run` replaced.
+# (the trace ring cannot be sharded), the verbs `xp run` replaced, and
+# the removed scheduler-choice and bench floor-file flags.
 for cmd in "run nope" "run cluster --shards 2 --trace target/unused.json" \
-  "trace smartnic" "profile smartnic" "sanitize smartnic"; do
+  "trace smartnic" "profile smartnic" "sanitize smartnic" \
+  "run smartnic --scheduler heap" "bench --check-floor x"; do
   status=0
   # shellcheck disable=SC2086 # each entry is a list of words
   "${XP[@]}" ${cmd} > /dev/null 2>&1 || status=$?
@@ -89,7 +90,7 @@ echo "== shards: epoch-barrier runs are byte-identical to serial =="
 # lands in BENCH_simnet.json under "single_run_scaling".
 for n in 1 2 4; do
   "${XP[@]}" run cluster --sanitize --shards "${n}" --severity 0.3 | tail -n 1
-  "${XP[@]}" run rss --sanitize --shards "${n}" --scheduler heap | tail -n 1
+  "${XP[@]}" run rss --sanitize --shards "${n}" | tail -n 1
   "${XP[@]}" run smartnic --sanitize --shards "${n}" --perturb-seed 7 | tail -n 1
 done
 
@@ -131,15 +132,15 @@ grep -q "removed 4" target/store-gc.txt
   > /dev/null 2> target/store-warm3-explain.txt
 grep -q "re-ran 0/27 experiments" target/store-warm3-explain.txt
 
-echo "== perf sanity: scheduler + harness identity, relative baseline =="
+echo "== perf sanity: engine + harness identity, relative baseline =="
 # Quick micro-benchmark gated against the *measured* baseline
 # (reports/baseline.json, recorded via --export-baseline): fails if the
-# wheel/heap, fused/unfused, or serial/parallel identity checks break,
-# if any scenario's CI falls below the recorded CI lower bound shrunk
-# by its resolved max_drop (per-entry override > --max-drop > file
-# defaults > built-in 0.15; the checked-in file ships 0.30 for shared
-# runners), if forward-2stage/wheel drops under its absolute min_floor,
-# or if any fused_speedup lands below 0.85.
+# fused/unfused or serial/parallel identity checks break, if any
+# scenario's CI falls below the recorded CI lower bound shrunk by its
+# resolved max_drop (per-entry override > --max-drop > file defaults >
+# built-in 0.15; the checked-in file ships 0.30 for shared runners), if
+# forward-2stage drops under its absolute min_floor, or if any
+# fused_speedup lands below 0.85.
 "${XP[@]}" bench --quick --out target/bench-quick.json \
   --baseline reports/baseline.json --strict > /dev/null
 # The post-rearchitecture identity sweep: all golden reports and the
@@ -159,16 +160,14 @@ echo "== robustness: fault injection stays deterministic =="
 
 echo "== observability: trace determinism + overhead ceiling =="
 # A traced run is a pure function of (seed, spec): the same scenario
-# exported twice — once per scheduler — must produce byte-identical
-# Chrome trace files. Note: APPLES_TOOLCHAIN / APPLES_GIT_REV are left
-# unset here on purpose; golden fixtures bake in the "unrecorded"
-# fallback, and stamping real values is an opt-in for humans.
-"${XP[@]}" run smartnic --severity 0.5 --scheduler wheel \
-  --trace target/trace-wheel.json --ring 4096 > /dev/null
-"${XP[@]}" run smartnic --severity 0.5 --scheduler heap \
-  --trace target/trace-heap.json --ring 4096 > /dev/null
-if ! cmp -s target/trace-wheel.json target/trace-heap.json; then
-  echo "trace files differ across schedulers: tracing leaked schedule state" >&2
+# exported twice must produce byte-identical Chrome trace files. Note:
+# APPLES_TOOLCHAIN / APPLES_GIT_REV are left unset here on purpose;
+# golden fixtures bake in the "unrecorded" fallback, and stamping real
+# values is an opt-in for humans.
+"${XP[@]}" run smartnic --severity 0.5 --trace target/trace-a.json --ring 4096 > /dev/null
+"${XP[@]}" run smartnic --severity 0.5 --trace target/trace-b.json --ring 4096 > /dev/null
+if ! cmp -s target/trace-a.json target/trace-b.json; then
+  echo "trace files differ across repeat runs: tracing leaked wall-clock state" >&2
   exit 1
 fi
 # Flamegraph export smoke: a sharded observed run must exit 0 (its

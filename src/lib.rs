@@ -83,7 +83,6 @@ pub mod prelude {
     pub use apples_metrics::{validate_cost_metric, CostMetric, Direction, Scalability};
     pub use apples_simnet::nf::NfChain;
     pub use apples_simnet::system::{Deployment, Measurement};
-    pub use apples_simnet::SchedulerKind;
     pub use apples_workload::{ArrivalProcess, PacketSizeDist, WorkloadSpec};
 }
 

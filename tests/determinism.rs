@@ -5,8 +5,7 @@
 
 use apples_bench::experiments::run;
 use apples_bench::scenarios::{
-    baseline_host, faulted, measure_quick, perturbed_workload, saturating_workload, scenario,
-    smartnic_system,
+    baseline_host, faulted, measure_quick, perturbed_workload, saturating_workload, smartnic_system,
 };
 use apples_bench::Pool;
 use apples_simnet::Measurement;
@@ -76,31 +75,6 @@ fn nf_automaton_is_insertion_order_independent() {
     }
 }
 
-/// The timing-wheel scheduler is observationally identical to the
-/// binary-heap baseline on every scenario family the harness measures:
-/// same deliveries, same bit-exact latency and throughput, same drops.
-/// This is the workspace-level half of the A/B argument (the simnet
-/// unit tests assert full `RunResult` equality on raw engines).
-#[test]
-fn wheel_scheduler_matches_heap_baseline_on_all_scenarios() {
-    use apples_bench::scenarios::{optimized_host, switch_system};
-    use apples_simnet::SchedulerKind;
-
-    type BuildFn = Box<dyn Fn() -> apples_simnet::Deployment>;
-    let deployments: Vec<(&str, BuildFn)> = vec![
-        ("baseline-2c", Box::new(|| baseline_host(2))),
-        ("optimized-1c", Box::new(|| optimized_host(1))),
-        ("smartnic", Box::new(smartnic_system)),
-        ("switch-4c", Box::new(|| switch_system(4))),
-    ];
-    for (name, build) in deployments {
-        let wl = saturating_workload(3);
-        let wheel = measure_quick(&build().with_scheduler(SchedulerKind::Wheel), &wl);
-        let heap = measure_quick(&build().with_scheduler(SchedulerKind::Heap), &wl);
-        assert_eq!(wheel.fingerprint(), heap.fingerprint(), "wheel and heap diverged on {name}");
-    }
-}
-
 /// Repeated in-process runs of the same experiment render byte-identical
 /// reports (the map-iteration-order regression guard for the NF state
 /// tables: any hash-order dependence would show up here or in the
@@ -153,21 +127,5 @@ fn faulted_runs_replay_from_seed_and_spec() {
     for seed in 0..4u64 {
         let replay = || faulted_run(seed, 1.0).fingerprint();
         assert_eq!(replay(), replay(), "seed {seed}");
-    }
-}
-
-/// The wheel-vs-heap A/B identity survives fault injection at the
-/// workspace level: fault events are first-class timing-wheel events,
-/// and both disciplines must dispatch them identically.
-#[test]
-fn wheel_scheduler_matches_heap_baseline_under_faults() {
-    use apples_simnet::SchedulerKind;
-
-    for id in ["base-2c", "smartnic"] {
-        let build = || faulted(scenario(id).expect("registered scenario"), 1.0);
-        let wl = perturbed_workload(120.0, 9, 1.0);
-        let wheel = measure_quick(&build().with_scheduler(SchedulerKind::Wheel), &wl);
-        let heap = measure_quick(&build().with_scheduler(SchedulerKind::Heap), &wl);
-        assert_eq!(wheel.fingerprint(), heap.fingerprint(), "diverged on faulted {id}");
     }
 }

@@ -1,21 +1,19 @@
 //! Property suite for pipeline fusion: the fused hot path (zero-latency
 //! stage hops processed inside one timestamp walk) must be
 //! observationally identical to the unfused reference path (every hop
-//! re-enqueued through the event scheduler), bit for bit, on *random*
-//! combinations of scenario, fault severity, workload seed, and
-//! scheduler discipline.
+//! re-enqueued through the event queue), bit for bit, on *random*
+//! combinations of scenario, fault severity, and workload seed.
 //!
-//! This extends the PR 4 heap-oracle suite: where `determinism.rs` pins
-//! wheel-vs-heap on hand-picked scenarios, this file draws seeded random
-//! combos so the fusion equivalence is exercised across the whole
-//! configuration lattice, not just the corners we thought of.
+//! The draws are seeded, so the fusion equivalence is exercised across
+//! the whole configuration lattice, not just the corners we thought of,
+//! and any counterexample replays.
 
 use apples_bench::scenarios::{
     baseline_host, faulted, measure_quick, optimized_host, perturbed_workload, saturating_workload,
     smartnic_system, switch_system, SEVERITY_LADDER,
 };
 use apples_rng::Rng;
-use apples_simnet::{Deployment, SchedulerKind};
+use apples_simnet::Deployment;
 
 type BuildFn = fn() -> Deployment;
 
@@ -30,7 +28,7 @@ fn scenario_pool() -> Vec<(&'static str, BuildFn)> {
     ]
 }
 
-/// Seeded random (scenario, severity, seed, scheduler) combos: the
+/// Seeded random (scenario, severity, seed) combos: the
 /// fused and unfused paths must produce byte-identical measurements on
 /// every draw. Failures print the full combo so any counterexample is
 /// replayable by hand.
@@ -44,8 +42,6 @@ fn fused_pipeline_matches_unfused_on_random_combos() {
         let (sev_name, severity) =
             SEVERITY_LADDER[rng.range_u64(0, SEVERITY_LADDER.len() as u64) as usize];
         let seed = rng.range_u64(0, 64);
-        let kind =
-            if rng.range_u64(0, 2) == 0 { SchedulerKind::Wheel } else { SchedulerKind::Heap };
         let wl = perturbed_workload(120.0, seed, severity);
         let with_severity = |d: Deployment| {
             if severity > 0.0 {
@@ -57,44 +53,32 @@ fn fused_pipeline_matches_unfused_on_random_combos() {
         if severity > 0.0 {
             faulted_runs += 1;
         }
-        let fused = measure_quick(&with_severity(build()).with_scheduler(kind), &wl);
-        let unfused =
-            measure_quick(&with_severity(build()).with_scheduler(kind).with_fusion(false), &wl);
+        let fused = measure_quick(&with_severity(build()), &wl);
+        let unfused = measure_quick(&with_severity(build()).with_fusion(false), &wl);
         assert_eq!(
             fused.fingerprint(),
             unfused.fingerprint(),
             "fused/unfused diverged: draw {draw}, scenario {name}, severity {sev_name}, \
-             seed {seed}, scheduler {kind:?}"
+             seed {seed}"
         );
     }
     assert!(faulted_runs > 0, "the severity draws never exercised the fault path");
 }
 
-/// The two-axis cross-check: on a fixed scenario, all four
-/// (scheduler × fusion) configurations agree with each other — fusion
-/// identity composes with the existing heap-oracle identity instead of
-/// holding only per-scheduler.
+/// Every scenario family under a saturating workload: the fused and
+/// unfused runs agree bit for bit.
 #[test]
 fn fusion_and_scheduler_axes_commute() {
     for (name, build) in scenario_pool() {
         let wl = saturating_workload(11);
-        let reference =
-            measure_quick(&build().with_scheduler(SchedulerKind::Wheel), &wl).fingerprint();
-        for kind in [SchedulerKind::Wheel, SchedulerKind::Heap] {
-            for fused in [true, false] {
-                let m = measure_quick(&build().with_scheduler(kind).with_fusion(fused), &wl);
-                assert_eq!(
-                    m.fingerprint(),
-                    reference,
-                    "{name} diverged at scheduler {kind:?}, fused {fused}"
-                );
-            }
-        }
+        let fused = measure_quick(&build(), &wl).fingerprint();
+        let unfused = measure_quick(&build().with_fusion(false), &wl).fingerprint();
+        assert_eq!(fused, unfused, "{name} diverged unfused");
     }
 }
 
 /// Fusion identity survives the full severity ladder on the faulted
-/// smartnic deployment: fault events ride the scheduler (never the
+/// smartnic deployment: fault events ride the event queue (never the
 /// fused FIFO), so every rung must agree bit-for-bit.
 #[test]
 fn fused_pipeline_matches_unfused_across_severity_ladder() {

@@ -2,9 +2,9 @@
 //!
 //! The contract under test: observing a run changes *nothing* about the
 //! run, and the artifacts the observer emits are pure functions of
-//! `(seed, spec)` — byte-identical across schedulers (wheel vs heap)
-//! and harness worker counts, with one Chrome trace pinned as a golden
-//! fixture in `tests/golden_traces/`.
+//! `(seed, spec)` — byte-identical across repeat runs and harness
+//! worker counts, with one Chrome trace pinned as a golden fixture in
+//! `tests/golden_traces/`.
 //!
 //! To regenerate the trace fixture after an intentional change:
 //!
@@ -20,14 +20,13 @@ use apples_bench::scenarios::{
 use apples_bench::Pool;
 use apples_obs::{LogHistogram, ObsConfig, TimeSeries};
 use apples_rng::Rng;
-use apples_simnet::sched::SchedulerKind;
 use apples_simnet::system::{Deployment, RunOpts};
 use std::path::PathBuf;
 
-fn moderate_smartnic(scheduler: SchedulerKind) -> RunOptions {
+fn moderate_smartnic() -> RunOptions {
     // A compact ring keeps the golden fixture reviewable while still
     // spanning thousands of events across every stage.
-    RunOptions { scheduler, severity: 0.5, trace_ring: Some(1024), ..RunOptions::default() }
+    RunOptions { severity: 0.5, trace_ring: Some(1024), ..RunOptions::default() }
 }
 
 /// The Chrome trace of one `xp run`, whose runs must all have matched
@@ -39,22 +38,20 @@ fn trace_of(opts: &RunOptions) -> String {
 }
 
 // ---------------------------------------------------------------------
-// Trace determinism: {serial, parallel} x {wheel, heap}.
+// Trace determinism: serial vs parallel.
 // ---------------------------------------------------------------------
 
 #[test]
 fn trace_files_are_identical_across_schedulers_and_worker_counts() {
-    let reference = trace_of(&moderate_smartnic(SchedulerKind::Wheel));
+    let reference = trace_of(&moderate_smartnic());
 
-    // Both schedulers, traced on a multi-worker pool: every file must
-    // equal the serially-produced wheel reference byte-for-byte.
-    let kinds =
-        vec![SchedulerKind::Wheel, SchedulerKind::Heap, SchedulerKind::Wheel, SchedulerKind::Heap];
-    let traced = Pool::with_workers(4).map(kinds, |kind| trace_of(&moderate_smartnic(kind)));
+    // Traced concurrently on a multi-worker pool: every file must equal
+    // the serially-produced reference byte-for-byte.
+    let traced = Pool::with_workers(4).map(vec![(); 4], |()| trace_of(&moderate_smartnic()));
     for (i, json) in traced.iter().enumerate() {
         assert_eq!(
             json, &reference,
-            "trace {i} diverged from the serial wheel reference: traces must be a pure \
+            "trace {i} diverged from the serial reference: traces must be a pure \
              function of (seed, spec)"
         );
     }
@@ -62,10 +59,10 @@ fn trace_files_are_identical_across_schedulers_and_worker_counts() {
 
 #[test]
 fn trace_files_depend_on_seed_and_severity() {
-    let base = trace_of(&moderate_smartnic(SchedulerKind::Wheel));
-    let other_seed = RunOptions { seed: 2, ..moderate_smartnic(SchedulerKind::Wheel) };
+    let base = trace_of(&moderate_smartnic());
+    let other_seed = RunOptions { seed: 2, ..moderate_smartnic() };
     assert_ne!(base, trace_of(&other_seed), "different seeds must trace differently");
-    let clean = RunOptions { severity: 0.0, ..moderate_smartnic(SchedulerKind::Wheel) };
+    let clean = RunOptions { severity: 0.0, ..moderate_smartnic() };
     assert_ne!(base, trace_of(&clean), "fault severity must show up in the trace");
 }
 
@@ -86,7 +83,7 @@ fn chrome_trace_matches_its_golden_fixture() {
     if regen {
         std::fs::create_dir_all(&dir).expect("create tests/golden_traces");
     }
-    let json = trace_of(&moderate_smartnic(SchedulerKind::Wheel));
+    let json = trace_of(&moderate_smartnic());
     let path = dir.join("smartnic-moderate.json");
     if regen {
         std::fs::write(&path, &json).expect("write fixture");
@@ -284,7 +281,7 @@ fn timeseries_merge_commutes_under_eviction() {
 }
 
 // ---------------------------------------------------------------------
-// Diagnosis metrics must not perturb: schedulers x fusion x shards.
+// Diagnosis metrics must not perturb: fusion x shards.
 // ---------------------------------------------------------------------
 
 fn cluster() -> Deployment {
@@ -295,34 +292,29 @@ fn cluster() -> Deployment {
 fn diagnosis_metrics_stay_invisible_across_schedulers_fusion_and_shards() {
     let wl = perturbed_workload(12.0, 3, 0.3);
     let reference = cluster().run(&wl, RUN_NS, WARMUP_NS).fingerprint();
-    for kind in [SchedulerKind::Wheel, SchedulerKind::Heap] {
-        for fused in [true, false] {
-            for shards in 1..=4usize {
-                let d = cluster().with_scheduler(kind).with_fusion(fused).with_shards(shards);
-                let opts = RunOpts { observer: Some(ObsConfig::diagnosis()), ..RunOpts::default() };
-                let out = d.run_with(&wl, RUN_NS, WARMUP_NS, opts);
-                assert_eq!(
-                    out.measurement.fingerprint(),
-                    reference,
-                    "metrics-on run diverged ({kind:?}, fused={fused}, shards={shards})"
-                );
-                let obs = out.observer.expect("an attached observer is handed back");
-                assert!(
-                    obs.timeseries.as_ref().is_some_and(|ts| ts.total_dispatches() > 0),
-                    "series empty ({kind:?}, fused={fused}, shards={shards})"
-                );
-                if fused && (shards == 2 || shards == 4) {
-                    let diag = out.shard_diag.expect("cluster plan must shard at 2 and 4");
-                    let (c, b, g) = diag.fractions();
-                    assert!(
-                        (c + b + g - 1.0).abs() < 1e-9,
-                        "fractions must sum to 1: {c} + {b} + {g}"
-                    );
-                    assert_eq!(diag.lanes.len(), shards);
-                    let jfi = diag.jain_index();
-                    assert!((0.0..=1.0 + 1e-9).contains(&jfi), "jain index {jfi}");
-                    assert!(diag.predicted_max_speedup() <= shards as f64 + 1e-9);
-                }
+    for fused in [true, false] {
+        for shards in 1..=4usize {
+            let d = cluster().with_fusion(fused).with_shards(shards);
+            let opts = RunOpts { observer: Some(ObsConfig::diagnosis()), ..RunOpts::default() };
+            let out = d.run_with(&wl, RUN_NS, WARMUP_NS, opts);
+            assert_eq!(
+                out.measurement.fingerprint(),
+                reference,
+                "metrics-on run diverged (fused={fused}, shards={shards})"
+            );
+            let obs = out.observer.expect("an attached observer is handed back");
+            assert!(
+                obs.timeseries.as_ref().is_some_and(|ts| ts.total_dispatches() > 0),
+                "series empty (fused={fused}, shards={shards})"
+            );
+            if fused && (shards == 2 || shards == 4) {
+                let diag = out.shard_diag.expect("cluster plan must shard at 2 and 4");
+                let (c, b, g) = diag.fractions();
+                assert!((c + b + g - 1.0).abs() < 1e-9, "fractions must sum to 1: {c} + {b} + {g}");
+                assert_eq!(diag.lanes.len(), shards);
+                let jfi = diag.jain_index();
+                assert!((0.0..=1.0 + 1e-9).contains(&jfi), "jain index {jfi}");
+                assert!(diag.predicted_max_speedup() <= shards as f64 + 1e-9);
             }
         }
     }

@@ -1,14 +1,13 @@
 //! End-to-end store gate: a fully-warm `xp all` must be byte-identical
 //! — stdout, markdown reports, and figure CSVs — to a cold run and to
 //! a `--no-cache` run, the cache must be valid across harness
-//! schedules and simulation substrates (both schedulers, shards
-//! {1,4}), and regenerating a golden fixture must invalidate the
+//! schedules and simulation substrates (serial and 4-shard runs), and
+//! regenerating a golden fixture must invalidate the
 //! corresponding store entries so a post-regen run can never serve a
 //! pre-regen cached report.
 
 use apples_bench::scenarios::{baseline_host, measure_quick, saturating_workload, switch_system};
 use apples_bench::xpall::{run_all, XpAllOptions};
-use apples_simnet::SchedulerKind;
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
@@ -108,30 +107,17 @@ fn warm_run_is_byte_identical_to_cold_and_no_cache() {
 
 /// The store caches *measurements*, so a cached artifact is only valid
 /// if the measurement is invariant across execution substrates. Gate
-/// that directly: both schedulers × shards {1,4} produce bit-identical
+/// that directly: serial and 4-shard runs produce bit-identical
 /// measurements on the scenario families the suite runs.
 #[test]
 fn cached_measurements_are_substrate_invariant_across_schedulers_and_shards() {
     let wl = saturating_workload(7);
-    let reference = measure_quick(&baseline_host(2), &wl);
-    let reference_switch = measure_quick(&switch_system(4), &wl);
-    for sched in [SchedulerKind::Wheel, SchedulerKind::Heap] {
-        for shards in [1usize, 4] {
-            let host =
-                measure_quick(&baseline_host(2).with_scheduler(sched).with_shards(shards), &wl);
-            let switch =
-                measure_quick(&switch_system(4).with_scheduler(sched).with_shards(shards), &wl);
-            for (got, want, name) in
-                [(&host, &reference, "baseline-2c"), (&switch, &reference_switch, "switch-4c")]
-            {
-                assert_eq!(
-                    got.fingerprint(),
-                    want.fingerprint(),
-                    "{name} diverged under {sched:?}/{shards} shards"
-                );
-            }
-        }
-    }
+    let host = measure_quick(&baseline_host(2), &wl);
+    let switch = measure_quick(&switch_system(4), &wl);
+    let host_sharded = measure_quick(&baseline_host(2).with_shards(4), &wl);
+    let switch_sharded = measure_quick(&switch_system(4).with_shards(4), &wl);
+    assert_eq!(host.fingerprint(), host_sharded.fingerprint(), "baseline-2c diverged sharded");
+    assert_eq!(switch.fingerprint(), switch_sharded.fingerprint(), "switch-4c diverged sharded");
 }
 
 /// Golden-regen regression: changing a golden fixture's bytes changes
