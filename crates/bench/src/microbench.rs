@@ -505,12 +505,17 @@ fn robustness_section(replications: usize, all_identical: &mut bool) -> Json {
 // ---------------------------------------------------------------------
 
 /// Interleaved overhead timing: each round runs the three
-/// configurations back-to-back (off, spans, full) and computes the two
-/// overhead ratios *within the round*, so thermal/frequency drift hits
-/// both sides of each ratio equally; the per-configuration wall times
-/// reported are running minima, and the gated ratios are the medians of
-/// the per-round ratios — robust to a single noisy round in a way that
-/// min-of-independent-blocks is not.
+/// configurations back-to-back and computes the two overhead ratios
+/// *within the round*, so thermal/frequency drift hits both sides of
+/// each ratio equally. The order rotates: round r starts at
+/// configuration r mod 3 (off, spans, full), so in every three rounds
+/// each configuration runs first, second and last once, and a cost
+/// tied to a slot in the round (what the previous run left in the
+/// caches, drift across the round) does not land on one side of every
+/// ratio. The
+/// per-configuration wall times reported are running minima, and the
+/// gated ratios are the medians of the per-round ratios — robust to a
+/// single noisy round in a way that min-of-independent-blocks is not.
 struct OverheadTiming<A, B, C> {
     outs: (A, B, C),
     min_ms: [f64; 3],
@@ -530,33 +535,34 @@ fn interleaved_overhead<A, B, C>(
     // One untimed warmup round: the first execution pays cold caches and
     // page faults for all three configurations, which would otherwise
     // land entirely on `off` and skew every ratio of the first round.
-    let mut outs = Some((off(), spans(), full()));
-    for _ in 0..trials.max(1) {
+    let mut outs = (off(), spans(), full());
+    // The clock stops before the output replaces the last round's, so
+    // dropping the old one is never timed.
+    fn timed<T>(run: &mut impl FnMut() -> T) -> (T, f64) {
         let c = WallClock::start();
-        let a = off();
-        let off_ms = c.elapsed_ms();
-        let c = WallClock::start();
-        let b = spans();
-        let spans_ms = c.elapsed_ms();
-        let c = WallClock::start();
-        let f = full();
-        let full_ms = c.elapsed_ms();
-        min_ms[0] = min_ms[0].min(off_ms);
-        min_ms[1] = min_ms[1].min(spans_ms);
-        min_ms[2] = min_ms[2].min(full_ms);
-        spans_ratios.push(spans_ms / off_ms.max(1e-9));
-        full_ratios.push(full_ms / off_ms.max(1e-9));
-        outs = Some((a, b, f));
+        let out = run();
+        (out, c.elapsed_ms())
+    }
+    for round in 0..trials.max(1) {
+        let mut ms = [0.0; 3];
+        for slot in 0..3 {
+            match (round + slot) % 3 {
+                0 => (outs.0, ms[0]) = timed(&mut off),
+                1 => (outs.1, ms[1]) = timed(&mut spans),
+                _ => (outs.2, ms[2]) = timed(&mut full),
+            }
+        }
+        for (min, t) in min_ms.iter_mut().zip(ms) {
+            *min = min.min(t);
+        }
+        spans_ratios.push(ms[1] / ms[0].max(1e-9));
+        full_ratios.push(ms[2] / ms[0].max(1e-9));
     }
     let median = |v: &mut Vec<f64>| {
         v.sort_by(f64::total_cmp);
         v[v.len() / 2]
     };
-    OverheadTiming {
-        outs: outs.expect("ran at least once"),
-        min_ms,
-        ratios: (median(&mut spans_ratios), median(&mut full_ratios)),
-    }
+    OverheadTiming { outs, min_ms, ratios: (median(&mut spans_ratios), median(&mut full_ratios)) }
 }
 
 /// Measures the observability layer against itself:
@@ -992,6 +998,24 @@ mod tests {
             check_obs_overhead(&summary(true, 1.0), "# empty\n").len(),
             1,
             "missing key must fail"
+        );
+    }
+
+    #[test]
+    fn overhead_rounds_rotate_the_configuration_order() {
+        let calls = std::cell::RefCell::new(Vec::new());
+        interleaved_overhead(
+            3,
+            || calls.borrow_mut().push("off"),
+            || calls.borrow_mut().push("spans"),
+            || calls.borrow_mut().push("full"),
+        );
+        // The untimed warm-up round, then one round starting at each
+        // configuration in turn.
+        let rounds: Vec<_> = calls.into_inner().chunks(3).map(|r| r.join(" ")).collect();
+        assert_eq!(
+            rounds,
+            ["off spans full", "off spans full", "spans full off", "full off spans"]
         );
     }
 

@@ -24,10 +24,26 @@ pub enum MatchPolicy {
 
 /// Bytes per transition-table row: one column per input byte value.
 const ALPHABET: usize = 256;
+/// Words in the byte-pair bitset: one bit per (first, second) byte pair.
+const PAIR_WORDS: usize = ALPHABET * ALPHABET / 64;
 
 /// An Aho–Corasick automaton over byte patterns, with its failure links
-/// folded into a dense transition table: a scan is one table load per
-/// payload byte, with no failure-link chasing.
+/// folded into a dense transition table (δ) so a step never chases
+/// failure links. While the automaton sits at its root, a scan skips
+/// every byte whose pair with the next byte cannot begin a match, and
+/// steps δ only from a pair that can, until it is back at the root.
+///
+/// The skip is exact. `out[0] = 0`, because empty patterns are ignored.
+/// The pair (a, b) is marked when δ(0, a) ≠ 0 and either
+/// `out[δ(0, a)] > 0` or δ(δ(0, a), b) ≠ δ(0, b); the second test holds
+/// exactly when (a, b) is a goto edge from the depth-1 state. Reading
+/// a at the root with (a, b) unmarked is one of two cases. If
+/// δ(0, a) = 0, the root stays the root. Otherwise s1 = δ(0, a) has
+/// depth 1, `out[s1] = 0`, and s1 has no goto edge on b, so
+/// δ(s1, b) = δ(fail(s1) = root, b) = δ(0, b). Either way no match ends
+/// at a, and b leads to the state a scan restarted at b reaches, so the
+/// skip keeps going from b as if at the root. The last byte has no
+/// successor: it is stepped when δ(0, a) ≠ 0.
 #[derive(Debug, Clone)]
 pub struct AhoCorasick {
     // `delta[s * ALPHABET + b]`: the state after reading byte `b` in
@@ -35,6 +51,9 @@ pub struct AhoCorasick {
     delta: Vec<u32>,
     // number of patterns ending at each state (via output links).
     out: Vec<u32>,
+    // bit `a * ALPHABET + b`: the pair (a, b) read at the root can
+    // begin a match.
+    pairs: Box<[u64; PAIR_WORDS]>,
 }
 
 impl AhoCorasick {
@@ -92,7 +111,21 @@ impl AhoCorasick {
                 queue.push_back(t);
             }
         }
-        AhoCorasick { delta, out }
+
+        let mut pairs = Box::new([0u64; PAIR_WORDS]);
+        for a in 0..ALPHABET {
+            let s1 = delta[a] as usize;
+            if s1 == 0 {
+                continue;
+            }
+            for b in 0..ALPHABET {
+                if out[s1] > 0 || delta[s1 * ALPHABET + b] != delta[b] {
+                    let pair = a * ALPHABET + b;
+                    pairs[pair / 64] |= 1 << (pair % 64);
+                }
+            }
+        }
+        AhoCorasick { delta, out, pairs }
     }
 
     /// Number of automaton states.
@@ -100,13 +133,33 @@ impl AhoCorasick {
         self.out.len()
     }
 
+    /// Whether the byte pair (a, b), read at the root, can begin a match.
+    #[inline]
+    fn can_start(&self, a: u8, b: u8) -> bool {
+        let pair = usize::from(a) * ALPHABET + usize::from(b);
+        (self.pairs[pair / 64] >> (pair % 64)) & 1 != 0
+    }
+
     /// Counts pattern occurrences in `haystack`.
     pub fn count_matches(&self, haystack: &[u8]) -> u64 {
         let mut state = 0usize;
         let mut matches = 0u64;
-        for &b in haystack {
-            state = self.delta[state * ALPHABET + usize::from(b)] as usize;
+        let mut i = 0;
+        while i < haystack.len() {
+            if state == 0 {
+                match haystack[i..].windows(2).position(|w| self.can_start(w[0], w[1])) {
+                    Some(skip) => i += skip,
+                    None => {
+                        i = haystack.len() - 1;
+                        if self.delta[usize::from(haystack[i])] == 0 {
+                            break;
+                        }
+                    }
+                }
+            }
+            state = self.delta[state * ALPHABET + usize::from(haystack[i])] as usize;
             matches += u64::from(self.out[state]);
+            i += 1;
         }
         matches
     }
@@ -184,6 +237,7 @@ impl NetworkFunction for Dpi {
 mod tests {
     use super::*;
     use crate::packet::Payload;
+    use apples_rng::Rng;
     use apples_workload::FiveTuple;
 
     fn pkt_with(payload: &[u8]) -> Packet {
@@ -208,8 +262,9 @@ mod tests {
     #[test]
     fn finds_overlapping_patterns() {
         let ac = AhoCorasick::build(&[b"he", b"she", b"his", b"hers"]);
-        // "ushers" contains she, he, hers.
+        // "ushers" contains she, he, hers; "ahishers" adds his.
         assert_eq!(ac.count_matches(b"ushers"), 3);
+        assert_eq!(ac.count_matches(b"ahishers"), 4);
     }
 
     #[test]
@@ -259,5 +314,54 @@ mod tests {
         let ac = AhoCorasick::build(&sigs);
         assert!(ac.states() > sigs.len());
         assert_eq!(ac.count_matches(b"please DROP TABLE users"), 1);
+    }
+
+    /// The pair table marks exactly the byte pairs that begin a
+    /// pattern: (a, b) when some pattern starts with a and either is one
+    /// byte long or continues with b. A table built from any row of δ
+    /// but the root's marks more pairs (a slower scan) or fewer (wrong
+    /// counts).
+    #[test]
+    fn pair_table_marks_exactly_the_pattern_starts() {
+        let mut sets: Vec<Vec<&[u8]>> = vec![
+            Dpi::demo_signatures(),
+            vec![b"he", b"she", b"his", b"hers"],
+            vec![b"x", b"xyz", b"", b"yx"],
+        ];
+        let mut rng = Rng::seed_from_u64(0xD1F2);
+        let random: Vec<Vec<u8>> = (0..40)
+            .map(|_| (0..rng.range_usize(1, 5)).map(|_| rng.range_u8_inclusive(97, 100)).collect())
+            .collect();
+        sets.extend(random.chunks(4).map(|c| c.iter().map(Vec::as_slice).collect::<Vec<_>>()));
+        for patterns in &sets {
+            let ac = AhoCorasick::build(patterns);
+            for a in 0..=u8::MAX {
+                for b in 0..=u8::MAX {
+                    let starts = |p: &&[u8]| p.first() == Some(&a) && (p.len() == 1 || p[1] == b);
+                    let want = patterns.iter().any(starts);
+                    assert_eq!(ac.can_start(a, b), want, "({a}, {b}) for {patterns:?}");
+                }
+            }
+        }
+    }
+
+    /// Where the root skip could go wrong: one-byte patterns (pairs
+    /// marked by `out[δ(0, a)] > 0`, and the last byte, which has no
+    /// pair), matches ending on the last byte, haystacks ending one
+    /// byte into a pattern, and a NOP sled's overlapping matches.
+    #[test]
+    fn root_skip_edges_count_exactly() {
+        let count = |patterns: &[&[u8]], haystack: &[u8]| {
+            AhoCorasick::build(patterns).count_matches(haystack)
+        };
+        let sigs = Dpi::demo_signatures();
+        assert_eq!(count(&[b"x", b"xyz"], b"axbxyzx"), 4);
+        assert_eq!(count(&[b"x", b"yz"], b"qqx"), 1);
+        assert_eq!(count(&[b"xy"], b"x"), 0);
+        assert_eq!(count(&sigs, b"run cmd.exe"), 1);
+        assert_eq!(count(&sigs, b"run cmd.ex"), 0);
+        assert_eq!(count(&sigs, b"run c"), 0);
+        assert_eq!(count(&sigs, &[0x90; 10]), 7);
+        assert_eq!(count(&sigs, &[b'a', 0x90, 0x90, 0x90, 0x90, 0x90, b'b']), 2);
     }
 }

@@ -79,8 +79,10 @@ fn naive_matches(patterns: &[Vec<u8>], haystack: &[u8]) -> u64 {
 /// Aho–Corasick counts exactly what a naive scan counts: on a small
 /// alphabet (dense overlaps, deep failure chains), on one spanning the
 /// whole byte range (so every column of the transition table is read),
-/// and on DPI-shaped payloads with the demo signatures planted into
-/// a–z filler by `Packet::with_payload` itself.
+/// and with the demo signatures on uniform random bytes, on runs of
+/// signature fragments (so the scan leaves the root often), and on
+/// DPI-shaped payloads with the signatures planted into a–z filler by
+/// `Packet::with_payload` itself, at attack probability 0, 0.01 and 1.
 #[test]
 fn aho_corasick_matches_naive_search() {
     let check = |patterns: &[Vec<u8>], haystack: &[u8]| {
@@ -105,19 +107,48 @@ fn aho_corasick_matches_naive_search() {
     }
 
     let signatures: Vec<Vec<u8>> = Dpi::demo_signatures().iter().map(|s| s.to_vec()).collect();
-    let mut planted = 0;
-    for id in 0..200u64 {
-        let len = rng.range_usize(0, 1500);
-        let pkt = Packet::new(id, 0, random_tuple(&mut rng), 1500, 0).with_payload(
-            len,
-            0x50B2,
-            0.5,
-            &Dpi::demo_signatures(),
-        );
-        planted += u64::from(naive_matches(&signatures, &pkt.payload) > 0);
-        check(&signatures, &pkt.payload);
+    let automaton = AhoCorasick::build(&Dpi::demo_signatures());
+    let check_signatures = |haystack: &[u8]| {
+        let want = naive_matches(&signatures, haystack);
+        assert_eq!(automaton.count_matches(haystack), want, "{haystack:?}");
+        want
+    };
+    for _ in 0..300 {
+        let haystack: Vec<u8> =
+            (0..rng.range_usize(0, 300)).map(|_| rng.range_u8_inclusive(0, 255)).collect();
+        check_signatures(&haystack);
     }
-    assert!(planted > 50, "only {planted} payloads carried a signature");
+    let mut found = 0;
+    for _ in 0..2000 {
+        let len = rng.range_usize(0, 64);
+        let mut haystack = Vec::with_capacity(len + 11);
+        while haystack.len() < len {
+            let sig = &signatures[rng.range_usize(0, signatures.len())];
+            let lo = rng.range_usize(0, sig.len());
+            haystack.extend_from_slice(&sig[lo..rng.range_usize(lo + 1, sig.len() + 1)]);
+        }
+        haystack.truncate(len);
+        found += check_signatures(&haystack);
+    }
+    assert!(found > 100, "only {found} matches in signature-fragment haystacks");
+    for attack_prob in [0.0, 0.01, 1.0] {
+        let mut planted = 0;
+        for id in 0..200u64 {
+            let len = rng.range_usize(0, 1500);
+            let pkt = Packet::new(id, 0, random_tuple(&mut rng), 1500, 0).with_payload(
+                len,
+                0x50B2,
+                attack_prob,
+                &Dpi::demo_signatures(),
+            );
+            planted += u64::from(check_signatures(&pkt.payload) > 0);
+        }
+        assert_eq!(
+            planted > 150,
+            attack_prob == 1.0,
+            "{planted} payloads planted at p = {attack_prob}"
+        );
+    }
 }
 
 /// No pipeline configuration loses or invents packets. This is the
