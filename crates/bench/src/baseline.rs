@@ -441,9 +441,12 @@ mod tests {
     fn full_check_carries_identity_and_fusion_gates() {
         use crate::microbench::BenchSummary;
         let base = parse_baseline(&sample_export()).expect("parses");
+        let point = apples_core::stats::BootstrapCi { mean: 1.0, lo: 1.0, hi: 1.0, resamples: 1 };
         let mut summary = BenchSummary {
             identical_results: true,
             obs_overhead_ratio: 1.0,
+            obs_overhead_ci: point.clone(),
+            full_overhead_ci: point,
             engine_baselines: vec![
                 entry("forward-2stage", 1.9e7, 2.1e7),
                 entry("batch-gpu", 4.8e6, 5.2e6),

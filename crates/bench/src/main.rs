@@ -350,8 +350,9 @@ fn main() {
             let failures = apples_bench::microbench::check_obs_overhead(&summary, &ceiling_text);
             if failures.is_empty() {
                 println!(
-                    "observability OK: {:.3}x span-profiler overhead, zero cost when off",
-                    summary.obs_overhead_ratio
+                    "observability OK: {:.3}x span-profiler overhead ({}), zero cost when off",
+                    summary.obs_overhead_ratio,
+                    apples_bench::microbench::overhead_cis(&summary)
                 );
             } else {
                 for f in &failures {

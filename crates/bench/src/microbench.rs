@@ -40,7 +40,7 @@ use crate::scenarios::{
 };
 use crate::wallclock::WallClock;
 use apples_core::json::Json;
-use apples_core::stats::bootstrap_mean_ci;
+use apples_core::stats::{bootstrap_mean_ci, BootstrapCi};
 use apples_obs::{ObsConfig, RunObserver};
 use apples_simnet::engine::{
     cold_slot_bytes, hot_slot_bytes, BatchPolicy, Engine, RunResult, StageConfig,
@@ -97,6 +97,12 @@ pub struct BenchSummary {
     /// (1.0 = free; the CI gate caps this via
     /// `reports/obs_overhead.txt`).
     pub obs_overhead_ratio: f64,
+    /// 95% bootstrap CI of the mean per-round diagnosis/off ratio
+    /// (reported next to the gated median, not gated).
+    pub obs_overhead_ci: BootstrapCi,
+    /// 95% bootstrap CI of the mean per-round full/off ratio (reported,
+    /// not gated).
+    pub full_overhead_ci: BootstrapCi,
     /// Per engine scenario: throughput, CI, fused speedup.
     pub engine_baselines: Vec<EngineBaseline>,
 }
@@ -512,15 +518,27 @@ fn robustness_section(replications: usize, all_identical: &mut bool) -> Json {
 /// each configuration runs first, second and last once, and a cost
 /// tied to a slot in the round (what the previous run left in the
 /// caches, drift across the round) does not land on one side of every
-/// ratio. The
-/// per-configuration wall times reported are running minima, and the
-/// gated ratios are the medians of the per-round ratios — robust to a
-/// single noisy round in a way that min-of-independent-blocks is not.
+/// ratio. The per-configuration wall times reported are running
+/// minima, and the gated ratios are the medians of the per-round
+/// ratios — robust to a single noisy round in a way that
+/// min-of-independent-blocks is not.
 struct OverheadTiming<A, B, C> {
     outs: (A, B, C),
     min_ms: [f64; 3],
-    /// (spans/off, full/off) medians across rounds.
-    ratios: (f64, f64),
+    /// Per-round (spans/off, full/off) ratios, in round order.
+    rounds: (Vec<f64>, Vec<f64>),
+}
+
+impl<A, B, C> OverheadTiming<A, B, C> {
+    /// The (spans/off, full/off) medians across rounds.
+    fn ratios(&self) -> (f64, f64) {
+        let median = |v: &[f64]| {
+            let mut v = v.to_vec();
+            v.sort_by(f64::total_cmp);
+            v[v.len() / 2]
+        };
+        (median(&self.rounds.0), median(&self.rounds.1))
+    }
 }
 
 fn interleaved_overhead<A, B, C>(
@@ -558,11 +576,16 @@ fn interleaved_overhead<A, B, C>(
         spans_ratios.push(ms[1] / ms[0].max(1e-9));
         full_ratios.push(ms[2] / ms[0].max(1e-9));
     }
-    let median = |v: &mut Vec<f64>| {
-        v.sort_by(f64::total_cmp);
-        v[v.len() / 2]
-    };
-    OverheadTiming { outs, min_ms, ratios: (median(&mut spans_ratios), median(&mut full_ratios)) }
+    OverheadTiming { outs, min_ms, rounds: (spans_ratios, full_ratios) }
+}
+
+/// What [`obs_section`] measured of the observability cost: the gated
+/// median diagnosis/off ratio, and 95% percentile-bootstrap CIs of the
+/// mean per-round diagnosis/off and full/off ratios.
+struct ObsOverhead {
+    ratio: f64,
+    ci: BootstrapCi,
+    full_ci: BootstrapCi,
 }
 
 /// Measures the observability layer against itself:
@@ -579,10 +602,15 @@ fn interleaved_overhead<A, B, C>(
 ///   reported so the cost of a fully-traced run is a number, not a
 ///   guess).
 ///
+/// Both timed configurations also get a 95% percentile-bootstrap CI of
+/// their mean per-round ratio (fixed seeds, so the same timings always
+/// give the same interval). The CIs are reported, not gated: they show
+/// how far the rounds spread around the gated median.
+///
 /// The JSON also carries one observed run's telemetry, span profile,
 /// scheduler counters, and trace-ring occupancy so `BENCH_simnet.json`
 /// documents what the layer sees, not just what it costs.
-fn obs_section(quick: bool, all_identical: &mut bool, overhead_ratio: &mut f64) -> Json {
+fn obs_section(quick: bool, all_identical: &mut bool) -> (Json, ObsOverhead) {
     // Zero-cost identity on the engine itself.
     let wl = WorkloadSpec::cbr(8e6, 200, 16, 7);
     let sim_ns: u64 = if quick { 5_000_000 } else { 20_000_000 };
@@ -611,14 +639,16 @@ fn obs_section(quick: bool, all_identical: &mut bool, overhead_ratio: &mut f64) 
         || d.run_observed(&dwl, run_ns, 0, &diagnosis),
         || d.run_observed(&dwl, run_ns, 0, &ObsConfig::full()),
     );
+    let (ratio, full_ratio) = timing.ratios();
+    let rounds = timing.rounds.0.len();
+    let ci = bootstrap_mean_ci(&timing.rounds.0, BASELINE_RESAMPLES, 0x0B5E);
+    let full_ci = bootstrap_mean_ci(&timing.rounds.1, BASELINE_RESAMPLES, 0x0B5F);
     let (m_off, (m_spans, _), (m_on, obs)) = timing.outs;
     let [off_ms, spans_ms, full_ms] = timing.min_ms;
     let reference = m_off.fingerprint();
     let observed_numbers_identical =
         m_on.fingerprint() == reference && m_spans.fingerprint() == reference;
     *all_identical &= observed_numbers_identical;
-    let (ratio, full_ratio) = timing.ratios;
-    *overhead_ratio = ratio;
 
     let names: Vec<String> = m_on.stages.iter().map(|s| s.name.to_owned()).collect();
     let telemetry = obs.telemetry.as_ref().map_or_else(Json::obj, |t| t.to_json(&names));
@@ -630,18 +660,27 @@ fn obs_section(quick: bool, all_identical: &mut bool, overhead_ratio: &mut f64) 
             .field("emitted", t.emitted())
             .field("overwritten", t.overwritten())
     });
-    Json::obj()
+    let json = Json::obj()
         .field("zero_cost_identical", zero_cost)
         .field("observed_numbers_identical", observed_numbers_identical)
         .field("off_wall_ms", off_ms)
         .field("spans_on_wall_ms", spans_ms)
         .field("overhead_ratio", ratio)
+        .field("overhead_ratio_mean", ci.mean)
+        .field("overhead_ratio_ci_lo", ci.lo)
+        .field("overhead_ratio_ci_hi", ci.hi)
         .field("full_on_wall_ms", full_ms)
         .field("full_overhead_ratio", full_ratio)
+        .field("full_overhead_ratio_mean", full_ci.mean)
+        .field("full_overhead_ratio_ci_lo", full_ci.lo)
+        .field("full_overhead_ratio_ci_hi", full_ci.hi)
+        .field("overhead_rounds", rounds)
+        .field("bootstrap_resamples", BASELINE_RESAMPLES)
         .field("trace", trace)
         .field("sched_counters", obs.sched.to_json())
         .field("spans", spans)
-        .field("telemetry", telemetry)
+        .field("telemetry", telemetry);
+    (json, ObsOverhead { ratio, ci, full_ci })
 }
 
 /// Measures the runtime order sanitizer against itself, mirroring
@@ -675,6 +714,7 @@ fn sanitizer_section(quick: bool, all_identical: &mut bool) -> Json {
         || d.run_with(&wl, run_ns, 0, sanitized(OrderSanitizer::new())),
         || d.run_with(&wl, run_ns, 0, sanitized(OrderSanitizer::with_perturbation(0xD15F))),
     );
+    let (check_ratio, perturb_ratio) = timing.ratios();
     let (m_off, checked, perturbed) = timing.outs;
     let [off_ms, check_ms, perturb_ms] = timing.min_ms;
     let reference = m_off.fingerprint();
@@ -682,7 +722,6 @@ fn sanitizer_section(quick: bool, all_identical: &mut bool) -> Json {
         && perturbed.measurement.fingerprint() == reference;
     let report = perturbed.sanitizer.unwrap_or_default();
     *all_identical &= identical;
-    let (check_ratio, perturb_ratio) = timing.ratios;
     Json::obj()
         .field("sanitized_numbers_identical", identical)
         .field("off_wall_ms", off_ms)
@@ -776,8 +815,7 @@ pub fn run_with_summary(opts: &BenchOptions) -> (Json, BenchSummary) {
     let harness = harness_sweep(&mut all_identical);
     let scaling = single_run_scaling(opts.quick, &mut all_identical);
     let scaling_diag = scaling_diagnosis_section(opts.quick, &mut all_identical);
-    let mut obs_overhead_ratio = 1.0;
-    let observability = obs_section(opts.quick, &mut all_identical, &mut obs_overhead_ratio);
+    let (observability, overhead) = obs_section(opts.quick, &mut all_identical);
     let sanitizer = sanitizer_section(opts.quick, &mut all_identical);
     let experiment_store = experiment_store_section(opts.quick, &mut all_identical);
 
@@ -802,7 +840,14 @@ pub fn run_with_summary(opts: &BenchOptions) -> (Json, BenchSummary) {
         json = json.field("robustness", robustness_section(replications, &mut all_identical));
     }
     let json = json.field("identical_results", all_identical);
-    (json, BenchSummary { identical_results: all_identical, obs_overhead_ratio, engine_baselines })
+    let summary = BenchSummary {
+        identical_results: all_identical,
+        obs_overhead_ratio: overhead.ratio,
+        obs_overhead_ci: overhead.ci,
+        full_overhead_ci: overhead.full_ci,
+        engine_baselines,
+    };
+    (json, summary)
 }
 
 /// The `--export-baseline` payload: per-scenario throughput with its
@@ -834,6 +879,17 @@ pub fn run() -> Json {
     run_with_summary(&BenchOptions::default()).0
 }
 
+/// The reported, never gated, overhead CIs for the `--check-obs` line:
+/// the mean per-round diagnosis/off and full/off ratios with their 95%
+/// bootstrap CIs.
+pub fn overhead_cis(summary: &BenchSummary) -> String {
+    let (d, f) = (&summary.obs_overhead_ci, &summary.full_overhead_ci);
+    format!(
+        "per-round mean {:.3}x, 95% CI [{:.3}, {:.3}]; full {:.3}x, 95% CI [{:.3}, {:.3}]",
+        d.mean, d.lo, d.hi, f.mean, f.lo, f.hi
+    )
+}
+
 /// Checks the observability overhead against a checked-in ceiling file
 /// (plain `key value` lines; `#` comments). Gates:
 ///
@@ -863,8 +919,10 @@ pub fn check_obs_overhead(summary: &BenchSummary, ceiling_text: &str) -> Vec<Str
         Some(ceiling) => {
             if summary.obs_overhead_ratio > ceiling {
                 failures.push(format!(
-                    "span-profiler overhead {:.3}x exceeds the {:.3}x ceiling",
-                    summary.obs_overhead_ratio, ceiling
+                    "span-profiler overhead {:.3}x exceeds the {:.3}x ceiling ({})",
+                    summary.obs_overhead_ratio,
+                    ceiling,
+                    overhead_cis(summary)
                 ));
             }
         }
@@ -945,10 +1003,16 @@ mod tests {
         assert_ne!(fingerprint(0.0), fingerprint(1.0), "faults must bite");
     }
 
+    fn point_ci(x: f64) -> BootstrapCi {
+        BootstrapCi { mean: x, lo: x, hi: x, resamples: 1 }
+    }
+
     fn summary(identical: bool, obs_ratio: f64) -> BenchSummary {
         BenchSummary {
             identical_results: identical,
             obs_overhead_ratio: obs_ratio,
+            obs_overhead_ci: point_ci(obs_ratio),
+            full_overhead_ci: point_ci(obs_ratio),
             engine_baselines: Vec::new(),
         }
     }
@@ -1022,14 +1086,21 @@ mod tests {
     #[test]
     fn obs_section_proves_zero_cost_and_reports_shape() {
         let mut all_identical = true;
-        let mut ratio = 0.0;
-        let s = obs_section(true, &mut all_identical, &mut ratio).render();
+        let (json, overhead) = obs_section(true, &mut all_identical);
+        let s = json.render();
         assert!(all_identical, "observed runs must not change simulated results");
-        assert!(ratio > 0.0, "overhead ratio must be measured");
+        assert!(overhead.ratio > 0.0, "overhead ratio must be measured");
+        for ci in [&overhead.ci, &overhead.full_ci] {
+            assert!(ci.lo <= ci.mean && ci.mean <= ci.hi, "{ci}");
+        }
         for key in [
             "zero_cost_identical",
             "observed_numbers_identical",
             "overhead_ratio",
+            "overhead_ratio_ci_lo",
+            "overhead_ratio_ci_hi",
+            "full_overhead_ratio_ci_lo",
+            "full_overhead_ratio_ci_hi",
             "trace",
             "sched_counters",
             "spans",

@@ -8,6 +8,11 @@
 //!   port so most packets scan a small bucket — the "software
 //!   optimization on the same hardware" used by the Figure 1a
 //!   experiment (better performance at identical cost).
+//!
+//! Both charge the cycles of the scan they model. [`Firewall`] also
+//! remembers each flow's first-match result, so the simulator repeats
+//! a scan only for a flow it has not seen or has lost its memo slot;
+//! the cycles it charges are the modelled scan's either way.
 
 use super::{FailMode, NetworkFunction, NfVerdict};
 use crate::packet::Packet;
@@ -55,6 +60,14 @@ impl Rule {
     }
 }
 
+/// Rejects prefix lengths above 32, which no IPv4 prefix has: the mask
+/// shift in [`prefix_match`] would overflow.
+fn assert_prefix_lengths(rules: &[Rule]) {
+    for r in rules {
+        assert!(r.src.1 <= 32 && r.dst.1 <= 32, "prefix length must be <= 32");
+    }
+}
+
 fn prefix_match((addr, len): (u32, u8), ip: u32) -> bool {
     if len == 0 {
         return true;
@@ -71,19 +84,45 @@ pub const BASE_CYCLES: u64 = 500;
 /// Cycles per rule compared.
 pub const PER_RULE_CYCLES: u64 = 28;
 
+/// Slots in [`Firewall`]'s first-match memo, indexed by flow number.
+const MEMO_SLOTS: usize = 1024;
+
+/// A remembered first-match result and the tuple it was computed for.
+#[derive(Debug, Clone, Copy)]
+struct FirstMatch {
+    tuple: FiveTuple,
+    action: Action,
+    scan_cycles: u64,
+}
+
 /// First-match linear ACL firewall.
+///
+/// The result of a scan is a pure function of the rule list, the
+/// default action and the 5-tuple, and `process` keeps no other state.
+/// So the firewall keeps the last result per flow in a direct-mapped
+/// memo of [`MEMO_SLOTS`] slots (slot `flow % MEMO_SLOTS`), and a hit
+/// requires the stored tuple to equal the packet's. A hit returns the
+/// action and the cycles of the scan it stands for; a slot collision,
+/// or one flow number carrying several tuples, costs only a rescan.
+/// Corrupted packets never reach `process` (`NfChain::run` handles them
+/// first), so the memo only ever sees parsed tuples.
 pub struct Firewall {
     rules: Vec<Rule>,
     default: Action,
     fail_mode: FailMode,
+    memo: Vec<Option<FirstMatch>>,
 }
 
 impl Firewall {
     /// Creates a firewall from an ordered rule list and a default action
     /// for packets matching no rule. Fails closed on corrupted packets
     /// (a firewall that cannot parse a packet must not pass it).
+    ///
+    /// # Panics
+    /// If a rule has a prefix length above 32.
     pub fn new(rules: Vec<Rule>, default: Action) -> Self {
-        Firewall { rules, default, fail_mode: FailMode::Closed }
+        assert_prefix_lengths(&rules);
+        Firewall { rules, default, fail_mode: FailMode::Closed, memo: vec![None; MEMO_SLOTS] }
     }
 
     /// Overrides the degradation policy for corrupted packets.
@@ -118,7 +157,15 @@ impl NetworkFunction for Firewall {
     }
 
     fn process(&mut self, pkt: &Packet) -> (NfVerdict, u64) {
-        let (action, scan_cycles) = self.decide(&pkt.tuple);
+        let slot = pkt.flow as usize % MEMO_SLOTS;
+        let (action, scan_cycles) = match self.memo[slot] {
+            Some(v) if v.tuple == pkt.tuple => (v.action, v.scan_cycles),
+            _ => {
+                let (action, scan_cycles) = self.decide(&pkt.tuple);
+                self.memo[slot] = Some(FirstMatch { tuple: pkt.tuple, action, scan_cycles });
+                (action, scan_cycles)
+            }
+        };
         let verdict = match action {
             Action::Allow => NfVerdict::Forward,
             Action::Deny => NfVerdict::Drop,
@@ -148,7 +195,11 @@ pub struct BucketedFirewall {
 
 impl BucketedFirewall {
     /// Compiles the same rule list a [`Firewall`] would use.
+    ///
+    /// # Panics
+    /// If a rule has a prefix length above 32.
     pub fn new(rules: Vec<Rule>, default: Action) -> Self {
+        assert_prefix_lengths(&rules);
         let mut buckets: BTreeMap<(u8, u16), Vec<(usize, Rule)>> = BTreeMap::new();
         let mut fallback = Vec::new();
         let rules_total = rules.len();
@@ -376,6 +427,104 @@ mod tests {
             bc * 2 < lc,
             "bucketed should be at least 2x cheaper: linear {lc} vs bucketed {bc}"
         );
+    }
+
+    #[test]
+    #[should_panic(expected = "prefix length")]
+    fn linear_firewall_rejects_prefix_lengths_above_32() {
+        let rule = Rule { src: (0x0A00_0000, 33), ..Rule::any(Action::Deny) };
+        let _ = Firewall::new(vec![rule], Action::Allow);
+    }
+
+    #[test]
+    #[should_panic(expected = "prefix length")]
+    fn bucketed_firewall_rejects_prefix_lengths_above_32() {
+        let rule = Rule { dst: (0x0A00_0000, 40), ..Rule::any(Action::Deny) };
+        let _ = BucketedFirewall::new(vec![rule], Action::Allow);
+    }
+
+    fn random_rule(rng: &mut Rng) -> Rule {
+        let plo = rng.range_u16_inclusive(0, u16::MAX);
+        Rule {
+            src: (rng.next_u32(), rng.range_u8_inclusive(0, 32)),
+            dst: (rng.next_u32(), rng.range_u8_inclusive(0, 32)),
+            dst_ports: (plo, plo.saturating_add(rng.range_u16(0, 16))),
+            proto: [None, Some(6), Some(17)][rng.range_usize(0, 3)],
+            action: if rng.gen_bool(0.5) { Action::Allow } else { Action::Deny },
+        }
+    }
+
+    fn random_tuple(rng: &mut Rng) -> FiveTuple {
+        FiveTuple {
+            src_ip: rng.next_u32(),
+            dst_ip: rng.next_u32(),
+            src_port: rng.range_u16_inclusive(0, u16::MAX),
+            dst_port: rng.range_u16(0, 32),
+            proto: if rng.gen_bool(0.5) { 6 } else { 17 },
+        }
+    }
+
+    /// Feeds `stream` through `fw` and checks each packet's verdict and
+    /// cycles against a fresh scan of its tuple.
+    fn assert_memo_matches_decide(fw: &mut Firewall, stream: &[(u32, FiveTuple)]) {
+        for (i, &(flow, t)) in stream.iter().enumerate() {
+            let (action, scan_cycles) = fw.decide(&t);
+            let want = match action {
+                Action::Allow => NfVerdict::Forward,
+                Action::Deny => NfVerdict::Drop,
+            };
+            let got = fw.process(&Packet::new(i as u64, flow, t, 64, 0));
+            assert_eq!(got, (want, BASE_CYCLES + scan_cycles), "packet {i}: flow {flow}, {t:?}");
+        }
+    }
+
+    /// Streams that exercise every memo path: a Zipf population's
+    /// repeated flows (hits), one flow number carrying several tuples
+    /// (tuple mismatches), and flow numbers 1,024 apart (slot
+    /// collisions, all at or above 1,024).
+    fn memo_streams(rng: &mut Rng) -> Vec<Vec<(u32, FiveTuple)>> {
+        let pop = apples_workload::FlowPopulation::zipf(256, 1.0, rng);
+        let zipf = (0..5_000)
+            .map(|_| {
+                let i = pop.sample_index(rng);
+                (i as u32, pop.tuple(i))
+            })
+            .collect();
+        let tuples: Vec<FiveTuple> = (0..8).map(|_| pop.tuple(rng.range_usize(0, 256))).collect();
+        let shared =
+            (0..2_000).map(|_| (rng.range_u32(0, 4), tuples[rng.range_usize(0, 8)])).collect();
+        let colliding = (0..2_000)
+            .map(|_| {
+                let k = rng.range_u32(1, 5);
+                (7 + k * 1024, tuples[k as usize])
+            })
+            .collect();
+        vec![zipf, shared, colliding]
+    }
+
+    #[test]
+    fn memo_matches_decide_on_every_packet() {
+        let mut rng = Rng::seed_from_u64(0xACE);
+        // The bench crate's reference ACL: the synthesized body, a deny
+        // of TCP port 80, then the terminal allow.
+        let mut reference = synth_rules(99, 0.9, 7);
+        let terminal = reference.pop().unwrap();
+        reference.push(Rule { dst_ports: (80, 80), proto: Some(6), ..Rule::any(Action::Deny) });
+        reference.push(terminal);
+        let mut rule_sets = vec![(reference, Action::Deny)];
+        for _ in 0..20 {
+            let rules = (0..rng.range_usize(0, 40)).map(|_| random_rule(&mut rng)).collect();
+            rule_sets.push((rules, if rng.gen_bool(0.5) { Action::Deny } else { Action::Allow }));
+        }
+        for (rules, default) in rule_sets {
+            let mut fw = Firewall::new(rules, default);
+            for stream in memo_streams(&mut rng) {
+                assert_memo_matches_decide(&mut fw, &stream);
+            }
+            let random: Vec<_> =
+                (0..500).map(|_| (rng.range_u32(0, 2048), random_tuple(&mut rng))).collect();
+            assert_memo_matches_decide(&mut fw, &random);
+        }
     }
 
     #[test]

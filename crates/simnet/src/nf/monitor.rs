@@ -62,6 +62,24 @@ impl CountMinSketch {
     pub fn total(&self) -> u64 {
         self.total
     }
+
+    /// [`add`](Self::add) that also returns the flow's estimate just
+    /// before and just after, in one pass over the rows: each row's
+    /// column is computed once. The values equal `estimate`, `add`,
+    /// `estimate` in turn, wraparound included, because each row's
+    /// counters are disjoint from every other row's.
+    fn add_between_estimates(&mut self, key: u64, amount: u64) -> (u64, u64) {
+        let (mut before, mut after) = (u64::MAX, u64::MAX);
+        for r in 0..self.rows {
+            let i = r * self.cols + self.col(r, key);
+            let counter = &mut self.counters[i];
+            before = before.min(*counter);
+            *counter += amount;
+            after = after.min(*counter);
+        }
+        self.total += amount;
+        (before, after)
+    }
 }
 
 /// The flow-monitor NF: updates the sketch per packet and tracks flows
@@ -96,9 +114,7 @@ impl NetworkFunction for FlowMonitor {
 
     fn process(&mut self, pkt: &Packet) -> (NfVerdict, u64) {
         let key = pkt.tuple.hash64();
-        let before = self.sketch.estimate(key);
-        self.sketch.add(key, u64::from(pkt.size_bytes));
-        let after = self.sketch.estimate(key);
+        let (before, after) = self.sketch.add_between_estimates(key, u64::from(pkt.size_bytes));
         if before < self.threshold_bytes && after >= self.threshold_bytes {
             self.heavy.push(pkt.tuple);
         }
@@ -164,6 +180,61 @@ mod tests {
         let (_, c8) = m8.process(&pkt(1, 64));
         assert_eq!(c3, BASE_CYCLES + 3 * PER_ROW_CYCLES);
         assert_eq!(c8, BASE_CYCLES + 8 * PER_ROW_CYCLES);
+    }
+
+    /// The monitor's per-packet update as `estimate`, `add`, `estimate`:
+    /// three passes over the rows, kept as the oracle for the one-pass
+    /// update.
+    fn three_pass(
+        sketch: &mut CountMinSketch,
+        heavy: &mut Vec<FiveTuple>,
+        threshold: u64,
+        p: &Packet,
+    ) {
+        let key = p.tuple.hash64();
+        let before = sketch.estimate(key);
+        sketch.add(key, u64::from(p.size_bytes));
+        let after = sketch.estimate(key);
+        if before < threshold && after >= threshold {
+            heavy.push(p.tuple);
+        }
+    }
+
+    #[test]
+    fn one_pass_update_matches_three_passes() {
+        let mut rng = Rng::seed_from_u64(0x0DD5);
+        let mut flagged = 0;
+        for _ in 0..40 {
+            let (rows, cols) = (rng.range_usize(1, 7), rng.range_usize(1, 64));
+            let threshold = rng.range_u64(1, 200_000);
+            let mut monitor = FlowMonitor::new(rows, cols, threshold);
+            let mut sketch = CountMinSketch::new(rows, cols);
+            let mut heavy = Vec::new();
+            let flows = rng.range_u32(1, 300);
+            for id in 0..rng.range_u32(1, 2_000) {
+                let size = rng.range_u32(64, 1519);
+                let p = Packet::new(
+                    u64::from(id),
+                    0,
+                    FiveTuple {
+                        src_ip: rng.range_u32(0, flows),
+                        dst_ip: 1,
+                        src_port: 2,
+                        dst_port: 80,
+                        proto: 6,
+                    },
+                    size,
+                    0,
+                );
+                monitor.process(&p);
+                three_pass(&mut sketch, &mut heavy, threshold, &p);
+            }
+            assert_eq!(monitor.sketch.counters, sketch.counters);
+            assert_eq!(monitor.sketch().total(), sketch.total());
+            assert_eq!(monitor.heavy_hitters(), heavy.as_slice());
+            flagged += heavy.len();
+        }
+        assert!(flagged > 0, "no stream crossed its threshold");
     }
 
     #[test]
