@@ -97,9 +97,8 @@ pub fn run() -> ExperimentReport {
         }
     }
     r.measured_line(
-        "telemetry is collected whole-run (not warmup-gated) and merges associatively \
-         across worker shards; the observed runs' measurements are bit-identical to the \
-         unobserved baselines"
+        "telemetry is collected whole-run (not warmup-gated); the observed runs' \
+         measurements are bit-identical to the unobserved baselines"
             .to_owned(),
     );
     r.table("stage-telemetry", csv);

@@ -30,9 +30,9 @@
 //!                        # observed run is bit-identical to the reference
 //! xp run smartnic --severity 0.5 --trace trace.json
 //!                        # ... plus the Chrome trace_event file
-//! xp run cluster --shards 4 --profile prof.folded
-//!                        # folded-stack (flamegraph) profile with
-//!                        # per-shard compute/barrier/merge lanes
+//! xp run cluster --profile prof.folded
+//!                        # folded-stack (flamegraph) profile of the
+//!                        # engine phases
 //! xp run base-2c --sanitize --severity 0.5 --perturb-seed 7
 //!                        # ... with the order sanitizer: a perturbed
 //!                        # observed run plus a check-only run
@@ -141,7 +141,7 @@ fn run_scenario_cmd(mut args: Vec<String>) -> ! {
     let ids = SCENARIOS.iter().map(|&(id, _)| id).collect::<Vec<_>>().join(", ");
     let usage = || -> ! {
         eprintln!(
-            "usage: xp run <scenario> [--severity S] [--seed N] [--shards N] \
+            "usage: xp run <scenario> [--severity S] [--seed N] \
              [--trace FILE [--ring EVENTS]] [--profile FILE] [--sanitize [--perturb-seed N]]"
         );
         eprintln!("scenarios: {ids}");
@@ -153,9 +153,6 @@ fn run_scenario_cmd(mut args: Vec<String>) -> ! {
         s.parse::<f64>().ok().filter(|v| (0.0..=1.0).contains(v))
     });
     let seed = parse_flag(&mut args, "--seed", "an unsigned integer", |s| s.parse().ok());
-    let shards = parse_flag(&mut args, "--shards", "an integer >= 1", |s| {
-        s.parse::<usize>().ok().filter(|&n| n >= 1)
-    });
     let ring = parse_flag(&mut args, "--ring", "a positive integer", |s| {
         s.parse::<usize>().ok().filter(|&n| n > 0)
     });
@@ -163,12 +160,8 @@ fn run_scenario_cmd(mut args: Vec<String>) -> ! {
         parse_flag(&mut args, "--perturb-seed", "an unsigned integer", |s| s.parse().ok());
     let sanitize = take_switch(&mut args, "--sanitize");
     // `--ring` sizes the trace and `--perturb-seed` seeds the sanitizer:
-    // each is a usage error without the flag it qualifies. A trace ring
-    // cannot be sharded, so `--trace` with `--shards` > 1 would quietly
-    // observe a serial run; refuse it instead.
-    let dangling = (ring.is_some() && trace.is_none())
-        || (perturb_seed.is_some() && !sanitize)
-        || (trace.is_some() && shards.is_some_and(|n| n > 1));
+    // each is a usage error without the flag it qualifies.
+    let dangling = (ring.is_some() && trace.is_none()) || (perturb_seed.is_some() && !sanitize);
     if dangling || args.len() != 1 || args[0].starts_with("--") {
         usage();
     }
@@ -176,7 +169,6 @@ fn run_scenario_cmd(mut args: Vec<String>) -> ! {
         scenario: args.remove(0),
         severity: severity.unwrap_or(0.0),
         seed: seed.unwrap_or(1),
-        shards: shards.unwrap_or(1),
         trace_ring: trace.is_some().then(|| ring.unwrap_or(DEFAULT_TRACE_CAPACITY)),
         perturb_seed: sanitize.then(|| perturb_seed.unwrap_or(DEFAULT_PERTURB_SEED)),
     };

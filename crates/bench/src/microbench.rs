@@ -16,19 +16,7 @@
 //!    {1, 2, 4, cores}; each worker count must reproduce the serial
 //!    results byte-for-byte (the pool writes results by job index), and
 //!    the wall-clock curve is the experiment-pool speedup. This says
-//!    nothing about one big run — that is the next section's job.
-//! 3. **Single-run scaling.** One multi-host run split across engine
-//!    shards (`Deployment::with_shards`) at shard counts {1, 2, 4},
-//!    measured as interleaved same-binary A/B trials against the serial
-//!    engine with a bootstrap CI on the per-trial speedups. Results
-//!    must be byte-identical to serial at every shard count; speedup
-//!    needs as many physical cores as shards.
-//! 4. **Scaling diagnosis.** The same sharded run is decomposed into
-//!    compute / barrier-stall / merge wall-time fractions (with
-//!    bootstrap CIs over trials), Jain's fairness index over per-shard
-//!    compute time, and a predicted-max-speedup bound — so a flat
-//!    scaling curve is attributable to stall or imbalance, not guessed
-//!    at.
+//!    nothing about one big run, which always runs on one thread.
 //!
 //! Wall times take the median of three trials; everything simulated is
 //! deterministic, so every other number is exactly reproducible.
@@ -47,7 +35,7 @@ use apples_simnet::engine::{
 };
 use apples_simnet::nf::NfChain;
 use apples_simnet::service::{FixedTime, LineRate, NfService};
-use apples_simnet::system::{Deployment, Measurement, RunOpts};
+use apples_simnet::system::{Measurement, RunOpts};
 use apples_simnet::OrderSanitizer;
 use apples_workload::WorkloadSpec;
 
@@ -230,8 +218,7 @@ fn batch_pipeline() -> Engine {
 // ---------------------------------------------------------------------
 // Cross-experiment parallelism: the measurement batch at each worker
 // count. This scales the *pool of independent experiments*, not a
-// single run — a lone big scenario gains nothing here (that is what
-// the single-run scaling section below measures).
+// single run — a lone big scenario gains nothing here.
 // ---------------------------------------------------------------------
 
 fn harness_jobs() -> Vec<u64> {
@@ -292,170 +279,6 @@ fn harness_sweep(all_identical: &mut bool) -> Json {
         .field("machine_workers", Pool::new().workers())
         .field("serial_wall_ms", serial_ms)
         .field("cross_experiment_parallelism", Json::Arr(entries))
-}
-
-// ---------------------------------------------------------------------
-// Single-run scaling: one multi-host run split across engine shards.
-// ---------------------------------------------------------------------
-
-/// The multi-host scenario the intra-run scaling measurement uses: an
-/// 8-host replicated cluster behind an ECMP splitter — the topology
-/// the shard planner splits into a splitter shard plus host shards.
-fn scaling_deployment() -> Deployment {
-    Deployment::replicated_cluster("cluster-8x2", 8, 2, 0.1, crate::scenarios::firewall_chain)
-}
-
-fn diagnosed() -> RunOpts {
-    RunOpts { observer: Some(ObsConfig::diagnosis()), ..RunOpts::default() }
-}
-
-/// Interleaved same-binary A/B at each shard count: serial and sharded
-/// trials alternate (so drift hits both arms equally), the speedup is
-/// the ratio of median walls, and the CI bootstraps the per-trial-pair
-/// speedups. Byte-identity to the serial reference is required at
-/// every shard count regardless of core count; wall-clock speedup
-/// additionally needs `shards` physical cores.
-fn single_run_scaling(quick: bool, all_identical: &mut bool) -> Json {
-    const SCALING_TRIALS: usize = 3;
-    let sim_ns: u64 = if quick { 10_000_000 } else { 40_000_000 };
-    let wl = WorkloadSpec::cbr(20e6, 1500, 64, 5);
-    let serial = scaling_deployment();
-    let reference = serial.run(&wl, sim_ns, 0).fingerprint();
-    // lint: allow(D3, reason = "core-count probe only: reads available_parallelism, spawns nothing; reported so scaling numbers are interpretable on small runners")
-    let cores = std::thread::available_parallelism().map_or(1, usize::from);
-    let entries = [1usize, 2, 4]
-        .into_iter()
-        .map(|n| {
-            let sharded = scaling_deployment().with_shards(n);
-            let mut serial_walls = Vec::with_capacity(SCALING_TRIALS);
-            let mut sharded_walls = Vec::with_capacity(SCALING_TRIALS);
-            let mut speedups = Vec::with_capacity(SCALING_TRIALS);
-            let mut identical = true;
-            for _ in 0..SCALING_TRIALS {
-                let clock = WallClock::start();
-                let a = serial.run(&wl, sim_ns, 0);
-                let serial_ms = clock.elapsed_ms();
-                let clock = WallClock::start();
-                let b = sharded.run(&wl, sim_ns, 0);
-                let sharded_ms = clock.elapsed_ms();
-                identical &= a.fingerprint() == reference;
-                identical &= b.fingerprint() == reference;
-                serial_walls.push(serial_ms);
-                sharded_walls.push(sharded_ms);
-                speedups.push(serial_ms / sharded_ms.max(1e-9));
-            }
-            // One extra untimed diagnosed run per sharded count: the
-            // barrier loop's wall-time lanes quantify the 1-core caveat
-            // (how much of the sharded wall is stall, how even the load
-            // is) instead of leaving it as prose. The diagnosed
-            // measurement must still match the serial reference.
-            let diagnosis = if n > 1 {
-                let out = sharded.run_with(&wl, sim_ns, 0, diagnosed());
-                identical &= out.measurement.fingerprint() == reference;
-                out.shard_diag.map_or_else(Json::obj, |d| {
-                    let (compute, barrier, merge) = d.fractions();
-                    Json::obj()
-                        .field("compute_fraction", compute)
-                        .field("barrier_stall_fraction", barrier)
-                        .field("merge_fraction", merge)
-                        .field("jain_index", d.jain_index())
-                        .field("predicted_max_speedup", d.predicted_max_speedup())
-                })
-            } else {
-                Json::obj()
-            };
-            *all_identical &= identical;
-            let serial_ms = median_of(&serial_walls);
-            let sharded_ms = median_of(&sharded_walls);
-            let speedup = serial_ms / sharded_ms.max(1e-9);
-            let ci = bootstrap_mean_ci(&speedups, BASELINE_RESAMPLES, 0x5CA1);
-            Json::obj()
-                .field("shards", n)
-                .field("serial_wall_ms", serial_ms)
-                .field("sharded_wall_ms", sharded_ms)
-                .field("speedup", speedup)
-                .field("speedup_ci_lo", ci.lo)
-                .field("speedup_ci_hi", ci.hi)
-                .field("scaling_efficiency", speedup / n as f64)
-                .field("identical_results", identical)
-                .field("diagnosis", diagnosis)
-        })
-        .collect();
-    Json::obj()
-        .field("scenario", "replicated-cluster-8x2")
-        .field("sim_ms", sim_ns as f64 / 1e6)
-        .field("cores_available", cores)
-        .field("scaling", Json::Arr(entries))
-}
-
-// ---------------------------------------------------------------------
-// Scaling diagnosis: where the sharded wall clock actually goes.
-// ---------------------------------------------------------------------
-
-/// Decomposes the sharded engine's parallel wall time. Each trial runs
-/// the scaling deployment with the diagnosis observer set attached
-/// (spans + the sim-time metrics ring — no trace ring, so the run still
-/// shards) and reads back the per-shard wall-time lanes the barrier
-/// loop records: compute inside `process_epoch`, stall inside the two
-/// epoch barriers, and mailbox merge/flush. Per-trial compute /
-/// barrier-stall / merge fractions get deterministic bootstrap CIs;
-/// Jain's fairness index over per-shard compute time and the derived
-/// predicted-max-speedup bound quantify load imbalance. Every diagnosed
-/// measurement must stay byte-identical to the unobserved serial
-/// reference (folded into `identical_results`).
-fn scaling_diagnosis_section(quick: bool, all_identical: &mut bool) -> Json {
-    const DIAG_TRIALS: usize = 3;
-    let sim_ns: u64 = if quick { 10_000_000 } else { 40_000_000 };
-    let wl = WorkloadSpec::cbr(20e6, 1500, 64, 5);
-    let reference = scaling_deployment().run(&wl, sim_ns, 0).fingerprint();
-    let entries = [2usize, 4]
-        .into_iter()
-        .map(|n| {
-            let d = scaling_deployment().with_shards(n);
-            let mut compute = Vec::with_capacity(DIAG_TRIALS);
-            let mut barrier = Vec::with_capacity(DIAG_TRIALS);
-            let mut merge = Vec::with_capacity(DIAG_TRIALS);
-            let mut identical = true;
-            let mut last = None;
-            for _ in 0..DIAG_TRIALS {
-                let out = d.run_with(&wl, sim_ns, 0, diagnosed());
-                identical &= out.measurement.fingerprint() == reference;
-                if let Some(diag) = out.shard_diag {
-                    let (c, b, g) = diag.fractions();
-                    compute.push(c);
-                    barrier.push(b);
-                    merge.push(g);
-                    last = Some(diag);
-                }
-            }
-            // A missing diag means the planner silently fell back to
-            // serial — the cluster plan must stay shardable.
-            *all_identical &= identical && last.is_some();
-            let ci = |v: &[f64], salt: u64| bootstrap_mean_ci(v, BASELINE_RESAMPLES, 0xD1A6 ^ salt);
-            let (c_ci, b_ci, g_ci) = (ci(&compute, 1), ci(&barrier, 2), ci(&merge, 3));
-            let detail = last.map_or_else(Json::obj, |diag| diag.to_json());
-            Json::obj()
-                .field("shards", n)
-                .field("trials", DIAG_TRIALS)
-                .field("compute_fraction", c_ci.mean)
-                .field("compute_fraction_ci_lo", c_ci.lo)
-                .field("compute_fraction_ci_hi", c_ci.hi)
-                .field("barrier_stall_fraction", b_ci.mean)
-                .field("barrier_stall_fraction_ci_lo", b_ci.lo)
-                .field("barrier_stall_fraction_ci_hi", b_ci.hi)
-                .field("merge_fraction", g_ci.mean)
-                .field("merge_fraction_ci_lo", g_ci.lo)
-                .field("merge_fraction_ci_hi", g_ci.hi)
-                .field("fractions_sum", c_ci.mean + b_ci.mean + g_ci.mean)
-                .field("identical_results", identical)
-                .field("last_trial", detail)
-        })
-        .collect();
-    Json::obj()
-        .field("scenario", "replicated-cluster-8x2")
-        .field("sim_ms", sim_ns as f64 / 1e6)
-        .field("bootstrap_resamples", BASELINE_RESAMPLES)
-        .field("diagnosis", Json::Arr(entries))
 }
 
 // ---------------------------------------------------------------------
@@ -813,8 +636,6 @@ pub fn run_with_summary(opts: &BenchOptions) -> (Json, BenchSummary) {
     }
 
     let harness = harness_sweep(&mut all_identical);
-    let scaling = single_run_scaling(opts.quick, &mut all_identical);
-    let scaling_diag = scaling_diagnosis_section(opts.quick, &mut all_identical);
     let (observability, overhead) = obs_section(opts.quick, &mut all_identical);
     let sanitizer = sanitizer_section(opts.quick, &mut all_identical);
     let experiment_store = experiment_store_section(opts.quick, &mut all_identical);
@@ -826,8 +647,6 @@ pub fn run_with_summary(opts: &BenchOptions) -> (Json, BenchSummary) {
         .field("cold_slot_bytes", cold_slot_bytes())
         .field("engine", Json::Arr(engine_runs))
         .field("harness", harness)
-        .field("single_run_scaling", scaling)
-        .field("scaling_diagnosis", scaling_diag)
         .field("observability", observability)
         .field("sanitizer", sanitizer)
         .field("experiment_store", experiment_store);

@@ -5,10 +5,10 @@
 //! operating point — [`RUN_GBPS`] offered over [`RUN_NS`], with
 //! [`WARMUP_NS`] excluded — in up to three runs:
 //!
-//! 1. the reference: unobserved and serial;
-//! 2. the observed run, at the chosen shard count, with
-//!    telemetry, spans and the time series, plus the trace ring when
-//!    tracing and the seeded interleaving perturber when sanitizing;
+//! 1. the reference: unobserved;
+//! 2. the observed run, with telemetry, spans and the time series, plus
+//!    the trace ring when tracing and the seeded interleaving perturber
+//!    when sanitizing;
 //! 3. when sanitizing, a check-only sanitized run at the same settings.
 //!    It checks the engine's native dispatch order, which the perturbed
 //!    run sorts back into place before checking.
@@ -17,9 +17,8 @@
 //! and run 3 must check events without perturbing any; otherwise the
 //! CLI exits 1. Run 2 yields the artifacts: the Chrome trace (sim-time
 //! timestamps only, so repeat runs export the same bytes), the
-//! folded-stack profile in flamegraph "collapsed" format (`engine;...`
-//! span phases, plus one `shards;shard-N;...` wall-clock lane stack per
-//! shard when the run sharded), and the summary.
+//! folded-stack profile of the engine phases in flamegraph "collapsed"
+//! format (`engine;...`), and the summary.
 
 use crate::scenarios::{faulted, perturbed_workload, scenario, to_gbps, RUN_NS, WARMUP_NS};
 use apples_obs::chrome::chrome_trace;
@@ -44,13 +43,8 @@ pub struct RunOptions {
     pub severity: f64,
     /// Workload seed.
     pub seed: u64,
-    /// Shard count for the observed and check-only runs; the reference
-    /// always runs serially, so shards > 1 gates the sharded engine
-    /// against the serial one.
-    pub shards: usize,
     /// Trace ring bound — the file keeps the last `ring` events; `None`
-    /// runs untraced. The ring cannot be sharded: a traced observed run
-    /// is serial whatever `shards` says, so the CLI refuses the pair.
+    /// runs untraced.
     pub trace_ring: Option<usize>,
     /// Interleaving-perturber seed; `None` runs unsanitized.
     pub perturb_seed: Option<u64>,
@@ -62,7 +56,6 @@ impl Default for RunOptions {
             scenario: "smartnic".to_owned(),
             severity: 0.0,
             seed: 1,
-            shards: 1,
             trace_ring: None,
             perturb_seed: None,
         }
@@ -87,11 +80,9 @@ pub struct RunArtifacts {
 /// Makes the runs and renders the artifacts. Returns `None` for an
 /// unknown scenario id.
 pub fn run(opts: &RunOptions) -> Option<RunArtifacts> {
-    let build = || scenario(&opts.scenario).map(|d| faulted(d, opts.severity));
+    let d = faulted(scenario(&opts.scenario)?, opts.severity);
     let wl = perturbed_workload(RUN_GBPS, opts.seed, opts.severity);
-    let production = build()?;
-    let reference = production.run(&wl, RUN_NS, WARMUP_NS);
-    let d = build()?.with_shards(opts.shards);
+    let reference = d.run(&wl, RUN_NS, WARMUP_NS);
     let trace_capacity = opts.trace_ring.map_or(0, |ring| ring.max(1));
     let observer = ObsConfig { trace_capacity, ..ObsConfig::full() };
     let sanitizer = opts.perturb_seed.map(OrderSanitizer::with_perturbation);
@@ -125,39 +116,15 @@ pub fn run(opts: &RunOptions) -> Option<RunArtifacts> {
     let obs = observed.observer.as_ref();
     let tracer = obs.and_then(|o| o.tracer.as_ref());
     let chrome_json = tracer.map(|tracer| {
-        let prov = production.provenance(&wl, RUN_NS, WARMUP_NS);
+        let prov = d.provenance(&wl, RUN_NS, WARMUP_NS);
         chrome_trace(tracer, &names, &prov).render_pretty()
     });
+    let folded = obs
+        .and_then(|o| o.spans.as_ref())
+        .map_or_else(String::new, |spans| spans.to_folded("engine"));
     let check_only = checked.as_ref().map(|(_, rep)| rep);
     let summary = summarize(opts, &names, &observed, check_only, &failures);
-    Some(RunArtifacts {
-        chrome_json,
-        folded: folded_stacks(&observed),
-        summary,
-        passed: failures.is_empty(),
-    })
-}
-
-/// The observed run's folded stacks: engine phases, then one lane stack
-/// per shard when the run sharded.
-fn folded_stacks(observed: &RunOutput) -> String {
-    let spans = observed.observer.as_ref().and_then(|o| o.spans.as_ref());
-    let mut folded = spans.map_or_else(String::new, |spans| spans.to_folded("engine"));
-    if let Some(diag) = observed.shard_diag.as_ref() {
-        // Integer microseconds, floored at 1 so a lane that ran is
-        // never invisible to a renderer.
-        let us = |ns: u128| -> u64 { u64::try_from(ns / 1_000).unwrap_or(u64::MAX).max(1) };
-        for lane in &diag.lanes {
-            for (frame, ns) in [
-                ("compute", lane.compute_ns),
-                ("barrier-wait", lane.barrier_ns),
-                ("merge", lane.merge_ns),
-            ] {
-                folded.push_str(&format!("shards;shard-{};{frame} {}\n", lane.shard, us(ns)));
-            }
-        }
-    }
-    folded
+    Some(RunArtifacts { chrome_json, folded, summary, passed: failures.is_empty() })
 }
 
 fn summarize(
@@ -168,8 +135,8 @@ fn summarize(
     failures: &[String],
 ) -> String {
     let mut out = format!(
-        "run: {} (severity {}, seed {}, shards {}, {RUN_GBPS} Gbps offered)\n",
-        opts.scenario, opts.severity, opts.seed, opts.shards
+        "run: {} (severity {}, seed {}, {RUN_GBPS} Gbps offered)\n",
+        opts.scenario, opts.severity, opts.seed
     );
     out.push_str(&format!(
         "  throughput: {:.3} Gbps delivered\n",
@@ -225,27 +192,6 @@ fn summarize(
             ));
         }
     }
-    match observed.shard_diag.as_ref() {
-        Some(diag) => {
-            let (compute, barrier, merge) = diag.fractions();
-            out.push_str(&format!(
-                "  shard lanes ({} shards, epoch {} ns): compute {:.1}% / barrier-wait {:.1}% / \
-                 merge {:.1}%\n",
-                diag.shards,
-                diag.epoch_ns,
-                compute * 100.0,
-                barrier * 100.0,
-                merge * 100.0
-            ));
-            out.push_str(&format!(
-                "  load balance: jain {:.3}, predicted max speedup {:.2}x, {} hops exchanged\n",
-                diag.jain_index(),
-                diag.predicted_max_speedup(),
-                diag.hops_exchanged()
-            ));
-        }
-        None => out.push_str("  shard lanes: none (serial run)\n"),
-    }
     if let Some(ts) = obs.and_then(|o| o.timeseries.as_ref()) {
         let (peak_idx, peak) = ts.peak_interval().unwrap_or((0, 0));
         out.push_str(&format!(
@@ -281,7 +227,7 @@ fn summarize(
         ));
     }
     if failures.is_empty() {
-        out.push_str("  verdict: every run bit-identical to the unobserved serial reference\n");
+        out.push_str("  verdict: every run bit-identical to the unobserved reference\n");
     } else {
         out.push_str(&format!("  verdict: FAILED — {}\n", failures.join("; ")));
     }
@@ -395,32 +341,13 @@ mod tests {
     }
 
     #[test]
-    fn sharded_profiles_add_one_lane_stack_per_shard() {
-        for shards in [2, 4] {
-            let opts =
-                RunOptions { scenario: "cluster".to_owned(), shards, ..RunOptions::default() };
-            let out = run_ok(sanitized(opts));
-            for shard in 0..shards {
-                for lane in ["compute", "barrier-wait", "merge"] {
-                    let frame = format!("shards;shard-{shard};{lane} ");
-                    assert!(out.folded.contains(&frame), "missing {frame} in:\n{}", out.folded);
-                }
-            }
-            assert!(out.summary.contains("predicted max speedup"), "{}", out.summary);
-            assert!(out.summary.contains(&format!("shards {shards}")), "{}", out.summary);
-        }
-    }
-
-    #[test]
     fn serial_and_sanitized_runs_match_the_reference() {
         let serial = run_ok(RunOptions::default());
         assert!(serial.folded.contains("engine;dispatch"), "{}", serial.folded);
-        assert!(!serial.folded.contains("shards;"), "serial run must not emit lanes");
-        assert!(serial.summary.contains("serial run"), "{}", serial.summary);
         assert!(serial.chrome_json.is_none(), "an untraced run exports no trace");
         for opts in [
             RunOptions::default(),
-            RunOptions { scenario: "rss".to_owned(), shards: 2, ..RunOptions::default() },
+            RunOptions { scenario: "rss".to_owned(), ..RunOptions::default() },
             RunOptions { scenario: "base-2c".to_owned(), severity: 0.5, ..RunOptions::default() },
         ] {
             let out = run_ok(sanitized(opts));

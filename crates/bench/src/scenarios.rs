@@ -182,7 +182,7 @@ pub type Build = fn() -> Deployment;
 
 /// Every scenario id `xp run` accepts, with its constructor. The first
 /// three are the worked example's contenders ([`contenders`]); `cluster`
-/// and `rss` are the declared-steer fan-outs the shard planner splits.
+/// and `rss` are flow-hash fan-outs: ECMP across hosts, RSS across cores.
 /// Deployment names are part of config digests and store keys, so they
 /// stay fixed whatever the ids are.
 pub static SCENARIOS: [(&str, Build); 5] = [

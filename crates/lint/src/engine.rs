@@ -394,7 +394,7 @@ fn lint_file(rel: &str, src: &str, report: &mut LintReport) {
         }
     }
 
-    // S1/S2/S3 — the shard-safety rules over the token tree (DESIGN.md
+    // S1/S2/S3 — the determinism rules over the token tree (DESIGN.md
     // §11), fed through the same suppression machinery.
     let test_lines: Vec<bool> = lines.iter().map(|l| l.in_test).collect();
     for tf in crate::taint::analyze(rel, &tokens, &test_lines) {

@@ -14,7 +14,7 @@
 //! | H1 | deny | crate roots carry `#![forbid(unsafe_code)]` and `#![deny(missing_docs)]` |
 //! | A1 | deny | every `lint: allow` suppression states a reason |
 //! | A2 | warn | no stale suppressions: an allow that matches no finding must be deleted |
-//! | S1 | deny | no shared mutable state (`static mut`, interior-mutability cells) or blocking rendezvous (`Barrier`/`Condvar`) in `crates/simnet` |
+//! | S1 | deny | no shared mutable state (`static mut`, interior-mutability cells, locks, `Barrier`/`Condvar`) in `crates/simnet` |
 //! | S2 | deny | no RNG/hashing outside a seed-derived `apples-rng` stream |
 //! | S3 | deny | no wall-clock / hash-order / address-derived value may flow into `t_ns`/`seq`/slot (ordering-taint dataflow) |
 //!
@@ -111,10 +111,10 @@ pub const CATALOG: &[Rule] = &[
     Rule {
         id: "S1",
         severity: Severity::Deny,
-        summary: "shared mutable state (static mut / RefCell / Cell / UnsafeCell / locks) or a \
-                  blocking rendezvous (Barrier / Condvar) in crates/simnet: sharded dispatch \
-                  would race on the former, and only the epoch-barrier shard runtime may use \
-                  the latter — each such site needs a reasoned allow naming that contract",
+        summary: "shared mutable state (static mut / RefCell / Cell / UnsafeCell / locks / \
+                  Barrier / Condvar) in crates/simnet: pool workers run engines on several \
+                  threads at once, so state shared between engines makes results depend on \
+                  scheduling",
     },
     Rule {
         id: "S2",

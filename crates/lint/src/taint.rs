@@ -1,15 +1,16 @@
-//! The S-family shard-safety rules: token-sequence checks plus an
+//! The S-family determinism rules: token-sequence checks plus an
 //! intraprocedural **ordering-taint** dataflow pass over the token tree.
 //!
 //! The engine's whole determinism story rests on the `(t_ns, seq,
 //! stage)` ordering key: every identity gate (fused-vs-unfused,
-//! serial-vs-parallel, serial-vs-sharded) compares runs that must
-//! order events identically. Three things can silently break that
-//! before any test notices:
+//! serial-vs-parallel) compares runs that must order events
+//! identically. Three things can silently break that before any test
+//! notices:
 //!
 //! - **S1 — shared mutable state** reachable from dispatch paths
-//!   (`static mut`, `RefCell`/`Cell`/`UnsafeCell`, lock-guarded cells).
-//!   Once two shards race on it, event order depends on scheduling.
+//!   (`static mut`, `RefCell`/`Cell`/`UnsafeCell`, locks, barriers).
+//!   `Pool` workers run engines on several threads at once, so state
+//!   shared between engines makes results depend on scheduling.
 //! - **S2 — RNG outside a seed-derived stream** (`thread_rng`,
 //!   `RandomState`, `DefaultHasher`, entropy seeding). Every draw must
 //!   go through `apples-rng`'s explicit streams or replay dies.
@@ -46,18 +47,21 @@ pub struct TreeFinding {
 
 /// Interior-mutability / shared-mutable-state types S1 rejects on the
 /// engine crate: anything that lets two call sites mutate one value
-/// without the borrow checker serializing them in source order.
-const S1_SHARED_MUTABLE: &[&str] =
-    &["RefCell", "Cell", "UnsafeCell", "OnceCell", "OnceLock", "Mutex", "RwLock", "LazyLock"];
-
-/// Blocking rendezvous primitives S1 calls out as their own class: the
-/// epoch-barrier shard runtime (DESIGN.md §12) is the one sanctioned
-/// user, and every use site must carry a reasoned allow naming that
-/// contract. The findings stay deny-tier and fingerprinted like any
-/// other — the *allow*, not the rule, is what sanctions a site, so the
-/// audit trail records each barrier individually instead of
-/// blanket-exempting the type.
-const S1_SYNC_RENDEZVOUS: &[&str] = &["Barrier", "Condvar"];
+/// without the borrow checker serializing them in source order, and
+/// the blocking rendezvous (`Barrier`, `Condvar`) that only exist to
+/// coordinate threads sharing such state.
+const S1_SHARED_MUTABLE: &[&str] = &[
+    "RefCell",
+    "Cell",
+    "UnsafeCell",
+    "OnceCell",
+    "OnceLock",
+    "Mutex",
+    "RwLock",
+    "LazyLock",
+    "Barrier",
+    "Condvar",
+];
 
 /// RNG / hashing entry points whose output is not a pure function of a
 /// checked-in seed.
@@ -136,8 +140,9 @@ fn check_s1(code: &[&Token], out: &mut Vec<TreeFinding>) {
             out.push(TreeFinding {
                 rule: "S1",
                 line: pair[0].line,
-                message: "`static mut` shared state in the engine crate: a sharded dispatch \
-                          path racing on it makes event order schedule-dependent"
+                message: "`static mut` shared state in the engine crate: engines running on \
+                          several pool workers at once race on it, which makes event order \
+                          schedule-dependent"
                     .to_owned(),
             });
         }
@@ -148,19 +153,9 @@ fn check_s1(code: &[&Token], out: &mut Vec<TreeFinding>) {
                 rule: "S1",
                 line: tok.line,
                 message: format!(
-                    "shared-mutable cell `{}` in the engine crate: interior mutability hides \
-                     writes from the ordering analysis; thread state through `&mut` instead",
-                    tok.text
-                ),
-            });
-        } else if tok.kind == TokKind::Ident && S1_SYNC_RENDEZVOUS.contains(&tok.text.as_str()) {
-            out.push(TreeFinding {
-                rule: "S1",
-                line: tok.line,
-                message: format!(
-                    "blocking rendezvous `{}` in the engine crate: only the epoch-barrier \
-                     shard runtime may block dispatch, and each use site must carry a \
-                     reasoned allow naming that contract (DESIGN.md §12)",
+                    "shared mutable state `{}` in the engine crate: interior mutability and \
+                     thread rendezvous hide writes from the ordering analysis; thread state \
+                     through `&mut` instead",
                     tok.text
                 ),
             });
@@ -667,13 +662,12 @@ mod tests {
     }
 
     #[test]
-    fn s1_names_the_rendezvous_class_separately() {
+    fn s1_flags_rendezvous_primitives_like_cells() {
         let src = "fn f(b: &Barrier) { b.wait(); }\nfn g(c: &Condvar) {}\n";
         let hits = run("crates/simnet/src/x.rs", src);
         assert_eq!(hits.len(), 2, "{hits:?}");
         assert!(hits.iter().all(|h| h.rule == "S1"));
-        assert!(hits[0].message.contains("blocking rendezvous"));
-        assert!(hits[0].message.contains("epoch-barrier"));
+        assert!(hits[0].message.contains("shared mutable state `Barrier`"), "{hits:?}");
         assert!(run("crates/bench/src/x.rs", src).is_empty(), "scope stays simnet");
     }
 

@@ -15,13 +15,13 @@ pub type Payload = std::sync::Arc<[u8]>;
 // lint: allow(S1, reason = "write-once registry initialized before any dispatch runs")
 pub static REGISTRY: std::sync::OnceLock<u32> = std::sync::OnceLock::new();
 
-// A rendezvous outside the sanctioned shard runtime fires S1's named
-// blocking-rendezvous class.
+// A rendezvous fires S1 like any other shared mutable state: a barrier
+// only exists to coordinate threads that share state.
 pub fn rendezvous(b: &std::sync::Barrier) {
     b.wait();
 }
 
-// lint: allow(S1, reason = "epoch-barrier shard runtime: fixture stand-in for the slot barrier")
+// lint: allow(S1, reason = "fixture: a reasoned allow sanctions one barrier site")
 pub fn sanctioned(b: &std::sync::Barrier) {
     b.wait();
 }

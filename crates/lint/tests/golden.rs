@@ -53,7 +53,7 @@ fn fixture_findings_match_golden() {
     ];
     assert_eq!(got, want, "full report:\n{}", report.render());
     // The reasoned D1 allow plus the reasoned S1 allows on the OnceLock
-    // and the sanctioned barrier.
+    // and the allowed barrier.
     assert_eq!(report.suppressed, 3, "exactly the reasoned allows suppress");
     assert_eq!(report.files_scanned, 16);
     // Everything denies except the stale-suppression warning.

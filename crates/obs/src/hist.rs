@@ -1,11 +1,9 @@
-//! A mergeable log-linear histogram over `u64` observations.
+//! A log-linear histogram over `u64` observations.
 //!
 //! Same bucket geometry as the sink's latency histogram (64 linear
 //! sub-buckets per power-of-two magnitude, ≤ ~1.6% relative error over
-//! the full `u64` range), plus what telemetry sharding needs: bin-wise
-//! [`LogHistogram::merge`], which is associative and commutative, so
-//! per-worker shards combine into identical bins in any order —
-//! property-tested in `tests/observability.rs`.
+//! the full `u64` range), with an exact max and sum, so the count,
+//! max and mean are exact and only quantiles are bucketed.
 
 use apples_core::json::Json;
 
@@ -107,18 +105,6 @@ impl LogHistogram {
         self.max
     }
 
-    /// Adds every bin of `other` into `self`. Bin-wise addition: the
-    /// operation is associative and commutative, so merging per-worker
-    /// shards in any order yields identical bins.
-    pub fn merge(&mut self, other: &LogHistogram) {
-        for (a, b) in self.counts.iter_mut().zip(other.counts.iter()) {
-            *a += *b;
-        }
-        self.total += other.total;
-        self.max = self.max.max(other.max);
-        self.sum += other.sum;
-    }
-
     /// Non-empty bins as `(representative value, count)`, ascending.
     pub fn nonzero_bins(&self) -> Vec<(u64, u64)> {
         self.counts
@@ -175,26 +161,6 @@ mod tests {
             // Reset for the next magnitude.
             h = LogHistogram::new();
         }
-    }
-
-    #[test]
-    fn merge_matches_recording_directly() {
-        let values = [0u64, 5, 63, 64, 100, 1000, 123_456, 7_777_777, u64::MAX / 3];
-        let mut whole = LogHistogram::new();
-        let mut a = LogHistogram::new();
-        let mut b = LogHistogram::new();
-        for (i, &v) in values.iter().enumerate() {
-            whole.record(v);
-            if i % 2 == 0 {
-                a.record(v);
-            } else {
-                b.record(v);
-            }
-        }
-        a.merge(&b);
-        assert_eq!(a, whole);
-        assert_eq!(a.max(), whole.max());
-        assert_eq!(a.mean().to_bits(), whole.mean().to_bits());
     }
 
     #[test]

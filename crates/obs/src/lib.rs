@@ -10,14 +10,13 @@
 //!   behind the [`TraceSink`] trait, so instrumentation compiles down to
 //!   one `Option` check when observability is off;
 //! - [`telemetry`]: per-stage counters and log-scale histograms
-//!   (queue depth, queue wait, service time) that merge associatively
-//!   across per-worker shards;
+//!   (queue depth, queue wait, service time);
 //! - [`span`]: a sampled sim-time + wall-time span profiler over engine
 //!   phases, cheap enough to leave on (<5% overhead, enforced by the
 //!   bench harness), with folded-stack export for flamegraph tooling;
 //! - [`timeseries`]: a sim-time interval ring of throughput, live
-//!   events, event-queue occupancy, and per-stage queue depth, with
-//!   commutative/associative cross-shard merge;
+//!   events, event-queue occupancy, and per-stage queue depth, whose
+//!   gauges are the exact peaks of one run;
 //! - [`provenance`]: the stamp (seed, fault digest, config digest,
 //!   toolchain, git rev) that makes any emitted artifact
 //!   replayable from its own header.

@@ -111,47 +111,6 @@ impl RunObserver {
         }
     }
 
-    /// True when this observer can be split across shards and folded
-    /// back together losslessly: telemetry, spans, the time series, and
-    /// scheduler counters all merge; the bounded event trace does not
-    /// (its retained window depends on the global event order), so a
-    /// tracing observer keeps the engine on the serial path.
-    pub fn shardable(&self) -> bool {
-        self.tracer.is_none()
-    }
-
-    /// An empty observer of the same shape, for one shard of a run.
-    /// The trace ring is never replicated (see [`Self::shardable`]).
-    pub fn fresh_shard(&self) -> RunObserver {
-        RunObserver {
-            tracer: None,
-            telemetry: self.telemetry.as_ref().map(|_| Telemetry::default()),
-            spans: self.spans.as_ref().map(|_| SpanProfiler::new()),
-            timeseries: self
-                .timeseries
-                .as_ref()
-                .map(|ts| TimeSeries::new(ts.interval_ns(), ts.capacity())),
-            sched: SchedCounters::default(),
-        }
-    }
-
-    /// Folds one shard's observer back into this one. Telemetry and
-    /// scheduler counters add exactly (the merged result equals a
-    /// serial run's), histogram bins and time-series counters add
-    /// bin-wise, wall-time span profiles sum, and gauges take maxima.
-    pub fn absorb_shard(&mut self, other: &RunObserver) {
-        if let (Some(mine), Some(theirs)) = (self.telemetry.as_mut(), other.telemetry.as_ref()) {
-            mine.merge(theirs);
-        }
-        if let (Some(mine), Some(theirs)) = (self.spans.as_mut(), other.spans.as_ref()) {
-            mine.merge(theirs);
-        }
-        if let (Some(mine), Some(theirs)) = (self.timeseries.as_mut(), other.timeseries.as_ref()) {
-            mine.merge(theirs);
-        }
-        self.sched.merge(other.sched);
-    }
-
     /// Folds one run's scheduler counters into the observer.
     #[inline]
     pub fn merge_sched(&mut self, counters: SchedCounters) {
@@ -305,30 +264,6 @@ mod tests {
         let d = RunObserver::new(&ObsConfig::diagnosis());
         assert!(d.tracer.is_none() && d.telemetry.is_none());
         assert!(d.spans.is_some() && d.timeseries.is_some());
-    }
-
-    #[test]
-    fn shardability_follows_the_trace_ring() {
-        assert!(!RunObserver::new(&ObsConfig::full()).shardable());
-        assert!(RunObserver::new(&ObsConfig::diagnosis()).shardable());
-        assert!(RunObserver::new(&ObsConfig::telemetry_only()).shardable());
-    }
-
-    #[test]
-    fn fresh_shard_mirrors_shape_and_absorb_folds_back() {
-        let mut root = RunObserver::new(&ObsConfig::diagnosis());
-        let mut shard = root.fresh_shard();
-        assert!(shard.tracer.is_none() && shard.telemetry.is_none());
-        assert!(shard.spans.is_some() && shard.timeseries.is_some());
-        let tok = shard.span_begin(Phase::Dispatch);
-        shard.span_end(Phase::Dispatch, tok, 42);
-        shard.on_dispatch(100, 1, 0, 5);
-        shard.on_tick(100, 3, 7);
-        shard.merge_sched(SchedCounters { pushes: 2, ..SchedCounters::default() });
-        root.absorb_shard(&shard);
-        assert_eq!(root.spans.as_ref().unwrap().phase(Phase::Dispatch).count, 1);
-        assert_eq!(root.timeseries.as_ref().unwrap().total_dispatches(), 1);
-        assert_eq!(root.sched.pushes, 2);
     }
 
     #[test]

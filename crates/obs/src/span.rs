@@ -141,19 +141,6 @@ impl SpanProfiler {
         Span { prof: self, phase, token, sim_ns: 0 }
     }
 
-    /// Adds another profiler's totals into this one, field-wise: span
-    /// counts, sim-time attribution, sampled wall time, and sample
-    /// counts all sum, so per-shard profilers fold together in any
-    /// order and the merged estimates cover the whole run.
-    pub fn merge(&mut self, other: &SpanProfiler) {
-        for (mine, theirs) in self.phases.iter_mut().zip(other.phases.iter()) {
-            mine.count += theirs.count;
-            mine.sim_ns += theirs.sim_ns;
-            mine.sampled_wall_ns += theirs.sampled_wall_ns;
-            mine.samples += theirs.samples;
-        }
-    }
-
     /// The accumulated profile for `phase`.
     pub fn phase(&self, phase: Phase) -> &PhaseProfile {
         &self.phases[phase.idx()]
@@ -265,23 +252,6 @@ mod tests {
         let p = PhaseProfile { count: 128, sim_ns: 0, sampled_wall_ns: 1000, samples: 2 };
         assert_eq!(p.est_wall_ns().to_bits(), 64_000.0f64.to_bits());
         assert_eq!(PhaseProfile::default().est_wall_ns().to_bits(), 0.0f64.to_bits());
-    }
-
-    #[test]
-    fn merge_sums_every_field() {
-        let mut a = SpanProfiler::new();
-        let mut b = SpanProfiler::new();
-        for _ in 0..3 {
-            let tok = a.begin(Phase::Dispatch);
-            a.end(Phase::Dispatch, tok, 10);
-            let tok = b.begin(Phase::BucketDrain);
-            b.end(Phase::BucketDrain, tok, 7);
-        }
-        a.merge(&b);
-        assert_eq!(a.phase(Phase::Dispatch).count, 3);
-        assert_eq!(a.phase(Phase::BucketDrain).count, 3);
-        assert_eq!(a.phase(Phase::BucketDrain).sim_ns, 21);
-        assert_eq!(a.total_spans(), 6);
     }
 
     #[test]

@@ -2,9 +2,7 @@
 //! histograms of queue depth, queue wait, and service time.
 //!
 //! A [`Telemetry`] is pure sim-time state — identical across fusion
-//! modes and worker counts — and shards merge associatively (bin-wise),
-//! so a parallel harness can collect per-worker telemetry and fold it in
-//! any order.
+//! modes and harness worker counts.
 
 use crate::hist::LogHistogram;
 use apples_core::json::Json;
@@ -44,22 +42,6 @@ impl StageTelemetry {
         self.queue_drops + self.policy_drops + self.fault_drops
     }
 
-    /// Adds every counter and bin of `other` into `self`.
-    pub fn merge(&mut self, other: &StageTelemetry) {
-        self.arrivals += other.arrivals;
-        self.enqueues += other.enqueues;
-        self.dispatches += other.dispatches;
-        self.served += other.served;
-        self.queue_drops += other.queue_drops;
-        self.policy_drops += other.policy_drops;
-        self.fault_drops += other.fault_drops;
-        self.fault_events += other.fault_events;
-        self.peak_depth = self.peak_depth.max(other.peak_depth);
-        self.depth.merge(&other.depth);
-        self.wait_ns.merge(&other.wait_ns);
-        self.service_ns.merge(&other.service_ns);
-    }
-
     /// Deterministic JSON rendering of this stage's telemetry.
     pub fn to_json(&self) -> Json {
         Json::obj()
@@ -92,19 +74,10 @@ impl Telemetry {
         Telemetry { stages: vec![StageTelemetry::default(); n] }
     }
 
-    /// Grows to at least `n` stages (merging shards of different width
-    /// pads the narrower one).
+    /// Grows to at least `n` stages.
     pub fn ensure_stages(&mut self, n: usize) {
         if self.stages.len() < n {
             self.stages.resize(n, StageTelemetry::default());
-        }
-    }
-
-    /// Merges another telemetry shard into this one, stage by stage.
-    pub fn merge(&mut self, other: &Telemetry) {
-        self.ensure_stages(other.stages.len());
-        for (mine, theirs) in self.stages.iter_mut().zip(other.stages.iter()) {
-            mine.merge(theirs);
         }
     }
 
@@ -148,44 +121,6 @@ impl Telemetry {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn shard(seed: u64) -> Telemetry {
-        let mut t = Telemetry::new(2);
-        for i in 0..10u64 {
-            let s = &mut t.stages[(i % 2) as usize];
-            s.arrivals += 1;
-            s.served += 1;
-            s.service_ns.record(seed * 100 + i * 7);
-            s.wait_ns.record(seed + i);
-            s.depth.record(i);
-            s.peak_depth = s.peak_depth.max(i);
-        }
-        t
-    }
-
-    #[test]
-    fn merge_is_order_insensitive() {
-        let (a, b, c) = (shard(1), shard(2), shard(3));
-        let mut ab_c = a.clone();
-        ab_c.merge(&b);
-        ab_c.merge(&c);
-        let mut c_ba = c.clone();
-        c_ba.merge(&b);
-        c_ba.merge(&a);
-        assert_eq!(ab_c, c_ba);
-    }
-
-    #[test]
-    fn merge_pads_narrower_shards() {
-        let mut narrow = Telemetry::new(1);
-        narrow.stages[0].arrivals = 5;
-        let mut wide = Telemetry::new(3);
-        wide.stages[2].served = 7;
-        narrow.merge(&wide);
-        assert_eq!(narrow.stages.len(), 3);
-        assert_eq!(narrow.stages[0].arrivals, 5);
-        assert_eq!(narrow.stages[2].served, 7);
-    }
 
     #[test]
     fn busiest_and_deepest_prefer_lowest_index_on_ties() {

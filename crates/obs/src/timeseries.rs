@@ -9,17 +9,9 @@
 //! memory stays flat on arbitrarily long runs.
 //!
 //! Everything here is keyed by *sim time*, so the series is a pure
-//! function of `(seed, spec)` — identical across fusion modes and
-//! shard counts for the counter fields. Cross-shard merge is
-//! commutative and associative like [`crate::LogHistogram`]: bins align
-//! by interval index, counters add, gauges take the max, and the
-//! eviction threshold is the max interval seen minus the capacity —
-//! which only grows, so merging early evicts exactly the bins the final
-//! threshold would evict (property-tested in `tests/observability.rs`).
-//! Gauges merged across shards are per-shard maxima summed over nothing
-//! — they bound, rather than equal, the serial gauge (each shard sees
-//! only its own live events), which is why identity gates compare
-//! counters, never gauges.
+//! function of `(seed, spec)`, and its counter fields are identical
+//! across fusion modes. One run's whole event stream feeds one series,
+//! so each gauge is the exact peak the run reached in its interval.
 
 use apples_core::json::Json;
 
@@ -52,23 +44,6 @@ pub struct SeriesBin {
 }
 
 impl SeriesBin {
-    /// Folds `other` into `self`: counters add, gauges take the max,
-    /// the narrower stage vector is padded.
-    fn merge(&mut self, other: &SeriesBin) {
-        self.dispatches += other.dispatches;
-        self.enqueues += other.enqueues;
-        self.drops += other.drops;
-        self.faults += other.faults;
-        self.peak_live = self.peak_live.max(other.peak_live);
-        self.peak_sched = self.peak_sched.max(other.peak_sched);
-        if self.stage_peak_depth.len() < other.stage_peak_depth.len() {
-            self.stage_peak_depth.resize(other.stage_peak_depth.len(), 0);
-        }
-        for (mine, theirs) in self.stage_peak_depth.iter_mut().zip(other.stage_peak_depth.iter()) {
-            *mine = (*mine).max(*theirs);
-        }
-    }
-
     /// The deepest per-stage queue this interval, across all stages.
     pub fn deepest_stage_depth(&self) -> u64 {
         self.stage_peak_depth.iter().copied().max().unwrap_or(0)
@@ -166,7 +141,7 @@ impl TimeSeries {
 
     /// Drops every bin older than `max_idx - cap + 1`. The threshold is
     /// a pure function of the maximum interval ever retained, which only
-    /// grows — the property that makes merge order-insensitive.
+    /// grows, so an evicted interval never returns.
     fn evict(&mut self) {
         let Some(&max_idx) = self.idxs.last() else { return };
         let threshold = max_idx.saturating_sub(self.cap as u64 - 1);
@@ -217,30 +192,6 @@ impl TimeSeries {
         bin.peak_sched = bin.peak_sched.max(sched_len);
     }
 
-    /// Merges another series into this one: bins align by interval
-    /// index, counters add, gauges take the max, and the union is
-    /// re-evicted against the combined maximum interval. Commutative
-    /// and associative; the empty series is the identity. Panics if the
-    /// interval widths differ (shards of one run always share the
-    /// observer's configured width).
-    pub fn merge(&mut self, other: &TimeSeries) {
-        assert_eq!(
-            self.interval_ns, other.interval_ns,
-            "cannot merge time series with different interval widths"
-        );
-        self.has_cur = false;
-        for (idx, bin) in other.bins() {
-            match self.idxs.binary_search(&idx) {
-                Ok(slot) => self.bins[slot].merge(bin),
-                Err(slot) => {
-                    self.idxs.insert(slot, idx);
-                    self.bins.insert(slot, bin.clone());
-                }
-            }
-        }
-        self.evict();
-    }
-
     /// Total dispatches across retained intervals.
     pub fn total_dispatches(&self) -> u64 {
         self.bins.iter().map(|b| b.dispatches).sum()
@@ -252,27 +203,6 @@ impl TimeSeries {
         self.bins()
             .max_by_key(|(idx, b)| (b.dispatches, u64::MAX - idx))
             .map(|(idx, b)| (idx, b.dispatches))
-    }
-
-    /// A compact deterministic rendering of every retained bin — what
-    /// the merge-algebra property tests compare. Covers all counter and
-    /// gauge fields plus the interval geometry.
-    pub fn fingerprint(&self) -> String {
-        let mut out = format!("interval={} cap={}", self.interval_ns, self.cap);
-        for (idx, b) in self.bins() {
-            out.push_str(&format!(
-                "|{}:d{},e{},x{},f{},l{},s{},q{:?}",
-                idx,
-                b.dispatches,
-                b.enqueues,
-                b.drops,
-                b.faults,
-                b.peak_live,
-                b.peak_sched,
-                b.stage_peak_depth
-            ));
-        }
-        out
     }
 
     /// Deterministic JSON: interval geometry plus one object per
@@ -354,70 +284,6 @@ mod tests {
         // if still inside the window; here interval 6 is retained.
         ts.on_dispatch(650);
         assert_eq!(ts.bins().next().unwrap().1.dispatches, 2);
-    }
-
-    #[test]
-    fn merge_is_commutative_and_associative_with_identity() {
-        let mk = |offset: u64| {
-            let mut ts = series(16);
-            for i in 0..20u64 {
-                ts.on_dispatch(offset + i * 37);
-                ts.on_tick(offset + i * 37, i, 2 * i);
-            }
-            ts
-        };
-        let (a, b, c) = (mk(0), mk(500), mk(900));
-        let mut ab_c = a.clone();
-        ab_c.merge(&b);
-        ab_c.merge(&c);
-        let mut c_ba = c.clone();
-        c_ba.merge(&b);
-        c_ba.merge(&a);
-        assert_eq!(ab_c.fingerprint(), c_ba.fingerprint());
-        let mut with_id = a.clone();
-        with_id.merge(&series(16));
-        assert_eq!(with_id.fingerprint(), a.fingerprint());
-    }
-
-    #[test]
-    fn merge_eviction_matches_direct_recording() {
-        // A merge whose union spans more than `cap` intervals must land
-        // on the same retained window as recording everything into one
-        // series directly.
-        let mut whole = series(3);
-        let mut lo = series(3);
-        let mut hi = series(3);
-        for i in 0..9u64 {
-            whole.on_dispatch(i * 100);
-            if i < 5 {
-                lo.on_dispatch(i * 100);
-            } else {
-                hi.on_dispatch(i * 100);
-            }
-        }
-        let mut merged = lo.clone();
-        merged.merge(&hi);
-        assert_eq!(merged.fingerprint(), whole.fingerprint());
-        let mut merged_rev = hi;
-        merged_rev.merge(&lo);
-        assert_eq!(merged_rev.fingerprint(), whole.fingerprint());
-    }
-
-    #[test]
-    fn gauges_max_and_counters_add_on_merge() {
-        let mut a = series(8);
-        a.on_tick(10, 5, 100);
-        a.on_enqueue(10, 0, 3);
-        let mut b = series(8);
-        b.on_tick(20, 9, 50);
-        b.on_enqueue(10, 1, 8);
-        a.merge(&b);
-        let bin = a.bins().next().unwrap().1.clone();
-        assert_eq!(bin.enqueues, 2);
-        assert_eq!(bin.stage_peak_depth, vec![3, 8]);
-        assert_eq!(bin.peak_live, 9);
-        assert_eq!(bin.peak_sched, 100);
-        assert_eq!(bin.deepest_stage_depth(), 8);
     }
 
     #[test]

@@ -113,13 +113,6 @@ pub struct StageConfig {
     pub next: NextHop,
     /// Batch-processing policy; `None` = serve packets one at a time.
     pub batch: Option<BatchPolicy>,
-    /// Declared target set of a [`NextHop::Steer`] function. Steering
-    /// closures are opaque to static analysis; the shard planner needs
-    /// the edge set to partition the pipeline, so steered stages that
-    /// want to participate in sharded runs declare their reachable
-    /// stages here. Leaving it `None` is always safe — the planner
-    /// falls back to the serial engine.
-    pub steer_targets: Option<Vec<usize>>,
 }
 
 impl StageConfig {
@@ -131,27 +124,12 @@ impl StageConfig {
         queue_capacity: usize,
         service: Box<dyn ServiceModel>,
     ) -> Self {
-        StageConfig {
-            name,
-            servers,
-            queue_capacity,
-            service,
-            next: NextHop::Linear,
-            batch: None,
-            steer_targets: None,
-        }
+        StageConfig { name, servers, queue_capacity, service, next: NextHop::Linear, batch: None }
     }
 
     /// Overrides the forwarding target.
     pub fn with_next(mut self, next: NextHop) -> Self {
         self.next = next;
-        self
-    }
-
-    /// Declares the stages a [`NextHop::Steer`] closure can return, so
-    /// the shard planner knows this stage's outgoing edges.
-    pub fn with_steer_targets(mut self, targets: Vec<usize>) -> Self {
-        self.steer_targets = Some(targets);
         self
     }
 
@@ -162,32 +140,32 @@ impl StageConfig {
     }
 }
 
-pub(crate) struct StageState {
-    pub(crate) cfg: StageConfig,
+struct StageState {
+    cfg: StageConfig,
     /// Waiting packets, each with its enqueue timestamp (the batch
     /// formation timer is measured from the head's enqueue time).
-    pub(crate) queue: VecDeque<(u64, Packet)>,
-    pub(crate) busy: u32,
-    pub(crate) busy_ns: u128,
-    pub(crate) arrivals: u64,
-    pub(crate) served: u64,
-    pub(crate) queue_drops: u64,
-    pub(crate) policy_drops: u64,
+    queue: VecDeque<(u64, Packet)>,
+    busy: u32,
+    busy_ns: u128,
+    arrivals: u64,
+    served: u64,
+    queue_drops: u64,
+    policy_drops: u64,
     /// Packets currently inside servers (equals `busy` for per-packet
     /// stages; a multiple for batch stages).
-    pub(crate) in_service_pkts: u64,
+    in_service_pkts: u64,
     /// Invalidates stale batch timers.
-    pub(crate) batch_epoch: u64,
+    batch_epoch: u64,
     /// A batch timeout fired while all servers were busy; flush a
     /// partial batch as soon as one frees.
-    pub(crate) batch_flush_pending: bool,
+    batch_flush_pending: bool,
     /// Service-time multiplier from the fault plan (1.0 = nominal).
-    pub(crate) slow_factor: f64,
+    slow_factor: f64,
     /// The stage is in an outage window: arrivals drop, in-flight work
     /// completes, no new work starts until recovery.
-    pub(crate) down: bool,
+    down: bool,
     /// Packets lost to faults at this stage (outage-window arrivals).
-    pub(crate) fault_drops: u64,
+    fault_drops: u64,
     /// Flat pool of cold `Done` payloads for this stage (SoA layout):
     /// the event tag carries only the pool index. Free-listed, and
     /// persisted across runs under the pool-reuse contract.
@@ -197,7 +175,7 @@ pub(crate) struct StageState {
 
 impl StageState {
     /// Fresh run state around a stage configuration.
-    pub(crate) fn from_cfg(cfg: StageConfig) -> Self {
+    fn from_cfg(cfg: StageConfig) -> Self {
         StageState {
             cfg,
             queue: VecDeque::new(),
@@ -219,7 +197,7 @@ impl StageState {
     }
 
     /// Resets everything a run mutates so an engine can be reused.
-    pub(crate) fn reset(&mut self) {
+    fn reset(&mut self) {
         self.queue.clear();
         self.busy = 0;
         self.busy_ns = 0;
@@ -237,19 +215,6 @@ impl StageState {
         self.pool_free.clear();
     }
 
-    /// The outgoing stage edges of this stage, for the shard planner.
-    /// `None` means the edge set is statically unknown (an undeclared
-    /// steering function) — partitioning must not be attempted.
-    pub(crate) fn successors(&self, index: usize, n_stages: usize) -> Option<Vec<usize>> {
-        match &self.cfg.next {
-            NextHop::Linear => {
-                Some(if index + 1 < n_stages { vec![index + 1] } else { Vec::new() })
-            }
-            NextHop::Stage(j) => Some(vec![*j]),
-            NextHop::Sink => Some(Vec::new()),
-            NextHop::Steer(_) => self.cfg.steer_targets.clone(),
-        }
-    }
     fn pool_insert(&mut self, slot: DoneSlot) -> usize {
         match self.pool_free.pop() {
             Some(idx) => {
@@ -337,14 +302,14 @@ const HEADER_BYTES: usize = 54;
 /// made cannot change any output. The engine makes them as a packet
 /// first enters service, and packets dropped or still queued before
 /// that never pay for them.
-pub(crate) struct PayloadSynth<'p> {
+struct PayloadSynth<'p> {
     seed: u64,
     attack_prob: f64,
     needles: Vec<&'p [u8]>,
 }
 
 impl<'p> PayloadSynth<'p> {
-    pub(crate) fn new(cfg: &'p PayloadConfig, seed: u64) -> Self {
+    fn new(cfg: &'p PayloadConfig, seed: u64) -> Self {
         PayloadSynth {
             seed,
             attack_prob: cfg.attack_prob,
@@ -401,7 +366,7 @@ fn tag_kind(tag: usize) -> u64 {
 }
 
 #[inline]
-pub(crate) fn tag_stage(tag: usize) -> usize {
+fn tag_stage(tag: usize) -> usize {
     ((tag as u64 >> TAG_STAGE_SHIFT) & TAG_STAGE_MASK) as usize
 }
 
@@ -447,12 +412,12 @@ struct FusedHop {
 /// scheduler, the seq mint, the live/peak/total accounting the old
 /// event slab kept, the fused-hop FIFO, the engine-level cold slabs of
 /// the SoA layout, and the run's payload synthesis.
-pub(crate) struct EventCore<'p> {
-    pub(crate) events: EventScheduler,
+struct EventCore<'p> {
+    events: EventScheduler,
     seq: u64,
     live: usize,
-    pub(crate) peak_live: usize,
-    pub(crate) total: u64,
+    peak_live: usize,
+    total: u64,
     /// Same-time forwards bypassing the scheduler (fusion on). Always
     /// empty between timestamps: the dispatch walk drains it fully.
     fwd: VecDeque<FusedHop>,
@@ -464,9 +429,6 @@ pub(crate) struct EventCore<'p> {
     batch_slots: Vec<Option<BatchSlot>>,
     batch_free: Vec<usize>,
     fused: bool,
-    /// Sharded runs only: the stage-ownership map and per-destination
-    /// outboxes. `None` (serial runs) keeps `forward` on its old path.
-    pub(crate) route: Option<crate::shard::ShardRoute>,
     /// Payload synthesis at service start; `None` on header-only runs.
     payload: Option<PayloadSynth<'p>>,
 }
@@ -510,7 +472,7 @@ impl<'p> EventCore<'p> {
     /// Currently live (scheduled, not yet dispatched) events — the
     /// time-series gauge the per-bucket tick samples.
     #[inline]
-    pub(crate) fn live_now(&self) -> usize {
+    fn live_now(&self) -> usize {
         self.live
     }
 
@@ -554,7 +516,7 @@ impl<'p> EventCore<'p> {
         slot
     }
 
-    pub(crate) fn push_fault(&mut self, t: u64, action: FaultAction) {
+    fn push_fault(&mut self, t: u64, action: FaultAction) {
         let (stage, code) = action.encode();
         let seq = self.mint();
         self.events.push(t, seq, pack_tag(KIND_FAULT, stage, code));
@@ -563,21 +525,8 @@ impl<'p> EventCore<'p> {
     /// Routes a same-time forward: into the fused-hop FIFO (fusion on),
     /// or back through the scheduler as an Arrive event (fusion off).
     /// Both sides mint a seq, so the dispatch order is identical.
-    ///
-    /// Sharded runs divert forwards to remote stages into the outbox
-    /// for the destination shard *without* minting a seq: the seq is
-    /// minted by the destination's epoch-barrier merge, which is what
-    /// keeps per-shard seq streams dense and the merge order exactly
-    /// the serial dispatch order.
     #[inline]
-    pub(crate) fn forward(&mut self, t: u64, stage: usize, pkt: Packet) {
-        if let Some(route) = self.route.as_mut() {
-            let dst = route.owner[stage];
-            if dst != route.me {
-                route.out[dst].push((t, stage, pkt));
-                return;
-            }
-        }
+    fn forward(&mut self, t: u64, stage: usize, pkt: Packet) {
         if self.fused {
             let seq = self.mint();
             self.fwd.push_back(FusedHop { seq, stage, pkt });
@@ -586,12 +535,9 @@ impl<'p> EventCore<'p> {
         }
     }
 
-    /// Slab-inserts `pkt` and schedules a `KIND_ARRIVE` event at `t`.
-    /// Shared by the unfused forward path and the cross-shard inbox
-    /// merge (merged hops always go through the scheduler: their seqs
-    /// are minted here, in merge order, above every local seq already
-    /// scheduled for that timestamp).
-    pub(crate) fn enqueue_arrive(&mut self, t: u64, stage: usize, pkt: Packet) {
+    /// Slab-inserts `pkt` and schedules a `KIND_ARRIVE` event at `t`:
+    /// the unfused forward path.
+    fn enqueue_arrive(&mut self, t: u64, stage: usize, pkt: Packet) {
         let idx = match self.arrive_free.pop() {
             Some(idx) => {
                 debug_assert!(self.arrive_slots[idx].is_none(), "free list hit a live arrive slot");
@@ -607,31 +553,6 @@ impl<'p> EventCore<'p> {
         self.events.push(t, seq, pack_tag(KIND_ARRIVE, stage, idx));
     }
 
-    /// A fresh event core for one run (sharded workers build one per
-    /// shard; the serial path reuses the engine's pooled buffers
-    /// instead).
-    pub(crate) fn new_for_run(
-        fused: bool,
-        route: Option<crate::shard::ShardRoute>,
-        payload: Option<PayloadSynth<'p>>,
-    ) -> Self {
-        EventCore {
-            events: EventScheduler::new(),
-            seq: 0,
-            live: 0,
-            peak_live: 0,
-            total: 0,
-            fwd: VecDeque::new(),
-            arrive_slots: Vec::new(),
-            arrive_free: Vec::new(),
-            batch_slots: Vec::new(),
-            batch_free: Vec::new(),
-            fused,
-            route,
-            payload,
-        }
-    }
-
     fn take_arrive(&mut self, idx: usize) -> Packet {
         // lint: allow(P1, reason = "invariant: arrive tags are minted by forward() and consumed exactly once; a vacant slot here is tag corruption")
         let pkt = self.arrive_slots[idx].take().expect("arrive tag referenced a vacant slot");
@@ -642,10 +563,10 @@ impl<'p> EventCore<'p> {
 
 /// The simulator.
 pub struct Engine {
-    pub(crate) stages: Vec<StageState>,
-    pub(crate) payload: Option<PayloadConfig>,
+    stages: Vec<StageState>,
+    payload: Option<PayloadConfig>,
     /// Fault plan applied to every run; `None` = fault-free.
-    pub(crate) fault_plan: Option<FaultPlan>,
+    fault_plan: Option<FaultPlan>,
     /// Pooled batch-result buffers, persisted across `run` calls so a
     /// reused engine's steady state allocates nothing (the old per-run
     /// pool started empty every run and reallocated from scratch).
@@ -665,31 +586,21 @@ pub struct Engine {
     /// Zero-latency hop fusion (default on). `false` re-enqueues every
     /// hop through the scheduler — the reference path the fused/unfused
     /// property tests compare against, bit for bit.
-    pub(crate) fused: bool,
-    /// Shard count for single-run parallelism (default 1 = serial).
-    /// Sharding engages only when the pipeline partitions provably
-    /// (see `crate::shard::plan`); otherwise the run stays serial.
-    shards: usize,
+    fused: bool,
     /// Optional observability hooks (tracing / telemetry / spans).
     /// `None` — the default — leaves the hot path byte-identical to an
     /// uninstrumented engine: every site is a single `Option` branch.
-    pub(crate) observer: Option<RunObserver>,
+    observer: Option<RunObserver>,
     /// Optional order sanitizer (invariant checks + interleaving
     /// perturber); gated exactly like the observer: `None` costs one
     /// branch per site.
-    pub(crate) sanitizer: Option<OrderSanitizer>,
-    /// Scaling diagnosis from the most recent *sharded* run: per-shard
-    /// wall-time decomposition (compute / barrier / merge), barrier-wait
-    /// histograms, and mailbox traffic. `None` after serial runs.
-    /// Wall-clock only — never flows into simulated results.
-    pub(crate) shard_diag: Option<crate::shard::ShardDiag>,
+    sanitizer: Option<OrderSanitizer>,
 }
 
 /// The raw result of a run.
 ///
 /// `PartialEq` compares every field (histogram counts included) — the
-/// A/B tests (fused/unfused, serial/sharded) lean on it to assert
-/// byte-identical runs.
+/// fused/unfused A/B tests lean on it to assert byte-identical runs.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RunResult {
     /// Sink-side statistics over the measurement window.
@@ -820,10 +731,8 @@ impl Engine {
             batch_slots: Vec::new(),
             batch_free: Vec::new(),
             fused: true,
-            shards: 1,
             observer: None,
             sanitizer: None,
-            shard_diag: None,
         }
     }
 
@@ -855,34 +764,6 @@ impl Engine {
     /// Removes and returns the sanitizer (with its accumulated report).
     pub fn take_sanitizer(&mut self) -> Option<OrderSanitizer> {
         self.sanitizer.take()
-    }
-
-    /// Removes and returns the scaling diagnosis collected by the most
-    /// recent run, if that run actually sharded (serial runs — including
-    /// silent fallbacks — leave `None`).
-    pub fn take_shard_diag(&mut self) -> Option<crate::shard::ShardDiag> {
-        self.shard_diag.take()
-    }
-
-    /// Splits subsequent runs across `n` shards (default 1 = serial),
-    /// each with its own event queue and event pools, synchronized by
-    /// conservative epoch barriers with cross-shard hops exchanged in
-    /// per-epoch outboxes. Results are **byte-identical** to the serial
-    /// engine: per-shard seq allocation plus the destination-side merge
-    /// replay exactly the serial dispatch order (DESIGN.md §12).
-    ///
-    /// Sharding engages only when the pipeline partitions provably —
-    /// the planner needs a feed-forward stage DAG with declared steer
-    /// edges ([`StageConfig::with_steer_targets`]). Anything else falls
-    /// back to the serial path, which is trivially identical. Observed
-    /// runs shard too when the observer is shardable
-    /// ([`RunObserver::shardable`]: no trace ring) — telemetry, spans,
-    /// the time series, and scheduler counters are collected per shard
-    /// and folded back; a tracing observer keeps the run serial.
-    pub fn with_shards(mut self, n: usize) -> Self {
-        assert!(n >= 1, "need at least one shard");
-        self.shards = n;
-        self
     }
 
     /// Enables or disables zero-latency hop fusion (default: enabled).
@@ -939,25 +820,13 @@ impl Engine {
     }
 }
 
-/// The run's arrivals as header-only packets: ids number the stubs in
-/// order, and the stream ends at `duration_ns`. Shared by the serial
-/// loop and the sharded entry injector.
-pub(crate) fn arrival_packets(
-    stubs: impl Iterator<Item = apples_workload::PacketStub>,
-    duration_ns: u64,
-) -> impl Iterator<Item = Packet> {
-    stubs
-        .take_while(move |stub| stub.t_ns < duration_ns)
-        .zip(0u64..)
-        .map(|(stub, id)| Packet::new(id, stub.flow, stub.tuple, stub.size_bytes, stub.t_ns))
-}
-
 /// Handles one arrival at `stage`: start service, enqueue, or drop.
-/// A free function over the stage slice (not an `Engine` method) so the
-/// sharded workers can drive the identical code path over their own
-/// per-shard stage vectors.
+/// A free function over the stage slice, not an `Engine` method: the
+/// run loop holds the engine's buffers, observer and sanitizer as
+/// locals, and passing each one explicitly keeps those borrows
+/// disjoint from the stages.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn arrive(
+fn arrive(
     stages: &mut [StageState],
     stage: usize,
     pkt: Packet,
@@ -1035,7 +904,7 @@ pub(crate) fn arrive(
 /// Routes a packet that finished service at `stage` according to its
 /// verdict: policy drop, next stage, or sink delivery.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn settle(
+fn settle(
     stages: &[StageState],
     stage: usize,
     pkt: Packet,
@@ -1095,11 +964,10 @@ pub(crate) fn settle(
 /// so results, traces, and telemetry are bit-identical across fusion
 /// modes.
 ///
-/// Shared verbatim by the serial run loop and each shard's worker loop:
-/// the sharded engine's claim to byte-identity rests on every shard
-/// processing its own events with *this* code over its own core.
+/// A free function for the same reason as [`arrive`]: every buffer it
+/// touches is passed in, so the run loop's borrows stay disjoint.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn walk_bucket(
+fn walk_bucket(
     stages: &mut [StageState],
     t: u64,
     warmup_ns: u64,
@@ -1285,25 +1153,6 @@ impl Engine {
         warmup_ns: u64,
     ) -> RunResult {
         assert!(warmup_ns < duration_ns, "warmup must precede the end of the run");
-        // Sharded dispatch: engage only when the pipeline partitions
-        // provably and any attached observer merges across shards (the
-        // bounded trace ring does not — its retained window depends on
-        // the global event order). An unpartitionable pipeline runs
-        // serially, which satisfies the identity contract trivially.
-        self.shard_diag = None;
-        if self.shards > 1 && self.observer.as_ref().is_none_or(|o| o.shardable()) {
-            if let Some(plan) = crate::shard::plan(&self.stages, self.shards) {
-                return crate::shard::run_sharded(
-                    self,
-                    &plan,
-                    stubs,
-                    flows,
-                    payload_seed,
-                    duration_ns,
-                    warmup_ns,
-                );
-            }
-        }
         let window_ns = duration_ns - warmup_ns;
         let mut sink = SinkStats::new(flows);
 
@@ -1327,7 +1176,6 @@ impl Engine {
             batch_slots: std::mem::take(&mut self.batch_slots),
             batch_free: std::mem::take(&mut self.batch_free),
             fused: self.fused,
-            route: None,
             payload: self.payload.as_ref().map(|p| PayloadSynth::new(p, payload_seed)),
         };
         core.fwd.clear();
@@ -1374,8 +1222,12 @@ impl Engine {
         // whole packet sequence) preserves event order exactly while
         // keeping memory independent of run length. That packet is
         // header-only: payloads are made at service start, so a packet
-        // dropped or still queued before then never pays for one.
-        let mut arrivals = arrival_packets(stubs, duration_ns);
+        // dropped or still queued before then never pays for one. Ids
+        // number the stubs in order.
+        let mut arrivals = stubs
+            .take_while(move |stub| stub.t_ns < duration_ns)
+            .zip(0u64..)
+            .map(|(stub, id)| Packet::new(id, stub.flow, stub.tuple, stub.size_bytes, stub.t_ns));
         let mut next_arrival = arrivals.next();
         // Sim-time of the previous bucket, for span attribution.
         let mut last_t = 0u64;

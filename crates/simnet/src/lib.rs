@@ -37,7 +37,6 @@ pub mod packet;
 pub mod sanitizer;
 pub mod sched;
 pub mod service;
-pub mod shard;
 pub mod stats;
 pub mod system;
 
@@ -46,6 +45,5 @@ pub use fault::{FaultAction, FaultEvent, FaultPlan, FaultSpec, OutageSpec, Slowd
 pub use packet::Packet;
 pub use sanitizer::{OrderSanitizer, SanitizerReport};
 pub use sched::EventScheduler;
-pub use shard::{ShardDiag, ShardLane};
 pub use stats::{LatencyHistogram, SinkStats};
 pub use system::{Deployment, Measurement};

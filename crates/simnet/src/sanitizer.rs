@@ -4,8 +4,8 @@
 //!
 //! The engine's determinism contract is a total order on events —
 //! `(t_ns, seq, stage)` — and every identity gate in the test suite
-//! (fused-vs-unfused, serial-vs-sharded, serial-vs-parallel measurement)
-//! is downstream of it. The sanitizer turns the contract into runtime
+//! (fused-vs-unfused, serial-vs-parallel measurement) is downstream of
+//! it. The sanitizer turns the contract into runtime
 //! assertions on a real run:
 //!
 //! 1. **Monotone time**: each drained timestamp bucket starts strictly
@@ -21,17 +21,14 @@
 //! 4. **Stage sanity**: every event targets a stage inside the
 //!    pipeline.
 //!
-//! The **perturber** is the forward-looking half: a sharded engine will
-//! deliver same-timestamp events in arbitrary per-shard order and
-//! restore the canonical order with an epoch-barrier merge keyed on
-//! `seq`. The perturber simulates that today: it shuffles each drained
-//! bucket's unconsumed tail with a seeded Fisher–Yates pass (a
-//! different legal delivery order every bucket, same orders every run)
-//! and then applies the merge rule — sort by `seq`. A sanitized,
-//! perturbed run must therefore produce **byte-identical** results to
-//! an unsanitized run; if any engine code secretly depended on
-//! pre-merge buffer order, the identity gate breaks here first, not in
-//! a sharded refactor two PRs later.
+//! The **perturber** checks that the walk's order comes from `seq`
+//! alone: it shuffles each drained bucket's unconsumed tail with a
+//! seeded Fisher–Yates pass (a different delivery order every bucket,
+//! same orders every run) and then applies the merge rule — sort by
+//! `seq`. A sanitized, perturbed run must therefore produce
+//! **byte-identical** results to an unsanitized run; if any engine code
+//! secretly depended on the buffer order before that sort, the identity
+//! gate breaks.
 //!
 //! Like the observer, the sanitizer is a runtime-gated `Option` on the
 //! engine: `None` (the default) leaves the hot path untouched except
@@ -54,20 +51,9 @@ pub struct SanitizerReport {
     /// the seq-keyed merge restored canonical order.
     pub perturbed: u64,
     /// Largest same-timestamp equivalence class seen (bucket length
-    /// including re-drained tails) — the worst case a sharded merge
-    /// would have to reorder.
+    /// including re-drained tails) — the most events the seq-keyed
+    /// merge had to order at once.
     pub max_bucket: usize,
-}
-
-impl SanitizerReport {
-    /// Folds a per-shard report into this one: counters sum, the
-    /// worst-case equivalence class is the max across shards.
-    pub fn merge(&mut self, other: &SanitizerReport) {
-        self.buckets += other.buckets;
-        self.events += other.events;
-        self.perturbed += other.perturbed;
-        self.max_bucket = self.max_bucket.max(other.max_bucket);
-    }
 }
 
 /// The order sanitizer. One instance shadows one engine; state resets
@@ -168,10 +154,9 @@ impl OrderSanitizer {
             self.report.max_bucket = self.cur_bucket;
         }
         if let Some(rng) = self.perturb.as_mut() {
-            // Model a shard delivering this equivalence class in
-            // arbitrary order (Fisher–Yates), then apply the
-            // epoch-barrier merge rule: sort by seq. The walk must be
-            // unable to tell the difference.
+            // Deliver this equivalence class in arbitrary order
+            // (Fisher–Yates), then apply the merge rule: sort by seq.
+            // The walk must be unable to tell the difference.
             let n = tail.len();
             if n > 1 {
                 for i in (1..n).rev() {
@@ -182,28 +167,6 @@ impl OrderSanitizer {
                 self.report.perturbed += n as u64;
             }
         }
-    }
-
-    /// A per-shard child sanitizer for shard `shard` of a sharded run:
-    /// same mode (check-only or perturbing), but with a seed derived
-    /// from the parent's so each shard shuffles its own equivalence
-    /// classes independently — and deterministically, since the
-    /// derivation is pure. The child's report is folded back into the
-    /// parent with [`OrderSanitizer::absorb`].
-    pub fn fork(&self, shard: u64) -> OrderSanitizer {
-        match self.perturb_seed {
-            // SplitMix64's odd multiplicative constant keeps derived
-            // seeds distinct across shards even for tiny parent seeds.
-            Some(seed) => Self::with_perturbation(
-                seed ^ 0x9E37_79B9_7F4A_7C15u64.wrapping_mul(shard.wrapping_add(1)),
-            ),
-            None => Self::new(),
-        }
-    }
-
-    /// Folds a forked child's accumulated report into this sanitizer.
-    pub fn absorb(&mut self, child: &OrderSanitizer) {
-        self.report.merge(&child.report);
     }
 
     /// One event leaves the merged walk (drained bucket or fused-hop

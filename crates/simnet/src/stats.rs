@@ -87,21 +87,6 @@ impl LatencyHistogram {
         self.max_ns
     }
 
-    /// Folds another histogram into this one. All-integer state, so the
-    /// merge is exact: a histogram merged from disjoint shards is
-    /// bit-identical to one that recorded every observation serially
-    /// (counts and sums are commutative and associative; the max is a
-    /// lattice join).
-    pub fn merge(&mut self, other: &LatencyHistogram) {
-        debug_assert_eq!(self.counts.len(), other.counts.len());
-        for (a, b) in self.counts.iter_mut().zip(other.counts.iter()) {
-            *a += b;
-        }
-        self.total += other.total;
-        self.max_ns = self.max_ns.max(other.max_ns);
-        self.sum_ns += other.sum_ns;
-    }
-
     /// Approximate latency at quantile `q` in `[0, 1]`.
     pub fn quantile_ns(&self, q: f64) -> u64 {
         assert!((0.0..=1.0).contains(&q), "quantile must be in [0,1]");
@@ -246,23 +231,6 @@ impl SinkStats {
     /// Per-flow delivered bytes.
     pub fn per_flow_bytes(&self) -> &[u64] {
         &self.per_flow_bytes
-    }
-
-    /// Folds another sink's statistics into this one. Every field is an
-    /// integer counter (or a histogram of them), so merging per-shard
-    /// sinks is exact — byte-identical to a single serial sink that saw
-    /// every delivery and drop.
-    pub fn merge(&mut self, other: &SinkStats) {
-        debug_assert_eq!(self.per_flow_bytes.len(), other.per_flow_bytes.len());
-        self.delivered_packets += other.delivered_packets;
-        self.delivered_bits += other.delivered_bits;
-        self.queue_drops += other.queue_drops;
-        self.policy_drops += other.policy_drops;
-        self.fault_drops += other.fault_drops;
-        self.latency.merge(&other.latency);
-        for (a, b) in self.per_flow_bytes.iter_mut().zip(other.per_flow_bytes.iter()) {
-            *a += b;
-        }
     }
 }
 

@@ -21,7 +21,6 @@ use crate::fault::{FaultPlan, FaultSpec};
 use crate::nf::NfChain;
 use crate::sanitizer::{OrderSanitizer, SanitizerReport};
 use crate::service::{FixedTime, NfService};
-use crate::shard::ShardDiag;
 use apples_core::{OperatingPoint, System};
 use apples_metrics::cost::{CostMetric, DeviceClass};
 use apples_metrics::perf::PerfMetric;
@@ -115,7 +114,6 @@ impl DeploymentBuilder {
             payload: self.payload,
             faults: None,
             fused: true,
-            shards: 1,
         }
     }
 }
@@ -148,7 +146,6 @@ pub struct Deployment {
     payload: Option<(f64, Vec<Vec<u8>>)>,
     faults: Option<FaultSpec>,
     fused: bool,
-    shards: usize,
 }
 
 impl Deployment {
@@ -185,7 +182,6 @@ impl Deployment {
             payload: None,
             faults: None,
             fused: true,
-            shards: 1,
         }
     }
 
@@ -230,7 +226,6 @@ impl Deployment {
             payload: None,
             faults: None,
             fused: true,
-            shards: 1,
         }
     }
 
@@ -286,7 +281,6 @@ impl Deployment {
             payload: None,
             faults: None,
             fused: true,
-            shards: 1,
         }
     }
 
@@ -346,7 +340,6 @@ impl Deployment {
             payload: None,
             faults: None,
             fused: true,
-            shards: 1,
         }
     }
 
@@ -410,7 +403,6 @@ impl Deployment {
             payload: None,
             faults: None,
             fused: true,
-            shards: 1,
         }
     }
 
@@ -447,7 +439,6 @@ impl Deployment {
             .with_next(NextHop::Steer(Box::new(move |pkt| {
                 Some(1 + (pkt.tuple.hash64() % u64::from(replicas)) as usize)
             })))
-            .with_steer_targets((1..=replicas as usize).collect())
         }));
         let mut power_lines = vec![PowerLine {
             // The splitter is a (non-programmable) switch; model its
@@ -491,7 +482,6 @@ impl Deployment {
             payload: None,
             faults: None,
             fused: true,
-            shards: 1,
         }
     }
 
@@ -528,7 +518,6 @@ impl Deployment {
             .with_next(NextHop::Steer(Box::new(move |pkt| {
                 Some(1 + (pkt.tuple.hash64() % u64::from(cores)) as usize)
             })))
-            .with_steer_targets((1..=cores as usize).collect())
         }));
         let mut power_lines = vec![
             PowerLine {
@@ -561,7 +550,6 @@ impl Deployment {
             payload: None,
             faults: None,
             fused: true,
-            shards: 1,
         }
     }
 
@@ -617,7 +605,6 @@ impl Deployment {
             payload: None,
             faults: None,
             fused: true,
-            shards: 1,
         }
     }
 
@@ -634,20 +621,6 @@ impl Deployment {
     /// byte-identical either way.
     pub fn with_fusion(mut self, fused: bool) -> Self {
         self.fused = fused;
-        self
-    }
-
-    /// Requests sharded execution: partition the pipeline across `n`
-    /// shards (threads) with conservative epoch-barrier synchronization
-    /// — see DESIGN.md §12. Results are byte-identical to the serial
-    /// engine; deployments whose topology cannot be validly partitioned
-    /// (or `n = 1`) silently run serially, because falling back is
-    /// always correct under that contract. Sharding never affects the
-    /// config digest: the same deployment at any shard count is the
-    /// same experiment.
-    pub fn with_shards(mut self, n: usize) -> Self {
-        assert!(n >= 1, "need at least one shard");
-        self.shards = n;
         self
     }
 
@@ -723,7 +696,7 @@ impl Deployment {
         opts: RunOpts,
     ) -> RunOutput {
         let stages: Vec<StageConfig> = self.stage_factories.iter().map(|f| f()).collect();
-        let mut engine = Engine::new(stages).with_fusion(self.fused).with_shards(self.shards);
+        let mut engine = Engine::new(stages).with_fusion(self.fused);
         if let Some((prob, needles)) = &self.payload {
             engine = engine
                 .with_payloads(PayloadConfig { attack_prob: *prob, needles: needles.clone() });
@@ -740,7 +713,6 @@ impl Deployment {
         let result = engine.run(workload, duration_ns, warmup_ns);
         let observer = engine.take_observer();
         let sanitizer = engine.take_sanitizer().map(|s| s.report().clone());
-        let shard_diag = engine.take_shard_diag();
 
         let total_watts: f64 = self
             .power_lines
@@ -770,7 +742,7 @@ impl Deployment {
             watts: total_watts,
             stages: result.stages,
         };
-        RunOutput { measurement, observer, sanitizer, shard_diag }
+        RunOutput { measurement, observer, sanitizer }
     }
 
     /// Canonical digest of everything that determines a run's simulated
@@ -823,8 +795,7 @@ impl Deployment {
 }
 
 /// What one [`Deployment::run_with`] call attaches to the engine. The
-/// default attaches nothing: a plain run. The shard count is not here;
-/// it is a property of the deployment ([`Deployment::with_shards`]).
+/// default attaches nothing: a plain run.
 #[derive(Debug, Default)]
 pub struct RunOpts {
     /// Observability to collect; `None` runs unobserved.
@@ -845,12 +816,6 @@ pub struct RunOutput {
     pub observer: Option<RunObserver>,
     /// What the sanitizer verified, exactly when one was attached.
     pub sanitizer: Option<SanitizerReport>,
-    /// The scaling diagnosis (per-shard compute / barrier-stall / merge
-    /// wall time, barrier-wait histograms, mailbox traffic) when the run
-    /// actually sharded. Serial runs — including silent fallbacks for an
-    /// unpartitionable pipeline or a non-shardable observer — leave
-    /// `None`.
-    pub shard_diag: Option<ShardDiag>,
 }
 
 /// Everything a run measured, plus conversions to methodology inputs.

@@ -3,12 +3,10 @@
 //! measurements to a plain run, with batching, multi-stage offload
 //! pipelines, unfused hops, and fault plans in play.
 //!
-//! This is the oracle a future sharded engine will be held to: the
-//! perturber delivers every same-timestamp equivalence class in a
+//! The perturber delivers every same-timestamp equivalence class in a
 //! shuffled (but seeded) order and restores canonical order with the
-//! seq-keyed merge — exactly the epoch-barrier merge a sharded dispatch
-//! would run. If any engine path secretly depends on pre-merge buffer
-//! order, these tests break today instead of during that refactor.
+//! seq-keyed merge. If any engine path secretly depends on the buffer
+//! order before that merge, these tests break.
 
 use apples_obs::ObsConfig;
 use apples_simnet::fault::FaultSpec;
@@ -96,8 +94,8 @@ fn sanitized_runs_are_byte_identical_across_contenders() {
 
 #[test]
 fn batched_pipelines_exercise_the_perturber_on_multi_event_classes() {
-    // A GPU batcher with unfused hops is the worst case a sharded merge
-    // faces: every kernel completion re-enqueues its whole batch at one
+    // A GPU batcher with unfused hops is the worst case for the seq
+    // merge: every kernel completion re-enqueues its whole batch at one
     // timestamp, so the walk's re-drain tails are genuinely multi-event
     // and the perturber has real equivalence classes to shuffle.
     use apples_simnet::engine::BatchPolicy;
@@ -165,12 +163,12 @@ fn perturbation_seed_does_not_leak_into_results() {
 }
 
 #[test]
-fn observed_perturbed_runs_keep_the_bytes_at_every_shard_count() {
+fn observed_perturbed_runs_keep_the_bytes() {
     // Everything `xp run --sanitize` attaches to one run at once —
-    // telemetry, spans and the time series, plus the perturber — on the
-    // serial and the sharded engine. Bursty Poisson arrivals of IMIX
-    // frames collide on timestamps, so the perturber has classes to
-    // shuffle; under CBR the largest class is one event.
+    // telemetry, spans and the time series, plus the perturber. Bursty
+    // Poisson arrivals of IMIX frames collide on timestamps, so the
+    // perturber has classes to shuffle; under CBR the largest class is
+    // one event.
     let wl = WorkloadSpec {
         sizes: PacketSizeDist::Imix,
         arrivals: ArrivalProcess::Poisson { rate_pps: 4e6 },
@@ -198,26 +196,19 @@ fn observed_perturbed_runs_keep_the_bytes_at_every_shard_count() {
     let observer = ObsConfig { trace_capacity: 0, telemetry: true, spans: true, timeseries: true };
     for (name, mk) in shapes {
         let plain = mk().run(&wl, RUN_NS, WARMUP_NS);
-        for shards in [1, 2, 4] {
-            let opts = RunOpts {
-                observer: Some(observer.clone()),
-                sanitizer: Some(OrderSanitizer::with_perturbation(0xD15F)),
-            };
-            let out = mk().with_shards(shards).run_with(&wl, RUN_NS, WARMUP_NS, opts);
-            assert_eq!(
-                out.measurement.fingerprint(),
-                plain.fingerprint(),
-                "{name}x{shards}: observed perturbed run diverged from the plain run"
-            );
-            assert_eq!(
-                out.shard_diag.is_some(),
-                shards > 1,
-                "{name}x{shards}: a scaling diagnosis exactly when the run shards"
-            );
-            let rep = out.sanitizer.expect("an attached sanitizer hands back its report");
-            assert!(rep.perturbed > 0, "{name}x{shards}: the perturber never fired");
-            let obs = out.observer.expect("an attached observer is handed back");
-            assert!(obs.timeseries.is_some_and(|ts| ts.total_dispatches() > 0), "{name}x{shards}");
-        }
+        let opts = RunOpts {
+            observer: Some(observer.clone()),
+            sanitizer: Some(OrderSanitizer::with_perturbation(0xD15F)),
+        };
+        let out = mk().run_with(&wl, RUN_NS, WARMUP_NS, opts);
+        assert_eq!(
+            out.measurement.fingerprint(),
+            plain.fingerprint(),
+            "{name}: observed perturbed run diverged from the plain run"
+        );
+        let rep = out.sanitizer.expect("an attached sanitizer hands back its report");
+        assert!(rep.perturbed > 0, "{name}: the perturber never fired");
+        let obs = out.observer.expect("an attached observer is handed back");
+        assert!(obs.timeseries.is_some_and(|ts| ts.total_dispatches() > 0), "{name}");
     }
 }

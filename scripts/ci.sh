@@ -54,20 +54,22 @@ for key in '"fingerprint"' '"legacy": false' '"rule"' '"severity"' '"snippet"'; 
 done
 
 echo "== sanitizer: order invariants + perturbed byte-identity =="
-# The dynamic half of the shard-safety analyzer (DESIGN.md §11): each
-# worked-example scenario runs as an unobserved serial reference, once
-# observed with the seeded interleaving perturber shuffling every
-# same-timestamp equivalence class, and once under the check-only
-# sanitizer. `xp run` exits 1 on any byte divergence, any invariant
-# trip, or a check-only run that perturbed or checked nothing; each run
-# prints its verdict line.
+# The dynamic half of the determinism analyzer (DESIGN.md §11): every
+# registered scenario runs as an unobserved reference, once observed
+# with the seeded interleaving perturber shuffling every same-timestamp
+# equivalence class, and once under the check-only sanitizer. `xp run`
+# exits 1 on any byte divergence, any invariant trip, or a check-only
+# run that perturbed or checked nothing; each run prints its verdict
+# line.
 "${XP[@]}" run base-2c --sanitize | tail -n 1
 "${XP[@]}" run smartnic --sanitize --severity 0.5 | tail -n 1
 "${XP[@]}" run switch-2c --sanitize --perturb-seed 7 | tail -n 1
-# Usage errors exit 2: an unknown scenario, a trace of a sharded run
-# (the trace ring cannot be sharded), the verbs `xp run` replaced, and
-# the removed scheduler-choice and bench floor-file flags.
-for cmd in "run nope" "run cluster --shards 2 --trace target/unused.json" \
+"${XP[@]}" run cluster --sanitize --severity 0.3 | tail -n 1
+"${XP[@]}" run rss --sanitize | tail -n 1
+# Usage errors exit 2: an unknown scenario, the removed shard-count
+# flag, the verbs `xp run` replaced, and the removed scheduler-choice
+# and bench floor-file flags.
+for cmd in "run nope" "run cluster --shards 2" \
   "trace smartnic" "profile smartnic" "sanitize smartnic" \
   "run smartnic --scheduler heap" "bench --check-floor x"; do
   status=0
@@ -77,21 +79,6 @@ for cmd in "run nope" "run cluster --shards 2 --trace target/unused.json" \
     echo "xp ${cmd} exited ${status}, want 2" >&2
     exit 1
   fi
-done
-
-echo "== shards: epoch-barrier runs are byte-identical to serial =="
-# The sharded engine's identity gate (DESIGN.md §12): three shardable
-# scenarios run at shard counts 1, 2, and 4; the reference run inside
-# each `xp run` stays serial, so every invocation is a live
-# serial-vs-sharded byte comparison (exit 1 on any divergence). The
-# perturber is armed on every observed run, so the cluster x4 case
-# doubles as the required sanitizer-perturbation-on-a-sharded-run check.
-# Scaling efficiency itself is measured by the bench stage below and
-# lands in BENCH_simnet.json under "single_run_scaling".
-for n in 1 2 4; do
-  "${XP[@]}" run cluster --sanitize --shards "${n}" --severity 0.3 | tail -n 1
-  "${XP[@]}" run rss --sanitize --shards "${n}" | tail -n 1
-  "${XP[@]}" run smartnic --sanitize --shards "${n}" --perturb-seed 7 | tail -n 1
 done
 
 echo "== store: incremental experiment cache =="
@@ -170,11 +157,11 @@ if ! cmp -s target/trace-a.json target/trace-b.json; then
   echo "trace files differ across repeat runs: tracing leaked wall-clock state" >&2
   exit 1
 fi
-# Flamegraph export smoke: a sharded observed run must exit 0 (its
+# Flamegraph export smoke: an observed run must exit 0 (its
 # measurement byte-identical to the unobserved reference) and emit
 # well-formed folded stacks — every line `frames... <integer>`, with
-# both the engine-phase and per-shard lane roots present.
-"${XP[@]}" run cluster --shards 2 --profile target/prof.folded > /dev/null
+# the engine-phase root present.
+"${XP[@]}" run cluster --profile target/prof.folded > /dev/null
 if [ ! -s target/prof.folded ]; then
   echo "xp run --profile emitted an empty folded-stack file" >&2
   exit 1
@@ -185,7 +172,6 @@ if grep -qvE '^[^ ]+ [0-9]+$' target/prof.folded; then
   exit 1
 fi
 grep -q '^engine;dispatch ' target/prof.folded
-grep -q '^shards;shard-1;barrier-wait ' target/prof.folded
 # The diagnosis set's "cheap enough to leave on" budget (span profiler
 # + sim-time metrics ring): the full bench already ran above; re-gate
 # the quick bench with the obs ceiling so a hook-path regression fails

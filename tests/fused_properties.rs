@@ -68,7 +68,7 @@ fn fused_pipeline_matches_unfused_on_random_combos() {
 /// Every scenario family under a saturating workload: the fused and
 /// unfused runs agree bit for bit.
 #[test]
-fn fusion_and_scheduler_axes_commute() {
+fn every_scenario_matches_unfused_under_saturation() {
     for (name, build) in scenario_pool() {
         let wl = saturating_workload(11);
         let fused = measure_quick(&build(), &wl).fingerprint();

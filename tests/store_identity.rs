@@ -1,12 +1,10 @@
 //! End-to-end store gate: a fully-warm `xp all` must be byte-identical
 //! — stdout, markdown reports, and figure CSVs — to a cold run and to
 //! a `--no-cache` run, the cache must be valid across harness
-//! schedules and simulation substrates (serial and 4-shard runs), and
-//! regenerating a golden fixture must invalidate the
+//! schedules, and regenerating a golden fixture must invalidate the
 //! corresponding store entries so a post-regen run can never serve a
 //! pre-regen cached report.
 
-use apples_bench::scenarios::{baseline_host, measure_quick, saturating_workload, switch_system};
 use apples_bench::xpall::{run_all, XpAllOptions};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -103,21 +101,6 @@ fn warm_run_is_byte_identical_to_cold_and_no_cache() {
     for d in [&store, &a, &b, &c] {
         let _ = std::fs::remove_dir_all(d);
     }
-}
-
-/// The store caches *measurements*, so a cached artifact is only valid
-/// if the measurement is invariant across execution substrates. Gate
-/// that directly: serial and 4-shard runs produce bit-identical
-/// measurements on the scenario families the suite runs.
-#[test]
-fn cached_measurements_are_substrate_invariant_across_schedulers_and_shards() {
-    let wl = saturating_workload(7);
-    let host = measure_quick(&baseline_host(2), &wl);
-    let switch = measure_quick(&switch_system(4), &wl);
-    let host_sharded = measure_quick(&baseline_host(2).with_shards(4), &wl);
-    let switch_sharded = measure_quick(&switch_system(4).with_shards(4), &wl);
-    assert_eq!(host.fingerprint(), host_sharded.fingerprint(), "baseline-2c diverged sharded");
-    assert_eq!(switch.fingerprint(), switch_sharded.fingerprint(), "switch-4c diverged sharded");
 }
 
 /// Golden-regen regression: changing a golden fixture's bytes changes
