@@ -33,9 +33,6 @@
 //! xp run cluster --profile prof.folded
 //!                        # folded-stack (flamegraph) profile of the
 //!                        # engine phases
-//! xp run base-2c --sanitize --severity 0.5 --perturb-seed 7
-//!                        # ... with the order sanitizer: a perturbed
-//!                        # observed run plus a check-only run
 //! xp lint                # static-analysis pass over the workspace
 //! xp lint --json         # ... with machine-readable output
 //! xp lint --root DIR     # ... over another tree (fixtures, CI sandboxes)
@@ -130,11 +127,11 @@ fn parse_flag<T>(
     value
 }
 
-/// `xp run`: run one scenario unobserved and observed (plus check-only
-/// sanitized with `--sanitize`), write the requested artifacts, print
-/// the summary, and exit 1 unless every run matched the reference.
+/// `xp run`: run one scenario unobserved and observed, write the
+/// requested artifacts, print the summary, and exit 1 unless the
+/// observed run matched the reference.
 fn run_scenario_cmd(mut args: Vec<String>) -> ! {
-    use apples_bench::runcmd::{run, RunOptions, DEFAULT_PERTURB_SEED};
+    use apples_bench::runcmd::{run, RunOptions};
     use apples_bench::scenarios::SCENARIOS;
     use apples_obs::observer::DEFAULT_TRACE_CAPACITY;
 
@@ -142,7 +139,7 @@ fn run_scenario_cmd(mut args: Vec<String>) -> ! {
     let usage = || -> ! {
         eprintln!(
             "usage: xp run <scenario> [--severity S] [--seed N] \
-             [--trace FILE [--ring EVENTS]] [--profile FILE] [--sanitize [--perturb-seed N]]"
+             [--trace FILE [--ring EVENTS]] [--profile FILE]"
         );
         eprintln!("scenarios: {ids}");
         std::process::exit(2);
@@ -156,12 +153,8 @@ fn run_scenario_cmd(mut args: Vec<String>) -> ! {
     let ring = parse_flag(&mut args, "--ring", "a positive integer", |s| {
         s.parse::<usize>().ok().filter(|&n| n > 0)
     });
-    let perturb_seed =
-        parse_flag(&mut args, "--perturb-seed", "an unsigned integer", |s| s.parse().ok());
-    let sanitize = take_switch(&mut args, "--sanitize");
-    // `--ring` sizes the trace and `--perturb-seed` seeds the sanitizer:
-    // each is a usage error without the flag it qualifies.
-    let dangling = (ring.is_some() && trace.is_none()) || (perturb_seed.is_some() && !sanitize);
+    // `--ring` sizes the trace: a usage error without `--trace`.
+    let dangling = ring.is_some() && trace.is_none();
     if dangling || args.len() != 1 || args[0].starts_with("--") {
         usage();
     }
@@ -170,7 +163,6 @@ fn run_scenario_cmd(mut args: Vec<String>) -> ! {
         severity: severity.unwrap_or(0.0),
         seed: seed.unwrap_or(1),
         trace_ring: trace.is_some().then(|| ring.unwrap_or(DEFAULT_TRACE_CAPACITY)),
-        perturb_seed: sanitize.then(|| perturb_seed.unwrap_or(DEFAULT_PERTURB_SEED)),
     };
     let Some(result) = run(&opts) else {
         eprintln!("unknown scenario '{}' (choose from: {ids})", opts.scenario);
@@ -203,9 +195,7 @@ fn main() {
     }
 
     if let Some(verb @ ("trace" | "profile" | "sanitize")) = args.first().map(String::as_str) {
-        eprintln!(
-            "'xp {verb}' is now 'xp run <scenario> [--trace FILE] [--profile FILE] [--sanitize]'"
-        );
+        eprintln!("'xp {verb}' is now 'xp run <scenario> [--trace FILE] [--profile FILE]'");
         std::process::exit(2);
     }
 

@@ -35,8 +35,7 @@ use apples_simnet::engine::{
 };
 use apples_simnet::nf::NfChain;
 use apples_simnet::service::{FixedTime, LineRate, NfService};
-use apples_simnet::system::{Measurement, RunOpts};
-use apples_simnet::OrderSanitizer;
+use apples_simnet::system::Measurement;
 use apples_workload::WorkloadSpec;
 
 /// Knobs for a bench run.
@@ -506,62 +505,6 @@ fn obs_section(quick: bool, all_identical: &mut bool) -> (Json, ObsOverhead) {
     (json, ObsOverhead { ratio, ci, full_ci })
 }
 
-/// Measures the runtime order sanitizer against itself, mirroring
-/// [`obs_section`]:
-///
-/// - **No simulated change.** A plain run, a check-only sanitized run,
-///   and a perturbed sanitized run of the firewall deployment must
-///   produce byte-identical measurements (the sanitizer asserts the
-///   engine's ordering invariants and the perturber's shuffle must be
-///   fully undone by the seq-keyed merge). Folded into
-///   `identical_results`.
-/// - **Reported cost when on.** The deployment is timed three ways —
-///   sanitizer off, check-only, and with the interleaving perturber —
-///   and the median within-round ratios land in `BENCH_simnet.json`
-///   (reported, not gated: the sanitizer is a debugging/CI mode, never
-///   the production path).
-///
-/// The JSON also carries the perturbed run's [`SanitizerReport`] so the
-/// bench documents how much ordering surface was actually checked.
-///
-/// [`SanitizerReport`]: apples_simnet::sanitizer::SanitizerReport
-fn sanitizer_section(quick: bool, all_identical: &mut bool) -> Json {
-    let d = baseline_host(2);
-    let wl = saturating_workload(1);
-    let run_ns: u64 = if quick { 10_000_000 } else { 20_000_000 };
-    let trials = if quick { 9 } else { 11 };
-    let sanitized = |sanitizer| RunOpts { sanitizer: Some(sanitizer), ..RunOpts::default() };
-    let timing = interleaved_overhead(
-        trials,
-        || d.run(&wl, run_ns, 0),
-        || d.run_with(&wl, run_ns, 0, sanitized(OrderSanitizer::new())),
-        || d.run_with(&wl, run_ns, 0, sanitized(OrderSanitizer::with_perturbation(0xD15F))),
-    );
-    let (check_ratio, perturb_ratio) = timing.ratios();
-    let (m_off, checked, perturbed) = timing.outs;
-    let [off_ms, check_ms, perturb_ms] = timing.min_ms;
-    let reference = m_off.fingerprint();
-    let identical = checked.measurement.fingerprint() == reference
-        && perturbed.measurement.fingerprint() == reference;
-    let report = perturbed.sanitizer.unwrap_or_default();
-    *all_identical &= identical;
-    Json::obj()
-        .field("sanitized_numbers_identical", identical)
-        .field("off_wall_ms", off_ms)
-        .field("check_wall_ms", check_ms)
-        .field("check_overhead_ratio", check_ratio)
-        .field("perturb_wall_ms", perturb_ms)
-        .field("perturb_overhead_ratio", perturb_ratio)
-        .field(
-            "report",
-            Json::obj()
-                .field("buckets", report.buckets)
-                .field("events", report.events)
-                .field("perturbed", report.perturbed)
-                .field("max_bucket", report.max_bucket),
-        )
-}
-
 /// The `experiment_store` section: cold-vs-warm wall clock for the
 /// content-addressed experiment store (DESIGN.md §13). Each cold trial
 /// wipes the store and executes a representative experiment subset;
@@ -637,7 +580,6 @@ pub fn run_with_summary(opts: &BenchOptions) -> (Json, BenchSummary) {
 
     let harness = harness_sweep(&mut all_identical);
     let (observability, overhead) = obs_section(opts.quick, &mut all_identical);
-    let sanitizer = sanitizer_section(opts.quick, &mut all_identical);
     let experiment_store = experiment_store_section(opts.quick, &mut all_identical);
 
     let mut json = Json::obj()
@@ -648,7 +590,6 @@ pub fn run_with_summary(opts: &BenchOptions) -> (Json, BenchSummary) {
         .field("engine", Json::Arr(engine_runs))
         .field("harness", harness)
         .field("observability", observability)
-        .field("sanitizer", sanitizer)
         .field("experiment_store", experiment_store);
     if opts.faults {
         let replications = match opts.replications {

@@ -3,36 +3,27 @@
 //!
 //! Every invocation measures one `(scenario, severity, seed)` at one
 //! operating point — [`RUN_GBPS`] offered over [`RUN_NS`], with
-//! [`WARMUP_NS`] excluded — in up to three runs:
+//! [`WARMUP_NS`] excluded — in two runs:
 //!
 //! 1. the reference: unobserved;
 //! 2. the observed run, with telemetry, spans and the time series, plus
-//!    the trace ring when tracing and the seeded interleaving perturber
-//!    when sanitizing;
-//! 3. when sanitizing, a check-only sanitized run at the same settings.
-//!    It checks the engine's native dispatch order, which the perturbed
-//!    run sorts back into place before checking.
+//!    the trace ring when tracing.
 //!
-//! Runs 2 and 3 must match the reference's [`Measurement::fingerprint`],
-//! and run 3 must check events without perturbing any; otherwise the
-//! CLI exits 1. Run 2 yields the artifacts: the Chrome trace (sim-time
-//! timestamps only, so repeat runs export the same bytes), the
-//! folded-stack profile of the engine phases in flamegraph "collapsed"
-//! format (`engine;...`), and the summary.
+//! Run 2 must match the reference's [`Measurement::fingerprint`];
+//! otherwise the CLI exits 1. Run 2 yields the artifacts: the Chrome
+//! trace (sim-time timestamps only, so repeat runs export the same
+//! bytes), the folded-stack profile of the engine phases in flamegraph
+//! "collapsed" format (`engine;...`), and the summary.
 
 use crate::scenarios::{faulted, perturbed_workload, scenario, to_gbps, RUN_NS, WARMUP_NS};
 use apples_obs::chrome::chrome_trace;
-use apples_obs::{ObsConfig, Phase, TraceDrop, TraceFault, TraceKind, Tracer};
-use apples_simnet::system::{Measurement, RunOpts, RunOutput};
-use apples_simnet::{OrderSanitizer, SanitizerReport};
+use apples_obs::{ObsConfig, Phase, RunObserver, TraceDrop, TraceFault, TraceKind, Tracer};
+use apples_simnet::system::Measurement;
 
 /// Offered load for every `xp run`, Gbps — the operating point the
 /// verdict experiments judge at, and the one the golden trace's
 /// provenance digest pins.
 pub const RUN_GBPS: f64 = 120.0;
-
-/// Perturber seed when `--sanitize` is given without `--perturb-seed`.
-pub const DEFAULT_PERTURB_SEED: u64 = 0xD15F;
 
 /// Options for one `xp run` invocation.
 #[derive(Debug, Clone)]
@@ -46,19 +37,11 @@ pub struct RunOptions {
     /// Trace ring bound — the file keeps the last `ring` events; `None`
     /// runs untraced.
     pub trace_ring: Option<usize>,
-    /// Interleaving-perturber seed; `None` runs unsanitized.
-    pub perturb_seed: Option<u64>,
 }
 
 impl Default for RunOptions {
     fn default() -> Self {
-        RunOptions {
-            scenario: "smartnic".to_owned(),
-            severity: 0.0,
-            seed: 1,
-            trace_ring: None,
-            perturb_seed: None,
-        }
+        RunOptions { scenario: "smartnic".to_owned(), severity: 0.0, seed: 1, trace_ring: None }
     }
 }
 
@@ -72,8 +55,7 @@ pub struct RunArtifacts {
     pub folded: String,
     /// Human-readable summary.
     pub summary: String,
-    /// Whether every run matched the reference bit for bit and the
-    /// check-only sanitizer checked events without perturbing any.
+    /// Whether the observed run matched the reference bit for bit.
     pub passed: bool,
 }
 
@@ -85,54 +67,25 @@ pub fn run(opts: &RunOptions) -> Option<RunArtifacts> {
     let reference = d.run(&wl, RUN_NS, WARMUP_NS);
     let trace_capacity = opts.trace_ring.map_or(0, |ring| ring.max(1));
     let observer = ObsConfig { trace_capacity, ..ObsConfig::full() };
-    let sanitizer = opts.perturb_seed.map(OrderSanitizer::with_perturbation);
-    let observed =
-        d.run_with(&wl, RUN_NS, WARMUP_NS, RunOpts { observer: Some(observer), sanitizer });
-    let checked = opts.perturb_seed.map(|_| {
-        let opts = RunOpts { sanitizer: Some(OrderSanitizer::new()), ..RunOpts::default() };
-        let out = d.run_with(&wl, RUN_NS, WARMUP_NS, opts);
-        (out.measurement, out.sanitizer.unwrap_or_default())
-    });
-
-    let mut failures = Vec::new();
-    let want = reference.fingerprint();
-    let same = |m: &Measurement| m.fingerprint() == want;
-    if !same(&observed.measurement) {
-        failures.push("the observed run diverged from the reference".to_owned());
-    }
-    if let Some((measurement, rep)) = &checked {
-        if !same(measurement) {
-            failures.push("the check-only run diverged from the reference".to_owned());
-        }
-        if rep.perturbed != 0 || rep.events == 0 {
-            failures.push(format!(
-                "the check-only sanitizer perturbed {} and checked {} events",
-                rep.perturbed, rep.events
-            ));
-        }
-    }
+    let (measurement, obs) = d.run_observed(&wl, RUN_NS, WARMUP_NS, &observer);
+    let passed = measurement.fingerprint() == reference.fingerprint();
 
     let names: Vec<String> = reference.stages.iter().map(|s| s.name.to_owned()).collect();
-    let obs = observed.observer.as_ref();
-    let tracer = obs.and_then(|o| o.tracer.as_ref());
-    let chrome_json = tracer.map(|tracer| {
+    let chrome_json = obs.tracer.as_ref().map(|tracer| {
         let prov = d.provenance(&wl, RUN_NS, WARMUP_NS);
         chrome_trace(tracer, &names, &prov).render_pretty()
     });
-    let folded = obs
-        .and_then(|o| o.spans.as_ref())
-        .map_or_else(String::new, |spans| spans.to_folded("engine"));
-    let check_only = checked.as_ref().map(|(_, rep)| rep);
-    let summary = summarize(opts, &names, &observed, check_only, &failures);
-    Some(RunArtifacts { chrome_json, folded, summary, passed: failures.is_empty() })
+    let folded = obs.spans.as_ref().map_or_else(String::new, |spans| spans.to_folded("engine"));
+    let summary = summarize(opts, &names, &measurement, &obs, passed);
+    Some(RunArtifacts { chrome_json, folded, summary, passed })
 }
 
 fn summarize(
     opts: &RunOptions,
     names: &[String],
-    observed: &RunOutput,
-    check_only: Option<&SanitizerReport>,
-    failures: &[String],
+    measurement: &Measurement,
+    obs: &RunObserver,
+    passed: bool,
 ) -> String {
     let mut out = format!(
         "run: {} (severity {}, seed {}, {RUN_GBPS} Gbps offered)\n",
@@ -140,11 +93,10 @@ fn summarize(
     );
     out.push_str(&format!(
         "  throughput: {:.3} Gbps delivered\n",
-        to_gbps(observed.measurement.throughput_bps)
+        to_gbps(measurement.throughput_bps)
     ));
     let name_of = |i: usize| names.get(i).cloned().unwrap_or_else(|| format!("stage{i}"));
-    let obs = observed.observer.as_ref();
-    if let Some(tel) = obs.and_then(|o| o.telemetry.as_ref()) {
+    if let Some(tel) = obs.telemetry.as_ref() {
         if let Some(i) = tel.busiest_stage() {
             out.push_str(&format!(
                 "  busiest stage: {} ({} served)\n",
@@ -180,7 +132,7 @@ fn summarize(
             ));
         }
     }
-    if let Some(spans) = obs.and_then(|o| o.spans.as_ref()) {
+    if let Some(spans) = obs.spans.as_ref() {
         out.push_str("  engine phases (est self wall):\n");
         for ph in Phase::ALL {
             let p = spans.phase(ph);
@@ -192,7 +144,7 @@ fn summarize(
             ));
         }
     }
-    if let Some(ts) = obs.and_then(|o| o.timeseries.as_ref()) {
+    if let Some(ts) = obs.timeseries.as_ref() {
         let (peak_idx, peak) = ts.peak_interval().unwrap_or((0, 0));
         out.push_str(&format!(
             "  timeseries: {} intervals of {:.3} ms, peak {} dispatches at interval {}\n",
@@ -202,7 +154,7 @@ fn summarize(
             peak_idx
         ));
     }
-    if let Some(tracer) = obs.and_then(|o| o.tracer.as_ref()) {
+    if let Some(tracer) = obs.tracer.as_ref() {
         out.push_str(&format!(
             "  ring: emitted={} retained={} overwritten={}\n",
             tracer.emitted(),
@@ -211,25 +163,10 @@ fn summarize(
         ));
         out.push_str(&fault_to_drop_gap(tracer));
     }
-    if let (Some(perturbed), Some(check_only)) = (observed.sanitizer.as_ref(), check_only) {
-        out.push_str(&format!(
-            "  sanitizer: {} events in {} buckets (max same-time class {}), {} shuffled and \
-             re-merged by seq (perturb-seed {:#x})\n",
-            perturbed.events,
-            perturbed.buckets,
-            perturbed.max_bucket,
-            perturbed.perturbed,
-            opts.perturb_seed.unwrap_or_default()
-        ));
-        out.push_str(&format!(
-            "  check-only sanitizer: {} events checked, {} perturbed\n",
-            check_only.events, check_only.perturbed
-        ));
-    }
-    if failures.is_empty() {
-        out.push_str("  verdict: every run bit-identical to the unobserved reference\n");
+    if passed {
+        out.push_str("  verdict: observed run bit-identical to the unobserved reference\n");
     } else {
-        out.push_str(&format!("  verdict: FAILED — {}\n", failures.join("; ")));
+        out.push_str("  verdict: FAILED — the observed run diverged from the reference\n");
     }
     out
 }
@@ -290,10 +227,6 @@ mod tests {
         summary.lines().filter(keep).collect()
     }
 
-    fn sanitized(opts: RunOptions) -> RunOptions {
-        RunOptions { perturb_seed: Some(DEFAULT_PERTURB_SEED), ..opts }
-    }
-
     #[test]
     fn unknown_scenario_is_none() {
         let opts = RunOptions { scenario: "nope".to_owned(), ..RunOptions::default() };
@@ -323,35 +256,27 @@ mod tests {
 
     #[test]
     fn faulted_run_names_the_fault_gap_and_nests_fault_apply() {
-        let out = run_ok(sanitized(RunOptions {
+        let out = run_ok(RunOptions {
             severity: 1.0,
             trace_ring: Some(DEFAULT_TRACE_CAPACITY),
             ..RunOptions::default()
-        }));
-        for needle in [
-            "busiest stage",
-            "deepest queue",
-            "first fault",
-            "top stages by served",
-            "check-only sanitizer",
-        ] {
+        });
+        for needle in ["busiest stage", "deepest queue", "first fault", "top stages by served"] {
             assert!(out.summary.contains(needle), "missing {needle:?} in:\n{}", out.summary);
         }
         assert!(out.folded.contains("engine;dispatch;fault-apply "), "{}", out.folded);
     }
 
     #[test]
-    fn serial_and_sanitized_runs_match_the_reference() {
+    fn observed_runs_match_the_reference() {
         let serial = run_ok(RunOptions::default());
         assert!(serial.folded.contains("engine;dispatch"), "{}", serial.folded);
         assert!(serial.chrome_json.is_none(), "an untraced run exports no trace");
         for opts in [
-            RunOptions::default(),
             RunOptions { scenario: "rss".to_owned(), ..RunOptions::default() },
             RunOptions { scenario: "base-2c".to_owned(), severity: 0.5, ..RunOptions::default() },
         ] {
-            let out = run_ok(sanitized(opts));
-            assert!(out.summary.contains("check-only sanitizer"), "{}", out.summary);
+            run_ok(opts);
         }
     }
 }

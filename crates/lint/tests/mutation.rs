@@ -95,6 +95,26 @@ fn pointer_derived_seq_is_caught() {
     );
 }
 
+/// Mutations of the one place seqs are minted, `EventCore::mint`, in
+/// place: a seq from the mint counter's address (M3) and one from the
+/// host clock (M2). Both keep the dispatch order, so they change no
+/// simulated output and no test sees them; S3 is what stops them, and
+/// it matches on the binding's name, so `mint` must bind its result to
+/// `seq`.
+#[test]
+fn mutated_mint_seq_is_caught() {
+    const MINT_LINE: &str = "let seq = self.seq;";
+    let src = engine_source();
+    assert_eq!(src.matches(MINT_LINE).count(), 1, "mint() must bind the minted seq to `seq`");
+    for mutant in [
+        "let seq = &self.seq as *const u64 as u64 + self.total;",
+        "let seq = std::time::Instant::now().elapsed().as_nanos() as u64;",
+    ] {
+        let hits = s3_hits(&src.replace(MINT_LINE, mutant));
+        assert!(hits.iter().any(|m| m.contains("seq")), "{mutant:?} missed: {hits:?}");
+    }
+}
+
 /// Fingerprints survive reformatting: the same finding keeps its
 /// identity when the file is re-indented and lines shift.
 #[test]

@@ -40,7 +40,6 @@
 use crate::fault::{FaultAction, FaultPlan};
 use crate::nf::NfVerdict;
 use crate::packet::Packet;
-use crate::sanitizer::OrderSanitizer;
 use crate::sched::EventScheduler;
 use crate::service::ServiceModel;
 use crate::stats::{DropReason, SinkStats};
@@ -458,9 +457,11 @@ impl<'p> EventCore<'p> {
             self.peak_live = self.live;
         }
         self.total += 1;
-        let s = self.seq;
+        // Bound to `seq`, one of lint S3's sink names, so the lint
+        // checks whatever the minted value is derived from.
+        let seq = self.seq;
         self.seq += 1;
-        s
+        seq
     }
 
     /// Counts a dispatched event (the old slab's take-side accounting).
@@ -591,10 +592,6 @@ pub struct Engine {
     /// `None` — the default — leaves the hot path byte-identical to an
     /// uninstrumented engine: every site is a single `Option` branch.
     observer: Option<RunObserver>,
-    /// Optional order sanitizer (invariant checks + interleaving
-    /// perturber); gated exactly like the observer: `None` costs one
-    /// branch per site.
-    sanitizer: Option<OrderSanitizer>,
 }
 
 /// The raw result of a run.
@@ -732,7 +729,6 @@ impl Engine {
             batch_free: Vec::new(),
             fused: true,
             observer: None,
-            sanitizer: None,
         }
     }
 
@@ -746,24 +742,6 @@ impl Engine {
     /// Removes and returns the observer (with everything it collected).
     pub fn take_observer(&mut self) -> Option<RunObserver> {
         self.observer.take()
-    }
-
-    /// Attaches the runtime order sanitizer for subsequent runs: the
-    /// dispatch walk is shadowed with monotone-time / unique-seq /
-    /// merge-order invariant checks (and, when the sanitizer was built
-    /// with [`OrderSanitizer::with_perturbation`], a seeded shuffle of
-    /// every same-timestamp equivalence class that the seq-keyed merge
-    /// must undo). Results must stay byte-identical to an unsanitized
-    /// run — that identity is asserted by tests and the `xp run --sanitize`
-    /// gate, not here.
-    pub fn with_sanitizer(mut self, sanitizer: OrderSanitizer) -> Self {
-        self.sanitizer = Some(sanitizer);
-        self
-    }
-
-    /// Removes and returns the sanitizer (with its accumulated report).
-    pub fn take_sanitizer(&mut self) -> Option<OrderSanitizer> {
-        self.sanitizer.take()
     }
 
     /// Enables or disables zero-latency hop fusion (default: enabled).
@@ -822,9 +800,9 @@ impl Engine {
 
 /// Handles one arrival at `stage`: start service, enqueue, or drop.
 /// A free function over the stage slice, not an `Engine` method: the
-/// run loop holds the engine's buffers, observer and sanitizer as
-/// locals, and passing each one explicitly keeps those borrows
-/// disjoint from the stages.
+/// run loop holds the engine's buffers and observer as locals, and
+/// passing each one explicitly keeps those borrows disjoint from the
+/// stages.
 #[allow(clippy::too_many_arguments)]
 fn arrive(
     stages: &mut [StageState],
@@ -978,7 +956,6 @@ fn walk_bucket(
     batch_pool: &mut Vec<Vec<(Packet, NfVerdict)>>,
     fault_plan: Option<&FaultPlan>,
     obs: &mut Option<RunObserver>,
-    san: &mut Option<OrderSanitizer>,
 ) {
     let mut i = 0;
     loop {
@@ -989,9 +966,6 @@ fn walk_bucket(
         if i == bucket.len() && core.events.peek_time() == Some(t) {
             core.events.drain_bucket(redrain);
             bucket.append(redrain);
-            if let Some(s) = san.as_mut() {
-                s.on_refill(t, bucket, i);
-            }
         }
         let queued_seq = bucket.get(i).map(|&(_, s, _)| s);
         let hop_seq = core.fwd.front().map(|h| h.seq);
@@ -1005,9 +979,6 @@ fn walk_bucket(
             // lint: allow(P1, reason = "invariant: hop_seq matched Some in the merge selection directly above")
             let hop = core.fwd.pop_front().expect("checked above");
             core.retire();
-            if let Some(s) = san.as_mut() {
-                s.on_dispatch(t, hop.seq, hop.stage, stages.len());
-            }
             arrive(stages, hop.stage, hop.pkt, t, warmup_ns, sink, core, batch_pool, obs);
             continue;
         }
@@ -1015,9 +986,6 @@ fn walk_bucket(
         i += 1;
         core.retire();
         let stage = tag_stage(tag);
-        if let Some(s) = san.as_mut() {
-            s.on_dispatch(t, eseq, stage, stages.len());
-        }
         match tag_kind(tag) {
             KIND_DONE => {
                 let (pkt, verdict, svc_ns) = stages[stage].pool_take(tag_payload(tag));
@@ -1190,12 +1158,6 @@ impl Engine {
         if let Some(o) = obs.as_mut() {
             o.ensure_stages(self.stages.len());
         }
-        // The sanitizer rides the same way: out of `self` for disjoint
-        // borrows, per-run state reset, handed back at the end.
-        let mut san = self.sanitizer.take();
-        if let Some(s) = san.as_mut() {
-            s.begin_run();
-        }
 
         // Materialize the fault plan's windowed transitions as ordinary
         // events before anything else runs: they get the lowest seqs, so
@@ -1316,12 +1278,6 @@ impl Engine {
                 // events and scheduler occupancy at this sim time.
                 o.on_tick(t, core.live_now() as u64, core.events.len() as u64);
             }
-            if let Some(s) = san.as_mut() {
-                // Monotone-time + uniform-timestamp checks, and (when
-                // armed) the shuffle-then-merge perturbation of this
-                // same-timestamp equivalence class.
-                s.begin_bucket(t, &mut bucket);
-            }
             let disp_tok = match obs.as_mut() {
                 Some(o) => o.span_begin(Phase::Dispatch),
                 None => SpanToken::noop(),
@@ -1337,7 +1293,6 @@ impl Engine {
                 &mut batch_pool,
                 fault_plan.as_ref(),
                 &mut obs,
-                &mut san,
             );
             if let Some(o) = obs.as_mut() {
                 o.span_end(Phase::Dispatch, disp_tok, 0);
@@ -1356,7 +1311,6 @@ impl Engine {
             o.merge_sched(core.events.counters());
         }
         self.observer = obs;
-        self.sanitizer = san;
         self.fwd_buf = core.fwd;
         self.arrive_slots = core.arrive_slots;
         self.arrive_free = core.arrive_free;

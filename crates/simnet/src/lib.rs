@@ -34,7 +34,6 @@ pub mod engine;
 pub mod fault;
 pub mod nf;
 pub mod packet;
-pub mod sanitizer;
 pub mod sched;
 pub mod service;
 pub mod stats;
@@ -43,7 +42,6 @@ pub mod system;
 pub use engine::{Engine, StageReport};
 pub use fault::{FaultAction, FaultEvent, FaultPlan, FaultSpec, OutageSpec, SlowdownSpec};
 pub use packet::Packet;
-pub use sanitizer::{OrderSanitizer, SanitizerReport};
 pub use sched::EventScheduler;
 pub use stats::{LatencyHistogram, SinkStats};
 pub use system::{Deployment, Measurement};

@@ -19,7 +19,6 @@
 use crate::engine::{Engine, PayloadConfig, StageConfig, StageReport};
 use crate::fault::{FaultPlan, FaultSpec};
 use crate::nf::NfChain;
-use crate::sanitizer::{OrderSanitizer, SanitizerReport};
 use crate::service::{FixedTime, NfService};
 use apples_core::{OperatingPoint, System};
 use apples_metrics::cost::{CostMetric, DeviceClass};
@@ -662,7 +661,7 @@ impl Deployment {
 
     /// Runs the deployment against a workload and measures it.
     pub fn run(&self, workload: &WorkloadSpec, duration_ns: u64, warmup_ns: u64) -> Measurement {
-        self.run_with(workload, duration_ns, warmup_ns, RunOpts::default()).measurement
+        self.simulate(workload, duration_ns, warmup_ns, None).0
     }
 
     /// Runs the deployment with observability attached: same simulated
@@ -676,25 +675,22 @@ impl Deployment {
         warmup_ns: u64,
         cfg: &ObsConfig,
     ) -> (Measurement, RunObserver) {
-        let opts = RunOpts { observer: Some(cfg.clone()), ..RunOpts::default() };
-        let out = self.run_with(workload, duration_ns, warmup_ns, opts);
+        let (measurement, observer) = self.simulate(workload, duration_ns, warmup_ns, Some(cfg));
         // The engine hands the observer back exactly when one was
         // attached; the fallback is unreachable but keeps this total.
-        (out.measurement, out.observer.unwrap_or_else(|| RunObserver::new(cfg)))
+        (measurement, observer.unwrap_or_else(|| RunObserver::new(cfg)))
     }
 
-    /// Runs the deployment with whatever `opts` attaches. The simulated
-    /// numbers are bit-identical to [`Deployment::run`] whatever that is:
-    /// observers and the order sanitizer never feed back into the
-    /// simulation, and the perturber's shuffles are undone by the
-    /// seq-keyed merge before dispatch.
-    pub fn run_with(
+    /// The body of [`Deployment::run`] and [`Deployment::run_observed`]:
+    /// builds the engine, attaches an observer configured by `observer`
+    /// when there is one, runs, and hands that observer back.
+    fn simulate(
         &self,
         workload: &WorkloadSpec,
         duration_ns: u64,
         warmup_ns: u64,
-        opts: RunOpts,
-    ) -> RunOutput {
+        observer: Option<&ObsConfig>,
+    ) -> (Measurement, Option<RunObserver>) {
         let stages: Vec<StageConfig> = self.stage_factories.iter().map(|f| f()).collect();
         let mut engine = Engine::new(stages).with_fusion(self.fused);
         if let Some((prob, needles)) = &self.payload {
@@ -704,15 +700,11 @@ impl Deployment {
         if let Some(plan) = self.fault_plan(workload.seed, duration_ns) {
             engine = engine.with_fault_plan(plan);
         }
-        if let Some(cfg) = &opts.observer {
+        if let Some(cfg) = observer {
             engine = engine.with_observer(RunObserver::new(cfg));
-        }
-        if let Some(san) = opts.sanitizer {
-            engine = engine.with_sanitizer(san);
         }
         let result = engine.run(workload, duration_ns, warmup_ns);
         let observer = engine.take_observer();
-        let sanitizer = engine.take_sanitizer().map(|s| s.report().clone());
 
         let total_watts: f64 = self
             .power_lines
@@ -742,7 +734,7 @@ impl Deployment {
             watts: total_watts,
             stages: result.stages,
         };
-        RunOutput { measurement, observer, sanitizer }
+        (measurement, observer)
     }
 
     /// Canonical digest of everything that determines a run's simulated
@@ -792,30 +784,6 @@ impl Deployment {
             self.config_digest(workload, duration_ns, warmup_ns),
         )
     }
-}
-
-/// What one [`Deployment::run_with`] call attaches to the engine. The
-/// default attaches nothing: a plain run.
-#[derive(Debug, Default)]
-pub struct RunOpts {
-    /// Observability to collect; `None` runs unobserved.
-    pub observer: Option<ObsConfig>,
-    /// The order sanitizer to shadow the dispatch walk with — check-only
-    /// ([`OrderSanitizer::new`]) or perturbing
-    /// ([`OrderSanitizer::with_perturbation`]); `None` runs unsanitized.
-    pub sanitizer: Option<OrderSanitizer>,
-}
-
-/// Everything one [`Deployment::run_with`] call produced.
-#[derive(Debug)]
-pub struct RunOutput {
-    /// The simulated numbers.
-    pub measurement: Measurement,
-    /// The observer with everything it collected, exactly when one was
-    /// attached.
-    pub observer: Option<RunObserver>,
-    /// What the sanitizer verified, exactly when one was attached.
-    pub sanitizer: Option<SanitizerReport>,
 }
 
 /// Everything a run measured, plus conversions to methodology inputs.

@@ -53,25 +53,23 @@ for key in '"fingerprint"' '"legacy": false' '"rule"' '"severity"' '"snippet"'; 
   fi
 done
 
-echo "== sanitizer: order invariants + perturbed byte-identity =="
-# The dynamic half of the determinism analyzer (DESIGN.md §11): every
-# registered scenario runs as an unobserved reference, once observed
-# with the seeded interleaving perturber shuffling every same-timestamp
-# equivalence class, and once under the check-only sanitizer. `xp run`
-# exits 1 on any byte divergence, any invariant trip, or a check-only
-# run that perturbed or checked nothing; each run prints its verdict
-# line.
-"${XP[@]}" run base-2c --sanitize | tail -n 1
-"${XP[@]}" run smartnic --sanitize --severity 0.5 | tail -n 1
-"${XP[@]}" run switch-2c --sanitize --perturb-seed 7 | tail -n 1
-"${XP[@]}" run cluster --sanitize --severity 0.3 | tail -n 1
-"${XP[@]}" run rss --sanitize | tail -n 1
+echo "== observed identity: every scenario, observed == unobserved =="
+# Every registered scenario runs as an unobserved reference and once
+# observed (telemetry, spans, time series). `xp run` exits 1 unless the
+# observed run's measurement is bit-identical to the reference; each
+# run prints its verdict line.
+"${XP[@]}" run base-2c | tail -n 1
+"${XP[@]}" run smartnic --severity 0.5 | tail -n 1
+"${XP[@]}" run switch-2c | tail -n 1
+"${XP[@]}" run cluster --severity 0.3 | tail -n 1
+"${XP[@]}" run rss | tail -n 1
 # Usage errors exit 2: an unknown scenario, the removed shard-count
-# flag, the verbs `xp run` replaced, and the removed scheduler-choice
-# and bench floor-file flags.
+# flag, the verbs `xp run` replaced, the removed scheduler-choice and
+# bench floor-file flags, and the removed order-sanitizer flags.
 for cmd in "run nope" "run cluster --shards 2" \
   "trace smartnic" "profile smartnic" "sanitize smartnic" \
-  "run smartnic --scheduler heap" "bench --check-floor x"; do
+  "run smartnic --scheduler heap" "bench --check-floor x" \
+  "run base-2c --sanitize" "run switch-2c --perturb-seed 7"; do
   status=0
   # shellcheck disable=SC2086 # each entry is a list of words
   "${XP[@]}" ${cmd} > /dev/null 2>&1 || status=$?

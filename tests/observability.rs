@@ -15,12 +15,14 @@
 
 use apples_bench::runcmd::{run, RunOptions};
 use apples_bench::scenarios::{
-    baseline_host, faulted, perturbed_workload, scenario, RUN_NS, WARMUP_NS,
+    baseline_host, faulted, ips_chain, ips_needles, perturbed_workload, scenario, RUN_NS, WARMUP_NS,
 };
 use apples_bench::Pool;
 use apples_obs::{LogHistogram, ObsConfig};
 use apples_rng::Rng;
-use apples_simnet::system::{Deployment, RunOpts};
+use apples_simnet::nf::NfChain;
+use apples_simnet::system::Deployment;
+use apples_workload::{ArrivalProcess, PacketSizeDist, WorkloadSpec};
 use std::path::PathBuf;
 
 fn moderate_smartnic() -> RunOptions {
@@ -163,17 +165,40 @@ fn histogram_recording_is_deterministic() {
 
 #[test]
 fn observed_and_unobserved_runs_agree_bit_for_bit() {
-    let wl = perturbed_workload(120.0, 5, 0.5);
-    let d = faulted(baseline_host(2), 0.5);
-    let plain = d.run(&wl, RUN_NS, WARMUP_NS);
-    let (observed, obs) = d.run_observed(&wl, RUN_NS, WARMUP_NS, &ObsConfig::full());
-    assert_eq!(plain.fingerprint(), observed.fingerprint());
-    // And the observer actually saw the run.
-    assert!(obs.tracer.as_ref().is_some_and(|t| t.emitted() > 0));
-    assert!(obs.telemetry.as_ref().is_some_and(|t| t.stages.iter().any(|s| s.arrivals > 0)));
-    assert!(obs.spans.as_ref().is_some_and(|s| s.total_spans() > 0));
-    assert!(obs.timeseries.as_ref().is_some_and(|ts| ts.total_dispatches() > 0));
-    assert!(obs.sched.pushes > 0);
+    // Bursty Poisson arrivals of IMIX frames collide on timestamps, so
+    // same-time buckets hold several events; under CBR the largest
+    // holds one.
+    let bursty = WorkloadSpec {
+        sizes: PacketSizeDist::Imix,
+        arrivals: ArrivalProcess::Poisson { rate_pps: 4e6 },
+        flows: 64,
+        zipf_s: 1.0,
+        seed: 5,
+    }
+    .with_overload_bursts(3.0, 500_000, 2_000_000);
+    let smartnic_dpi =
+        Deployment::smartnic_offload("smartnic-dpi", 4, ips_chain, 1, NfChain::empty)
+            .with_payloads(0.05, ips_needles());
+    let cases = [
+        (faulted(baseline_host(2), 0.5), perturbed_workload(120.0, 5, 0.5)),
+        (scenario("cluster").expect("registered scenario"), bursty.clone()),
+        (smartnic_dpi, bursty),
+    ];
+    for (d, wl) in cases {
+        let name = d.name();
+        let plain = d.run(&wl, RUN_NS, WARMUP_NS);
+        let (observed, obs) = d.run_observed(&wl, RUN_NS, WARMUP_NS, &ObsConfig::full());
+        assert_eq!(plain.fingerprint(), observed.fingerprint(), "{name}");
+        // And the observer actually saw the run.
+        assert!(obs.tracer.as_ref().is_some_and(|t| t.emitted() > 0), "{name}");
+        assert!(
+            obs.telemetry.as_ref().is_some_and(|t| t.stages.iter().any(|s| s.arrivals > 0)),
+            "{name}"
+        );
+        assert!(obs.spans.as_ref().is_some_and(|s| s.total_spans() > 0), "{name}");
+        assert!(obs.timeseries.as_ref().is_some_and(|ts| ts.total_dispatches() > 0), "{name}");
+        assert!(obs.sched.pushes > 0, "{name}");
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -190,14 +215,8 @@ fn diagnosis_metrics_stay_invisible_across_fusion() {
     let reference = cluster().run(&wl, RUN_NS, WARMUP_NS).fingerprint();
     for fused in [true, false] {
         let d = cluster().with_fusion(fused);
-        let opts = RunOpts { observer: Some(ObsConfig::diagnosis()), ..RunOpts::default() };
-        let out = d.run_with(&wl, RUN_NS, WARMUP_NS, opts);
-        assert_eq!(
-            out.measurement.fingerprint(),
-            reference,
-            "metrics-on run diverged (fused={fused})"
-        );
-        let obs = out.observer.expect("an attached observer is handed back");
+        let (observed, obs) = d.run_observed(&wl, RUN_NS, WARMUP_NS, &ObsConfig::diagnosis());
+        assert_eq!(observed.fingerprint(), reference, "metrics-on run diverged (fused={fused})");
         assert!(
             obs.timeseries.as_ref().is_some_and(|ts| ts.total_dispatches() > 0),
             "series empty (fused={fused})"
