@@ -9,8 +9,13 @@
 //! `fig2`, `fig3`, `ex41`, `ex42`, `ex421`, `ex43`, `crossover`,
 //! `ablation-scaling`, `ablation-coverage`, `ablation-jfi`).
 
-#![forbid(unsafe_code)]
-#![deny(missing_docs)]
+#![cfg_attr(
+    test,
+    expect(
+        clippy::float_cmp,
+        reason = "tests pin exact results: a seeded run reproduces every float bit for bit"
+    )
+)]
 
 pub mod baseline;
 pub mod experiments;

@@ -33,15 +33,7 @@
 //! xp run cluster --profile prof.folded
 //!                        # folded-stack (flamegraph) profile of the
 //!                        # engine phases
-//! xp lint                # static-analysis pass over the workspace
-//! xp lint --json         # ... with machine-readable output
-//! xp lint --root DIR     # ... over another tree (fixtures, CI sandboxes)
-//! xp lint --baseline reports/lint_baseline.json
-//!                        # grandfather known findings by fingerprint:
-//!                        # legacy entries inform, new findings fail
 //! ```
-
-#![forbid(unsafe_code)]
 
 use apples_bench::experiments::ALL_IDS;
 use apples_bench::xpall::{run_all, run_gc, XpAllOptions};
@@ -62,51 +54,6 @@ fn take_flag_value(args: &mut Vec<String>, flag: &str) -> Option<String> {
     } else {
         eprintln!("{flag} requires an argument");
         std::process::exit(2);
-    }
-}
-
-/// `xp lint`: run the static-analysis pass and exit 1 on any deny-tier
-/// finding (the deterministic CI gate).
-fn run_lint(mut args: Vec<String>) -> ! {
-    let root =
-        take_flag_value(&mut args, "--root").map_or_else(|| PathBuf::from("."), PathBuf::from);
-    let baseline = take_flag_value(&mut args, "--baseline").map(PathBuf::from);
-    let json = take_switch(&mut args, "--json");
-    if !args.is_empty() {
-        eprintln!("usage: xp lint [--json] [--root DIR] [--baseline FILE]");
-        std::process::exit(2);
-    }
-    match apples_lint::lint_workspace(&root) {
-        Ok(mut report) => {
-            if let Some(path) = baseline {
-                match apples_lint::load_baseline(&path) {
-                    Ok(fingerprints) => {
-                        let unmatched = report.apply_baseline(&fingerprints);
-                        for fp in unmatched {
-                            eprintln!(
-                                "xp lint: baseline entry {fp} matched no finding (fixed? \
-                                 remove it from {})",
-                                path.display()
-                            );
-                        }
-                    }
-                    Err(e) => {
-                        eprintln!("xp lint: cannot read baseline {}: {e}", path.display());
-                        std::process::exit(2);
-                    }
-                }
-            }
-            if json {
-                println!("{}", report.to_json().render_pretty());
-            } else {
-                print!("{}", report.render());
-            }
-            std::process::exit(if report.deny_count() > 0 { 1 } else { 0 });
-        }
-        Err(e) => {
-            eprintln!("xp lint: cannot scan {}: {e}", root.display());
-            std::process::exit(2);
-        }
     }
 }
 
@@ -184,11 +131,6 @@ fn run_scenario_cmd(mut args: Vec<String>) -> ! {
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
 
-    if args.first().map(String::as_str) == Some("lint") {
-        args.remove(0);
-        run_lint(args);
-    }
-
     if args.first().map(String::as_str) == Some("run") {
         args.remove(0);
         run_scenario_cmd(args);
@@ -196,6 +138,11 @@ fn main() {
 
     if let Some(verb @ ("trace" | "profile" | "sanitize")) = args.first().map(String::as_str) {
         eprintln!("'xp {verb}' is now 'xp run <scenario> [--trace FILE] [--profile FILE]'");
+        std::process::exit(2);
+    }
+
+    if args.first().map(String::as_str) == Some("lint") {
+        eprintln!("'xp lint' is now 'cargo clippy --workspace --all-targets -- -D warnings'");
         std::process::exit(2);
     }
 
@@ -367,7 +314,7 @@ fn main() {
         eprintln!(
             "usage: xp [--csv-dir DIR] [--md-dir DIR] [--threads N] [--store-dir DIR] \
              [--no-cache] [--explain] [--list] \
-             <experiment-id>... | all | bench | gc | lint | run"
+             <experiment-id>... | all | bench | gc | run"
         );
         eprintln!("experiments: {}", ALL_IDS.join(", "));
         std::process::exit(2);

@@ -827,6 +827,10 @@ mod tests {
 
     #[test]
     fn overhead_rounds_rotate_the_configuration_order() {
+        #[expect(
+            clippy::disallowed_types,
+            reason = "the three closures run one after another on this thread; the cell records their order"
+        )]
         let calls = std::cell::RefCell::new(Vec::new());
         interleaved_overhead(
             3,

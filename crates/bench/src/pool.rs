@@ -20,6 +20,12 @@
 //! The caller's thread participates as worker 0: `run` never blocks a
 //! core on pure coordination.
 
+#![expect(
+    clippy::disallowed_types,
+    clippy::disallowed_methods,
+    reason = "the workspace's one sanctioned thread pool: results land by job index, so every schedule is byte-identical"
+)]
+
 use std::collections::VecDeque;
 use std::num::NonZeroUsize;
 use std::sync::Mutex;

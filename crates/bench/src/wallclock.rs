@@ -1,10 +1,10 @@
 //! The one sanctioned wall-clock in the workspace.
 //!
 //! Everything simulated is deterministic and must never read host time
-//! (lint rule D2). The single legitimate use is the micro-benchmark
-//! timing its own harness — and that goes through this helper, so D2
-//! is enforced with exactly one suppression instead of a file-wide
-//! exemption.
+//! (lint rule D2, `clippy.toml`). The single legitimate use is the
+//! micro-benchmark timing its own harness — and that goes through this
+//! helper, so D2 is enforced with exactly one `#[expect]` instead of a
+//! file-wide exemption.
 
 use std::time::Instant;
 
@@ -21,8 +21,11 @@ pub struct WallClock {
 
 impl WallClock {
     /// Starts a measurement.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the micro-benchmark's sanctioned wall-clock read; simulated time never flows through here"
+    )]
     pub fn start() -> Self {
-        // lint: allow(D2, reason = "the micro-benchmark's sanctioned wall-clock read; simulated time never flows through here")
         WallClock { start: Instant::now() }
     }
 

@@ -130,8 +130,11 @@ impl<'a> Evaluation<'a> {
 
         // P4: same regime -> unidimensional claim.
         if regime != Regime::Different {
+            #[expect(
+                clippy::expect_used,
+                reason = "invariant: unidimensional_claim returns Some whenever detect_regime found a shared regime, checked on the line above"
+            )]
             let claim = unidimensional_claim(&p, &b, self.tolerance)
-                // lint: allow(P1, reason = "invariant: unidimensional_claim returns Some whenever detect_regime found a shared regime, checked on the line above")
                 .expect("same-regime points always yield a claim");
             return self.result(
                 violations,

@@ -49,8 +49,11 @@ pub fn pareto_frontier(points: &[OperatingPoint]) -> Vec<usize> {
     order.sort_by(|&i, &j| {
         let a = &points[i];
         let b = &points[j];
+        #[expect(
+            clippy::expect_used,
+            reason = "invariant: all points share axes, validated by assert_same_axes at frontier entry"
+        )]
         let cost_cmp =
-            // lint: allow(P1, reason = "invariant: all points share axes, validated by assert_same_axes at frontier entry")
             a.cost().quantity().partial_cmp_checked(b.cost().quantity()).expect("same axes");
         cost_cmp.then_with(|| {
             // Better perf first.

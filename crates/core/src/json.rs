@@ -40,7 +40,10 @@ impl Json {
     pub fn field(mut self, key: &str, value: impl Into<Json>) -> Json {
         match &mut self {
             Json::Obj(fields) => fields.push((key.to_owned(), value.into())),
-            // lint: allow(P1, reason = "documented '# Panics' contract of the builder: field() on a non-object is a call-site bug, not a runtime condition")
+            #[expect(
+                clippy::panic,
+                reason = "documented '# Panics' contract of the builder: field() on a non-object is a call-site bug, not a runtime condition"
+            )]
             other => panic!("field() on non-object {other:?}"),
         }
         self
@@ -136,7 +139,7 @@ fn indent(out: &mut String, depth: usize) {
 fn write_num(out: &mut String, x: f64) {
     if !x.is_finite() {
         out.push_str("null");
-    } else if x == x.trunc() && x.abs() < 1e15 {
+    } else if x.fract() == 0.0 && x.abs() < 1e15 {
         // Integral values render without a trailing ".0" so counters
         // look like counters.
         let _ = write!(out, "{}", x as i64);

@@ -382,7 +382,6 @@ impl ScalingModel for Amdahl {
     }
 
     fn max_gain(&self) -> Option<f64> {
-        // lint: allow(N1, reason = "exact-zero sentinel: a zero serial fraction is set by literal, meaning perfectly parallel")
         if self.serial == 0.0 {
             None
         } else {

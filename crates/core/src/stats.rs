@@ -45,7 +45,6 @@ impl Summary {
 
     /// Coefficient of variation (stddev / |mean|); 0 when the mean is 0.
     pub fn cv(&self) -> f64 {
-        // lint: allow(N1, reason = "exact-zero sentinel guarding division; the mean of an all-zero sample is exactly 0.0")
         if self.mean == 0.0 {
             0.0
         } else {

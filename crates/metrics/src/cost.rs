@@ -314,7 +314,6 @@ impl CostValue {
     }
 
     /// True when the two costs are equal within `rel_tol`.
-    // lint: allow(N2, reason = "rel_tol is a dimensionless tolerance, not a measurement")
     pub fn approx_eq(&self, other: &CostValue, rel_tol: f64) -> bool {
         self.metric == other.metric && self.quantity.approx_eq(other.quantity, rel_tol)
     }

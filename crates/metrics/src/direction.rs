@@ -19,7 +19,6 @@ impl Direction {
     /// Compares two raw values under this direction: `Ordering::Greater`
     /// means `a` is *better* than `b`. Uses `total_cmp`, so there is no
     /// panic path; metric values are finite by `Quantity` construction.
-    // lint: allow(N2, reason = "compares already-validated same-unit raw values on behalf of Quantity")
     pub fn compare(self, a: f64, b: f64) -> Ordering {
         let natural = a.total_cmp(&b);
         match self {
@@ -29,13 +28,11 @@ impl Direction {
     }
 
     /// True when `a` is strictly better than `b` under this direction.
-    // lint: allow(N2, reason = "compares already-validated same-unit raw values on behalf of Quantity")
     pub fn is_better(self, a: f64, b: f64) -> bool {
         self.compare(a, b) == Ordering::Greater
     }
 
     /// True when `a` is at least as good as `b` under this direction.
-    // lint: allow(N2, reason = "compares already-validated same-unit raw values on behalf of Quantity")
     pub fn is_at_least_as_good(self, a: f64, b: f64) -> bool {
         self.compare(a, b) != Ordering::Less
     }

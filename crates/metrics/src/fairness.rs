@@ -18,7 +18,6 @@
 /// assert_eq!(jains_index(&[3.0, 3.0, 0.0, 0.0]), Some(0.5)); // 2 of 4 served
 /// assert_eq!(jains_index(&[]), None);
 /// ```
-// lint: allow(N2, reason = "Jain's index is defined over raw same-unit allocations and returns a dimensionless ratio in (0, 1]")
 pub fn jains_index(allocations: &[f64]) -> Option<f64> {
     if allocations.is_empty() {
         return None;
@@ -29,7 +28,6 @@ pub fn jains_index(allocations: &[f64]) -> Option<f64> {
     );
     let sum: f64 = allocations.iter().sum();
     let sum_sq: f64 = allocations.iter().map(|x| x * x).sum();
-    // lint: allow(N1, reason = "exact-zero sentinel: all-zero allocations make the index 0/0, mapped to fully-fair by convention")
     if sum_sq == 0.0 {
         return None;
     }

@@ -33,8 +33,14 @@
 //!
 //! All items are plain data + pure functions; no global state.
 
-#![forbid(unsafe_code)]
-#![deny(missing_docs)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![cfg_attr(
+    test,
+    expect(
+        clippy::float_cmp,
+        reason = "tests pin exact results: a seeded run reproduces every float bit for bit"
+    )
+)]
 
 pub mod catalog;
 pub mod cost;

@@ -159,7 +159,6 @@ impl PerfValue {
 
     /// True when the two values are equal within `rel_tol` (used by
     /// operating-regime detection).
-    // lint: allow(N2, reason = "rel_tol is a dimensionless tolerance, not a measurement")
     pub fn approx_eq(&self, other: &PerfValue, rel_tol: f64) -> bool {
         self.metric == other.metric && self.quantity.approx_eq(other.quantity, rel_tol)
     }

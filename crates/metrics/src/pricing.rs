@@ -168,8 +168,11 @@ impl PricingModel {
 
     /// Demonstration helper: the zero-power, empty-BOM TCO is zero under
     /// every model (sanity anchor for property tests).
+    #[expect(
+        clippy::expect_used,
+        reason = "invariant: the empty BOM at zero watts has no failing component; exercised by the pricing property tests"
+    )]
     pub fn zero(&self) -> Quantity {
-        // lint: allow(P1, reason = "invariant: the empty BOM at zero watts has no failing component; exercised by the pricing property tests")
         self.yearly_tco(&[], watts(0.0)).expect("zero TCO is computable")
     }
 }

@@ -53,7 +53,6 @@ impl Quantity {
     }
 
     /// The raw scalar value.
-    // lint: allow(N2, reason = "the single sanctioned exit from the unit system; callers opt out explicitly by name")
     pub fn value(self) -> f64 {
         self.value
     }
@@ -79,7 +78,6 @@ impl Quantity {
     }
 
     /// Dimensionless ratio of two same-unit quantities (`self / rhs`).
-    // lint: allow(N2, reason = "a ratio of same-unit quantities is dimensionless by construction; f64 is its honest type")
     pub fn ratio_to(self, rhs: Quantity) -> Result<f64, QuantityError> {
         if self.unit != rhs.unit {
             return Err(QuantityError::UnitMismatch { left: self.unit, right: rhs.unit });
@@ -95,13 +93,11 @@ impl Quantity {
     /// True when the two quantities share a unit and their values differ
     /// by at most `rel_tol` of the larger magnitude (used by operating-
     /// regime detection, §4.1).
-    // lint: allow(N2, reason = "rel_tol is a dimensionless tolerance, not a measurement; wrapping it in a unit would be noise")
     pub fn approx_eq(self, rhs: Quantity, rel_tol: f64) -> bool {
         if self.unit != rhs.unit {
             return false;
         }
         let scale = self.value.abs().max(rhs.value.abs());
-        // lint: allow(N1, reason = "exact-zero sentinel: both values are identically zero, no rounding involved")
         if scale == 0.0 {
             return true;
         }
@@ -137,16 +133,22 @@ impl Quantity {
 
 impl Add for Quantity {
     type Output = Quantity;
+    #[expect(
+        clippy::expect_used,
+        reason = "documented operator sugar: mixing units via + is a programming error; checked_add is the fallible API"
+    )]
     fn add(self, rhs: Quantity) -> Quantity {
-        // lint: allow(P1, reason = "documented operator sugar: mixing units via + is a programming error; checked_add is the fallible API")
         self.checked_add(rhs).expect("quantity addition")
     }
 }
 
 impl Sub for Quantity {
     type Output = Quantity;
+    #[expect(
+        clippy::expect_used,
+        reason = "documented operator sugar: mixing units via - is a programming error; checked_sub is the fallible API"
+    )]
     fn sub(self, rhs: Quantity) -> Quantity {
-        // lint: allow(P1, reason = "documented operator sugar: mixing units via - is a programming error; checked_sub is the fallible API")
         self.checked_sub(rhs).expect("quantity subtraction")
     }
 }
@@ -189,7 +191,6 @@ fn si_prefix(v: f64) -> (f64, &'static str) {
         (v / 1e6, "M")
     } else if a >= 1e3 {
         (v / 1e3, "k")
-    // lint: allow(N1, reason = "exact-zero sentinel picking the empty SI prefix; zero is representable exactly")
     } else if a == 0.0 || a >= 1.0 {
         (v, "")
     } else if a >= 1e-3 {

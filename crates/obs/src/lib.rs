@@ -22,11 +22,11 @@
 //!   replayable from its own header.
 //!
 //! The only wall-clock read in the crate is the span profiler's sampled
-//! `Instant::now`, carried with a reasoned lint suppression; wall time
-//! never flows into simulated results or trace files.
+//! `Instant::now`, under a reasoned `#[expect]` of rule D2's
+//! `clippy::disallowed_methods`; wall time never flows into simulated
+//! results or trace files.
 
-#![forbid(unsafe_code)]
-#![deny(missing_docs)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 pub mod chrome;
 pub mod hist;

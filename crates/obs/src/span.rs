@@ -110,16 +110,15 @@ impl SpanProfiler {
     /// Opens a span for `phase`. Reads the wall clock only on the
     /// sampling cadence.
     #[inline]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "sampled span-profiler wall read; reported only, never flows into simulated results or trace files"
+    )]
     pub fn begin(&mut self, phase: Phase) -> SpanToken {
         let p = &mut self.phases[phase.idx()];
         let sampled = p.count.is_multiple_of(SAMPLE_EVERY);
         p.count += 1;
-        let started = if sampled {
-            // lint: allow(D2, reason = "sampled span-profiler wall read; reported only, never flows into simulated results or trace files")
-            Some(Instant::now())
-        } else {
-            None
-        };
+        let started = if sampled { Some(Instant::now()) } else { None };
         SpanToken { started }
     }
 

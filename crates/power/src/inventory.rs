@@ -138,8 +138,11 @@ impl CostVector {
     }
 
     /// Heat dissipation (all consumed power becomes heat).
+    #[expect(
+        clippy::expect_used,
+        reason = "invariant: power() constructs its Quantity with the watts() constructor two lines up, so the unit check cannot fail"
+    )]
     pub fn heat(&self) -> Quantity {
-        // lint: allow(P1, reason = "invariant: power() constructs its Quantity with the watts() constructor two lines up, so the unit check cannot fail")
         watts_to_btu_per_hour(self.power()).expect("power is watts")
     }
 

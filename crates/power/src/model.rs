@@ -45,7 +45,6 @@ impl LinearPower {
     /// Energy proportionality index: dynamic / peak. 1.0 means perfectly
     /// proportional (no idle draw), 0.0 means load-independent.
     pub fn proportionality(&self) -> f64 {
-        // lint: allow(N1, reason = "exact-zero sentinel: a zero-peak device is constructed with literal 0.0 and draws nothing")
         if self.peak_watts == 0.0 {
             0.0
         } else {

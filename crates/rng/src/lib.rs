@@ -20,8 +20,7 @@
 //! change, every seeded workload in the repo silently changes, so the
 //! vectors are load-bearing.
 
-#![forbid(unsafe_code)]
-#![deny(missing_docs)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 /// SplitMix64: a tiny 64-bit generator with a single u64 of state.
 ///

@@ -91,7 +91,6 @@ impl FaultSpec {
     /// to hostile.
     pub fn at_severity(severity: f64) -> Self {
         let s = severity.clamp(0.0, 1.0);
-        // lint: allow(N1, reason = "exact sentinel: clamp returns the bound verbatim")
         if s == 0.0 {
             return FaultSpec::none();
         }

@@ -26,8 +26,7 @@
 //! - [`plan`] — one pass resolving DAG × store into hit/stale/miss/torn
 //!   per node; the rendered form is `xp all --explain`.
 
-#![forbid(unsafe_code)]
-#![deny(missing_docs)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 pub mod dag;
 pub mod entry;

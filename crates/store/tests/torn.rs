@@ -77,6 +77,10 @@ fn bit_corruption_is_never_served() {
 /// to prove renames cannot interleave): after every race the entry is
 /// complete and equals exactly one contender's payload.
 #[test]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "races two store writers on purpose, as two concurrent xp processes would; no engine runs here"
+)]
 fn concurrent_publishes_on_one_key_never_corrupt_the_entry() {
     let store = Store::open(temp_root("race"));
     let a = vec![b'a'; 4096];

@@ -182,7 +182,10 @@ impl ArrivalGen {
                 // The window the *previous* packet landed in decides the
                 // compression — a pure function of simulated time, so
                 // the sequence replays exactly from the seed.
-                // lint: allow(N1, reason = "exact sentinel: 1.0 is assigned verbatim, never computed")
+                #[expect(
+                    clippy::float_cmp,
+                    reason = "exact sentinel: 1.0 is assigned verbatim, never computed"
+                )]
                 let unit_surge = *surge == 1.0;
                 let in_window = !unit_surge && *t_ns % *period_ns < *on_ns;
                 let gap = if in_window { ((gap as f64 / *surge) as u64).max(1) } else { gap };

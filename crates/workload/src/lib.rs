@@ -22,8 +22,14 @@
 //!   import/export, for shipping exact workloads alongside results and
 //!   replaying external traces.
 
-#![forbid(unsafe_code)]
-#![deny(missing_docs)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![cfg_attr(
+    test,
+    expect(
+        clippy::float_cmp,
+        reason = "tests pin exact results: a seeded run reproduces every float bit for bit"
+    )
+)]
 
 pub mod arrivals;
 pub mod flows;

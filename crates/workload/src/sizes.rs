@@ -61,6 +61,10 @@ impl PacketSizeDist {
                 }
             }
             PacketSizeDist::Uniform { min, max } => rng.range_u32_inclusive(*min, *max),
+            #[expect(
+                clippy::expect_used,
+                reason = "invariant: entries asserted non-empty at the top of this arm; reached only via float round-off in the weight walk"
+            )]
             PacketSizeDist::Empirical(entries) => {
                 assert!(!entries.is_empty(), "empirical mix must not be empty");
                 let total: f64 = entries.iter().map(|(_, w)| *w).sum();
@@ -72,7 +76,6 @@ impl PacketSizeDist {
                     }
                     x -= w;
                 }
-                // lint: allow(P1, reason = "invariant: entries asserted non-empty at the top of this arm; reached only via float round-off in the weight walk")
                 entries.last().expect("non-empty").0
             }
             PacketSizeDist::BoundedPareto { min, max, alpha } => {

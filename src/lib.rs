@@ -55,8 +55,7 @@
 //! assert!(result.verdict.favors_proposed());
 //! ```
 
-#![forbid(unsafe_code)]
-#![deny(missing_docs)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 pub use apples_core as core;
 pub use apples_metrics as metrics;

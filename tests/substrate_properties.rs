@@ -3,6 +3,11 @@
 //! randomly explored pipeline configurations (seeded loops, so every
 //! run explores the identical sequence).
 
+#![expect(
+    clippy::float_cmp,
+    reason = "the attack probability is a literal from the loop's own array, compared verbatim"
+)]
+
 use apples::simnet::engine::{Engine, StageConfig};
 use apples::simnet::nf::dpi::{AhoCorasick, Dpi};
 use apples::simnet::nf::firewall::{Action, BucketedFirewall, Firewall, Rule};
