@@ -9,6 +9,7 @@
 //! dominates); past the baseline's saturation point the accelerators
 //! deliver more bits per joule and the scaled comparison flips.
 
+use crate::pool::Pool;
 use crate::report::ExperimentReport;
 use crate::scenarios::{
     baseline_host, measure, mtu_workload, smartnic_system, switch_system, to_gbps,
@@ -17,8 +18,8 @@ use apples_core::report::Csv;
 use apples_core::scaling::IdealLinear;
 use apples_core::Evaluation;
 
-/// Runs the experiment.
-pub fn run() -> ExperimentReport {
+/// Runs the experiment, fanning the load grid out on `pool`.
+pub fn run(pool: Pool) -> ExperimentReport {
     let mut r =
         ExperimentReport::new("crossover", "extension: load sweep and efficiency crossover");
     r.paper_line("(not in the paper — the ablation its methodology enables: find the operating regimes where each design is defensible)");
@@ -41,10 +42,9 @@ pub fn run() -> ExperimentReport {
     // Each load point needs three independent simulations: run the
     // whole 8x3 grid on the pool, then fold the (order-dependent)
     // first-win detection serially over the points in sweep order.
-    let points = crate::pool::Pool::new().map(loads.to_vec(), |load| {
+    let points = pool.map(loads.to_vec(), |load| {
         let wl = mtu_workload(load, 11);
-        let inner = crate::pool::Pool::new();
-        let mut runs = inner.run::<apples_simnet::system::Measurement, _>(vec![
+        let mut runs = pool.run::<apples_simnet::system::Measurement, _>(vec![
             Box::new(|| measure(&baseline_host(2), &wl))
                 as Box<dyn FnOnce() -> apples_simnet::system::Measurement + Send>,
             Box::new(|| measure(&smartnic_system(), &wl)),
@@ -116,7 +116,7 @@ mod tests {
 
     #[test]
     fn sweep_covers_all_loads_and_finds_a_crossover() {
-        let r = run();
+        let r = run(Pool::new());
         let (_, csv) = &r.tables[0];
         assert_eq!(csv.len(), 8);
         let text = r.render();

@@ -23,6 +23,7 @@ pub mod sensitivity;
 pub mod table1;
 pub mod telemetry;
 
+use crate::pool::Pool;
 use crate::report::ExperimentReport;
 use crate::scenarios::{severity_ladder, WARMUP_NS};
 use apples_obs::{fnv1a_hex, Provenance};
@@ -129,12 +130,14 @@ fn stamp(mut report: ExperimentReport) -> ExperimentReport {
     report
 }
 
-/// Runs one experiment by id.
-pub fn run(id: &str) -> Option<ExperimentReport> {
-    run_unstamped(id).map(stamp)
+/// Runs one experiment by id. Experiments that fan out (crossover,
+/// rfc2544, sensitivity, the robustness family) run their inner maps on
+/// `pool`, so the caller's worker count sizes every level of the run.
+pub fn run(id: &str, pool: Pool) -> Option<ExperimentReport> {
+    run_unstamped(id, pool).map(stamp)
 }
 
-fn run_unstamped(id: &str) -> Option<ExperimentReport> {
+fn run_unstamped(id: &str, pool: Pool) -> Option<ExperimentReport> {
     match id {
         "table1" => Some(table1::run()),
         "fig1a" => Some(fig1::run_fig1a()),
@@ -145,14 +148,14 @@ fn run_unstamped(id: &str) -> Option<ExperimentReport> {
         "ex42" => Some(ex42::run()),
         "ex421" => Some(ex421::run()),
         "ex43" => Some(ex43::run()),
-        "crossover" => Some(crossover::run()),
+        "crossover" => Some(crossover::run(pool)),
         "ips" => Some(ips::run()),
         "multimetric" => Some(multimetric::run()),
         "efficiency" => Some(efficiency::run()),
-        "rfc2544" => Some(rfc2544::run()),
+        "rfc2544" => Some(rfc2544::run(pool)),
         "multihost" => Some(multihost::run()),
         "batching" => Some(batching::run()),
-        "sensitivity" => Some(sensitivity::run()),
+        "sensitivity" => Some(sensitivity::run(pool)),
         "checklist" => Some(checklist::run()),
         "telemetry" => Some(telemetry::run()),
         "ablation-scaling" => Some(ablations::run_scaling()),
@@ -160,9 +163,9 @@ fn run_unstamped(id: &str) -> Option<ExperimentReport> {
         "ablation-jfi" => Some(ablations::run_jfi()),
         "ablation-rss" => Some(rss::run()),
         "ablation-noise" => Some(noise::run()),
-        "robustness-frontier" => Some(robustness::run_frontier()),
-        "robustness-verdict" => Some(robustness::run_verdict()),
-        "robustness-crossover" => Some(robustness::run_crossover()),
+        "robustness-frontier" => Some(robustness::run_frontier(pool)),
+        "robustness-verdict" => Some(robustness::run_verdict(pool)),
+        "robustness-crossover" => Some(robustness::run_crossover(pool)),
         _ => None,
     }
 }
@@ -174,22 +177,22 @@ mod tests {
     #[test]
     fn every_listed_id_runs() {
         for id in ALL_IDS {
-            let r = run(id).unwrap_or_else(|| panic!("experiment {id} missing"));
+            let r = run(id, Pool::new()).unwrap_or_else(|| panic!("experiment {id} missing"));
             assert!(!r.render().is_empty());
         }
     }
 
     #[test]
     fn unknown_id_is_none() {
-        assert!(run("nope").is_none());
+        assert!(run("nope", Pool::new()).is_none());
     }
 
     #[test]
     fn every_report_is_provenance_stamped() {
-        let clean = run("fig2").expect("known id");
+        let clean = run("fig2", Pool::new()).expect("known id");
         let p = clean.provenance.as_ref().expect("stamped");
         assert_eq!(p.fault_digest, "none");
-        let faulted = run("robustness-crossover").expect("known id");
+        let faulted = run("robustness-crossover", Pool::new()).expect("known id");
         let pf = faulted.provenance.as_ref().expect("stamped");
         assert_eq!(pf.fault_digest, ladder_digest("robustness-crossover"));
         assert_ne!(pf.fault_digest, "none");

@@ -8,6 +8,7 @@
 //! per size: the sweep the paper says evaluations should have been
 //! printing all along.
 
+use crate::pool::Pool;
 use crate::report::ExperimentReport;
 use crate::scenarios::{baseline_host, smartnic_system, to_gbps};
 use apples_core::report::Csv;
@@ -17,8 +18,8 @@ use apples_workload::{ArrivalProcess, PacketSizeDist, WorkloadSpec};
 const RUN_NS: u64 = 10_000_000;
 const WARMUP_NS: u64 = 1_000_000;
 
-/// Runs the experiment.
-pub fn run() -> ExperimentReport {
+/// Runs the experiment, fanning the size grid out on `pool`.
+pub fn run(pool: Pool) -> ExperimentReport {
     let mut r = ExperimentReport::new(
         "rfc2544",
         "extension: RFC 2544 frame-size sweep with end-to-end power",
@@ -32,7 +33,7 @@ pub fn run() -> ExperimentReport {
     // grid on the pool, then emit rows in sweep order.
     let grid: Vec<(u32, bool)> =
         RFC2544_SIZES.iter().flat_map(|&s| [(s, true), (s, false)]).collect();
-    let measurements = crate::pool::Pool::new().map(grid, |(size, is_baseline)| {
+    let measurements = pool.map(grid, |(size, is_baseline)| {
         // Saturating offered load for every size: 64 B needs the pps.
         let rate_pps = 120e9 / (f64::from(size + 20) * 8.0);
         let wl = WorkloadSpec {
@@ -88,14 +89,14 @@ mod tests {
 
     #[test]
     fn sweep_covers_all_seven_sizes_for_both_systems() {
-        let r = run();
+        let r = run(Pool::new());
         let (_, csv) = &r.tables[0];
         assert_eq!(csv.len(), 7 * 2);
     }
 
     #[test]
     fn minimum_frame_rates_are_reported() {
-        let text = run().render();
+        let text = run(Pool::new()).render();
         assert!(text.contains("64 B (minimum frame)"), "{text}");
         assert!(text.contains("Mpps/W"), "{text}");
     }

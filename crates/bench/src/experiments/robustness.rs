@@ -13,6 +13,7 @@
 //! faulted run replays exactly from `(seed, FaultPlan)`, so the whole
 //! suite is as deterministic as the clean experiments it perturbs.
 
+use crate::pool::Pool;
 use crate::report::ExperimentReport;
 use crate::scenarios::{
     baseline_host, contenders, faulted, measure, measure_quick, perturbed_workload,
@@ -29,8 +30,9 @@ const RESAMPLES: usize = 300;
 const BOOTSTRAP_SEED: u64 = 0xB007;
 
 /// Frontier membership under faults: which systems stay Pareto-optimal
-/// on (throughput, watts) as the severity ladder climbs.
-pub fn run_frontier() -> ExperimentReport {
+/// on (throughput, watts) as the severity ladder climbs. Both fan-outs
+/// run on `pool`.
+pub fn run_frontier(pool: Pool) -> ExperimentReport {
     let mut r = ExperimentReport::new(
         "robustness-frontier",
         "robustness: Pareto frontier membership across the fault-severity ladder",
@@ -41,8 +43,8 @@ pub fn run_frontier() -> ExperimentReport {
     let mut clean_members: Vec<String> = Vec::new();
     let mut shifted = Vec::new();
     // 4 severities x 3 systems; each severity's trio runs on the pool.
-    let rows = crate::pool::Pool::new().map(severity_ladder("robustness-frontier"), |(name, s)| {
-        let runs = crate::pool::Pool::new().run::<(&'static str, Measurement), _>(
+    let rows = pool.map(severity_ladder("robustness-frontier"), |(name, s)| {
+        let runs = pool.run::<(&'static str, Measurement), _>(
             contenders()
                 .iter()
                 .map(|&(label, build)| {
@@ -96,13 +98,13 @@ pub fn run_frontier() -> ExperimentReport {
 /// Verdict stability under faults, with replications: the §4.2
 /// smartnic-vs-baseline verdict re-judged per severity over several
 /// seeds, with percentile-bootstrap CIs on the throughput samples.
-pub fn run_verdict() -> ExperimentReport {
-    run_verdict_with(&[201, 202, 203, 204, 205])
+pub fn run_verdict(pool: Pool) -> ExperimentReport {
+    run_verdict_with(&[201, 202, 203, 204, 205], pool)
 }
 
-/// [`run_verdict`] with an explicit replication seed list (the bench
-/// harness trims it in `--quick` mode).
-pub fn run_verdict_with(seeds: &[u64]) -> ExperimentReport {
+/// [`run_verdict`] with an explicit replication seed list (the tests
+/// trim it).
+pub fn run_verdict_with(seeds: &[u64], pool: Pool) -> ExperimentReport {
     let mut r = ExperimentReport::new(
         "robustness-verdict",
         "robustness: fair-comparison verdict stability under faults, with replications",
@@ -121,8 +123,8 @@ pub fn run_verdict_with(seeds: &[u64]) -> ExperimentReport {
         .collect();
     let mut clean_favors = None;
     // 3 severities x |seeds| replications x 2 systems, short windows.
-    let rows = crate::pool::Pool::new().map(severities, |(name, s)| {
-        let reps = crate::pool::Pool::new().map(seeds.to_vec(), |seed| {
+    let rows = pool.map(severities, |(name, s)| {
+        let reps = pool.map(seeds.to_vec(), |seed| {
             let wl = perturbed_workload(120.0, seed, s);
             let base = measure_quick(&faulted(baseline_host(2), s), &wl);
             let nic = measure_quick(&faulted(smartnic_system(), s), &wl);
@@ -175,7 +177,7 @@ pub fn run_verdict_with(seeds: &[u64]) -> ExperimentReport {
 
 /// Crossover shift under faults: does the load at which the smartnic
 /// design first defensibly wins move when the environment degrades?
-pub fn run_crossover() -> ExperimentReport {
+pub fn run_crossover(pool: Pool) -> ExperimentReport {
     let mut r = ExperimentReport::new(
         "robustness-crossover",
         "robustness: efficiency-crossover load under moderate faults",
@@ -189,7 +191,7 @@ pub fn run_crossover() -> ExperimentReport {
     let mut first_clean = None;
     let mut first_faulted = None;
     // 4 loads x 2 conditions x 2 systems.
-    let points = crate::pool::Pool::new().map(loads.to_vec(), |load| {
+    let points = pool.map(loads.to_vec(), |load| {
         let judge = |s: f64| {
             let wl = perturbed_workload(load, 11, s);
             let base = measure_quick(&faulted(baseline_host(2), s), &wl);
@@ -244,7 +246,7 @@ mod tests {
 
     #[test]
     fn frontier_report_covers_the_ladder() {
-        let r = run_frontier();
+        let r = run_frontier(Pool::new());
         let (_, csv) = &r.tables[0];
         let rungs = severity_ladder("robustness-frontier").len();
         assert_eq!(csv.len(), rungs * 3, "4 severities x 3 systems");
@@ -254,12 +256,12 @@ mod tests {
 
     #[test]
     fn frontier_reports_are_deterministic() {
-        assert_eq!(run_frontier().render(), run_frontier().render());
+        assert_eq!(run_frontier(Pool::new()).render(), run_frontier(Pool::new()).render());
     }
 
     #[test]
     fn verdict_report_carries_cis_and_replication_counts() {
-        let r = run_verdict_with(&[201, 202, 203]);
+        let r = run_verdict_with(&[201, 202, 203], Pool::new());
         let text = r.render();
         assert!(text.contains("300 resamples"), "{text}");
         assert!(text.contains("/3 replications"), "{text}");
@@ -267,7 +269,7 @@ mod tests {
 
     #[test]
     fn crossover_report_names_both_conditions() {
-        let text = run_crossover().render();
+        let text = run_crossover(Pool::new()).render();
         assert!(text.contains("clean crossover"), "{text}");
         assert!(text.contains("moderate-fault crossover"), "{text}");
     }

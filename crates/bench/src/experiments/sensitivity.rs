@@ -9,6 +9,7 @@
 //! — and readers can check their own hardware against that line rather
 //! than trusting our constant.
 
+use crate::pool::Pool;
 use crate::report::ExperimentReport;
 use crate::scenarios::{
     baseline_host, firewall_chain, measure, saturating_workload, stateful_tail_chain, to_gbps,
@@ -47,8 +48,8 @@ fn smartnic_scaled(power_factor: f64) -> apples_simnet::system::Deployment {
         .build()
 }
 
-/// Runs the experiment.
-pub fn run() -> ExperimentReport {
+/// Runs the experiment, fanning the sweep out on `pool`.
+pub fn run(pool: Pool) -> ExperimentReport {
     let mut r = ExperimentReport::new(
         "sensitivity",
         "extension: verdict robustness to the synthetic SmartNIC power constant",
@@ -67,7 +68,7 @@ pub fn run() -> ExperimentReport {
     let mut break_even = None;
     // The sweep points are independent simulations: fan them out on the
     // pool, then fold the break-even detection serially in sweep order.
-    let sweep = crate::pool::Pool::new().map(vec![0.5, 1.0, 1.5, 2.0, 3.0, 4.0], |factor| {
+    let sweep = pool.map(vec![0.5, 1.0, 1.5, 2.0, 3.0, 4.0], |factor| {
         let nic = smartnic_scaled(factor).run(&wl, RUN_NS, WARMUP_NS);
         let verdict = Evaluation::new(nic.as_system(), base.as_system())
             .with_baseline_scaling(&IdealLinear)
@@ -112,7 +113,7 @@ mod tests {
 
     #[test]
     fn sweep_reports_verdict_per_factor() {
-        let rep = run();
+        let rep = run(Pool::new());
         let (_, csv) = &rep.tables[0];
         assert_eq!(csv.len(), 6);
         let text = rep.render();

@@ -17,7 +17,6 @@
     )
 )]
 
-pub mod baseline;
 pub mod experiments;
 pub mod microbench;
 pub mod pool;

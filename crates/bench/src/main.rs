@@ -5,26 +5,21 @@
 //! xp fig3 ex42           # run specific experiments
 //! xp --csv-dir results all   # also write each CSV series to disk
 //! xp --md-dir reports all    # also write markdown reports to disk
-//! xp --threads 1 all     # force a serial schedule (results identical)
+//! xp --threads 1 all     # one worker, nested maps too (results identical)
 //! xp --no-cache all      # ignore the store, re-run everything
 //! xp --explain all       # per-node hit/stale/miss/torn to stderr
 //! xp --store-dir DIR all # store root (default results/store or
 //!                        # $APPLES_STORE_DIR)
 //! xp gc                  # drop store entries no current key reaches
 //! xp --list              # list experiment ids
-//! xp bench               # micro-benchmark; writes BENCH_simnet.json
+//! xp bench               # micro-benchmark; writes BENCH_simnet.json;
+//!                        # exit 1 on an identity break or a fused
+//!                        # ratio below 0.85
 //! xp bench --out x.json  # ... to a chosen path
-//! xp bench --quick       # ~10x shorter runs (CI perf-sanity)
-//! xp bench --faults      # add the fault-injection robustness section
-//! xp bench --faults --replications 9
-//!                        # ... with 9 replications per severity
-//! xp bench --baseline reports/baseline.json --strict
-//!                        # exit nonzero on identity break or a CI-vs-CI
-//!                        # regression past the resolved max_drop
+//! xp bench --quick       # shorter simulated windows (CI)
 //! xp bench --check-obs reports/obs_overhead.txt
-//!                        # exit 1 if observability overhead exceeds ceiling
-//! xp bench --export-baseline reports/baseline.json
-//!                        # dump per-scenario events/s + bootstrap CI
+//!                        # ... and exit 1 if observability overhead
+//!                        # exceeds the ceiling
 //! xp run smartnic        # one scenario, unobserved reference + observed
 //!                        # run; summary to stdout, exit 1 unless the
 //!                        # observed run is bit-identical to the reference
@@ -175,120 +170,56 @@ fn main() {
     }
 
     if args.first().map(String::as_str) == Some("bench") {
+        use apples_bench::microbench::{
+            check_obs_overhead, gate, overhead_cis, run_with_summary, FUSED_SPEEDUP_MIN,
+        };
         args.remove(0);
         let out = take_flag_value(&mut args, "--out")
             .map_or_else(|| PathBuf::from("BENCH_simnet.json"), PathBuf::from);
         let obs_path = take_flag_value(&mut args, "--check-obs").map(PathBuf::from);
-        let baseline_path = take_flag_value(&mut args, "--export-baseline").map(PathBuf::from);
-        let compare_baseline = take_flag_value(&mut args, "--baseline").map(PathBuf::from);
-        // None = flag absent: per-entry and file-level defaults from the
-        // baseline file apply, then DEFAULT_MAX_DROP.
-        let max_drop = parse_flag(&mut args, "--max-drop", "a fraction in [0, 1)", |s| {
-            s.parse::<f64>().ok().filter(|d| (0.0..1.0).contains(d))
-        });
-        let replications = parse_flag(&mut args, "--replications", "a positive integer", |s| {
-            s.parse::<usize>().ok().filter(|&n| n > 0)
-        })
-        .unwrap_or(0);
         let quick = take_switch(&mut args, "--quick");
-        let faults = take_switch(&mut args, "--faults");
-        let strict = take_switch(&mut args, "--strict");
         if !args.is_empty() {
-            eprintln!(
-                "usage: xp bench [--quick] [--faults] [--replications N] [--out FILE] \
-                 [--check-obs CEILING_FILE] [--export-baseline FILE] \
-                 [--baseline FILE [--strict] [--max-drop F]]"
-            );
+            eprintln!("usage: xp bench [--quick] [--out FILE] [--check-obs CEILING_FILE]");
             std::process::exit(2);
         }
-        // Resolve the comparison baseline *before* the (minutes-long)
-        // bench run: a missing or malformed file should fail in
-        // milliseconds with its actionable message, not after the work.
-        let baseline_entries = compare_baseline.as_ref().map(|compare_path| {
-            let src = match std::fs::read_to_string(compare_path) {
-                Ok(src) => src,
-                Err(e) => {
-                    eprintln!(
-                        "xp bench: no baseline at {} ({e}).\n\
-                         Record one from a known-good build first:\n\
-                         \n    xp bench --export-baseline {}\n\
-                         \nthen re-run with --baseline to gate against it.",
-                        compare_path.display(),
-                        compare_path.display()
-                    );
-                    std::process::exit(3);
-                }
-            };
-            match apples_bench::baseline::parse_baseline(&src) {
-                Ok(entries) => entries,
-                Err(e) => {
-                    eprintln!(
-                        "xp bench: malformed baseline {}: {e}\n\
-                         Re-export it with: xp bench --export-baseline {}",
-                        compare_path.display(),
-                        compare_path.display()
-                    );
-                    std::process::exit(4);
-                }
+        // Read the ceiling before the run: a missing file fails at once,
+        // not after the work.
+        let ceiling_text = obs_path.map(|path| match std::fs::read_to_string(&path) {
+            Ok(text) => text,
+            Err(e) => {
+                eprintln!("cannot read obs ceiling file {}: {e}", path.display());
+                std::process::exit(1);
             }
         });
-        let opts = apples_bench::microbench::BenchOptions { quick, faults, replications };
-        let (json, summary) = apples_bench::microbench::run_with_summary(&opts);
+        let (json, summary) = run_with_summary(quick);
         if let Err(e) = std::fs::write(&out, json.render_pretty()) {
             eprintln!("cannot write {}: {e}", out.display());
             std::process::exit(1);
         }
         println!("{}", json.render_pretty());
         println!("wrote {}", out.display());
-        if let Some(baseline_path) = baseline_path {
-            let baseline = apples_bench::microbench::baseline_json(&summary, quick);
-            if let Err(e) = std::fs::write(&baseline_path, baseline.render_pretty()) {
-                eprintln!("cannot write {}: {e}", baseline_path.display());
-                std::process::exit(1);
-            }
-            println!("wrote {}", baseline_path.display());
+        let mut failures = gate(&summary);
+        if let Some(text) = &ceiling_text {
+            failures.extend(check_obs_overhead(&summary, text));
         }
-        if let (Some(compare_path), Some(baseline)) = (compare_baseline, baseline_entries) {
-            let failures = apples_bench::baseline::check(&summary, &baseline, max_drop);
-            if failures.is_empty() {
-                println!(
-                    "baseline gate passed: {} scenarios within tolerance of {}, all results \
-                     identical",
-                    baseline.entries.len(),
-                    compare_path.display()
-                );
-            } else {
-                for f in &failures {
-                    eprintln!("baseline gate: {f}");
-                }
-                if strict {
-                    eprintln!("xp bench: {} baseline gate failure(s)", failures.len());
-                    std::process::exit(2);
-                }
-                eprintln!("(advisory: pass --strict to make this fatal)");
+        if !failures.is_empty() {
+            for f in &failures {
+                eprintln!("xp bench: {f}");
             }
+            std::process::exit(1);
         }
-        if let Some(obs_path) = obs_path {
-            let ceiling_text = match std::fs::read_to_string(&obs_path) {
-                Ok(text) => text,
-                Err(e) => {
-                    eprintln!("cannot read obs ceiling file {}: {e}", obs_path.display());
-                    std::process::exit(1);
-                }
-            };
-            let failures = apples_bench::microbench::check_obs_overhead(&summary, &ceiling_text);
-            if failures.is_empty() {
-                println!(
-                    "observability OK: {:.3}x span-profiler overhead ({}), zero cost when off",
-                    summary.obs_overhead_ratio,
-                    apples_bench::microbench::overhead_cis(&summary)
-                );
-            } else {
-                for f in &failures {
-                    eprintln!("observability FAILED: {f}");
-                }
-                std::process::exit(1);
-            }
+        let ratios: Vec<String> =
+            summary.fused_speedups.iter().map(|(name, r)| format!("{name} {r:.3}x")).collect();
+        println!(
+            "bench gate passed: all results identical; fused ratios {} (floor {FUSED_SPEEDUP_MIN})",
+            ratios.join(", ")
+        );
+        if ceiling_text.is_some() {
+            println!(
+                "observability OK: {:.3}x span-profiler overhead ({}), zero cost when off",
+                summary.obs_overhead_ratio,
+                overhead_cis(&summary)
+            );
         }
         return;
     }

@@ -10,9 +10,12 @@
 //!   when both its deque and the injector are empty, **steals** one job
 //!   from the back of a sibling's deque, so stragglers' queues drain
 //!   instead of idling the rest of the machine;
-//! - worker count is capped at [`std::thread::available_parallelism`]
-//!   (and at the job count), so nested pools degrade to serial execution
-//!   rather than oversubscribing;
+//! - [`Pool::new`] takes one worker per core
+//!   ([`std::thread::available_parallelism`]), and a call never starts
+//!   more workers than it has jobs. The cap is per call: a job that maps
+//!   on a pool of n workers starts up to n - 1 threads of its own, so
+//!   nested maps on an n-worker pool can run up to n² threads at once;
+//!   a one-worker pool keeps every level on the caller's thread;
 //! - results land in their job's slot, so the output order — and
 //!   therefore every downstream artifact — is **identical to a serial
 //!   run** regardless of scheduling.
@@ -63,9 +66,10 @@ impl Pool {
 
     /// Runs every job, returning results in job order.
     ///
-    /// Jobs must be independent; they may freely use nested pools (the
-    /// cap is per-pool, and a fully-loaded machine just runs the inner
-    /// jobs on the caller's thread).
+    /// Jobs must be independent. They may map on a pool of their own,
+    /// which starts its own workers (see the module docs); with one
+    /// worker, or one job, everything runs in order on the caller's
+    /// thread.
     pub fn run<T, F>(&self, jobs: Vec<F>) -> Vec<T>
     where
         T: Send,

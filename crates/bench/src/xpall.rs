@@ -48,7 +48,8 @@ pub struct XpAllOptions {
     pub csv_dir: Option<PathBuf>,
     /// Write each markdown report under this directory.
     pub md_dir: Option<PathBuf>,
-    /// Worker count for the execution pool (`None` = one per core).
+    /// Worker count for the execution pool and for the maps experiments
+    /// fan out on it (`None` = one per core).
     pub threads: Option<usize>,
 }
 
@@ -243,7 +244,7 @@ pub fn run_all(opts: &XpAllOptions) -> Result<XpAllOutcome, String> {
     // Re-run dirty experiments on the pool; results come back in order.
     let pool = opts.threads.map_or_else(Pool::new, Pool::with_workers);
     let fresh = pool.map(dirty.clone(), |id| {
-        let report = run(&id);
+        let report = run(&id, pool);
         (id, report)
     });
     let mut fresh_by_id = Vec::new();
@@ -382,7 +383,7 @@ mod tests {
     #[test]
     fn catalog_matches_what_every_experiment_actually_publishes() {
         for id in ALL_IDS {
-            let report = run(id).expect("known id");
+            let report = run(id, Pool::new()).expect("known id");
             let actual: Vec<&str> = report.tables.iter().map(|(n, _)| n.as_str()).collect();
             assert_eq!(actual, tables_for(id), "tables_for({id}) is stale");
         }

@@ -47,13 +47,18 @@ echo "== observed identity: every scenario, observed == unobserved =="
 "${XP[@]}" run rss | tail -n 1
 # Usage errors exit 2: an unknown scenario, the removed shard-count
 # flag, the verbs `xp run` replaced, the removed scheduler-choice and
-# bench floor-file flags, the removed order-sanitizer flags, and the
-# removed `xp lint` verb (clippy above is the lint gate).
+# bench floor-file flags, the removed order-sanitizer flags, the
+# removed `xp lint` verb (clippy above is the lint gate), and the six
+# removed bench baseline and robustness flags (the perf stage below
+# replaced them).
 for cmd in "run nope" "run cluster --shards 2" \
   "trace smartnic" "profile smartnic" "sanitize smartnic" \
   "run smartnic --scheduler heap" "bench --check-floor x" \
   "run base-2c --sanitize" "run switch-2c --perturb-seed 7" \
-  "lint" "lint --json"; do
+  "lint" "lint --json" \
+  "bench --baseline reports/baseline.json" "bench --export-baseline x" \
+  "bench --faults" "bench --replications 3" "bench --max-drop 0.1" \
+  "bench --strict"; do
   status=0
   # shellcheck disable=SC2086 # each entry is a list of words
   "${XP[@]}" ${cmd} > /dev/null 2>&1 || status=$?
@@ -101,31 +106,21 @@ grep -q "removed 4" target/store-gc.txt
   > /dev/null 2> target/store-warm3-explain.txt
 grep -q "re-ran 0/27 experiments" target/store-warm3-explain.txt
 
-echo "== perf sanity: engine + harness identity, relative baseline =="
-# Quick micro-benchmark gated against the *measured* baseline
-# (reports/baseline.json, recorded via --export-baseline): fails if the
-# fused/unfused or serial/parallel identity checks break, if any
-# scenario's CI falls below the recorded CI lower bound shrunk by its
-# resolved max_drop (per-entry override > --max-drop > file defaults >
-# built-in 0.15; the checked-in file ships 0.30 for shared runners), if
-# forward-2stage drops under its absolute min_floor, or if any
-# fused_speedup lands below 0.85.
-"${XP[@]}" bench --quick --out target/bench-quick.json \
-  --baseline reports/baseline.json --strict > /dev/null
-# The post-rearchitecture identity sweep: all golden reports and the
-# golden trace fixture must be byte-identical to the checked-in files
-# (they run inside the tier-1 suite too; re-running them here makes the
-# perf stage self-contained against a stale tier-1 skip).
+echo "== perf: same-host A/B against the merge base =="
+# The benchmark's perf gate (DESIGN.md §14): perfbench built from the
+# merge base of HEAD and main and from this tree, ten alternating pairs
+# of every BENCHMARK.json workload on this host. Fails on any failed op
+# or wrong digest, or on an end-to-end metric whose change median is
+# worse than the parent's by more than its BENCHMARK.json bound. Needs
+# a local `main` branch.
+scripts/perf_ab.sh
+
+echo "== golden fixtures under the release profile =="
+# All golden reports and the golden trace fixture must be
+# byte-identical to the checked-in files when built with the release
+# profile too (the tier-1 suite runs them in the test profile).
 cargo test -q --release --offline --test golden_reports | tail -n 2
 cargo test -q --release --offline --test observability golden | tail -n 2
-
-echo "== robustness: fault injection stays deterministic =="
-# Re-runs the bench identity gate with the fault layer armed: every
-# severity's serial/parallel and replay digests must agree bit-for-bit
-# (the robustness section folds into identical_results, which the
-# --baseline gate requires to be true). DESIGN.md §7 has the contract.
-"${XP[@]}" bench --quick --faults --out target/bench-faults.json \
-  --baseline reports/baseline.json --strict > /dev/null
 
 echo "== observability: trace determinism + overhead ceiling =="
 # A traced run is a pure function of (seed, spec): the same scenario
@@ -154,10 +149,11 @@ if grep -qvE '^[^ ]+ [0-9]+$' target/prof.folded; then
   exit 1
 fi
 grep -q '^engine;dispatch ' target/prof.folded
-# The diagnosis set's "cheap enough to leave on" budget (span profiler
-# + sim-time metrics ring): the full bench already ran above; re-gate
-# the quick bench with the obs ceiling so a hook-path regression fails
-# CI (<5%, reports/obs_overhead.txt).
+# The quick bench exits 1 on an identity break (fused vs unfused,
+# observed vs unobserved) or a fused ratio below 0.85; --check-obs adds
+# the diagnosis set's "cheap enough to leave on" budget (span profiler
+# + sim-time metrics ring), so a hook-path regression fails CI (<5%,
+# reports/obs_overhead.txt).
 "${XP[@]}" bench --quick --out target/bench-obs.json \
   --check-obs reports/obs_overhead.txt > /dev/null
 

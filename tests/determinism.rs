@@ -17,7 +17,7 @@ use apples_simnet::Measurement;
 fn experiment_reports_are_schedule_independent() {
     let ids = vec!["fig1a", "ex42", "rfc2544", "crossover"];
     let render_all = |pool: Pool| -> Vec<String> {
-        pool.map(ids.clone(), |id| run(id).expect("known id").render())
+        pool.map(ids.clone(), |id| run(id, pool).expect("known id").render())
     };
     let serial = render_all(Pool::with_workers(1));
     let parallel = render_all(Pool::with_workers(4));
@@ -81,8 +81,8 @@ fn nf_automaton_is_insertion_order_independent() {
 /// schedule-independence test above).
 #[test]
 fn repeated_runs_render_byte_identical_reports() {
-    let first = run("ex42").expect("known id").render();
-    let second = run("ex42").expect("known id").render();
+    let first = run("ex42", Pool::new()).expect("known id").render();
+    let second = run("ex42", Pool::new()).expect("known id").render();
     assert_eq!(first, second);
 }
 

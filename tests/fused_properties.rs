@@ -9,10 +9,11 @@
 //! and any counterexample replays.
 
 use apples_bench::scenarios::{
-    baseline_host, faulted, measure_quick, optimized_host, perturbed_workload, saturating_workload,
-    smartnic_system, switch_system, SEVERITY_LADDER,
+    baseline_host, faulted, firewall_chain, measure_quick, optimized_host, perturbed_workload,
+    saturating_workload, smartnic_system, switch_system, SEVERITY_LADDER,
 };
 use apples_rng::Rng;
+use apples_simnet::engine::BatchPolicy;
 use apples_simnet::Deployment;
 
 type BuildFn = fn() -> Deployment;
@@ -25,6 +26,16 @@ fn scenario_pool() -> Vec<(&'static str, BuildFn)> {
         ("optimized-1c", || optimized_host(1)),
         ("smartnic", smartnic_system),
         ("switch-4c", || switch_system(4)),
+        // The batching experiment's deployment: an rx-core handing
+        // packets to a batched GPU stage, so a forwarded hop lands in a
+        // batch.
+        ("gpu-offload", || {
+            Deployment::gpu_offload(
+                "gpu-fw",
+                BatchPolicy::new(256, 100_000, 15_000),
+                firewall_chain,
+            )
+        }),
     ]
 }
 

@@ -33,8 +33,9 @@ fn every_experiment_report_matches_its_golden_fixture() {
 
     // Render everything on the pool (the reports are schedule-
     // independent; the determinism suite pins that separately).
-    let rendered: Vec<(&str, String)> =
-        Pool::new().map(ALL_IDS.to_vec(), |id| (id, run(id).expect("known id").render_markdown()));
+    let rendered: Vec<(&str, String)> = Pool::new().map(ALL_IDS.to_vec(), |id| {
+        (id, run(id, Pool::new()).expect("known id").render_markdown())
+    });
 
     let mut mismatches = Vec::new();
     for (id, markdown) in rendered {
