@@ -66,31 +66,20 @@ pub fn uses_faults(id: &str) -> bool {
     id.starts_with("robustness-") || id == "telemetry"
 }
 
-/// The shared scenario calibration as the exact string the config
-/// digest has always hashed (minus the leading `id=` component). Every
-/// experiment builds on these constants, so they are one shared
-/// upstream node in the store DAG.
-fn calibration_string() -> String {
-    format!(
-        "fw_rules={};deny={:?};fw_seed={};alpha={:?};run_ns={};warmup_ns={}",
+/// Digest of one experiment's configuration: the id plus the shared
+/// scenario calibration every experiment builds on, byte-compatible
+/// with the PR-5 stamp format.
+pub fn config_digest(id: &str) -> String {
+    let config = format!(
+        "id={id};fw_rules={};deny={:?};fw_seed={};alpha={:?};run_ns={};warmup_ns={}",
         crate::scenarios::FW_RULES,
         crate::scenarios::FW_DENY_FRACTION,
         crate::scenarios::FW_SEED,
         crate::scenarios::CONTENTION_ALPHA,
         crate::scenarios::RUN_NS,
         WARMUP_NS,
-    )
-}
-
-/// Digest of the shared calibration constants alone.
-pub fn calibration_digest() -> String {
-    fnv1a_hex(calibration_string().as_bytes())
-}
-
-/// Digest of one experiment's configuration: the id plus the shared
-/// calibration, byte-compatible with the PR-5 stamp format.
-pub fn config_digest(id: &str) -> String {
-    fnv1a_hex(format!("id={id};{}", calibration_string()).as_bytes())
+    );
+    fnv1a_hex(config.as_bytes())
 }
 
 /// Digest of one experiment's effective severity ladder: the

@@ -7,9 +7,8 @@
 //! xp --md-dir reports all    # also write markdown reports to disk
 //! xp --threads 1 all     # one worker, nested maps too (results identical)
 //! xp --no-cache all      # ignore the store, re-run everything
-//! xp --explain all       # per-node hit/stale/miss/torn to stderr
-//! xp --store-dir DIR all # store root (default results/store or
-//!                        # $APPLES_STORE_DIR)
+//! xp --explain all       # per-experiment hit/stale/miss/torn to stderr
+//! xp --store-dir DIR all # store root (default results/store)
 //! xp gc                  # drop store entries no current key reaches
 //! xp --list              # list experiment ids
 //! xp bench               # micro-benchmark; writes BENCH_simnet.json;
@@ -258,9 +257,10 @@ fn main() {
     };
 
     // Experiments are independent and deterministic: the store driver
-    // plans the DAG, re-runs only dirty experiments on the pool, and
-    // assembles stdout in request order — byte-identical whether a
-    // report came from a fresh run or the cache.
+    // looks each one up under its key, re-runs only dirty experiments
+    // on the pool, and assembles stdout in request order —
+    // byte-identical whether a report came from a fresh run or the
+    // cache.
     let opts = XpAllOptions {
         ids,
         no_cache,

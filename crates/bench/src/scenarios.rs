@@ -235,7 +235,7 @@ pub const SEVERITY_LADDER: [(&str, f64); 4] =
 /// `APPLES_SEVERITY_OVERRIDE="<id>:<rung>=<severity>"` applied when (and
 /// only when) the id matches. The override exists for the experiment
 /// store: flipping exactly one rung of exactly one experiment's fault
-/// spec must invalidate that experiment's cached subtree and nothing
+/// spec must re-run that experiment's cached artifacts and nothing
 /// else, and the CI store stage drives that through this env knob.
 pub fn severity_ladder(id: &str) -> Vec<(String, f64)> {
     let mut ladder: Vec<(String, f64)> =

@@ -1,34 +1,34 @@
-//! Store-backed `xp all`: plan the experiment DAG against the
-//! content-addressed store, re-run only what changed, serve the rest
-//! byte-identically from cache.
+//! Store-backed `xp all`: look every experiment up in the
+//! content-addressed store under one key, re-run only the experiments
+//! that miss, serve the rest byte-identically from cache.
 //!
-//! The DAG per suite invocation (ROADMAP item 2):
+//! One experiment files all of its artifacts under one key:
 //!
 //! ```text
-//! scenario/calibration ──┬─> run/<id> ──> report/<id> ──> figure/<id>:<table>
-//! fault/<id>:<rung> ... ─┘        (fault nodes only for fault experiments)
+//! run/<id>  report/<id>  figure/<id>:<table> ...   @ digest(key)
 //! ```
 //!
-//! One shared scenario node carries the calibration digest plus the
-//! toolchain/rev environment; fault experiments additionally get one
-//! node per severity-ladder rung (sweep expansion — a targeted
-//! `APPLES_SEVERITY_OVERRIDE` moves exactly one rung of one experiment,
-//! and therefore exactly that experiment's subtree). The run node's own
-//! key is precisely the provenance stamp the report carries, plus the
-//! digest of the experiment's golden fixture so `GOLDEN_REGEN=1` can
-//! never leave a pre-regen report serveable. Cached stdout is built
-//! from stored payloads with the same formatting as fresh renders, so a
-//! warm run is byte-identical to a cold one — the CI `== store ==`
-//! stage `cmp`s them.
+//! The key is the provenance stamp the report carries (seed, fault
+//! ladder digest, config digest with the calibration constants,
+//! toolchain, rev), plus the digest of the experiment's golden fixture,
+//! so a regenerated fixture never leaves a pre-regen report
+//! serveable, plus, for the fault experiments, one `severity/<rung>`
+//! component per severity-ladder rung, so `--explain` names the rung a
+//! targeted `APPLES_SEVERITY_OVERRIDE` moved
+//! (`severity/moderate: 0.5 -> 0.55`). An experiment re-runs when any
+//! of its artifacts is not a hit. Cached stdout is built from stored
+//! payloads with the same formatting as fresh renders, so a warm run
+//! is byte-identical to a cold one — the CI `== store ==` stage `cmp`s
+//! them.
 
-use crate::experiments::{calibration_digest, experiment_provenance, run, uses_faults, ALL_IDS};
+use crate::experiments::{experiment_provenance, run, uses_faults, ALL_IDS};
 use crate::pool::Pool;
+use crate::report::ExperimentReport;
 use crate::scenarios::severity_ladder;
 use crate::wallclock::WallClock;
 use apples_core::digest::{fnv1a_hex, CacheKey};
 use apples_obs::Provenance;
-use apples_simnet::fault::FaultSpec;
-use apples_store::{plan, Dag, GcReport, Lookup, NodeId, Store};
+use apples_store::{GcReport, Lookup, Store};
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 
@@ -37,12 +37,13 @@ use std::path::{Path, PathBuf};
 pub struct XpAllOptions {
     /// Experiment ids to run, in request (output) order.
     pub ids: Vec<String>,
-    /// Plan every node as a miss: re-run everything, refresh the store.
+    /// Treat every experiment as a miss: re-run everything, refresh the
+    /// store.
     pub no_cache: bool,
     /// Store root directory.
     pub store_root: PathBuf,
     /// Directory holding `tests/golden/<id>.md` fixtures (their digest
-    /// is part of each run key).
+    /// is part of each experiment's key).
     pub golden_dir: PathBuf,
     /// Write each figure CSV under this directory.
     pub csv_dir: Option<PathBuf>,
@@ -69,18 +70,17 @@ impl XpAllOptions {
     }
 }
 
-/// Cache statistics for one invocation.
+/// Cache statistics for one invocation, one decision per experiment.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct StoreStats {
-    /// Total DAG nodes planned.
-    pub nodes: usize,
-    /// Nodes served from cache.
+    /// Experiments whose every artifact was served from cache.
     pub hit: usize,
-    /// Nodes whose key changed (diff available in the explain text).
+    /// Experiments whose key changed (diff available in the explain
+    /// text).
     pub stale: usize,
-    /// Nodes with no cached entry.
+    /// Experiments with an artifact that has no cached entry.
     pub miss: usize,
-    /// Nodes whose entry failed footer validation.
+    /// Experiments with an artifact that failed footer validation.
     pub torn: usize,
     /// Experiment ids that actually re-ran, in request order.
     pub executed: Vec<String>,
@@ -92,16 +92,17 @@ pub struct XpAllOutcome {
     /// Exactly what the non-store `xp all` would print to stdout
     /// (reports in request order plus `wrote <path>` lines).
     pub stdout: String,
-    /// The `--explain` text: one line per node plus a summary line.
+    /// The `--explain` text: one line per experiment plus a summary
+    /// line.
     pub explain: String,
     /// Hit/miss accounting.
     pub stats: StoreStats,
 }
 
-/// Table names each experiment publishes, used to build figure nodes
-/// *before* running anything. Checked against the actual reports at
-/// execution time, so catalog rot is a hard error, not a silent
-/// cache-shape drift.
+/// Table names each experiment publishes, so a warm run can look its
+/// figures up without running anything. Checked against the actual
+/// reports at execution time, so catalog rot is a hard error, not a
+/// silent cache-shape drift.
 pub fn tables_for(id: &str) -> &'static [&'static str] {
     match id {
         "table1" => &["table1"],
@@ -133,29 +134,25 @@ pub fn tables_for(id: &str) -> &'static [&'static str] {
     }
 }
 
-/// The store-facing nodes of one experiment id.
-#[derive(Debug, Clone)]
-struct IdNodes {
-    id: String,
-    faults: Vec<NodeId>,
-    run: NodeId,
-    report: NodeId,
-    /// `(table name, node)` pairs, in report order.
-    figures: Vec<(String, NodeId)>,
+/// `(kind, name)` of every artifact experiment `id` publishes, in
+/// [`render_artifacts`] order: its run, its report, one figure per
+/// table.
+fn artifacts(id: &str) -> Vec<(&'static str, String)> {
+    let mut out = vec![("run", id.to_owned()), ("report", id.to_owned())];
+    out.extend(tables_for(id).iter().map(|table| ("figure", format!("{id}:{table}"))));
+    out
 }
 
-impl IdNodes {
-    fn all(&self) -> Vec<NodeId> {
-        let mut out = self.faults.clone();
-        out.push(self.run);
-        out.push(self.report);
-        out.extend(self.figures.iter().map(|(_, n)| *n));
-        out
-    }
+/// A fresh report's artifact bytes in [`artifacts`] order: the
+/// plain-text render, the markdown render, one CSV per table.
+fn render_artifacts(report: &ExperimentReport) -> Vec<String> {
+    let mut out = vec![report.render(), report.render_markdown()];
+    out.extend(report.tables.iter().map(|(_, csv)| csv.to_string()));
+    out
 }
 
 /// Digest of the experiment's golden fixture (`absent` when the file
-/// does not exist): regenerating a fixture re-keys the whole subtree.
+/// does not exist): regenerating a fixture re-keys the experiment.
 fn golden_component(golden_dir: &Path, id: &str) -> String {
     match std::fs::read(golden_dir.join(format!("{id}.md"))) {
         Ok(bytes) => fnv1a_hex(&bytes),
@@ -163,61 +160,54 @@ fn golden_component(golden_dir: &Path, id: &str) -> String {
     }
 }
 
-/// Builds the suite DAG for `ids`. Shared upstream nodes (calibration,
-/// and any identically-keyed sweep points) dedup via [`Dag::add`].
-fn build_dag(ids: &[String], golden_dir: &Path) -> Result<(Dag, Vec<IdNodes>), String> {
-    let mut dag = Dag::new();
-    // Environment fields come through the same sanctioned path the
-    // provenance stamp uses.
-    let env = Provenance::new(0, "none", "none");
-    let scenario = dag.add(
-        "scenario",
-        "calibration",
-        CacheKey::new()
-            .with("calibration", calibration_digest())
-            .with("toolchain", env.toolchain.as_str())
-            .with("rev", env.git_rev.as_str()),
-        &[],
-    )?;
-    let mut per_id = Vec::with_capacity(ids.len());
-    for id in ids {
-        let mut faults = Vec::new();
-        if uses_faults(id) {
-            let points: Vec<(String, CacheKey)> = severity_ladder(id)
-                .into_iter()
-                .map(|(rung, s)| {
-                    let spec = if s <= 0.0 {
-                        "none".to_owned()
-                    } else {
-                        FaultSpec::at_severity(s).digest()
-                    };
-                    (rung, CacheKey::new().with("severity", format!("{s:?}")).with("spec", spec))
-                })
-                .collect();
-            faults = dag.sweep("fault", id, &points, &[])?;
-        }
-        let mut run_parents = vec![scenario];
-        run_parents.extend(faults.iter().copied());
-        let run_key =
-            experiment_provenance(id).cache_key().with("golden", golden_component(golden_dir, id));
-        let run = dag.add("run", id.clone(), run_key, &run_parents)?;
-        let report =
-            dag.add("report", id.clone(), CacheKey::new().with("format", "md1"), &[run])?;
-        let figures = tables_for(id)
-            .iter()
-            .map(|&table| {
-                dag.add(
-                    "figure",
-                    format!("{id}:{table}"),
-                    CacheKey::new().with("table", table).with("format", "csv1"),
-                    &[report],
-                )
-                .map(|n| (table.to_owned(), n))
-            })
-            .collect::<Result<Vec<_>, _>>()?;
-        per_id.push(IdNodes { id: id.clone(), faults, run, report, figures });
+/// One experiment's store key from its inputs: the provenance cache
+/// key, the golden-fixture digest, then one `severity/<rung>`
+/// component per ladder rung (none for an empty ladder).
+fn experiment_key(provenance: &Provenance, golden: &str, ladder: &[(String, f64)]) -> CacheKey {
+    let mut key = provenance.cache_key().with("golden", golden);
+    for (rung, severity) in ladder {
+        key.push(format!("severity/{rung}"), format!("{severity:?}"));
     }
-    Ok((dag, per_id))
+    key
+}
+
+/// The key every artifact of experiment `id` is filed under.
+fn key_for(id: &str, golden_dir: &Path) -> CacheKey {
+    let ladder = if uses_faults(id) { severity_ladder(id) } else { Vec::new() };
+    experiment_key(&experiment_provenance(id), &golden_component(golden_dir, id), &ladder)
+}
+
+/// One experiment resolved against the store.
+struct Resolved {
+    id: String,
+    key: CacheKey,
+    /// [`Lookup::Hit`] when every artifact hit, else the first non-hit
+    /// artifact's decision.
+    decision: Lookup,
+    /// The cached artifacts in [`artifacts`] order; empty unless a hit.
+    cached: Vec<Vec<u8>>,
+}
+
+/// Looks up every artifact of `id` under its key. With `no_cache`
+/// the experiment resolves as a miss without touching the store.
+fn resolve(store: &Store, id: &str, golden_dir: &Path, no_cache: bool) -> Resolved {
+    let key = key_for(id, golden_dir);
+    let mut cached = Vec::new();
+    let mut decision = if no_cache { Lookup::Miss } else { Lookup::Hit };
+    for (kind, name) in artifacts(id) {
+        if decision != Lookup::Hit {
+            break;
+        }
+        match store.lookup(kind, &name, &key) {
+            (Lookup::Hit, Some(payload)) => cached.push(payload),
+            (Lookup::Torn(why), _) => decision = Lookup::Torn(format!("{kind}/{name}: {why}")),
+            (other, _) => decision = other,
+        }
+    }
+    if decision != Lookup::Hit {
+        cached.clear();
+    }
+    Resolved { id: id.to_owned(), key, decision, cached }
 }
 
 /// Runs the suite through the store. Returns the stdout/explain text
@@ -231,15 +221,10 @@ pub fn run_all(opts: &XpAllOptions) -> Result<XpAllOutcome, String> {
     }
 
     let store = Store::open(&opts.store_root);
-    let (dag, per_id) = build_dag(&opts.ids, &opts.golden_dir)?;
-    let resolved = plan(&dag, &store, opts.no_cache);
-
-    // An experiment is dirty when any node it owns is not a clean hit.
-    let dirty: Vec<String> = per_id
-        .iter()
-        .filter(|nodes| nodes.all().iter().any(|n| resolved.nodes[n.0].decision != Lookup::Hit))
-        .map(|nodes| nodes.id.clone())
-        .collect();
+    let resolved: Vec<Resolved> =
+        opts.ids.iter().map(|id| resolve(&store, id, &opts.golden_dir, opts.no_cache)).collect();
+    let dirty: Vec<String> =
+        resolved.iter().filter(|r| r.decision != Lookup::Hit).map(|r| r.id.clone()).collect();
 
     // Re-run dirty experiments on the pool; results come back in order.
     let pool = opts.threads.map_or_else(Pool::new, Pool::with_workers);
@@ -254,75 +239,52 @@ pub fn run_all(opts: &XpAllOptions) -> Result<XpAllOutcome, String> {
         if actual != tables_for(&id) {
             return Err(format!(
                 "table catalog drift for {id}: report publishes {actual:?} but the store \
-                 DAG was built for {:?} — update xpall::tables_for",
+                 looks up {:?} — update xpall::tables_for",
                 tables_for(&id)
             ));
         }
-        fresh_by_id.push((id, report));
+        fresh_by_id.push((id, render_artifacts(&report)));
     }
 
-    // Publish everything a dirty experiment produced, plus any non-hit
-    // shared scenario/fault markers (their payload is their own key —
-    // they exist to give the DAG addressable upstream structure).
-    let effective: Vec<CacheKey> = resolved.nodes.iter().map(|n| n.effective.clone()).collect();
-    let publish = |node: NodeId, payload: &[u8]| -> Result<(), String> {
-        let n = dag.node(node);
-        store
-            .publish(&n.kind, &n.name, &effective[node.0], payload)
-            .map(|_| ())
-            .map_err(|e| format!("cannot publish {}: {e}", n.label()))
-    };
-    for planned in &resolved.nodes {
-        let n = dag.node(NodeId(planned.index));
-        if planned.decision != Lookup::Hit && (n.kind == "scenario" || n.kind == "fault") {
-            publish(NodeId(planned.index), format!("{}\n", n.own.canonical()).as_bytes())?;
-        }
-    }
-    for (id, report) in &fresh_by_id {
-        let nodes =
-            per_id.iter().find(|n| &n.id == id).ok_or_else(|| format!("no DAG nodes for {id}"))?;
-        publish(nodes.run, report.render().as_bytes())?;
-        publish(nodes.report, report.render_markdown().as_bytes())?;
-        for ((_, csv), (_, node)) in report.tables.iter().zip(&nodes.figures) {
-            publish(*node, csv.to_string().as_bytes())?;
-        }
+    // Every artifact's text, fresh or cached, in request order; publish
+    // the fresh ones under their experiment's key.
+    let mut texts = Vec::with_capacity(resolved.len());
+    for r in &resolved {
+        let fresh = fresh_by_id.iter().find(|(id, _)| *id == r.id);
+        let artifact_texts = match fresh {
+            Some((_, rendered)) => {
+                for ((kind, name), text) in artifacts(&r.id).iter().zip(rendered) {
+                    store
+                        .publish(kind, name, &r.key, text.as_bytes())
+                        .map_err(|e| format!("cannot publish {kind}/{name}: {e}"))?;
+                }
+                rendered.clone()
+            }
+            None => r
+                .cached
+                .iter()
+                .map(|bytes| String::from_utf8(bytes.clone()))
+                .collect::<Result<Vec<_>, _>>()
+                .map_err(|_| format!("a cached artifact of {} is not UTF-8", r.id))?,
+        };
+        texts.push(artifact_texts);
     }
 
     // Assemble stdout in request order, byte-identical whether a piece
     // came from a fresh render or the cache.
-    let cached_payload = |node: NodeId| -> Result<String, String> {
-        let planned = &resolved.nodes[node.0];
-        let bytes = planned
-            .payload
-            .as_ref()
-            .ok_or_else(|| format!("no cached payload for {}", dag.node(node).label()))?;
-        String::from_utf8(bytes.clone())
-            .map_err(|_| format!("cached {} is not UTF-8", dag.node(node).label()))
-    };
     for dir in [&opts.csv_dir, &opts.md_dir].into_iter().flatten() {
         std::fs::create_dir_all(dir)
             .map_err(|e| format!("cannot create {}: {e}", dir.display()))?;
     }
     let mut stdout = String::new();
-    for nodes in &per_id {
-        let fresh_report = fresh_by_id.iter().find(|(id, _)| id == &nodes.id).map(|(_, r)| r);
-        let run_text = match fresh_report {
-            Some(report) => report.render(),
-            None => cached_payload(nodes.run)?,
+    for (r, artifact_texts) in resolved.iter().zip(&texts) {
+        let [run_text, md_text, csv_texts @ ..] = artifact_texts.as_slice() else {
+            return Err(format!("{}: run or report artifact missing", r.id));
         };
-        stdout.push_str(&run_text);
+        stdout.push_str(run_text);
         stdout.push('\n');
         if let Some(dir) = &opts.csv_dir {
-            for (table, node) in &nodes.figures {
-                let csv_text = match fresh_report {
-                    Some(report) => report
-                        .tables
-                        .iter()
-                        .find(|(name, _)| name == table)
-                        .map(|(_, csv)| csv.to_string())
-                        .ok_or_else(|| format!("{}: table {table} missing", nodes.id))?,
-                    None => cached_payload(*node)?,
-                };
+            for (table, csv_text) in tables_for(&r.id).iter().zip(csv_texts) {
                 let path = dir.join(format!("{table}.csv"));
                 std::fs::write(&path, csv_text)
                     .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
@@ -330,55 +292,67 @@ pub fn run_all(opts: &XpAllOptions) -> Result<XpAllOutcome, String> {
             }
         }
         if let Some(dir) = &opts.md_dir {
-            let md_text = match fresh_report {
-                Some(report) => report.render_markdown(),
-                None => cached_payload(nodes.report)?,
-            };
-            let path = dir.join(format!("{}.md", nodes.id));
+            let path = dir.join(format!("{}.md", r.id));
             std::fs::write(&path, md_text)
                 .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
             stdout.push_str(&format!("wrote {}\n", path.display()));
         }
     }
 
+    let count = |tag: &str| resolved.iter().filter(|r| r.decision.tag() == tag).count();
     let stats = StoreStats {
-        nodes: resolved.nodes.len(),
-        hit: resolved.count("hit"),
-        stale: resolved.count("stale"),
-        miss: resolved.count("miss"),
-        torn: resolved.count("torn"),
+        hit: count("hit"),
+        stale: count("stale"),
+        miss: count("miss"),
+        torn: count("torn"),
         executed: dirty,
     };
-    let explain = format!(
-        "{}store[{}]: {} hit, {} stale, {} miss, {} torn of {} nodes; re-ran {}/{} \
+    let mut explain = String::new();
+    for r in &resolved {
+        explain.push_str(&format!("  {:<5} run/{} @{}", r.decision.tag(), r.id, r.key.digest()));
+        match &r.decision {
+            Lookup::Stale(diff) => {
+                let parts: Vec<String> = diff.iter().map(|d| d.render()).collect();
+                explain.push_str(&format!(" ({})", parts.join(", ")));
+            }
+            Lookup::Torn(why) => explain.push_str(&format!(" ({why})")),
+            Lookup::Hit | Lookup::Miss => {}
+        }
+        explain.push('\n');
+    }
+    explain.push_str(&format!(
+        "store[{}]: {} hit, {} stale, {} miss, {} torn of {} experiments; re-ran {}/{} \
          experiments in {} ms\n",
-        resolved.render_explain(&dag),
         store.root().display(),
         stats.hit,
         stats.stale,
         stats.miss,
         stats.torn,
-        stats.nodes,
+        resolved.len(),
         stats.executed.len(),
-        per_id.len(),
+        resolved.len(),
         clock.elapsed_ms() as u64,
-    );
+    ));
     Ok(XpAllOutcome { stdout, explain, stats })
 }
 
-/// `xp gc`: rebuild the DAG over every experiment id and remove store
-/// entries no current key can reach (plus abandoned tmp files).
+/// `xp gc`: remove store entries no experiment's current key reaches
+/// (plus abandoned tmp files).
 pub fn run_gc(store_root: &Path, golden_dir: &Path) -> Result<GcReport, String> {
-    let ids: Vec<String> = ALL_IDS.iter().map(|&s| s.to_owned()).collect();
-    let (dag, _) = build_dag(&ids, golden_dir)?;
-    let effective = dag.effective_keys();
-    let expected: BTreeSet<String> = dag.entry_names(&effective).into_iter().collect();
+    let mut expected = BTreeSet::new();
+    for id in ALL_IDS {
+        let digest = key_for(id, golden_dir).digest();
+        for (kind, name) in artifacts(id) {
+            expected.insert(format!("{kind}/{name}@{digest}"));
+        }
+    }
     Store::open(store_root).gc(&expected).map_err(|e| format!("gc failed: {e}"))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scenarios::SEVERITY_LADDER;
 
     #[test]
     fn catalog_matches_what_every_experiment_actually_publishes() {
@@ -389,25 +363,41 @@ mod tests {
         }
     }
 
+    /// Flipping one rung's severity, then the golden fixture's bytes,
+    /// changes the key, and the diff names exactly that component.
     #[test]
-    fn dag_shares_the_scenario_node_and_expands_fault_sweeps() {
-        let ids: Vec<String> = ALL_IDS.iter().map(|&s| s.to_owned()).collect();
-        let (dag, per_id) = build_dag(&ids, Path::new("tests/golden")).expect("builds");
-        let fault_ids = ids.iter().filter(|id| uses_faults(id)).count();
-        let rungs = severity_ladder("robustness-frontier").len();
-        let figures: usize = ids.iter().map(|id| tables_for(id).len()).sum();
-        // 1 scenario + per-experiment (run + report + figures) + fault
-        // sweep nodes for the fault experiments.
-        assert_eq!(dag.len(), 1 + ids.len() * 2 + figures + fault_ids * rungs, "node count");
-        let scenario = dag.find("scenario", "calibration").expect("scenario node");
-        for nodes in &per_id {
-            assert_eq!(
-                dag.node(nodes.run).parents.first(),
-                Some(&scenario),
-                "{}: run's first parent is the shared scenario",
-                nodes.id
-            );
+    fn each_key_input_flip_is_named_in_the_diff() {
+        let id = "robustness-verdict";
+        let dir = std::env::temp_dir().join(format!("apples-xpall-key-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("create temp golden dir");
+        let fixture = dir.join(format!("{id}.md"));
+        std::fs::write(&fixture, "fixture\n").expect("write fixture");
+        let provenance = experiment_provenance(id);
+        let ladder: Vec<(String, f64)> =
+            SEVERITY_LADDER.iter().map(|&(rung, s)| (rung.to_owned(), s)).collect();
+        let golden = golden_component(&dir, id);
+        let base = experiment_key(&provenance, &golden, &ladder);
+
+        let mut moved = ladder.clone();
+        for (rung, severity) in &mut moved {
+            if rung == "moderate" {
+                *severity = 0.55;
+            }
         }
+        let severity_flip = experiment_key(&provenance, &golden, &moved);
+        std::fs::write(&fixture, "fixture, regenerated\n").expect("rewrite fixture");
+        let golden_flip = experiment_key(&provenance, &golden_component(&dir, id), &ladder);
+        let _ = std::fs::remove_dir_all(&dir);
+
+        for (flipped, component) in
+            [(&severity_flip, "severity/moderate"), (&golden_flip, "golden")]
+        {
+            assert_ne!(flipped.digest(), base.digest(), "{component} flip kept the key");
+            let diff = flipped.diff(&base);
+            let names: Vec<&str> = diff.iter().map(|d| d.name.as_str()).collect();
+            assert_eq!(names, [component], "{diff:?}");
+        }
+        assert_eq!(severity_flip.diff(&base)[0].render(), "severity/moderate: 0.5 -> 0.55");
     }
 
     #[test]

@@ -1,9 +1,10 @@
 //! A log-linear histogram over `u64` observations.
 //!
-//! Same bucket geometry as the sink's latency histogram (64 linear
-//! sub-buckets per power-of-two magnitude, ≤ ~1.6% relative error over
-//! the full `u64` range), with an exact max and sum, so the count,
-//! max and mean are exact and only quantiles are bucketed.
+//! 64 linear sub-buckets per power-of-two magnitude (HDR-style, ≤ ~1.6%
+//! relative error over the full `u64` range), with an exact max and
+//! sum, so the count, max and mean are exact and only quantiles are
+//! bucketed. The simulator's sink records end-to-end latency into one;
+//! telemetry records queue depth, wait and service time.
 
 use apples_core::json::Json;
 
@@ -136,6 +137,7 @@ impl Default for LogHistogram {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use apples_rng::Rng;
 
     #[test]
     fn small_values_are_exact() {
@@ -170,6 +172,52 @@ mod tests {
         assert_eq!(h.quantile(0.99), 0);
         assert_eq!(h.mean().to_bits(), 0.0f64.to_bits());
         assert!(h.nonzero_bins().is_empty());
+    }
+
+    #[test]
+    fn histogram_percentiles_are_ordered() {
+        let mut h = LogHistogram::new();
+        let mut x = 1u64;
+        for i in 0..10_000u64 {
+            x = x.wrapping_mul(6364136223846793005).wrapping_add(i);
+            h.record(x % 10_000_000);
+        }
+        let p50 = h.quantile(0.5);
+        let p90 = h.quantile(0.9);
+        let p99 = h.quantile(0.99);
+        assert!(p50 <= p90 && p90 <= p99, "{p50} {p90} {p99}");
+        assert!(h.mean() > 0.0);
+    }
+
+    #[test]
+    fn histogram_quantile_error_bounded_everywhere() {
+        let mut rng = Rng::seed_from_u64(0x41571);
+        for _ in 0..1000 {
+            let v = rng.range_u64(1, u64::MAX / 4);
+            let mut h = LogHistogram::new();
+            h.record(v);
+            let q = h.quantile(0.5);
+            let err = (q as f64 - v as f64).abs() / v as f64;
+            assert!(err < 0.02, "v={v} q={q} err={err}");
+        }
+    }
+
+    #[test]
+    fn histogram_count_matches_records() {
+        let mut rng = Rng::seed_from_u64(0x41572);
+        for _ in 0..500 {
+            let vs: Vec<u64> =
+                (0..rng.range_usize(0, 200)).map(|_| rng.range_u64(0, 1_000_000)).collect();
+            let mut h = LogHistogram::new();
+            for v in &vs {
+                h.record(*v);
+            }
+            assert_eq!(h.count(), vs.len() as u64);
+            if let Some(max) = vs.iter().max() {
+                assert_eq!(h.max(), *max);
+                assert!(h.quantile(1.0) <= *max);
+            }
+        }
     }
 
     #[test]

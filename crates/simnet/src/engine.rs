@@ -1491,7 +1491,7 @@ mod tests {
                 seed: 3,
             };
             let r = engine.run(&wl, 20_000_000, 2_000_000);
-            r.sink.latency().quantile_ns(0.99)
+            r.sink.latency().quantile(0.99)
         };
         let light = lat_at(1e6); // ~10% load
         let heavy = lat_at(9e6); // ~90% load
@@ -1504,8 +1504,8 @@ mod tests {
         let mut one = Engine::new(vec![mk()]);
         let mut three = Engine::new(vec![mk(), mk(), mk()]);
         let wl = WorkloadSpec::cbr(10_000.0, 1500, 2, 1);
-        let l1 = one.run(&wl, 10_000_000, 0).sink.latency().mean_ns();
-        let l3 = three.run(&wl, 10_000_000, 0).sink.latency().mean_ns();
+        let l1 = one.run(&wl, 10_000_000, 0).sink.latency().mean();
+        let l3 = three.run(&wl, 10_000_000, 0).sink.latency().mean();
         assert!((l3 / l1 - 3.0).abs() < 0.1, "l1 {l1} l3 {l3}");
     }
 
@@ -1531,7 +1531,7 @@ mod tests {
         assert!(r.stages[0].conserves_packets());
         // Latency of the first delivered packets ~ one kernel, far below
         // the 1 ms timeout: the size trigger fired, not the timer.
-        assert!(r.sink.latency().quantile_ns(0.01) < 100_000);
+        assert!(r.sink.latency().quantile(0.01) < 100_000);
     }
 
     #[test]
@@ -1541,7 +1541,7 @@ mod tests {
         let wl = WorkloadSpec::cbr(100.0, 64, 1, 1);
         let r = engine.run(&wl, 50_000_000, 0);
         assert!(r.sink.delivered_packets() >= 4);
-        let lat = r.sink.latency().quantile_ns(0.5);
+        let lat = r.sink.latency().quantile(0.5);
         // ~ timeout (50 us) + kernel (10 us) + marginal, within the
         // histogram's ~1.6% bucket error.
         assert!((58_000..75_000).contains(&lat), "median latency {lat} ns");
@@ -1569,7 +1569,7 @@ mod tests {
         // Packet 9 enqueues at t=900 while batch 2 is in flight; its
         // timer must run from t=900, so its latency is timeout + kernel
         // + marginal — NOT timeout + the in-flight batch's completion.
-        let worst = r.sink.latency().quantile_ns(1.0);
+        let worst = r.sink.latency().quantile(1.0);
         let bound = TIMEOUT + KERNEL + 4 * 30;
         assert!(
             u128::from(worst) <= u128::from(bound) * 102 / 100,
@@ -1602,7 +1602,7 @@ mod tests {
             let mut engine = Engine::new(vec![batch_stage(max_batch, timeout, 10_000)]);
             let wl = WorkloadSpec::cbr(10_000.0, 64, 4, 1);
             let r = engine.run(&wl, 20_000_000, 2_000_000);
-            r.sink.latency().quantile_ns(0.99)
+            r.sink.latency().quantile(0.99)
         };
         let small = p99(1, 200_000);
         let large = p99(64, 200_000);
@@ -1630,7 +1630,7 @@ mod tests {
             let mut engine = Engine::new(vec![batch_stage(16, 30_000, 5_000)]);
             let wl = WorkloadSpec::cbr(2e6, 200, 8, 3);
             let r = engine.run(&wl, 5_000_000, 500_000);
-            (r.sink.delivered_packets(), r.sink.latency().quantile_ns(0.99))
+            (r.sink.delivered_packets(), r.sink.latency().quantile(0.99))
         };
         assert_eq!(run(), run());
     }
@@ -1673,7 +1673,7 @@ mod tests {
         let b = replay.run_trace(&trace, wl.seed, 5_000_000, 500_000);
 
         assert_eq!(a.sink.delivered_packets(), b.sink.delivered_packets());
-        assert_eq!(a.sink.latency().quantile_ns(0.99), b.sink.latency().quantile_ns(0.99));
+        assert_eq!(a.sink.latency().quantile(0.99), b.sink.latency().quantile(0.99));
         assert_eq!(a.stages[0].served, b.stages[0].served);
         assert_eq!(a.injected, b.injected);
     }
@@ -1707,7 +1707,7 @@ mod tests {
             let mut engine = Engine::new(vec![forwarding_stage(2)]);
             let wl = WorkloadSpec::cbr(5e6, 200, 16, 9);
             let r = engine.run(&wl, 5_000_000, 500_000);
-            (r.sink.delivered_packets(), r.sink.latency().quantile_ns(0.999), r.stages[0].served)
+            (r.sink.delivered_packets(), r.sink.latency().quantile(0.999), r.stages[0].served)
         };
         assert_eq!(run(), run());
     }

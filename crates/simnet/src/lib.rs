@@ -49,5 +49,5 @@ pub use engine::{Engine, StageReport};
 pub use fault::{FaultAction, FaultEvent, FaultPlan, FaultSpec, OutageSpec, SlowdownSpec};
 pub use packet::Packet;
 pub use sched::EventScheduler;
-pub use stats::{LatencyHistogram, SinkStats};
+pub use stats::SinkStats;
 pub use system::{Deployment, Measurement};

@@ -723,8 +723,8 @@ impl Deployment {
             device_classes: self.device_classes(),
             throughput_bps: result.sink.throughput_bps(result.window_ns),
             throughput_pps: result.sink.throughput_pps(result.window_ns),
-            mean_latency_ns: result.sink.latency().mean_ns(),
-            p99_latency_ns: result.sink.latency().quantile_ns(0.99) as f64,
+            mean_latency_ns: result.sink.latency().mean(),
+            p99_latency_ns: result.sink.latency().quantile(0.99) as f64,
             loss_rate: result.sink.loss_rate(),
             jain_index: result.sink.jain_index(),
             policy_drops: result.sink.policy_drops(),

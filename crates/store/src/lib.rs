@@ -1,13 +1,14 @@
 //! # apples-store
 //!
-//! Content-addressed experiment store (ROADMAP item 2, after repx's
-//! incremental pipelines): artifacts are cached under the FNV-1a digest
-//! of a typed [`CacheKey`](apples_core::digest::CacheKey) built from
-//! the provenance stamp (seed, fault digest, config digest, toolchain,
-//! git rev), plus the upstream structure of a
-//! hand-rolled DAG (scenario → fault sweep points → run → report →
-//! figure). A warm `xp all` short-circuits every hit; any single digest
-//! component change re-addresses exactly the dependent subtree.
+//! Content-addressed experiment store (after repx's incremental
+//! pipelines): artifacts are cached under the FNV-1a digest of a typed
+//! [`CacheKey`](apples_core::digest::CacheKey). `xp all` files every
+//! artifact of one experiment (its run, report and figures) under one
+//! key: the provenance stamp the report carries (seed, fault digest,
+//! config digest, toolchain, git rev) plus the golden-fixture digest
+//! and, for the fault experiments, one component per severity rung. A
+//! warm `xp all` serves every hit; a change to any component re-runs
+//! exactly the experiments whose key holds it.
 //!
 //! Guarantees, each carried by a module and gated by tests:
 //!
@@ -20,20 +21,11 @@
 //!   `xp` invocations on the same key cannot interleave; GC removes
 //!   only unreachable entry files (things `publish` could have made),
 //!   never documentation or foreign files.
-//! - [`dag`] — parents-first construction keeps node order topological;
-//!   effective keys fold parent digests, which is what scopes
-//!   invalidation to a subtree. Sweep expansion dedups shared nodes.
-//! - [`plan`] — one pass resolving DAG × store into hit/stale/miss/torn
-//!   per node; the rendered form is `xp all --explain`.
 
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
-pub mod dag;
 pub mod entry;
-pub mod plan;
 pub mod store;
 
-pub use dag::{Dag, Node, NodeId};
 pub use entry::{decode, encode, Decoded, FOOTER_MARKER};
-pub use plan::{plan, Plan, PlannedNode};
 pub use store::{GcReport, Lookup, Store};

@@ -1,7 +1,7 @@
-//! The on-disk store: lookup, publish, invalidate, GC.
+//! The on-disk store: lookup, publish, GC.
 //!
 //! Layout: `<root>/<kind>/<name>@<16-hex-digest>` where the digest is
-//! the FNV-1a digest of the entry's *effective* cache key. Publishes go
+//! the FNV-1a digest of the entry's cache key. Publishes go
 //! through a tmp file in the same directory plus an atomic rename, so
 //! two concurrent `xp` invocations racing on the same key leave one
 //! complete entry, never an interleaving. A hit requires the stored
@@ -22,8 +22,9 @@ pub enum Lookup {
     /// Entry present under the expected key; payload is byte-valid.
     Hit,
     /// Entries exist for this `(kind, name)` but under different keys;
-    /// the diff names the components that changed (newest entry wins
-    /// as the comparison point).
+    /// the diff names the components that changed. The comparison
+    /// point is the entry with the lexicographically last digest:
+    /// deterministic, but not necessarily the newest.
     Stale(Vec<KeyDiff>),
     /// No entry for this `(kind, name)` at all.
     Miss,
@@ -69,14 +70,10 @@ impl Store {
         Store { root: root.into() }
     }
 
-    /// The default root: `$APPLES_STORE_DIR` (the sanctioned env
-    /// override path, like `APPLES_TOOLCHAIN`), else `results/store`
-    /// relative to the working directory.
+    /// The default root, `results/store` relative to the working
+    /// directory (`xp --store-dir` picks another).
     pub fn default_root() -> PathBuf {
-        match std::env::var("APPLES_STORE_DIR") {
-            Ok(v) if !v.is_empty() => PathBuf::from(v),
-            _ => PathBuf::from("results").join("store"),
-        }
+        PathBuf::from("results").join("store")
     }
 
     /// The store root path.
@@ -187,27 +184,6 @@ impl Store {
         }
     }
 
-    /// Removes every entry whose name equals `id` or starts with
-    /// `id:` (sweep points / figures of that experiment), across all
-    /// kinds. Returns the store-relative paths removed. This is the
-    /// `GOLDEN_REGEN=1` hook: regenerating an experiment's fixture
-    /// must evict its cached artifacts.
-    pub fn invalidate(&self, id: &str) -> io::Result<Vec<String>> {
-        let prefix = format!("{id}:");
-        let mut removed = Vec::new();
-        for (kind, file_name, path) in self.walk_entries()? {
-            let Some((name, _)) = Store::split_entry(&file_name) else {
-                continue;
-            };
-            if name == id || name.starts_with(&prefix) {
-                std::fs::remove_file(&path)?;
-                removed.push(format!("{kind}/{file_name}"));
-            }
-        }
-        removed.sort();
-        Ok(removed)
-    }
-
     /// Garbage collection: removes every entry file not in `expected`
     /// (store-relative `kind/name@digest` names), plus any abandoned
     /// tmp files. Files that are not entries at all (a README, notes)
@@ -312,20 +288,6 @@ mod tests {
         let (decision, payload) = store.lookup("run", "fig1", &k);
         assert!(matches!(decision, Lookup::Torn(_)), "got {decision:?}");
         assert!(payload.is_none());
-        let _ = std::fs::remove_dir_all(store.root());
-    }
-
-    #[test]
-    fn invalidate_evicts_the_id_and_its_sweep_points_only() {
-        let store = temp_store("invalidate");
-        let k = key("abcd");
-        store.publish("run", "fig1", &k, b"a").expect("publish");
-        store.publish("figure", "fig1:table", &k, b"b").expect("publish");
-        store.publish("run", "fig1b", &k, b"c").expect("publish");
-        let removed = store.invalidate("fig1").expect("invalidate");
-        assert_eq!(removed.len(), 2, "{removed:?}");
-        assert_eq!(store.lookup("run", "fig1", &k).0, Lookup::Miss);
-        assert_eq!(store.lookup("run", "fig1b", &k).0, Lookup::Hit, "prefix must not overmatch");
         let _ = std::fs::remove_dir_all(store.root());
     }
 

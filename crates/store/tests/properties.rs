@@ -1,14 +1,14 @@
 //! Store property battery (seeded, deterministic):
 //!
 //! (a) same key → byte-identical artifact, every time;
-//! (b) any single digest-component change re-addresses exactly the
-//!     dependent DAG subtree and nothing else;
-//! (c) GC never deletes a reachable artifact — random DAGs, random
-//!     kept roots, reachability checked by ancestor closure.
+//! (b) any single provenance-component change reads as stale, with
+//!     the diff naming exactly that component;
+//! (c) GC never deletes a reachable artifact — random entry sets,
+//!     random kept subsets.
 
 use apples_core::digest::CacheKey;
 use apples_rng::Rng;
-use apples_store::{Dag, Lookup, NodeId, Store};
+use apples_store::{Lookup, Store};
 use std::collections::BTreeSet;
 use std::path::PathBuf;
 
@@ -62,125 +62,57 @@ fn same_key_serves_byte_identical_payloads() {
     let _ = std::fs::remove_dir_all(store.root());
 }
 
-/// A random layered DAG: every non-root node picks 1–3 random earlier
-/// nodes as parents. Returns the dag and per-node component names so a
-/// test can flip a single component.
-fn random_dag(rng: &mut Rng, nodes: usize) -> Dag {
-    let mut dag = Dag::new();
-    for i in 0..nodes {
-        let parents: Vec<NodeId> = if i == 0 {
-            Vec::new()
-        } else {
-            let count = rng.range_usize(1, i.min(3) + 1);
-            let mut picked = BTreeSet::new();
-            for _ in 0..count {
-                picked.insert(rng.range_usize(0, i));
-            }
-            picked.into_iter().map(NodeId).collect()
-        };
-        let own = CacheKey::new()
-            .with("seed", format!("{:x}", rng.next_u64()))
-            .with("config", format!("{:x}", rng.next_u64()));
-        dag.add("run", format!("n{i}"), own, &parents).expect("add");
-    }
-    dag
+/// A random entry set: `(kind, name, key)` triples with distinct
+/// `(kind, name)` pairs, the shape `xp all` publishes (one key per
+/// experiment, shared by its run, report and figures).
+fn random_entries(rng: &mut Rng, count: usize) -> Vec<(String, String, CacheKey)> {
+    const KINDS: [&str; 3] = ["run", "report", "figure"];
+    (0..count)
+        .map(|i| {
+            let kind = KINDS[rng.range_usize(0, KINDS.len())];
+            (kind.to_owned(), format!("exp{i}"), random_key(rng))
+        })
+        .collect()
 }
 
-/// (b) Flipping one component of one node re-addresses exactly that
-/// node and its transitive descendants — nothing else.
-#[test]
-fn single_component_change_re_addresses_exactly_the_subtree() {
-    let mut rng = Rng::seed_from_u64(0x5AB7);
-    for round in 0..40 {
-        let nodes = rng.range_usize(5, 25);
-        let dag = random_dag(&mut rng, nodes);
-        let before = dag.effective_keys();
-
-        // Rebuild the same DAG with exactly one component of one node
-        // flipped (DAGs are append-only, so "mutate" = reconstruct).
-        let victim = rng.range_usize(0, nodes);
-        let mut changed = Dag::new();
-        for (i, node) in dag.nodes().iter().enumerate() {
-            let own = if i == victim {
-                node.own.clone().with("config", "flipped")
-            } else {
-                node.own.clone()
-            };
-            changed.add(&node.kind, &node.name, own, &node.parents).expect("rebuild");
-        }
-        let after = changed.effective_keys();
-
-        let expected_changed: BTreeSet<usize> =
-            std::iter::once(victim).chain(dag.descendants(NodeId(victim))).collect();
-        for i in 0..nodes {
-            let moved = before[i].digest() != after[i].digest();
-            assert_eq!(
-                moved,
-                expected_changed.contains(&i),
-                "round {round}: node {i} (victim {victim}) moved={moved}"
-            );
-        }
-    }
-}
-
-/// Ancestor closure of a set of roots (the artifacts a partial rebuild
-/// of those roots still needs).
-fn ancestors_of(dag: &Dag, roots: &BTreeSet<usize>) -> BTreeSet<usize> {
-    let mut keep = roots.clone();
-    for i in (0..dag.len()).rev() {
-        if keep.contains(&i) {
-            for p in &dag.nodes()[i].parents {
-                keep.insert(p.0);
-            }
-        }
-    }
-    keep
-}
-
-/// (c) GC never deletes a reachable artifact: populate a store from a
-/// random DAG, keep the ancestor closure of random roots, gc, and
-/// check every kept entry survived and every other entry (plus tmp
-/// litter) is gone.
+/// (c) GC never deletes a reachable artifact: publish a random entry
+/// set, keep a random subset, gc, and check every kept entry survived
+/// and every other entry (plus tmp litter) is gone.
 #[test]
 fn gc_never_deletes_a_reachable_artifact() {
     let mut rng = Rng::seed_from_u64(0x6C6C);
     for round in 0..25 {
         let store = Store::open(temp_root(&format!("gc-{round}")));
-        let nodes = rng.range_usize(5, 20);
-        let dag = random_dag(&mut rng, nodes);
-        let effective = dag.effective_keys();
-        let names = dag.entry_names(&effective);
-        for (node, key) in dag.nodes().iter().zip(&effective) {
-            store.publish(&node.kind, &node.name, key, &random_payload(&mut rng)).expect("publish");
+        let count = rng.range_usize(5, 20);
+        let entries = random_entries(&mut rng, count);
+        for (kind, name, key) in &entries {
+            store.publish(kind, name, key, &random_payload(&mut rng)).expect("publish");
         }
         // Orphans: entries under keys nothing references anymore.
-        for i in 0..rng.range_usize(1, 5) {
+        let orphans = rng.range_usize(1, 5);
+        for i in 0..orphans {
             store
                 .publish("run", &format!("orphan{i}"), &random_key(&mut rng), b"old")
                 .expect("publish orphan");
         }
         std::fs::write(store.root().join("run").join("x@0.tmp.1.2"), b"litter").expect("litter");
 
-        let mut roots = BTreeSet::new();
-        for _ in 0..rng.range_usize(1, 4) {
-            roots.insert(rng.range_usize(0, nodes));
-        }
-        let keep = ancestors_of(&dag, &roots);
-        let expected: BTreeSet<String> = keep.iter().map(|&i| names[i].clone()).collect();
+        let keep: Vec<bool> = entries.iter().map(|_| rng.range_usize(0, 2) == 1).collect();
+        let expected: BTreeSet<String> = entries
+            .iter()
+            .zip(&keep)
+            .filter(|(_, &kept)| kept)
+            .map(|((kind, name, key), _)| format!("{kind}/{name}@{}", key.digest()))
+            .collect();
         let report = store.gc(&expected).expect("gc");
 
-        assert_eq!(report.kept, keep.len(), "round {round}");
-        for &i in &keep {
-            let node = &dag.nodes()[i];
-            let (decision, _) = store.lookup(&node.kind, &node.name, &effective[i]);
-            assert_eq!(decision, Lookup::Hit, "round {round}: reachable {} deleted", names[i]);
-        }
-        for i in 0..nodes {
-            if !keep.contains(&i) {
-                let node = &dag.nodes()[i];
-                let (decision, _) = store.lookup(&node.kind, &node.name, &effective[i]);
-                assert_eq!(decision, Lookup::Miss, "round {round}: orphan {} survived", names[i]);
-            }
+        assert_eq!(report.kept, expected.len(), "round {round}");
+        let dropped = entries.len() - expected.len() + orphans + 1;
+        assert_eq!(report.removed.len(), dropped, "round {round}: {:?}", report.removed);
+        for ((kind, name, key), &kept) in entries.iter().zip(&keep) {
+            let (decision, _) = store.lookup(kind, name, key);
+            let want = if kept { Lookup::Hit } else { Lookup::Miss };
+            assert_eq!(decision, want, "round {round}: {kind}/{name} (kept: {kept})");
         }
         assert!(!store.root().join("run").join("x@0.tmp.1.2").exists(), "tmp litter survived");
         let _ = std::fs::remove_dir_all(store.root());

@@ -74,8 +74,9 @@ echo "== store: incremental experiment cache =="
 # miss, 0 torn) with byte-identical stdout, --no-cache must reproduce
 # the same bytes while bypassing the store, flipping one fault-spec
 # severity rung (via the sanctioned override) must re-run exactly that
-# experiment's subtree, and `xp gc` must reap exactly the four
-# override-keyed orphans it left behind.
+# experiment, with --explain naming the rung, and `xp gc` must reap
+# exactly the three override-keyed entries it left behind (its run,
+# report and figure).
 rm -rf target/store-ci
 "${XP[@]}" --store-dir target/store-ci --explain all \
   > target/store-cold.txt 2> target/store-cold-explain.txt
@@ -92,6 +93,7 @@ APPLES_SEVERITY_OVERRIDE="robustness-verdict:moderate=0.55" \
   > /dev/null 2> target/store-flip-explain.txt
 grep -q "re-ran 1/27 experiments" target/store-flip-explain.txt
 grep -q "stale run/robustness-verdict" target/store-flip-explain.txt
+grep -q "severity/moderate: 0.5 -> 0.55" target/store-flip-explain.txt
 if grep "stale run/" target/store-flip-explain.txt | grep -qv "robustness-verdict"; then
   echo "severity flip dirtied an unrelated experiment subtree:" >&2
   grep "stale run/" target/store-flip-explain.txt >&2
@@ -101,7 +103,7 @@ fi
   > /dev/null 2> target/store-warm2-explain.txt
 grep -q "re-ran 0/27 experiments" target/store-warm2-explain.txt
 "${XP[@]}" gc --store-dir target/store-ci | tail -n 1 | tee target/store-gc.txt
-grep -q "removed 4" target/store-gc.txt
+grep -q "removed 3" target/store-gc.txt
 "${XP[@]}" --store-dir target/store-ci --explain all \
   > /dev/null 2> target/store-warm3-explain.txt
 grep -q "re-ran 0/27 experiments" target/store-warm3-explain.txt

@@ -114,7 +114,7 @@ fn mean_sojourns(
 ) -> Vec<f64> {
     per_seed(mean_gap_ns, servers, usize::MAX, service, |seed, r| {
         assert_eq!(r.sink.queue_drops(), 0, "seed {seed}: an unbounded queue dropped");
-        r.sink.latency().mean_ns()
+        r.sink.latency().mean()
     })
 }
 

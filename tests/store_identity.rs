@@ -1,16 +1,17 @@
 //! End-to-end store gate: a fully-warm `xp all` must be byte-identical
 //! — stdout, markdown reports, and figure CSVs — to a cold run and to
 //! a `--no-cache` run, the cache must be valid across harness
-//! schedules, and regenerating a golden fixture must invalidate the
-//! corresponding store entries so a post-regen run can never serve a
-//! pre-regen cached report.
+//! schedules, regenerating a golden fixture must re-key that
+//! experiment so a post-regen run can never serve a pre-regen cached
+//! report, and `xp gc` must then reap exactly the pre-regen entries.
 
-use apples_bench::xpall::{run_all, XpAllOptions};
+use apples_bench::xpall::{run_all, run_gc, tables_for, XpAllOptions, XpAllOutcome};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
 /// Representative subset: a table experiment, a worked example, and a
-/// fault-injected experiment (exercising the fault-spec DAG roots).
+/// fault-injected experiment (exercising the severity-rung key
+/// components).
 /// The full 27-id matrix runs in the release-mode `== store ==` CI
 /// stage; this debug-mode gate keeps the same shape but small.
 const IDS: [&str; 3] = ["fig1a", "ex42", "robustness-verdict"];
@@ -70,12 +71,12 @@ fn warm_run_is_byte_identical_to_cold_and_no_cache() {
 
     let cold = run_all(&opts(&store, &a, 1)).expect("cold run");
     assert_eq!(cold.stats.hit, 0, "cold run hit a fresh store");
-    assert_eq!(cold.stats.miss, cold.stats.nodes);
+    assert_eq!(cold.stats.miss, IDS.len());
     assert_eq!(cold.stats.executed.len(), IDS.len(), "cold run must execute everything");
 
     // Warm, on a wider pool: the cache must be schedule-independent.
     let warm = run_all(&opts(&store, &b, 4)).expect("warm run");
-    assert_eq!(warm.stats.hit, warm.stats.nodes, "warm run was not 100% hits: {}", warm.explain);
+    assert_eq!(warm.stats.hit, IDS.len(), "warm run was not 100% hits: {}", warm.explain);
     assert!(warm.stats.executed.is_empty(), "warm run re-executed {:?}", warm.stats.executed);
     assert_eq!(
         report_text(&warm.stdout),
@@ -103,29 +104,38 @@ fn warm_run_is_byte_identical_to_cold_and_no_cache() {
     }
 }
 
-/// Golden-regen regression: changing a golden fixture's bytes changes
-/// that experiment's run key, so the next `xp all` re-executes exactly
-/// that experiment instead of serving the pre-regen cached report.
-#[test]
-fn regenerated_golden_fixture_invalidates_the_cached_report() {
-    let store = temp_dir("regen-store");
-    let golden = temp_dir("regen-golden");
+/// A store warmed by a cold run over a temp copy of the `IDS`
+/// fixtures, after which `victim`'s fixture is regenerated (a byte
+/// change, as `GOLDEN_REGEN=1` would make). Returns the options, the
+/// cold outcome and the temp dirs to remove.
+fn cold_then_regen(tag: &str, victim: &str) -> (XpAllOptions, XpAllOutcome, Vec<PathBuf>) {
+    let store = temp_dir(&format!("{tag}-store"));
+    let golden = temp_dir(&format!("{tag}-golden"));
+    let artifacts = temp_dir(&format!("{tag}-a"));
     for id in IDS {
         let fixture = PathBuf::from("tests").join("golden").join(format!("{id}.md"));
         std::fs::copy(&fixture, golden.join(format!("{id}.md"))).expect("copy fixture");
     }
 
-    let mut o = opts(&store, &temp_dir("regen-a"), 2);
+    let mut o = opts(&store, &artifacts, 2);
     o.golden_dir = golden.clone();
     let cold = run_all(&o).expect("cold run");
     assert_eq!(cold.stats.executed.len(), IDS.len());
 
-    // Regenerate one fixture (byte change, as GOLDEN_REGEN=1 would).
-    let victim = "ex42";
     let path = golden.join(format!("{victim}.md"));
     let mut bytes = std::fs::read(&path).expect("read fixture");
     bytes.extend_from_slice(b"\n<!-- regenerated -->\n");
     std::fs::write(&path, &bytes).expect("rewrite fixture");
+    (o, cold, vec![store, golden, artifacts])
+}
+
+/// Golden-regen regression: changing a golden fixture's bytes changes
+/// that experiment's key, so the next `xp all` re-executes exactly
+/// that experiment instead of serving the pre-regen cached report.
+#[test]
+fn regenerated_golden_fixture_invalidates_the_cached_report() {
+    let victim = "ex42";
+    let (o, cold, dirs) = cold_then_regen("regen", victim);
 
     let regen = run_all(&o).expect("post-regen run");
     assert_eq!(
@@ -134,7 +144,7 @@ fn regenerated_golden_fixture_invalidates_the_cached_report() {
         "post-regen run must re-execute exactly the regenerated experiment: {}",
         regen.explain
     );
-    assert!(regen.stats.stale >= 1, "the stale run node went undetected: {}", regen.explain);
+    assert_eq!(regen.stats.stale, 1, "the stale experiment went undetected: {}", regen.explain);
     assert_eq!(
         report_text(&regen.stdout),
         report_text(&cold.stdout),
@@ -143,10 +153,42 @@ fn regenerated_golden_fixture_invalidates_the_cached_report() {
 
     // And the store settles: the next run is fully warm again.
     let warm = run_all(&o).expect("settled run");
-    assert_eq!(warm.stats.hit, warm.stats.nodes, "store did not settle post-regen");
+    assert_eq!(warm.stats.hit, IDS.len(), "store did not settle post-regen");
     assert!(warm.stats.executed.is_empty());
 
-    for d in [&store, &golden] {
+    for d in &dirs {
+        let _ = std::fs::remove_dir_all(d);
+    }
+}
+
+/// After a fixture regen and the run that re-keys it, `xp gc` removes
+/// exactly the regenerated experiment's pre-regen artifacts (its run,
+/// report and figures), keeps every current entry, and leaves the next
+/// run 100% hits.
+#[test]
+fn gc_after_a_fixture_regen_removes_exactly_the_stale_artifacts() {
+    let victim = "ex42";
+    let (o, cold, dirs) = cold_then_regen("gc", victim);
+    run_all(&o).expect("post-regen run");
+
+    // The victim's pre-regen digest, from the cold run's explain line.
+    let label = format!("run/{victim} @");
+    let line = cold.explain.lines().find(|l| l.contains(&label)).expect("victim explain line");
+    let stale = line.split('@').nth(1).expect("digest").trim();
+    let mut want = vec![format!("run/{victim}@{stale}"), format!("report/{victim}@{stale}")];
+    want.extend(tables_for(victim).iter().map(|t| format!("figure/{victim}:{t}@{stale}")));
+    want.sort();
+
+    let report = run_gc(&o.store_root, &o.golden_dir).expect("gc");
+    assert_eq!(report.removed, want, "gc must reap exactly the pre-regen artifacts");
+    let current: usize = IDS.iter().map(|id| 2 + tables_for(id).len()).sum();
+    assert_eq!(report.kept, current, "gc must keep every current entry");
+
+    let warm = run_all(&o).expect("post-gc run");
+    assert_eq!(warm.stats.hit, IDS.len(), "post-gc run was not 100% hits: {}", warm.explain);
+    assert!(warm.stats.executed.is_empty());
+
+    for d in &dirs {
         let _ = std::fs::remove_dir_all(d);
     }
 }
