@@ -9,7 +9,8 @@
 //! xp --no-cache all      # ignore the store, re-run everything
 //! xp --explain all       # per-experiment hit/stale/miss/torn to stderr
 //! xp --store-dir DIR all # store root (default results/store)
-//! xp gc                  # drop store entries no current key reaches
+//! xp gc                  # drop store entries no current key reaches;
+//!                        # exit 1 unless run where tests/golden exists
 //! xp --list              # list experiment ids
 //! xp bench               # micro-benchmark; writes BENCH_simnet.json;
 //!                        # exit 1 on an identity break or a fused

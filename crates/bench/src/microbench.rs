@@ -10,9 +10,9 @@
 //!    not fall below [`FUSED_SPEEDUP_MIN`]. Each entry also reports the
 //!    slab's peak live events and bytes.
 //! 2. **Observability.** Zero cost when off, bounded cost when on (see
-//!    [`obs_section`]).
+//!    `obs_section`).
 //!
-//! Both sections time their configurations with [`interleaved`], and
+//! Both sections time their configurations with `interleaved`, and
 //! [`gate`] holds the identity checks and the fusion floor; `xp bench`
 //! exits 1 when it fails. Everything simulated is deterministic, so
 //! every number but the wall times is exactly reproducible.

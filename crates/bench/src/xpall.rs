@@ -337,8 +337,13 @@ pub fn run_all(opts: &XpAllOptions) -> Result<XpAllOutcome, String> {
 }
 
 /// `xp gc`: remove store entries no experiment's current key reaches
-/// (plus abandoned tmp files).
+/// (plus abandoned tmp files). Fails, removing nothing, when
+/// `golden_dir` is not a directory: every fixture would read as
+/// `absent`, so no current key would match a stored one.
 pub fn run_gc(store_root: &Path, golden_dir: &Path) -> Result<GcReport, String> {
+    if !golden_dir.is_dir() {
+        return Err(format!("golden directory {} not found", golden_dir.display()));
+    }
     let mut expected = BTreeSet::new();
     for id in ALL_IDS {
         let digest = key_for(id, golden_dir).digest();

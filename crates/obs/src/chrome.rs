@@ -101,7 +101,7 @@ pub fn chrome_trace(tracer: &Tracer, stage_names: &[String], prov: &Provenance) 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trace::{TraceDrop, TraceSink};
+    use crate::trace::TraceDrop;
 
     fn sample_tracer() -> Tracer {
         let mut tr = Tracer::with_capacity(16);

@@ -6,9 +6,9 @@
 //! crate provides four pieces, composable via [`RunObserver`]:
 //!
 //! - [`trace`]: a bounded ring-buffer [`Tracer`] of typed events
-//!   (enqueue / dispatch / drop / fault / stage-enter / stage-exit)
-//!   behind the [`TraceSink`] trait, so instrumentation compiles down to
-//!   one `Option` check when observability is off;
+//!   (enqueue / dispatch / drop / fault / stage-enter / stage-exit);
+//!   the engine holds an `Option<RunObserver>`, so instrumentation
+//!   compiles down to one `Option` check when observability is off;
 //! - [`telemetry`]: per-stage counters and log-scale histograms
 //!   (queue depth, queue wait, service time);
 //! - [`span`]: a sampled sim-time + wall-time span profiler over engine
@@ -43,4 +43,4 @@ pub use provenance::{fnv1a, fnv1a_hex, Provenance};
 pub use span::{Phase, SpanProfiler, SpanToken};
 pub use telemetry::{StageTelemetry, Telemetry};
 pub use timeseries::{SeriesBin, TimeSeries};
-pub use trace::{NullSink, TraceDrop, TraceEvent, TraceFault, TraceKind, TraceSink, Tracer};
+pub use trace::{TraceDrop, TraceEvent, TraceFault, TraceKind, Tracer};

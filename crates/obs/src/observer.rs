@@ -9,7 +9,7 @@
 use crate::span::{Phase, SpanProfiler, SpanToken};
 use crate::telemetry::Telemetry;
 use crate::timeseries::TimeSeries;
-use crate::trace::{TraceDrop, TraceEvent, TraceFault, TraceKind, TraceSink, Tracer};
+use crate::trace::{TraceDrop, TraceEvent, TraceFault, TraceKind, Tracer};
 use apples_core::json::Json;
 
 /// Structural counters from the event queue: how many events it took
@@ -69,11 +69,6 @@ impl ObsConfig {
     /// Telemetry and spans without event tracing.
     pub fn telemetry_only() -> Self {
         ObsConfig { trace_capacity: 0, telemetry: true, spans: false, timeseries: false }
-    }
-
-    /// Tracing only, with an explicit ring bound.
-    pub fn trace_only(capacity: usize) -> Self {
-        ObsConfig { trace_capacity: capacity, telemetry: false, spans: false, timeseries: false }
     }
 
     /// The scaling-diagnosis set: spans and the metrics ring, no event
@@ -259,8 +254,6 @@ mod tests {
         let t = RunObserver::new(&ObsConfig::telemetry_only());
         assert!(t.tracer.is_none() && t.telemetry.is_some() && t.spans.is_none());
         assert!(t.timeseries.is_none());
-        let tr = RunObserver::new(&ObsConfig::trace_only(128));
-        assert!(tr.tracer.is_some() && tr.telemetry.is_none() && tr.spans.is_none());
         let d = RunObserver::new(&ObsConfig::diagnosis());
         assert!(d.tracer.is_none() && d.telemetry.is_none());
         assert!(d.spans.is_some() && d.timeseries.is_some());
@@ -298,7 +291,7 @@ mod tests {
 
     #[test]
     fn spans_are_noops_when_disabled() {
-        let mut obs = RunObserver::new(&ObsConfig::trace_only(8));
+        let mut obs = RunObserver::new(&ObsConfig::telemetry_only());
         let tok = obs.span_begin(Phase::Dispatch);
         obs.span_end(Phase::Dispatch, tok, 10);
         assert!(obs.spans.is_none());

@@ -133,13 +133,6 @@ impl SpanProfiler {
         }
     }
 
-    /// RAII span over `phase`: closes itself (with the sim-time set via
-    /// [`Span::attribute_sim_ns`]) when dropped.
-    pub fn span(&mut self, phase: Phase) -> Span<'_> {
-        let token = self.begin(phase);
-        Span { prof: self, phase, token, sim_ns: 0 }
-    }
-
     /// The accumulated profile for `phase`.
     pub fn phase(&self, phase: Phase) -> &PhaseProfile {
         &self.phases[phase.idx()]
@@ -193,28 +186,6 @@ impl SpanProfiler {
     }
 }
 
-/// An RAII guard created by [`SpanProfiler::span`].
-#[derive(Debug)]
-pub struct Span<'a> {
-    prof: &'a mut SpanProfiler,
-    phase: Phase,
-    token: SpanToken,
-    sim_ns: u64,
-}
-
-impl Span<'_> {
-    /// Sets the simulated nanoseconds this span covers.
-    pub fn attribute_sim_ns(&mut self, ns: u64) {
-        self.sim_ns = ns;
-    }
-}
-
-impl Drop for Span<'_> {
-    fn drop(&mut self) {
-        self.prof.end(self.phase, self.token, self.sim_ns);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -231,19 +202,6 @@ mod tests {
         assert_eq!(p.samples, 3, "one wall sample per {SAMPLE_EVERY} spans");
         let n = SAMPLE_EVERY * 3;
         assert_eq!(p.sim_ns, u128::from(n * (n - 1) / 2));
-    }
-
-    #[test]
-    fn raii_span_attributes_on_drop() {
-        let mut prof = SpanProfiler::new();
-        {
-            let mut s = prof.span(Phase::BucketDrain);
-            s.attribute_sim_ns(123);
-        }
-        let p = prof.phase(Phase::BucketDrain);
-        assert_eq!(p.count, 1);
-        assert_eq!(p.sim_ns, 123);
-        assert_eq!(prof.total_spans(), 1);
     }
 
     #[test]

@@ -147,23 +147,6 @@ pub struct TraceEvent {
     pub kind: TraceKind,
 }
 
-/// Where trace events go. The engine holds an `Option<RunObserver>`;
-/// with `None` the instrumentation is a single branch per site, which
-/// the zero-cost-when-off gates in the bench harness verify.
-pub trait TraceSink {
-    /// Consumes one event.
-    fn emit(&mut self, ev: TraceEvent);
-}
-
-/// A sink that discards everything — the measurement baseline and the
-/// stand-in when only telemetry or spans are wanted.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct NullSink;
-
-impl TraceSink for NullSink {
-    fn emit(&mut self, _ev: TraceEvent) {}
-}
-
 /// Bounded ring-buffer trace sink.
 ///
 /// Keeps the most recent `capacity` events; older events are overwritten
@@ -213,11 +196,10 @@ impl Tracer {
     pub fn events(&self) -> impl Iterator<Item = &TraceEvent> {
         self.buf[self.head..].iter().chain(self.buf[..self.head].iter())
     }
-}
 
-impl TraceSink for Tracer {
+    /// Records one event, overwriting the oldest when the ring is full.
     #[inline]
-    fn emit(&mut self, ev: TraceEvent) {
+    pub fn emit(&mut self, ev: TraceEvent) {
         self.emitted += 1;
         if self.buf.len() < self.capacity {
             self.buf.push(ev);

@@ -6,8 +6,8 @@
 //! is context-independent, quantifiable, and composes end-to-end (§3.4).
 //! Real evaluations read watts from a meter; this crate supplies the
 //! simulator's stand-in — a first-order utilization model
-//! (idle + utilization × dynamic range) per device, integrated over
-//! simulated time by an [`energy::EnergyMeter`].
+//! (idle + utilization × dynamic range) per device, which a deployment
+//! evaluates at each stage's measured utilization after a run.
 //!
 //! It also carries the rest of a system's cost inventory — rack units,
 //! die area, memory, bill of materials — so any of the Table 1 metrics
@@ -27,11 +27,9 @@
 )]
 
 pub mod devices;
-pub mod energy;
 pub mod inventory;
 pub mod model;
 
 pub use devices::DeviceSpec;
-pub use energy::EnergyMeter;
 pub use inventory::{CostVector, SystemInventory};
 pub use model::LinearPower;

@@ -790,25 +790,6 @@ impl Engine {
         let stream = workload.stream();
         self.run_stubs(stream, workload.flows, workload.seed, duration_ns, warmup_ns)
     }
-
-    /// Replays a recorded or imported [`apples_workload::Trace`] instead
-    /// of a generator.
-    /// Payload synthesis (when enabled) derives from `payload_seed`.
-    pub fn run_trace(
-        &mut self,
-        trace: &apples_workload::Trace,
-        payload_seed: u64,
-        duration_ns: u64,
-        warmup_ns: u64,
-    ) -> RunResult {
-        self.run_stubs(
-            trace.packets().iter().copied(),
-            trace.flows(),
-            payload_seed,
-            duration_ns,
-            warmup_ns,
-        )
-    }
 }
 
 /// Handles one arrival at `stage`: start service, enqueue, or drop.
@@ -1554,17 +1535,16 @@ mod tests {
         // for the old behavior of re-arming the timer from the *flush*
         // time, which overcharged remainder packets by however long the
         // previous batch took.
-        use apples_workload::Trace;
         const TIMEOUT: u64 = 50_000;
         const KERNEL: u64 = 10_000;
         // Exactly 9 packets, 100 ns apart (t = 100 .. 900), then silence:
         // batch 1 = packets 1-4 (size trigger), batch 2 = packets 5-8
         // (size trigger on BatchDone), packet 9 = a timer flush.
         let wl = WorkloadSpec::cbr(10e6, 64, 1, 1);
-        let trace = Trace::record(&wl, 1_000);
-        assert_eq!(trace.packets().len(), 9);
+        let stubs = wl.packets_for(1_000);
+        assert_eq!(stubs.len(), 9);
         let mut engine = Engine::new(vec![batch_stage(4, TIMEOUT, KERNEL)]);
-        let r = engine.run_trace(&trace, 0, 5_000_000, 0);
+        let r = engine.run_stubs(stubs.into_iter(), wl.flows, 0, 5_000_000, 0);
         assert_eq!(r.sink.delivered_packets(), 9);
         // Packet 9 enqueues at t=900 while batch 2 is in flight; its
         // timer must run from t=900, so its latency is timeout + kernel
@@ -1658,36 +1638,6 @@ mod tests {
         let accounted = r.sink.delivered_packets()
             + r.stages.iter().map(|s| s.queue_drops + s.policy_drops + s.in_flight).sum::<u64>();
         assert_eq!(accounted, r.injected);
-    }
-
-    #[test]
-    fn trace_replay_matches_the_generator_bit_for_bit() {
-        use apples_workload::Trace;
-        let wl = WorkloadSpec::cbr(2e6, 700, 16, 9);
-        let trace = Trace::record(&wl, 5_000_000);
-
-        let mut live = Engine::new(vec![forwarding_stage(2)]);
-        let a = live.run(&wl, 5_000_000, 500_000);
-
-        let mut replay = Engine::new(vec![forwarding_stage(2)]);
-        let b = replay.run_trace(&trace, wl.seed, 5_000_000, 500_000);
-
-        assert_eq!(a.sink.delivered_packets(), b.sink.delivered_packets());
-        assert_eq!(a.sink.latency().quantile(0.99), b.sink.latency().quantile(0.99));
-        assert_eq!(a.stages[0].served, b.stages[0].served);
-        assert_eq!(a.injected, b.injected);
-    }
-
-    #[test]
-    fn csv_imported_trace_drives_the_engine() {
-        use apples_workload::Trace;
-        let wl = WorkloadSpec::cbr(1e6, 400, 4, 3);
-        let csv = Trace::record(&wl, 2_000_000).to_csv();
-        let imported = Trace::from_csv(&csv).expect("parses");
-        let mut engine = Engine::new(vec![forwarding_stage(1)]);
-        let r = engine.run_trace(&imported, 0, 2_000_000, 0);
-        assert!(r.sink.delivered_packets() > 1900, "{}", r.sink.delivered_packets());
-        assert!(r.stages[0].conserves_packets());
     }
 
     #[test]

@@ -36,8 +36,6 @@ fn unit_f64(h: u64) -> f64 {
 const DROP_SALT: u64 = 0x9e37_79b9_7f4a_7c15;
 /// Salt for the corruption decision stream.
 const CORRUPT_SALT: u64 = 0xc2b2_ae3d_27d4_eb4f;
-/// Salt for retry-failure decision streams (used by `service::RetryService`).
-pub(crate) const RETRY_SALT: u64 = 0x1656_67b1_9e37_79f9;
 
 /// A transient slowdown: the device periodically degrades, multiplying
 /// every service time by `factor` for `duration_ns`.
@@ -300,16 +298,6 @@ impl FaultPlan {
     }
 }
 
-/// Stateless retry-failure decision shared by `service::RetryService`:
-/// does attempt `attempt` on packet `pkt_id` fail transiently? Keyed by
-/// its own salt so it never correlates with drop/corrupt decisions.
-#[inline]
-pub(crate) fn attempt_fails(seed: u64, pkt_id: u64, attempt: u32, p: f64) -> bool {
-    p > 0.0
-        && unit_f64(mix64(seed ^ mix64(pkt_id ^ ((attempt as u64) << 48)).wrapping_add(RETRY_SALT)))
-            < p
-}
-
 /// Exponential sample with the given mean, floored at 1 ns so windows
 /// always make progress.
 fn sample_exp(mean_ns: u64, rng: &mut Rng) -> u64 {
@@ -440,24 +428,6 @@ mod tests {
     fn severity_zero_is_none() {
         assert!(FaultSpec::at_severity(0.0).is_none());
         assert!(FaultPlan::derive(1, &FaultSpec::at_severity(0.0), 4, 1_000_000_000).is_none());
-    }
-
-    #[test]
-    fn retry_decisions_vary_by_attempt() {
-        let n = 50_000u64;
-        let p = 0.3;
-        let first = (0..n).filter(|&id| attempt_fails(11, id, 0, p)).count();
-        let second = (0..n).filter(|&id| attempt_fails(11, id, 1, p)).count();
-        let rate0 = first as f64 / n as f64;
-        let rate1 = second as f64 / n as f64;
-        assert!((rate0 - p).abs() < 0.02);
-        assert!((rate1 - p).abs() < 0.02);
-        // The two attempt streams must not be identical.
-        let agree = (0..n)
-            .filter(|&id| attempt_fails(11, id, 0, p) == attempt_fails(11, id, 1, p))
-            .count() as f64
-            / n as f64;
-        assert!(agree < 0.9, "attempt streams look identical (agreement {agree})");
     }
 
     #[test]

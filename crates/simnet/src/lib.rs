@@ -17,9 +17,9 @@
 //!   offload, line-rate programmable-switch pipelines, and serializing
 //!   links;
 //! - [`nf`] implements the network functions themselves (ACL firewall,
-//!   NAT, DPI with Aho–Corasick, a rendezvous-hash load balancer, and a
-//!   count–min-sketch flow monitor), each with a cycle-cost model that
-//!   determines its simulated service time;
+//!   NAT, DPI with Aho–Corasick, and a count–min-sketch flow monitor),
+//!   each with a cycle-cost model that determines its simulated service
+//!   time;
 //! - [`stats`] collects throughput, loss, a log-linear latency histogram,
 //!   and per-flow byte counts (for Jain's index);
 //! - [`system`] assembles named deployments (CPU-only host, SmartNIC

@@ -100,7 +100,7 @@ struct FirstMatch {
 /// The result of a scan is a pure function of the rule list, the
 /// default action and the 5-tuple, and `process` keeps no other state.
 /// So the firewall keeps the last result per flow in a direct-mapped
-/// memo of [`MEMO_SLOTS`] slots (slot `flow % MEMO_SLOTS`), and a hit
+/// memo of `MEMO_SLOTS` slots (slot `flow % MEMO_SLOTS`), and a hit
 /// requires the stored tuple to equal the packet's. A hit returns the
 /// action and the cycles of the scan it stands for; a slot collision,
 /// or one flow number carrying several tuples, costs only a rescan.

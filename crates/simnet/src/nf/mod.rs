@@ -9,11 +9,8 @@
 
 pub mod dpi;
 pub mod firewall;
-pub mod lb;
 pub mod monitor;
 pub mod nat;
-pub mod policer;
-pub mod router;
 
 use crate::packet::Packet;
 

@@ -12,8 +12,7 @@
 //! - [`LineRate`]: a link or serializer whose service time is purely the
 //!   packet's wire size over the rate.
 
-use crate::fault::attempt_fails;
-use crate::nf::{FailMode, NfChain, NfVerdict};
+use crate::nf::{NfChain, NfVerdict};
 use crate::packet::Packet;
 
 /// How a stage spends time on (and decides the fate of) a packet.
@@ -140,100 +139,6 @@ impl ServiceModel for LineRate {
     }
 }
 
-/// Retry/timeout/backoff behaviour for a transiently failing device.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RetryPolicy {
-    /// Attempts per packet (first try included). Must be ≥ 1.
-    pub max_attempts: u32,
-    /// Probability an attempt fails transiently (device hiccup, lost
-    /// completion). Decided by a per-`(seed, packet, attempt)` hash —
-    /// stateless and schedule-independent.
-    pub fail_prob: f64,
-    /// Time charged waiting for a failed attempt to time out, ns.
-    pub timeout_ns: u64,
-    /// Base backoff before re-issuing; doubles per retry (exponential).
-    pub backoff_ns: u64,
-}
-
-impl RetryPolicy {
-    /// Creates a policy; panics on degenerate parameters.
-    pub fn new(max_attempts: u32, fail_prob: f64, timeout_ns: u64, backoff_ns: u64) -> Self {
-        assert!(max_attempts >= 1, "need at least one attempt");
-        assert!((0.0..=1.0).contains(&fail_prob), "probability in [0,1]");
-        RetryPolicy { max_attempts, fail_prob, timeout_ns, backoff_ns }
-    }
-}
-
-/// Wraps any [`ServiceModel`] with retry semantics: each attempt can
-/// fail transiently, charging the timeout plus an exponentially growing
-/// backoff; exhausting all attempts resolves by [`FailMode`] (open =
-/// deliver the inner verdict anyway, closed = drop).
-///
-/// The inner model's NF chain runs exactly once per packet — retries
-/// model *device-level* transport flakiness, not repeated NF execution,
-/// so stateful NFs (NAT tables, DPI alert counters) see each packet
-/// once regardless of how many attempts its delivery took.
-pub struct RetryService {
-    inner: Box<dyn ServiceModel>,
-    policy: RetryPolicy,
-    seed: u64,
-    fail_mode: FailMode,
-    retries: u64,
-    gave_up: u64,
-}
-
-impl RetryService {
-    /// Wraps `inner`. `seed` keys the per-packet failure decisions so a
-    /// run is replayable from `(seed, policy)` alone.
-    pub fn new(inner: Box<dyn ServiceModel>, policy: RetryPolicy, seed: u64) -> Self {
-        RetryService { inner, policy, seed, fail_mode: FailMode::Open, retries: 0, gave_up: 0 }
-    }
-
-    /// What happens when every attempt fails: open delivers the inner
-    /// verdict (degraded but alive), closed drops the packet.
-    pub fn with_fail_mode(mut self, mode: FailMode) -> Self {
-        self.fail_mode = mode;
-        self
-    }
-
-    /// Retries performed so far (attempts beyond each packet's first).
-    pub fn retries(&self) -> u64 {
-        self.retries
-    }
-
-    /// Packets whose attempts were exhausted.
-    pub fn gave_up(&self) -> u64 {
-        self.gave_up
-    }
-}
-
-impl ServiceModel for RetryService {
-    fn name(&self) -> &'static str {
-        self.inner.name()
-    }
-
-    fn serve(&mut self, pkt: &Packet) -> (NfVerdict, u64) {
-        let (verdict, inner_ns) = self.inner.serve(pkt);
-        let mut total_ns = inner_ns;
-        for attempt in 0..self.policy.max_attempts {
-            if !attempt_fails(self.seed, pkt.id, attempt, self.policy.fail_prob) {
-                return (verdict, total_ns);
-            }
-            // Failed attempt: wait out the timeout, back off, retry.
-            let backoff = self.policy.backoff_ns.saturating_mul(1u64 << attempt.min(20));
-            total_ns = total_ns.saturating_add(self.policy.timeout_ns).saturating_add(backoff);
-            if attempt + 1 < self.policy.max_attempts {
-                self.retries += 1;
-            }
-        }
-        self.gave_up += 1;
-        match self.fail_mode {
-            FailMode::Open => (verdict, total_ns),
-            FailMode::Closed => (NfVerdict::Drop, total_ns),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -314,96 +219,5 @@ mod tests {
     #[should_panic(expected = "positive")]
     fn zero_clock_rejected() {
         let _ = NfService::new("bad", NfChain::empty(), 0.0, 0);
-    }
-
-    #[test]
-    fn retry_never_fails_at_zero_probability() {
-        let mut plain = NfService::host_core(NfChain::empty());
-        let mut wrapped = RetryService::new(
-            Box::new(NfService::host_core(NfChain::empty())),
-            RetryPolicy::new(3, 0.0, 10_000, 1_000),
-            42,
-        );
-        for i in 0..200u64 {
-            let mut p = pkt(200);
-            p.id = i;
-            assert_eq!(plain.serve(&p), wrapped.serve(&p));
-        }
-        assert_eq!(wrapped.retries(), 0);
-        assert_eq!(wrapped.gave_up(), 0);
-    }
-
-    #[test]
-    fn retry_charges_timeout_and_backoff() {
-        // fail_prob = 1: every attempt fails, so each packet pays the
-        // full ladder: 3 * timeout + backoff * (1 + 2 + 4).
-        let mut svc = RetryService::new(
-            Box::new(FixedTime::new("fixed", NfChain::empty(), 100)),
-            RetryPolicy::new(3, 1.0, 10_000, 1_000),
-            42,
-        );
-        let (v, ns) = svc.serve(&pkt(64));
-        assert_eq!(v, NfVerdict::Forward, "fail-open default delivers the inner verdict");
-        assert_eq!(ns, 100 + 3 * 10_000 + 1_000 + 2_000 + 4_000);
-        assert_eq!(svc.gave_up(), 1);
-        assert_eq!(svc.retries(), 2);
-    }
-
-    #[test]
-    fn retry_fail_closed_drops_on_exhaustion() {
-        let mut svc = RetryService::new(
-            Box::new(FixedTime::new("fixed", NfChain::empty(), 100)),
-            RetryPolicy::new(2, 1.0, 5_000, 500),
-            7,
-        )
-        .with_fail_mode(crate::nf::FailMode::Closed);
-        let (v, _) = svc.serve(&pkt(64));
-        assert_eq!(v, NfVerdict::Drop);
-    }
-
-    #[test]
-    fn retry_decisions_are_replayable_and_rate_tracks_probability() {
-        let run = || {
-            let mut svc = RetryService::new(
-                Box::new(FixedTime::new("fixed", NfChain::empty(), 100)),
-                RetryPolicy::new(4, 0.2, 10_000, 1_000),
-                99,
-            );
-            let times: Vec<u64> = (0..5_000u64)
-                .map(|i| {
-                    let mut p = pkt(64);
-                    p.id = i;
-                    svc.serve(&p).1
-                })
-                .collect();
-            (times, svc.retries(), svc.gave_up())
-        };
-        let (a, retries, gave_up) = run();
-        let (b, _, _) = run();
-        assert_eq!(a, b, "same (seed, policy) must replay identically");
-        let flaky = a.iter().filter(|&&ns| ns > 100).count() as f64 / a.len() as f64;
-        assert!((flaky - 0.2).abs() < 0.03, "first-attempt failure rate {flaky} far from 0.2");
-        assert!(retries > 0);
-        // P(4 consecutive failures) = 0.2^4 = 0.16%: a handful of 5000.
-        assert!(gave_up < 25, "gave up {gave_up}");
-    }
-
-    #[test]
-    fn retry_runs_stateful_chain_once_per_packet() {
-        use crate::nf::nat::Nat;
-        let nat = Nat::new(0x01010101, 64);
-        let mut svc = RetryService::new(
-            Box::new(NfService::host_core(NfChain::new(vec![Box::new(nat)]))),
-            RetryPolicy::new(3, 1.0, 1_000, 100),
-            13,
-        );
-        // Same flow twice: the second serve must be a table *hit* even
-        // though every delivery attempt failed — the chain ran once per
-        // packet, not once per attempt.
-        let (_, first) = svc.serve(&pkt(64));
-        let (_, second) = svc.serve(&pkt(64));
-        // Miss path costs more cycles than the hit path; both carry the
-        // same retry penalty, so the second packet is strictly cheaper.
-        assert!(second < first, "hit {second} should undercut miss {first}");
     }
 }

@@ -28,7 +28,7 @@ pub struct FiveTuple {
 
 impl FiveTuple {
     /// A stable non-cryptographic hash of the tuple (FNV-1a), used by
-    /// load balancers and sketches.
+    /// ECMP and RSS steering and by sketches.
     pub fn hash64(&self) -> u64 {
         let mut h: u64 = 0xcbf29ce484222325;
         let mut mix = |b: u8| {

@@ -17,10 +17,7 @@
 //! - [`flows::FlowPopulation`]: Zipf-popular flows over synthetic
 //!   5-tuples;
 //! - [`spec::WorkloadSpec`]: the combination, iterated as a stream of
-//!   [`spec::PacketStub`]s;
-//! - [`trace::Trace`]: materialized packet sequences with CSV
-//!   import/export, for shipping exact workloads alongside results and
-//!   replaying external traces.
+//!   [`spec::PacketStub`]s.
 
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 #![cfg_attr(
@@ -35,10 +32,8 @@ pub mod arrivals;
 pub mod flows;
 pub mod sizes;
 pub mod spec;
-pub mod trace;
 
 pub use arrivals::ArrivalProcess;
 pub use flows::{FiveTuple, FlowPopulation};
 pub use sizes::PacketSizeDist;
 pub use spec::{PacketStub, WorkloadSpec};
-pub use trace::Trace;

@@ -17,6 +17,11 @@ echo "== clippy =="
 cargo clippy --workspace --all-targets --offline -- -D warnings
 cargo clippy --offline --manifest-path perfbench/Cargo.toml --all-targets -- -D warnings
 
+echo "== docs =="
+# Rustdoc with warnings denied: a doc link to a deleted or private item
+# fails here instead of rendering as dead text.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
+
 echo "== tier-1: release build =="
 cargo build --release --offline
 

@@ -17,10 +17,9 @@
 //!   Pareto frontiers, and evaluation reports.
 //! - [`simnet`]: the discrete-event packet-processing simulator with
 //!   heterogeneous device models (CPU, SmartNIC, programmable switch)
-//!   and network functions (ACL firewall, NAT, DPI, load balancer, flow
-//!   monitor).
-//! - [`power`]: utilization-driven power models, energy metering, and
-//!   full cost inventories.
+//!   and network functions (ACL firewall, NAT, DPI, flow monitor).
+//! - [`power`]: utilization-driven power models and full cost
+//!   inventories.
 //! - [`workload`]: seeded packet workloads (RFC 2544 sizes, IMIX,
 //!   Poisson/bursty arrivals, Zipf flows).
 //!

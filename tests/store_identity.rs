@@ -164,7 +164,8 @@ fn regenerated_golden_fixture_invalidates_the_cached_report() {
 /// After a fixture regen and the run that re-keys it, `xp gc` removes
 /// exactly the regenerated experiment's pre-regen artifacts (its run,
 /// report and figures), keeps every current entry, and leaves the next
-/// run 100% hits.
+/// run 100% hits. Pointed at a missing golden directory first, it
+/// fails and removes nothing.
 #[test]
 fn gc_after_a_fixture_regen_removes_exactly_the_stale_artifacts() {
     let victim = "ex42";
@@ -178,6 +179,10 @@ fn gc_after_a_fixture_regen_removes_exactly_the_stale_artifacts() {
     let mut want = vec![format!("run/{victim}@{stale}"), format!("report/{victim}@{stale}")];
     want.extend(tables_for(victim).iter().map(|t| format!("figure/{victim}:{t}@{stale}")));
     want.sort();
+
+    let missing = o.golden_dir.join("missing");
+    let err = run_gc(&o.store_root, &missing).expect_err("gc without fixtures must fail");
+    assert!(err.contains(&missing.display().to_string()), "error must name the dir: {err}");
 
     let report = run_gc(&o.store_root, &o.golden_dir).expect("gc");
     assert_eq!(report.removed, want, "gc must reap exactly the pre-regen artifacts");
