@@ -1,6 +1,7 @@
-//! Per-stage telemetry experiment: the observability layer's counters
-//! and latency/queue-depth distributions for the worked-example
-//! contenders, clean and under moderate faults.
+//! Per-stage telemetry experiment: each stage's counts (from the
+//! engine's stage reports) beside the observability layer's fault-action
+//! counts and wait/service/queue-depth distributions, for the
+//! worked-example contenders, clean and under moderate faults.
 //!
 //! Where the other experiments report each system as one operating
 //! point, this one opens the box: which stage does the work, where
@@ -61,22 +62,22 @@ pub fn run() -> ExperimentReport {
                 &ObsConfig::telemetry_only(),
             );
             let Some(tel) = obs.telemetry.as_ref() else { continue };
-            for (i, st) in tel.stages.iter().enumerate() {
-                let name =
-                    m.stages.get(i).map_or_else(|| format!("stage{i}"), |s| s.name.to_owned());
+            // Counts from the engine's stage reports, distributions
+            // from telemetry; both are index-aligned.
+            for (st, t) in m.stages.iter().zip(&tel.stages) {
                 csv.row([
                     cond.to_owned(),
                     label.to_owned(),
-                    name,
+                    st.name.to_owned(),
                     format!("{}", st.arrivals),
                     format!("{}", st.served),
                     format!("{}", st.drops()),
-                    format!("{}", st.fault_events),
-                    format!("{}", st.peak_depth),
-                    format!("{}", st.wait_ns.quantile(0.50)),
-                    format!("{}", st.wait_ns.quantile(0.99)),
-                    format!("{}", st.service_ns.quantile(0.50)),
-                    format!("{}", st.service_ns.quantile(0.99)),
+                    format!("{}", t.fault_events),
+                    format!("{}", t.depth.max()),
+                    format!("{}", t.wait_ns.quantile(0.50)),
+                    format!("{}", t.wait_ns.quantile(0.99)),
+                    format!("{}", t.service_ns.quantile(0.50)),
+                    format!("{}", t.service_ns.quantile(0.99)),
                 ]);
             }
             if cond == "moderate" {
@@ -91,7 +92,7 @@ pub fn run() -> ExperimentReport {
                 r.measured_line(format!(
                     "{label} at moderate faults: busiest stage {busiest}, deepest queue \
                      {deepest}, {} fault-layer drops",
-                    tel.stages.iter().map(|s| s.fault_drops).sum::<u64>(),
+                    m.stages.iter().map(|s| s.fault_drops).sum::<u64>(),
                 ));
             }
         }

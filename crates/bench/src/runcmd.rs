@@ -95,40 +95,38 @@ fn summarize(
         "  throughput: {:.3} Gbps delivered\n",
         to_gbps(measurement.throughput_bps)
     ));
-    let name_of = |i: usize| names.get(i).cloned().unwrap_or_else(|| format!("stage{i}"));
     if let Some(tel) = obs.telemetry.as_ref() {
+        // Counts come from the engine's stage reports, distributions
+        // from telemetry; both are index-aligned with `names`.
+        let stages = &measurement.stages;
         if let Some(i) = tel.busiest_stage() {
-            out.push_str(&format!(
-                "  busiest stage: {} ({} served)\n",
-                name_of(i),
-                tel.stages[i].served
-            ));
+            out.push_str(&format!("  busiest stage: {} ({} served)\n", names[i], stages[i].served));
         }
         if let Some(i) = tel.deepest_queue() {
             out.push_str(&format!(
                 "  deepest queue: {} (peak depth {})\n",
-                name_of(i),
-                tel.stages[i].peak_depth
+                names[i],
+                tel.stages[i].depth.max()
             ));
         }
         // Top-N stages by packets served.
-        let mut order: Vec<usize> = (0..tel.stages.len()).collect();
-        order.sort_by_key(|&i| (std::cmp::Reverse(tel.stages[i].served), i));
+        let mut order: Vec<usize> = (0..stages.len()).collect();
+        order.sort_by_key(|&i| (std::cmp::Reverse(stages[i].served), i));
         out.push_str("  top stages by served:\n");
         out.push_str(&format!(
             "    {:<12} {:>10} {:>8} {:>10} {:>12} {:>12}\n",
             "stage", "served", "drops", "peak_depth", "wait_p99_ns", "svc_p99_ns"
         ));
         for &i in order.iter().take(5) {
-            let st = &tel.stages[i];
+            let (st, t) = (&stages[i], &tel.stages[i]);
             out.push_str(&format!(
                 "    {:<12} {:>10} {:>8} {:>10} {:>12} {:>12}\n",
-                name_of(i),
+                names[i],
                 st.served,
                 st.drops(),
-                st.peak_depth,
-                st.wait_ns.quantile(0.99),
-                st.service_ns.quantile(0.99)
+                t.depth.max(),
+                t.wait_ns.quantile(0.99),
+                t.service_ns.quantile(0.99)
             ));
         }
     }

@@ -13,7 +13,7 @@
 //!   ~2x its power (§4.2.1 proposed).
 
 use apples_simnet::fault::FaultSpec;
-use apples_simnet::nf::dpi::{Dpi, MatchPolicy};
+use apples_simnet::nf::dpi::Dpi;
 use apples_simnet::nf::firewall::{synth_rules, Action, BucketedFirewall, Firewall, Rule};
 use apples_simnet::nf::monitor::FlowMonitor;
 use apples_simnet::nf::nat::Nat;
@@ -93,7 +93,7 @@ pub fn full_chain() -> NfChain {
 
 /// A DPI (IPS) chain for payload-heavy scenarios.
 pub fn ips_chain() -> NfChain {
-    NfChain::new(vec![Box::new(Dpi::new(&Dpi::demo_signatures(), MatchPolicy::Block))])
+    NfChain::new(vec![Box::new(Dpi::new(&Dpi::demo_signatures()))])
 }
 
 /// The switch match-action chain: the *subset* of the reference ACL a

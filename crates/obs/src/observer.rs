@@ -1,5 +1,6 @@
 //! The composition layer the engine talks to: one optional observer
-//! that fans hooks out to the tracer, telemetry, and span profiler.
+//! that fans hooks out to the tracer, telemetry, time series, and span
+//! profiler.
 //!
 //! The engine holds `Option<RunObserver>`; with `None` every
 //! instrumentation site is a single branch (the zero-cost-when-off
@@ -7,7 +8,7 @@
 //! each hook updates whichever pieces the [`ObsConfig`] enabled.
 
 use crate::span::{Phase, SpanProfiler, SpanToken};
-use crate::telemetry::Telemetry;
+use crate::telemetry::{StageTelemetry, Telemetry};
 use crate::timeseries::TimeSeries;
 use crate::trace::{TraceDrop, TraceEvent, TraceFault, TraceKind, Tracer};
 use apples_core::json::Json;
@@ -66,7 +67,7 @@ impl ObsConfig {
         }
     }
 
-    /// Telemetry and spans without event tracing.
+    /// Telemetry alone: no event tracing, spans or time series.
     pub fn telemetry_only() -> Self {
         ObsConfig { trace_capacity: 0, telemetry: true, spans: false, timeseries: false }
     }
@@ -128,16 +129,13 @@ impl RunObserver {
     }
 
     #[inline]
-    fn stage_mut(&mut self, stage: usize) -> Option<&mut crate::telemetry::StageTelemetry> {
+    fn stage_mut(&mut self, stage: usize) -> Option<&mut StageTelemetry> {
         self.telemetry.as_mut().and_then(|t| t.stages.get_mut(stage))
     }
 
     /// A packet arrived at `stage`.
     #[inline]
     pub fn on_stage_enter(&mut self, t_ns: u64, seq: u64, stage: usize) {
-        if let Some(s) = self.stage_mut(stage) {
-            s.arrivals += 1;
-        }
         self.emit(t_ns, seq, TraceKind::StageEnter { stage: stage as u32 });
     }
 
@@ -145,12 +143,7 @@ impl RunObserver {
     #[inline]
     pub fn on_enqueue(&mut self, t_ns: u64, seq: u64, stage: usize, depth: usize) {
         if let Some(s) = self.stage_mut(stage) {
-            s.enqueues += 1;
-            s.peak_depth = s.peak_depth.max(depth as u64);
             s.depth.record(depth as u64);
-        }
-        if let Some(ts) = &mut self.timeseries {
-            ts.on_enqueue(t_ns, stage, depth as u64);
         }
         self.emit(t_ns, seq, TraceKind::Enqueue { stage: stage as u32, depth: depth as u32 });
     }
@@ -159,7 +152,6 @@ impl RunObserver {
     #[inline]
     pub fn on_dispatch(&mut self, t_ns: u64, seq: u64, stage: usize, wait_ns: u64) {
         if let Some(s) = self.stage_mut(stage) {
-            s.dispatches += 1;
             s.wait_ns.record(wait_ns);
         }
         if let Some(ts) = &mut self.timeseries {
@@ -179,7 +171,6 @@ impl RunObserver {
         forwarded: bool,
     ) {
         if let Some(s) = self.stage_mut(stage) {
-            s.served += 1;
             s.service_ns.record(service_ns);
         }
         self.emit(t_ns, seq, TraceKind::StageExit { stage: stage as u32, service_ns, forwarded });
@@ -188,16 +179,6 @@ impl RunObserver {
     /// A packet was dropped at `stage`.
     #[inline]
     pub fn on_drop(&mut self, t_ns: u64, seq: u64, stage: usize, reason: TraceDrop) {
-        if let Some(s) = self.stage_mut(stage) {
-            match reason {
-                TraceDrop::QueueFull => s.queue_drops += 1,
-                TraceDrop::Policy => s.policy_drops += 1,
-                TraceDrop::Fault => s.fault_drops += 1,
-            }
-        }
-        if let Some(ts) = &mut self.timeseries {
-            ts.on_drop(t_ns);
-        }
         self.emit(t_ns, seq, TraceKind::Drop { stage: stage as u32, reason });
     }
 
@@ -207,21 +188,7 @@ impl RunObserver {
         if let Some(s) = self.stage_mut(stage) {
             s.fault_events += 1;
         }
-        if let Some(ts) = &mut self.timeseries {
-            ts.on_fault(t_ns);
-        }
         self.emit(t_ns, seq, TraceKind::Fault { stage: stage as u32, fault });
-    }
-
-    /// Gauge sample for the time series: `live` in-flight events and
-    /// `sched_len` events resident in the scheduler at sim time `t_ns`.
-    /// The engine calls this once per drained bucket; a no-op unless
-    /// the time series is on.
-    #[inline]
-    pub fn on_tick(&mut self, t_ns: u64, live: u64, sched_len: u64) {
-        if let Some(ts) = &mut self.timeseries {
-            ts.on_tick(t_ns, live, sched_len);
-        }
     }
 
     /// Opens a profiling span (no-op token when spans are off).
@@ -235,9 +202,9 @@ impl RunObserver {
 
     /// Closes a profiling span.
     #[inline]
-    pub fn span_end(&mut self, phase: Phase, token: SpanToken, sim_ns: u64) {
+    pub fn span_end(&mut self, phase: Phase, token: SpanToken) {
         if let Some(p) = &mut self.spans {
-            p.end(phase, token, sim_ns);
+            p.end(phase, token);
         }
     }
 }
@@ -271,12 +238,10 @@ mod tests {
         obs.on_fault(400, 5, 1, TraceFault::DeviceDown);
         let tel = obs.telemetry.as_ref().unwrap();
         let s0 = &tel.stages[0];
-        assert_eq!((s0.arrivals, s0.enqueues, s0.dispatches, s0.served), (1, 1, 1, 1));
-        assert_eq!(s0.peak_depth, 3);
-        assert_eq!(s0.wait_ns.count(), 1);
-        let s1 = &tel.stages[1];
-        assert_eq!((s1.queue_drops, s1.fault_events), (1, 1));
-        assert_eq!(s1.drops(), 1);
+        assert_eq!((s0.depth.count(), s0.wait_ns.count(), s0.service_ns.count()), (1, 1, 1));
+        assert_eq!((s0.depth.max(), s0.wait_ns.max(), s0.service_ns.max()), (3, 50, 100));
+        assert_eq!(s0.fault_events, 0);
+        assert_eq!(tel.stages[1], StageTelemetry { fault_events: 1, ..Default::default() });
         assert_eq!(obs.tracer.as_ref().unwrap().emitted(), 6);
     }
 
@@ -284,16 +249,17 @@ mod tests {
     fn out_of_range_stage_is_ignored_by_telemetry_not_trace() {
         let mut obs = RunObserver::new(&ObsConfig::full());
         obs.ensure_stages(1);
-        obs.on_drop(10, 1, 9, TraceDrop::Policy);
-        assert_eq!(obs.telemetry.as_ref().unwrap().stages[0].drops(), 0);
-        assert_eq!(obs.tracer.as_ref().unwrap().emitted(), 1);
+        obs.on_enqueue(10, 1, 9, 4);
+        obs.on_fault(20, 2, 9, TraceFault::DeviceDown);
+        assert_eq!(obs.telemetry.as_ref().unwrap().stages, vec![StageTelemetry::default()]);
+        assert_eq!(obs.tracer.as_ref().unwrap().emitted(), 2);
     }
 
     #[test]
     fn spans_are_noops_when_disabled() {
         let mut obs = RunObserver::new(&ObsConfig::telemetry_only());
         let tok = obs.span_begin(Phase::Dispatch);
-        obs.span_end(Phase::Dispatch, tok, 10);
+        obs.span_end(Phase::Dispatch, tok);
         assert!(obs.spans.is_none());
     }
 }

@@ -1,12 +1,11 @@
 //! Sampled span profiling over engine phases.
 //!
-//! Every span records its sim-time attribution unconditionally (that's
-//! free: the engine already knows how far the clock moved), but reads
-//! the wall clock only once per [`SAMPLE_EVERY`] spans per phase — two
-//! `Instant::now` calls per bucket would dominate a hot loop that
-//! dispatches tens of millions of events per second. Estimated totals
-//! scale the sampled time by the sampling ratio; the bench harness's
-//! overhead gate holds the whole mechanism under 5%.
+//! Every span is counted, but the wall clock is read only once per
+//! [`SAMPLE_EVERY`] spans per phase — two `Instant::now` calls per
+//! bucket would dominate a hot loop that dispatches tens of millions of
+//! events per second. Estimated totals scale the sampled time by the
+//! sampling ratio; the bench harness's overhead gate holds the whole
+//! mechanism under 5%.
 //!
 //! Wall time measured here is *reported only* — it never flows into
 //! simulated results, trace files, or goldens, which is why the one
@@ -61,8 +60,6 @@ pub const SAMPLE_EVERY: u64 = 1024;
 pub struct PhaseProfile {
     /// Spans recorded.
     pub count: u64,
-    /// Sim-time nanoseconds attributed (deterministic).
-    pub sim_ns: u128,
     /// Wall nanoseconds accumulated over the sampled spans only.
     pub sampled_wall_ns: u128,
     /// How many spans were wall-sampled.
@@ -122,12 +119,12 @@ impl SpanProfiler {
         SpanToken { started }
     }
 
-    /// Closes a span, attributing `sim_ns` of simulated time to `phase`.
+    /// Closes a span, adding its wall time to `phase` when it was
+    /// sampled.
     #[inline]
-    pub fn end(&mut self, phase: Phase, token: SpanToken, sim_ns: u64) {
-        let p = &mut self.phases[phase.idx()];
-        p.sim_ns += u128::from(sim_ns);
+    pub fn end(&mut self, phase: Phase, token: SpanToken) {
         if let Some(start) = token.started {
+            let p = &mut self.phases[phase.idx()];
             p.sampled_wall_ns += start.elapsed().as_nanos();
             p.samples += 1;
         }
@@ -177,7 +174,6 @@ impl SpanProfiler {
                 Json::obj()
                     .field("phase", ph.label())
                     .field("spans", p.count)
-                    .field("sim_ns", p.sim_ns as f64)
                     .field("wall_samples", p.samples)
                     .field("est_wall_ms", p.est_wall_ns() / 1e6)
             })
@@ -193,20 +189,18 @@ mod tests {
     #[test]
     fn sampling_cadence_reads_the_clock_sparsely() {
         let mut prof = SpanProfiler::new();
-        for i in 0..(SAMPLE_EVERY * 3) {
+        for _ in 0..(SAMPLE_EVERY * 3) {
             let tok = prof.begin(Phase::Dispatch);
-            prof.end(Phase::Dispatch, tok, i);
+            prof.end(Phase::Dispatch, tok);
         }
         let p = prof.phase(Phase::Dispatch);
         assert_eq!(p.count, SAMPLE_EVERY * 3);
         assert_eq!(p.samples, 3, "one wall sample per {SAMPLE_EVERY} spans");
-        let n = SAMPLE_EVERY * 3;
-        assert_eq!(p.sim_ns, u128::from(n * (n - 1) / 2));
     }
 
     #[test]
     fn estimates_scale_by_the_sampling_ratio() {
-        let p = PhaseProfile { count: 128, sim_ns: 0, sampled_wall_ns: 1000, samples: 2 };
+        let p = PhaseProfile { count: 128, sampled_wall_ns: 1000, samples: 2 };
         assert_eq!(p.est_wall_ns().to_bits(), 64_000.0f64.to_bits());
         assert_eq!(PhaseProfile::default().est_wall_ns().to_bits(), 0.0f64.to_bits());
     }
@@ -215,11 +209,11 @@ mod tests {
     fn folded_output_is_wellformed_and_nests_faults_under_dispatch() {
         let mut prof = SpanProfiler::new();
         prof.phases[Phase::BucketDrain.idx()] =
-            PhaseProfile { count: 10, sim_ns: 0, sampled_wall_ns: 5_000_000, samples: 10 };
+            PhaseProfile { count: 10, sampled_wall_ns: 5_000_000, samples: 10 };
         prof.phases[Phase::Dispatch.idx()] =
-            PhaseProfile { count: 10, sim_ns: 0, sampled_wall_ns: 9_000_000, samples: 10 };
+            PhaseProfile { count: 10, sampled_wall_ns: 9_000_000, samples: 10 };
         prof.phases[Phase::FaultApply.idx()] =
-            PhaseProfile { count: 4, sim_ns: 0, sampled_wall_ns: 2_000_000, samples: 4 };
+            PhaseProfile { count: 4, sampled_wall_ns: 2_000_000, samples: 4 };
         let folded = prof.to_folded("engine");
         let lines: Vec<&str> = folded.lines().collect();
         assert_eq!(
@@ -241,7 +235,7 @@ mod tests {
     fn folded_output_skips_phases_that_never_ran() {
         let mut prof = SpanProfiler::new();
         let tok = prof.begin(Phase::Dispatch);
-        prof.end(Phase::Dispatch, tok, 5);
+        prof.end(Phase::Dispatch, tok);
         let folded = prof.to_folded("engine");
         assert!(!folded.contains("bucket-drain"), "{folded}");
         assert!(!folded.contains("fault-apply"), "{folded}");

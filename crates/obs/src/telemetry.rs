@@ -1,5 +1,11 @@
-//! Per-stage telemetry: deterministic counters plus log-scale
-//! histograms of queue depth, queue wait, and service time.
+//! Per-stage telemetry: log-scale histograms of queue depth, queue
+//! wait, and service time, plus the count of fault-plan actions.
+//!
+//! The engine's `StageReport` already counts a stage's arrivals, served
+//! packets and drops, so telemetry does not count them again. Its
+//! histograms supply the rest exactly: `depth.count()` is the
+//! enqueues, `wait_ns.count()` the dispatches, `service_ns.count()` the
+//! completions, and `depth.max()` the peak queue depth.
 //!
 //! A [`Telemetry`] is pure sim-time state — identical across fusion
 //! modes and harness worker counts.
@@ -7,53 +13,24 @@
 use crate::hist::LogHistogram;
 use apples_core::json::Json;
 
-/// Counters and distributions for one pipeline stage.
+/// Distributions for one pipeline stage.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct StageTelemetry {
-    /// Packets that arrived at the stage.
-    pub arrivals: u64,
-    /// Packets pushed into the stage queue.
-    pub enqueues: u64,
-    /// Packets pulled from the queue into service.
-    pub dispatches: u64,
-    /// Service completions.
-    pub served: u64,
-    /// Drops because the bounded queue was full.
-    pub queue_drops: u64,
-    /// Drops by NF policy (deny verdicts).
-    pub policy_drops: u64,
-    /// Drops by the fault layer.
-    pub fault_drops: u64,
     /// Fault-plan actions applied to this stage.
     pub fault_events: u64,
-    /// Deepest queue depth observed at enqueue time.
-    pub peak_depth: u64,
     /// Queue depth after each enqueue.
     pub depth: LogHistogram,
-    /// Sim-time ns spent queued before service.
+    /// Sim-time ns spent queued before service, one per dispatch.
     pub wait_ns: LogHistogram,
-    /// Sim-time ns of service per completion.
+    /// Sim-time ns of service, one per completion.
     pub service_ns: LogHistogram,
 }
 
 impl StageTelemetry {
-    /// Total drops at this stage, all causes.
-    pub fn drops(&self) -> u64 {
-        self.queue_drops + self.policy_drops + self.fault_drops
-    }
-
     /// Deterministic JSON rendering of this stage's telemetry.
     pub fn to_json(&self) -> Json {
         Json::obj()
-            .field("arrivals", self.arrivals)
-            .field("enqueues", self.enqueues)
-            .field("dispatches", self.dispatches)
-            .field("served", self.served)
-            .field("queue_drops", self.queue_drops)
-            .field("policy_drops", self.policy_drops)
-            .field("fault_drops", self.fault_drops)
             .field("fault_events", self.fault_events)
-            .field("peak_depth", self.peak_depth)
             .field("depth", self.depth.summary_json())
             .field("wait_ns", self.wait_ns.summary_json())
             .field("service_ns", self.service_ns.summary_json())
@@ -87,8 +64,8 @@ impl Telemetry {
         self.stages
             .iter()
             .enumerate()
-            .filter(|(_, s)| s.served > 0)
-            .max_by_key(|(i, s)| (s.served, usize::MAX - i))
+            .filter(|(_, s)| s.service_ns.count() > 0)
+            .max_by_key(|(i, s)| (s.service_ns.count(), usize::MAX - i))
             .map(|(i, _)| i)
     }
 
@@ -97,8 +74,8 @@ impl Telemetry {
         self.stages
             .iter()
             .enumerate()
-            .filter(|(_, s)| s.peak_depth > 0)
-            .max_by_key(|(i, s)| (s.peak_depth, usize::MAX - i))
+            .filter(|(_, s)| s.depth.max() > 0)
+            .max_by_key(|(i, s)| (s.depth.max(), usize::MAX - i))
             .map(|(i, _)| i)
     }
 
@@ -125,12 +102,18 @@ mod tests {
     #[test]
     fn busiest_and_deepest_prefer_lowest_index_on_ties() {
         let mut t = Telemetry::new(3);
-        t.stages[1].served = 4;
-        t.stages[2].served = 4;
-        t.stages[2].peak_depth = 9;
+        for s in [1, 2] {
+            for _ in 0..4 {
+                t.stages[s].service_ns.record(100);
+            }
+        }
+        t.stages[1].depth.record(3);
+        t.stages[2].depth.record(9);
+        t.stages[0].depth.record(9);
         assert_eq!(t.busiest_stage(), Some(1));
-        assert_eq!(t.deepest_queue(), Some(2));
+        assert_eq!(t.deepest_queue(), Some(0));
         assert_eq!(Telemetry::new(2).busiest_stage(), None);
+        assert_eq!(Telemetry::new(2).deepest_queue(), None);
     }
 
     #[test]

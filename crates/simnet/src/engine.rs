@@ -57,8 +57,6 @@ pub enum NextHop {
     /// The next stage in configuration order, or the sink after the
     /// last stage (the default linear pipeline).
     Linear,
-    /// A fixed stage index.
-    Stage(usize),
     /// Straight to the sink.
     Sink,
     /// Per-packet steering (e.g. RSS: hash the flow to one of several
@@ -277,6 +275,11 @@ pub struct StageReport {
 }
 
 impl StageReport {
+    /// Total drops at this stage, all causes.
+    pub fn drops(&self) -> u64 {
+        self.queue_drops + self.policy_drops + self.fault_drops
+    }
+
     /// Packet-conservation check: every arrival is served, dropped at
     /// the queue, lost to a fault, or still in flight at cutoff.
     pub fn conserves_packets(&self) -> bool {
@@ -469,13 +472,6 @@ impl<'p> EventCore<'p> {
     #[inline]
     fn retire(&mut self) {
         self.live -= 1;
-    }
-
-    /// Currently live (scheduled, not yet dispatched) events — the
-    /// time-series gauge the per-bucket tick samples.
-    #[inline]
-    fn live_now(&self) -> usize {
-        self.live
     }
 
     #[inline]
@@ -721,12 +717,8 @@ impl Engine {
     pub fn new(stages: Vec<StageConfig>) -> Self {
         assert!(!stages.is_empty(), "need at least one stage");
         assert!(stages.len() <= MAX_STAGES, "pipelines are capped at {MAX_STAGES} stages");
-        for (i, s) in stages.iter().enumerate() {
+        for s in &stages {
             assert!(s.servers > 0, "stage '{}' needs at least one server", s.name);
-            if let NextHop::Stage(j) = s.next {
-                assert!(j < stages.len(), "stage '{}' forwards to nonexistent stage {j}", s.name);
-                assert_ne!(i, j, "stage '{}' must not forward to itself", s.name);
-            }
         }
         Engine {
             stages: stages.into_iter().map(StageState::from_cfg).collect(),
@@ -914,7 +906,6 @@ fn settle(
                         None
                     }
                 }
-                NextHop::Stage(i) => Some(*i),
                 NextHop::Sink => None,
                 NextHop::Steer(f) => f(&pkt),
             };
@@ -1112,7 +1103,7 @@ fn walk_bucket(
                     }
                 }
                 if let Some(o) = obs.as_mut() {
-                    o.span_end(Phase::FaultApply, fault_tok, 0);
+                    o.span_end(Phase::FaultApply, fault_tok);
                 }
             }
             _ => unreachable!("event tag carries an unknown kind"),
@@ -1200,8 +1191,6 @@ impl Engine {
             .zip(0u64..)
             .map(|(stub, id)| Packet::new(id, stub.flow, stub.tuple, stub.size_bytes, stub.t_ns));
         let mut next_arrival = arrivals.next();
-        // Sim-time of the previous bucket, for span attribution.
-        let mut last_t = 0u64;
 
         loop {
             // Arrivals sort before simulation events at the same time
@@ -1279,16 +1268,10 @@ impl Engine {
                 None => break,
             };
             if let Some(o) = obs.as_mut() {
-                o.span_end(Phase::BucketDrain, drain_tok, t.saturating_sub(last_t));
+                o.span_end(Phase::BucketDrain, drain_tok);
             }
-            last_t = t;
             if t > duration_ns {
                 break;
-            }
-            if let Some(o) = obs.as_mut() {
-                // Per-bucket gauge sample for the time series: live
-                // events and scheduler occupancy at this sim time.
-                o.on_tick(t, core.live_now() as u64, core.events.len() as u64);
             }
             let disp_tok = match obs.as_mut() {
                 Some(o) => o.span_begin(Phase::Dispatch),
@@ -1307,7 +1290,7 @@ impl Engine {
                 &mut obs,
             );
             if let Some(o) = obs.as_mut() {
-                o.span_end(Phase::Dispatch, disp_tok, 0);
+                o.span_end(Phase::Dispatch, disp_tok);
             }
         }
 

@@ -4,7 +4,7 @@
 //! just packet rate) drives the work — this is what makes DPI the
 //! classic candidate for FPGA/SmartNIC offload (cf. Pigasus, the paper's reference 42).
 
-use super::{FailMode, NetworkFunction, NfVerdict};
+use super::{NetworkFunction, NfVerdict};
 use crate::packet::Packet;
 use std::collections::{BTreeMap, VecDeque};
 
@@ -12,15 +12,6 @@ use std::collections::{BTreeMap, VecDeque};
 pub const PER_BYTE_CYCLES: u64 = 4;
 /// Fixed per-packet cycles (setup, verdict bookkeeping).
 pub const BASE_CYCLES: u64 = 300;
-
-/// What to do when a pattern matches.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MatchPolicy {
-    /// Intrusion *prevention*: drop matching packets.
-    Block,
-    /// Intrusion *detection*: count but forward.
-    Alert,
-}
 
 /// Bytes per transition-table row: one column per input byte value.
 const ALPHABET: usize = 256;
@@ -165,36 +156,18 @@ impl AhoCorasick {
     }
 }
 
-/// The DPI network function.
+/// The DPI network function: intrusion prevention, dropping every
+/// packet whose payload matches a signature.
 pub struct Dpi {
     automaton: AhoCorasick,
-    policy: MatchPolicy,
-    alerts: u64,
-    fail_mode: FailMode,
 }
 
 impl Dpi {
-    /// Builds a DPI engine for the given signature set and match policy.
-    /// Fails closed on corrupted packets: a payload that cannot be
+    /// Builds a DPI engine for the given signature set. Fails closed on
+    /// corrupted packets (the trait default): a payload that cannot be
     /// scanned cannot be cleared.
-    pub fn new(patterns: &[&[u8]], policy: MatchPolicy) -> Self {
-        Dpi {
-            automaton: AhoCorasick::build(patterns),
-            policy,
-            alerts: 0,
-            fail_mode: FailMode::Closed,
-        }
-    }
-
-    /// Overrides the degradation policy for corrupted packets.
-    pub fn with_fail_mode(mut self, mode: FailMode) -> Self {
-        self.fail_mode = mode;
-        self
-    }
-
-    /// Total alerts raised so far.
-    pub fn alerts(&self) -> u64 {
-        self.alerts
+    pub fn new(patterns: &[&[u8]]) -> Self {
+        Dpi { automaton: AhoCorasick::build(patterns) }
     }
 
     /// A small representative signature set for experiments.
@@ -216,20 +189,11 @@ impl NetworkFunction for Dpi {
 
     fn process(&mut self, pkt: &Packet) -> (NfVerdict, u64) {
         let cycles = BASE_CYCLES + pkt.payload.len() as u64 * PER_BYTE_CYCLES;
-        let matches = self.automaton.count_matches(&pkt.payload);
-        if matches > 0 {
-            self.alerts += matches;
-            match self.policy {
-                MatchPolicy::Block => (NfVerdict::Drop, cycles),
-                MatchPolicy::Alert => (NfVerdict::Forward, cycles),
-            }
+        if self.automaton.count_matches(&pkt.payload) > 0 {
+            (NfVerdict::Drop, cycles)
         } else {
             (NfVerdict::Forward, cycles)
         }
-    }
-
-    fn fail_mode(&self) -> FailMode {
-        self.fail_mode
     }
 }
 
@@ -287,21 +251,15 @@ mod tests {
     }
 
     #[test]
-    fn block_policy_drops_alert_policy_forwards() {
-        let mut ips = Dpi::new(&[b"EVIL"], MatchPolicy::Block);
+    fn a_signature_match_drops_the_packet() {
+        let mut ips = Dpi::new(&[b"EVIL"]);
         let (v, _) = ips.process(&pkt_with(b"xxEVILxx"));
         assert_eq!(v, NfVerdict::Drop);
-        assert_eq!(ips.alerts(), 1);
-
-        let mut ids = Dpi::new(&[b"EVIL"], MatchPolicy::Alert);
-        let (v, _) = ids.process(&pkt_with(b"xxEVILxx"));
-        assert_eq!(v, NfVerdict::Forward);
-        assert_eq!(ids.alerts(), 1);
     }
 
     #[test]
     fn cycle_cost_scales_with_payload_length() {
-        let mut dpi = Dpi::new(&[b"EVIL"], MatchPolicy::Alert);
+        let mut dpi = Dpi::new(&[b"EVIL"]);
         let (_, c_small) = dpi.process(&pkt_with(&[b'a'; 100]));
         let (_, c_large) = dpi.process(&pkt_with(&[b'a'; 1400]));
         assert_eq!(c_small, BASE_CYCLES + 100 * PER_BYTE_CYCLES);

@@ -14,7 +14,7 @@
 //! a scan only for a flow it has not seen or has lost its memo slot;
 //! the cycles it charges are the modelled scan's either way.
 
-use super::{FailMode, NetworkFunction, NfVerdict};
+use super::{NetworkFunction, NfVerdict};
 use crate::packet::Packet;
 use apples_rng::Rng;
 use apples_workload::FiveTuple;
@@ -109,26 +109,20 @@ struct FirstMatch {
 pub struct Firewall {
     rules: Vec<Rule>,
     default: Action,
-    fail_mode: FailMode,
     memo: Vec<Option<FirstMatch>>,
 }
 
 impl Firewall {
     /// Creates a firewall from an ordered rule list and a default action
     /// for packets matching no rule. Fails closed on corrupted packets
-    /// (a firewall that cannot parse a packet must not pass it).
+    /// (the trait default: a firewall that cannot parse a packet must
+    /// not pass it).
     ///
     /// # Panics
     /// If a rule has a prefix length above 32.
     pub fn new(rules: Vec<Rule>, default: Action) -> Self {
         assert_prefix_lengths(&rules);
-        Firewall { rules, default, fail_mode: FailMode::Closed, memo: vec![None; MEMO_SLOTS] }
-    }
-
-    /// Overrides the degradation policy for corrupted packets.
-    pub fn with_fail_mode(mut self, mode: FailMode) -> Self {
-        self.fail_mode = mode;
-        self
+        Firewall { rules, default, memo: vec![None; MEMO_SLOTS] }
     }
 
     /// Number of rules.
@@ -172,10 +166,6 @@ impl NetworkFunction for Firewall {
         };
         (verdict, BASE_CYCLES + scan_cycles)
     }
-
-    fn fail_mode(&self) -> FailMode {
-        self.fail_mode
-    }
 }
 
 /// Bucket-indexed ACL firewall: rules are grouped by `(proto, dst_port)`
@@ -190,7 +180,6 @@ pub struct BucketedFirewall {
     fallback: Vec<(usize, Rule)>,
     default: Action,
     rules_total: usize,
-    fail_mode: FailMode,
 }
 
 impl BucketedFirewall {
@@ -209,13 +198,7 @@ impl BucketedFirewall {
                 _ => fallback.push((prio, r)),
             }
         }
-        BucketedFirewall { buckets, fallback, default, rules_total, fail_mode: FailMode::Closed }
-    }
-
-    /// Overrides the degradation policy for corrupted packets.
-    pub fn with_fail_mode(mut self, mode: FailMode) -> Self {
-        self.fail_mode = mode;
-        self
+        BucketedFirewall { buckets, fallback, default, rules_total }
     }
 
     /// Total rules compiled.
@@ -274,10 +257,6 @@ impl NetworkFunction for BucketedFirewall {
             Action::Deny => NfVerdict::Drop,
         };
         (verdict, BASE_CYCLES + scan_cycles)
-    }
-
-    fn fail_mode(&self) -> FailMode {
-        self.fail_mode
     }
 }
 

@@ -43,8 +43,8 @@ pub trait NetworkFunction: Send {
     /// Processes one packet, returning the verdict and the cycles spent.
     fn process(&mut self, pkt: &Packet) -> (NfVerdict, u64);
 
-    /// Degradation policy for corrupted packets. Security functions
-    /// default to failing closed; override to fail open.
+    /// Degradation policy for corrupted packets: fail closed unless
+    /// overridden. Each NF type's mode is a constant.
     fn fail_mode(&self) -> FailMode {
         FailMode::Closed
     }
@@ -228,5 +228,30 @@ mod tests {
         p.corrupted = true;
         let (_, c) = chain.run(&p);
         assert_eq!(c, 40, "detection cost only — process() must not run");
+    }
+
+    /// Each real NF's fixed fail mode, one NF at a time. Every
+    /// deployment puts a fail-closed firewall ahead of NAT, so NAT never
+    /// sees a corrupted packet there and no golden pins its mode.
+    #[test]
+    fn nat_forwards_a_corrupted_packet_and_every_other_nf_drops_it() {
+        use super::dpi::Dpi;
+        use super::firewall::{Action, BucketedFirewall, Firewall};
+        use super::monitor::FlowMonitor;
+        use super::nat::Nat;
+        let mut p = pkt();
+        p.corrupted = true;
+        let verdict = |nf: Box<dyn NetworkFunction>| NfChain::new(vec![nf]).run(&p).0;
+        assert_eq!(verdict(Box::new(Nat::new(1, 16))), NfVerdict::Forward);
+        let closed: [Box<dyn NetworkFunction>; 4] = [
+            Box::new(Firewall::new(Vec::new(), Action::Allow)),
+            Box::new(BucketedFirewall::new(Vec::new(), Action::Allow)),
+            Box::new(Dpi::new(&Dpi::demo_signatures())),
+            Box::new(FlowMonitor::new(4, 64, 1_000)),
+        ];
+        for nf in closed {
+            let name = nf.name();
+            assert_eq!(verdict(nf), NfVerdict::Drop, "{name}");
+        }
     }
 }

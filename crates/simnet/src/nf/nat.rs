@@ -37,7 +37,6 @@ pub struct Nat {
     hits: u64,
     misses: u64,
     evictions: u64,
-    fail_mode: FailMode,
 }
 
 impl Nat {
@@ -53,16 +52,7 @@ impl Nat {
             hits: 0,
             misses: 0,
             evictions: 0,
-            // Connectivity function: an untranslatable packet passes
-            // through untranslated rather than blackholing the flow.
-            fail_mode: FailMode::Open,
         }
-    }
-
-    /// Overrides the degradation policy for corrupted packets.
-    pub fn with_fail_mode(mut self, mode: FailMode) -> Self {
-        self.fail_mode = mode;
-        self
     }
 
     /// Current number of tracked flows.
@@ -121,8 +111,10 @@ impl NetworkFunction for Nat {
         }
     }
 
+    /// Connectivity function: an untranslatable packet passes through
+    /// untranslated rather than blackholing the flow.
     fn fail_mode(&self) -> FailMode {
-        self.fail_mode
+        FailMode::Open
     }
 }
 

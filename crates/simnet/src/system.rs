@@ -1136,10 +1136,11 @@ mod tests {
 
     #[test]
     fn fpga_ips_outpaces_host_ips_on_payload_heavy_traffic() {
-        use crate::nf::dpi::{Dpi, MatchPolicy};
+        use crate::nf::dpi::Dpi;
         let ips_chain = || {
-            NfChain::new(vec![Box::new(Dpi::new(&Dpi::demo_signatures(), MatchPolicy::Block))
-                as Box<dyn crate::nf::NetworkFunction>])
+            NfChain::new(vec![
+                Box::new(Dpi::new(&Dpi::demo_signatures())) as Box<dyn crate::nf::NetworkFunction>
+            ])
         };
         let needles: Vec<Vec<u8>> = Dpi::demo_signatures().iter().map(|s| s.to_vec()).collect();
         let wl = WorkloadSpec::cbr(2.5e6, 1500, 32, 5);
@@ -1268,7 +1269,8 @@ mod tests {
         let tracer = obs.tracer.as_ref().unwrap();
         assert!(tracer.emitted() > 0, "a loaded run must emit trace events");
         let tel = obs.telemetry.as_ref().unwrap();
-        assert!(tel.stages[0].arrivals > 0);
+        assert!(tel.stages[0].service_ns.count() > 0);
+        assert_eq!(tel.stages[0].service_ns.count(), plain.stages[0].served);
         assert!(obs.sched.pushes > 0, "scheduler counters must accumulate");
         assert!(obs.spans.as_ref().unwrap().total_spans() > 0);
     }

@@ -19,18 +19,6 @@ pub enum ArrivalProcess {
         /// Mean packet rate, packets per second.
         rate_pps: f64,
     },
-    /// Markov-modulated on/off bursts: `burst_len` packets back-to-back
-    /// at `peak_pps`, then an off period sized so the long-run average
-    /// is `rate_pps`. Models the bursty arrivals that stress queues far
-    /// more than CBR at the same average load.
-    OnOff {
-        /// Long-run average rate, packets per second.
-        rate_pps: f64,
-        /// Rate inside a burst, packets per second (> `rate_pps`).
-        peak_pps: f64,
-        /// Mean packets per burst (geometric).
-        mean_burst: f64,
-    },
     /// A fault-injection perturbation of any base process: periodic
     /// overload windows during which the instantaneous rate multiplies
     /// by `surge`. The windows are deterministic in simulated time
@@ -53,9 +41,7 @@ impl ArrivalProcess {
     /// The process's long-run mean rate in packets per second.
     pub fn mean_rate_pps(&self) -> f64 {
         match self {
-            ArrivalProcess::Cbr { rate_pps }
-            | ArrivalProcess::Poisson { rate_pps }
-            | ArrivalProcess::OnOff { rate_pps, .. } => *rate_pps,
+            ArrivalProcess::Cbr { rate_pps } | ArrivalProcess::Poisson { rate_pps } => *rate_pps,
             ArrivalProcess::OverloadBursts { base, surge, on_ns, period_ns } => {
                 let duty = *on_ns as f64 / (*period_ns).max(1) as f64;
                 base.mean_rate_pps() * (1.0 + (surge - 1.0) * duty)
@@ -73,25 +59,6 @@ impl ArrivalProcess {
             ArrivalProcess::Poisson { rate_pps } => {
                 assert!(*rate_pps > 0.0, "rate must be positive");
                 ArrivalGen::Poisson { mean_gap_ns: 1e9 / rate_pps }
-            }
-            ArrivalProcess::OnOff { rate_pps, peak_pps, mean_burst } => {
-                assert!(*rate_pps > 0.0, "rate must be positive");
-                assert!(
-                    peak_pps > rate_pps,
-                    "peak rate ({peak_pps}) must exceed the average ({rate_pps})"
-                );
-                assert!(*mean_burst >= 1.0, "mean burst length must be >= 1");
-                ArrivalGen::OnOff {
-                    on_gap_ns: 1e9 / peak_pps,
-                    mean_burst: *mean_burst,
-                    // Off time per burst chosen so the mean over a
-                    // burst+gap cycle equals rate_pps:
-                    //   cycle packets = B, cycle time = B/peak + off
-                    //   rate = B / (B/peak + off)
-                    //   off = B (1/rate - 1/peak)
-                    mean_off_ns_per_burst: mean_burst * (1e9 / rate_pps - 1e9 / peak_pps),
-                    left_in_burst: 0,
-                }
             }
             ArrivalProcess::OverloadBursts { base, surge, on_ns, period_ns } => {
                 assert!(*surge >= 1.0, "surge multiplier must be >= 1");
@@ -124,17 +91,6 @@ pub enum ArrivalGen {
         /// Mean gap, nanoseconds.
         mean_gap_ns: f64,
     },
-    /// Geometric bursts at peak rate with exponential off periods.
-    OnOff {
-        /// Gap inside a burst, nanoseconds.
-        on_gap_ns: f64,
-        /// Mean packets per burst.
-        mean_burst: f64,
-        /// Mean off time after each burst, nanoseconds.
-        mean_off_ns_per_burst: f64,
-        /// Packets remaining in the current burst.
-        left_in_burst: u64,
-    },
     /// A base generator whose gaps compress inside periodic windows.
     OverloadBursts {
         /// The unperturbed generator.
@@ -161,22 +117,6 @@ impl ArrivalGen {
                 gap as u64
             }
             ArrivalGen::Poisson { mean_gap_ns } => sample_exp(*mean_gap_ns, rng),
-            ArrivalGen::OnOff { on_gap_ns, mean_burst, mean_off_ns_per_burst, left_in_burst } => {
-                if *left_in_burst == 0 {
-                    // Start a new burst: geometric length with the given
-                    // mean; preceded by an exponential off period.
-                    let p = 1.0 / *mean_burst;
-                    let u: f64 = rng.range_f64(f64::EPSILON, 1.0);
-                    let burst = (u.ln() / (1.0 - p).max(f64::EPSILON).ln()).ceil().max(1.0) as u64;
-                    *left_in_burst = burst;
-                    let off = sample_exp(*mean_off_ns_per_burst, rng);
-                    *left_in_burst -= 1;
-                    off + *on_gap_ns as u64
-                } else {
-                    *left_in_burst -= 1;
-                    *on_gap_ns as u64
-                }
-            }
             ArrivalGen::OverloadBursts { inner, surge, on_ns, period_ns, t_ns } => {
                 let gap = inner.next_gap_ns(rng);
                 // The window the *previous* packet landed in decides the
@@ -230,45 +170,9 @@ mod tests {
     }
 
     #[test]
-    fn onoff_long_run_average_matches() {
-        let p = ArrivalProcess::OnOff { rate_pps: 1e6, peak_pps: 10e6, mean_burst: 32.0 };
-        let r = mean_rate(&p, 400_000);
-        assert!((r - 1e6).abs() / 1e6 < 0.05, "rate {r}");
-    }
-
-    #[test]
-    fn onoff_is_burstier_than_cbr() {
-        // Squared coefficient of variation of gaps: CBR ~ 0, on/off >> 0.
-        let cv2 = |proc_: &ArrivalProcess| {
-            let mut rng = Rng::seed_from_u64(3);
-            let mut g = proc_.generator();
-            let gaps: Vec<f64> = (0..100_000).map(|_| g.next_gap_ns(&mut rng) as f64).collect();
-            let mean = gaps.iter().sum::<f64>() / gaps.len() as f64;
-            let var = gaps.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / gaps.len() as f64;
-            var / (mean * mean)
-        };
-        let cbr = cv2(&ArrivalProcess::Cbr { rate_pps: 1e6 });
-        let bursty =
-            cv2(&ArrivalProcess::OnOff { rate_pps: 1e6, peak_pps: 10e6, mean_burst: 32.0 });
-        assert!(cbr < 0.01, "CBR cv2 {cbr}");
-        assert!(bursty > 1.0, "on/off cv2 {bursty}");
-    }
-
-    #[test]
     fn mean_rate_accessor() {
         assert_eq!(ArrivalProcess::Cbr { rate_pps: 5.0 }.mean_rate_pps(), 5.0);
-        assert_eq!(
-            ArrivalProcess::OnOff { rate_pps: 7.0, peak_pps: 70.0, mean_burst: 4.0 }
-                .mean_rate_pps(),
-            7.0
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "peak rate")]
-    fn onoff_requires_peak_above_average() {
-        let _ =
-            ArrivalProcess::OnOff { rate_pps: 10.0, peak_pps: 5.0, mean_burst: 4.0 }.generator();
+        assert_eq!(ArrivalProcess::Poisson { rate_pps: 7.0 }.mean_rate_pps(), 7.0);
     }
 
     #[test]
@@ -339,11 +243,7 @@ mod tests {
     #[test]
     fn overload_bursts_replay_per_seed() {
         let p = ArrivalProcess::OverloadBursts {
-            base: Box::new(ArrivalProcess::OnOff {
-                rate_pps: 1e6,
-                peak_pps: 10e6,
-                mean_burst: 16.0,
-            }),
+            base: Box::new(ArrivalProcess::Poisson { rate_pps: 1e6 }),
             surge: 3.0,
             on_ns: 200_000,
             period_ns: 700_000,

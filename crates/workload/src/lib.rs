@@ -10,10 +10,10 @@
 //!
 //! Provided building blocks:
 //!
-//! - [`sizes::PacketSizeDist`]: fixed sizes, the RFC 2544 sweep set,
-//!   Simple IMIX, uniform, and empirical mixes;
-//! - [`arrivals::ArrivalProcess`]: constant bit-rate, Poisson, and
-//!   Markov on/off (bursty) arrivals;
+//! - [`sizes::PacketSizeDist`]: fixed sizes (and the RFC 2544 sweep
+//!   set) and Simple IMIX;
+//! - [`arrivals::ArrivalProcess`]: constant bit-rate and Poisson
+//!   arrivals, and periodic overload bursts over either;
 //! - [`flows::FlowPopulation`]: Zipf-popular flows over synthetic
 //!   5-tuples;
 //! - [`spec::WorkloadSpec`]: the combination, iterated as a stream of

@@ -179,7 +179,7 @@ mod tests {
     fn arrival_times_are_monotone() {
         let spec = WorkloadSpec {
             sizes: PacketSizeDist::Fixed(64),
-            arrivals: ArrivalProcess::OnOff { rate_pps: 1e6, peak_pps: 10e6, mean_burst: 16.0 },
+            arrivals: ArrivalProcess::Poisson { rate_pps: 1e6 },
             flows: 4,
             zipf_s: 0.5,
             seed: 3,

@@ -191,10 +191,13 @@ fn observed_and_unobserved_runs_agree_bit_for_bit() {
         assert_eq!(plain.fingerprint(), observed.fingerprint(), "{name}");
         // And the observer actually saw the run.
         assert!(obs.tracer.as_ref().is_some_and(|t| t.emitted() > 0), "{name}");
-        assert!(
-            obs.telemetry.as_ref().is_some_and(|t| t.stages.iter().any(|s| s.arrivals > 0)),
-            "{name}"
-        );
+        // Telemetry's completions are the engine's served counts, stage
+        // for stage: `xp run` ranks stages by the one and prints the other.
+        let tel = obs.telemetry.as_ref().expect("telemetry is on");
+        let completions: Vec<u64> = tel.stages.iter().map(|s| s.service_ns.count()).collect();
+        let served: Vec<u64> = plain.stages.iter().map(|s| s.served).collect();
+        assert!(served.iter().any(|&n| n > 0), "{name}");
+        assert_eq!(completions, served, "{name}");
         assert!(obs.spans.as_ref().is_some_and(|s| s.total_spans() > 0), "{name}");
         assert!(obs.timeseries.as_ref().is_some_and(|ts| ts.total_dispatches() > 0), "{name}");
         assert!(obs.sched.pushes > 0, "{name}");
