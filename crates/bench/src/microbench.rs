@@ -167,8 +167,8 @@ fn engine_scenario(
     let fused_speedup = timing.median_ratio(1);
     let [r, r_unfused] = &timing.outs;
     let identical_to_unfused = r == r_unfused;
-    // SoA memory: the hot slot is what the event queue moves per event;
-    // per-packet events add one cold pool slot touched only at
+    // Event memory: the hot slot is what the event queue moves per
+    // event; each event also holds one cold slab slot, touched only at
     // dispatch. The free-list slab peaks at the live events.
     let slot = (hot_slot_bytes() + cold_slot_bytes()) as f64;
     let json = Json::obj()

@@ -65,12 +65,6 @@ pub fn firewall_chain() -> NfChain {
     NfChain::new(vec![Box::new(Firewall::new(reference_acl(), Action::Deny))])
 }
 
-/// The bucket-compiled variant of the same rules — the "software
-/// optimization on identical hardware" for Figure 1a.
-pub fn bucketed_firewall_chain() -> NfChain {
-    NfChain::new(vec![Box::new(BucketedFirewall::new(reference_acl(), Action::Deny))])
-}
-
 /// The host-side stateful tail used by the offload scenarios: NAT plus
 /// flow monitoring (work that stays on the host when the ACL moves to
 /// an accelerator).

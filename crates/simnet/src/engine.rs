@@ -11,18 +11,14 @@
 //! Time is `u64` nanoseconds. Events are totally ordered by
 //! `(time, sequence)` so runs are exactly reproducible.
 //!
-//! ## Memory discipline and the SoA event layout
+//! ## Memory discipline: one event type in one slab
 //!
-//! The hot path is allocation-free in steady state. Events are split
-//! struct-of-arrays (DESIGN.md §10): the *hot* half is the scheduler
-//! entry itself — `(t_ns, seq, tag)`, 24 bytes, where the tag packs the
-//! event kind, the stage, and a cold-payload index — so the event queue
-//! is cache-line-dense. The *cold* half (the packet in service, its
-//! verdict, batch result buffers) lives in flat per-stage pools and
-//! engine-level slabs touched only at dispatch, reclaimed through free
-//! lists the moment an event fires, so resident memory is O(live
-//! events), not O(total events). Timer and fault events have no cold
-//! half at all: their whole payload fits in the tag.
+//! A scheduled event is two things (DESIGN.md §10): the event queue
+//! entry `(t_ns, seq, slot)`, 24 bytes, which is all the heap moves, and
+//! one `Event` in the run's free-listed slab at index `slot`, touched
+//! only at dispatch. A slot is freed the moment its event fires, so
+//! resident memory is O(live events), not O(total events). Every run
+//! builds its own slab and scratch buffers.
 //!
 //! Zero-latency forwards (a stage settling a packet into the next stage
 //! at the same timestamp) are *fused*: they ride a FIFO straight back
@@ -34,8 +30,8 @@
 //! Workload arrivals are injected lazily from the stub iterator
 //! (arrival times are monotone), so a week-long simulated run holds one
 //! pending arrival at a time instead of the whole packet sequence.
-//! Batch result buffers are pooled and reused across kernel
-//! invocations; all pools persist across runs of a reused engine.
+//! Batch result buffers are pooled and reused across the kernel
+//! invocations of one run.
 
 use crate::fault::{FaultAction, FaultPlan};
 use crate::nf::NfVerdict;
@@ -163,11 +159,6 @@ struct StageState {
     down: bool,
     /// Packets lost to faults at this stage (outage-window arrivals).
     fault_drops: u64,
-    /// Flat pool of cold `Done` payloads for this stage (SoA layout):
-    /// the event tag carries only the pool index. Free-listed, and
-    /// persisted across runs under the pool-reuse contract.
-    pool: Vec<Option<DoneSlot>>,
-    pool_free: Vec<usize>,
 }
 
 impl StageState {
@@ -188,8 +179,6 @@ impl StageState {
             slow_factor: 1.0,
             down: false,
             fault_drops: 0,
-            pool: Vec::new(),
-            pool_free: Vec::new(),
         }
     }
 
@@ -208,47 +197,20 @@ impl StageState {
         self.slow_factor = 1.0;
         self.down = false;
         self.fault_drops = 0;
-        self.pool.clear();
-        self.pool_free.clear();
-    }
-
-    fn pool_insert(&mut self, slot: DoneSlot) -> usize {
-        match self.pool_free.pop() {
-            Some(idx) => {
-                debug_assert!(self.pool[idx].is_none(), "free list hit a live pool slot");
-                self.pool[idx] = Some(slot);
-                idx
-            }
-            None => {
-                self.pool.push(Some(slot));
-                self.pool.len() - 1
-            }
-        }
-    }
-
-    fn pool_take(&mut self, idx: usize) -> DoneSlot {
-        #[expect(
-            clippy::expect_used,
-            reason = "invariant: Done tags are minted by begin_service and consumed exactly once; a vacant slot here is tag corruption"
-        )]
-        let slot = self.pool[idx].take().expect("Done tag referenced a vacant pool slot");
-        self.pool_free.push(idx);
-        slot
     }
 
     /// Starts service on `pkt` at time `t`: payload synthesis (when the
-    /// run has payloads on), one `serve()` call, the cold-pool insert,
-    /// and the Done event push. Shared by arrivals, queue pulls on
-    /// completion, and outage-recovery drains — the caller has already
-    /// bumped `busy`/`in_service_pkts` and emitted its dispatch hook.
+    /// run has payloads on), one `serve()` call, and the Done event
+    /// push. Shared by arrivals, queue pulls on completion, and
+    /// outage-recovery drains — the caller has already bumped
+    /// `busy`/`in_service_pkts` and emitted its dispatch hook.
     #[inline]
     fn begin_service(&mut self, stage: usize, pkt: Packet, t: u64, core: &mut EventCore) {
         let pkt = core.fill_payload(pkt);
         let (verdict, svc_ns) = self.cfg.service.serve(&pkt);
         let svc_ns = scaled(svc_ns, self.slow_factor);
         self.busy_ns += u128::from(svc_ns);
-        let idx = self.pool_insert((pkt, verdict, svc_ns));
-        core.push_done(t + svc_ns, stage, idx);
+        core.push(t + svc_ns, Event::Done { stage, pkt, verdict, svc_ns });
     }
 }
 
@@ -323,84 +285,46 @@ impl<'p> PayloadSynth<'p> {
     }
 }
 
-// ── SoA event layout ────────────────────────────────────────────────
-//
-// A scheduled event is the scheduler entry `(t_ns, seq, tag)` alone.
-// The tag packs everything dispatch needs to find the cold payload:
-//
-//   bits 60..64  event kind (KIND_*)
-//   bits 48..60  stage index (pipelines are capped at MAX_STAGES)
-//   bits  0..48  payload — a pool/slab index, a batch epoch, or a
-//                fault action code, depending on the kind
-//
-// Done events index the owning stage's packet pool; BatchDone events
-// index the engine's batch slab; Arrive events (unfused mode only)
-// index the arrive slab; BatchTimeout and Fault events need no cold
-// storage at all.
+/// One scheduled event's payload, held in [`EventCore`]'s slab at the
+/// index its queue entry `(t_ns, seq, slot)` carries.
+///
+/// The 8-byte tag keeps every variant's fields 8-aligned. With the
+/// default 1-byte tag, taking an event out of the slab copied its fields
+/// in unaligned 16-byte chunks that the next field loads straddled,
+/// which stalled store forwarding: sim-cluster's op time read 8% above
+/// that of the packed-tag layout this slab replaced (DESIGN.md §10).
+#[repr(u64)]
+enum Event {
+    /// A packet finished service at `stage`.
+    Done { stage: usize, pkt: Packet, verdict: NfVerdict, svc_ns: u64 },
+    /// A packet arrives at `stage`: a same-time forward on the unfused
+    /// path.
+    Arrive { stage: usize, pkt: Packet },
+    /// `stage`'s batch formation timer fired; stale unless `epoch` is
+    /// still the stage's current one.
+    BatchTimeout { stage: usize, epoch: u64 },
+    /// A batch kernel finished at `stage`: its results and the batch's
+    /// total service time.
+    BatchDone { stage: usize, results: Vec<(Packet, NfVerdict)>, total_ns: u64 },
+    /// A fault-plan transition.
+    Fault(FaultAction),
+}
 
-const TAG_KIND_SHIFT: u32 = 60;
-const TAG_STAGE_SHIFT: u32 = 48;
-const TAG_STAGE_MASK: u64 = (1 << (TAG_KIND_SHIFT - TAG_STAGE_SHIFT)) - 1;
-const TAG_PAYLOAD_MASK: u64 = (1 << TAG_STAGE_SHIFT) - 1;
-
-/// Largest pipeline the packed event tag can address (12 stage bits).
-pub const MAX_STAGES: usize = 1 << (TAG_KIND_SHIFT - TAG_STAGE_SHIFT);
-
-const KIND_DONE: u64 = 0;
-const KIND_ARRIVE: u64 = 1;
-const KIND_BATCH_TIMEOUT: u64 = 2;
-const KIND_BATCH_DONE: u64 = 3;
-const KIND_FAULT: u64 = 4;
-
-// Size-regression guards: the hot slot must never regrow past a cache
-// line (it is the entire per-event footprint inside the event queue), and
-// the tag packing assumes the scheduler's payload word holds 64 bits.
+// Size-regression guard: the queue entry must never regrow past a cache
+// line (it is the entire per-event footprint inside the event queue).
 const _: () = assert!(std::mem::size_of::<crate::sched::EventKey>() <= 64);
-const _: () = assert!(std::mem::size_of::<usize>() == 8);
 
-#[inline]
-fn pack_tag(kind: u64, stage: usize, payload: usize) -> usize {
-    debug_assert!((stage as u64) <= TAG_STAGE_MASK, "stage exceeds tag width");
-    debug_assert!((payload as u64) <= TAG_PAYLOAD_MASK, "payload exceeds tag width");
-    ((kind << TAG_KIND_SHIFT) | ((stage as u64) << TAG_STAGE_SHIFT) | payload as u64) as usize
-}
-
-#[inline]
-fn tag_kind(tag: usize) -> u64 {
-    tag as u64 >> TAG_KIND_SHIFT
-}
-
-#[inline]
-fn tag_stage(tag: usize) -> usize {
-    ((tag as u64 >> TAG_STAGE_SHIFT) & TAG_STAGE_MASK) as usize
-}
-
-#[inline]
-fn tag_payload(tag: usize) -> usize {
-    (tag as u64 & TAG_PAYLOAD_MASK) as usize
-}
-
-/// Cold payload of a `Done` event: the packet in service, its verdict,
-/// and its (fault-scaled) service time. Lives in the owning stage's
-/// flat pool; the event tag carries only the pool index.
-type DoneSlot = (Packet, NfVerdict, u64);
-
-/// Cold payload of a `BatchDone` event: the completed batch results and
-/// the batch's total service time. Lives in the batch slab; the event
-/// tag carries only the slab index.
-type BatchSlot = (Vec<(Packet, NfVerdict)>, u64);
-
-/// Bytes per *hot* event slot: one scheduler entry `(t_ns, seq, tag)`.
+/// Bytes per *hot* event slot: one event queue entry `(t_ns, seq, slot)`.
 /// This is what the event queue actually moves per event.
 pub fn hot_slot_bytes() -> usize {
     std::mem::size_of::<crate::sched::EventKey>()
 }
 
-/// Bytes per *cold* payload slot: one entry of a stage's packet pool,
-/// touched only at dispatch. (Batch events amortize a larger buffer
-/// over the whole batch; timers and faults have no cold half.)
+/// Bytes per *cold* event slot: one entry of the run's event slab,
+/// touched only at dispatch. (A batch's result buffer is a separate
+/// allocation, amortized over the whole batch.)
 pub fn cold_slot_bytes() -> usize {
-    std::mem::size_of::<Option<DoneSlot>>()
+    std::mem::size_of::<Option<Event>>()
 }
 
 /// A zero-latency forward waiting in the fused-hop FIFO: a packet that
@@ -413,32 +337,48 @@ struct FusedHop {
     pkt: Packet,
 }
 
-/// Hot-path event state threaded through the dispatch helpers: the
-/// scheduler, the seq mint, the live/peak/total accounting the old
-/// event slab kept, the fused-hop FIFO, the engine-level cold slabs of
-/// the SoA layout, and the run's payload synthesis.
+/// One run's event state, threaded through the dispatch helpers: the
+/// scheduler, the seq mint, the live/peak/total accounting, the event
+/// slab, the fused-hop FIFO, the batch result buffers, and the run's
+/// payload synthesis.
 struct EventCore<'p> {
     events: EventScheduler,
     seq: u64,
     live: usize,
     peak_live: usize,
     total: u64,
+    /// Every scheduled event, at the slot its queue entry names;
+    /// `None` marks a free slot, listed in `free`.
+    slab: Vec<Option<Event>>,
+    free: Vec<usize>,
     /// Same-time forwards bypassing the scheduler (fusion on). Always
     /// empty between timestamps: the dispatch walk drains it fully.
     fwd: VecDeque<FusedHop>,
-    /// Arrive payloads (fusion off: every hop re-enqueues through the
-    /// scheduler — the reference path the A/B property tests pin).
-    arrive_slots: Vec<Option<Packet>>,
-    arrive_free: Vec<usize>,
-    /// BatchDone payloads: the result buffer and the batch's total ns.
-    batch_slots: Vec<Option<BatchSlot>>,
-    batch_free: Vec<usize>,
+    /// Drained batch result buffers, reused by the next kernel launch.
+    batch_pool: Vec<Vec<(Packet, NfVerdict)>>,
     fused: bool,
     /// Payload synthesis at service start; `None` on header-only runs.
     payload: Option<PayloadSynth<'p>>,
 }
 
 impl<'p> EventCore<'p> {
+    /// An empty event state for one run.
+    fn new(fused: bool, payload: Option<PayloadSynth<'p>>) -> Self {
+        EventCore {
+            events: EventScheduler::new(),
+            seq: 0,
+            live: 0,
+            peak_live: 0,
+            total: 0,
+            slab: Vec::new(),
+            free: Vec::new(),
+            fwd: VecDeque::new(),
+            batch_pool: Vec::new(),
+            fused,
+            payload,
+        }
+    }
+
     /// Attaches `pkt`'s payload as it enters service, unless the run
     /// has payloads off or the packet already carries one (a hop from
     /// an earlier stage).
@@ -453,9 +393,9 @@ impl<'p> EventCore<'p> {
         }
     }
 
-    /// Mints the next seq, counting the event as live — the accounting
-    /// the old event slab did on insert, kept so `total_events` and
-    /// `peak_live_events` stay bit-identical.
+    /// Mints the next seq, counting the event as live, so
+    /// `total_events` and `peak_live_events` count every event, fused
+    /// hops included.
     #[inline]
     fn mint(&mut self) -> u64 {
         self.live += 1;
@@ -468,59 +408,43 @@ impl<'p> EventCore<'p> {
         seq
     }
 
-    /// Counts a dispatched event (the old slab's take-side accounting).
+    /// Counts a dispatched event.
     #[inline]
     fn retire(&mut self) {
         self.live -= 1;
     }
 
-    #[inline]
-    fn push_done(&mut self, t: u64, stage: usize, pool_idx: usize) {
-        let seq = self.mint();
-        self.events.push(t, seq, pack_tag(KIND_DONE, stage, pool_idx));
-    }
-
-    fn push_batch_timeout(&mut self, t: u64, stage: usize, epoch: u64) {
-        let seq = self.mint();
-        self.events.push(t, seq, pack_tag(KIND_BATCH_TIMEOUT, stage, epoch as usize));
-    }
-
-    fn push_batch_done(
-        &mut self,
-        t: u64,
-        stage: usize,
-        results: Vec<(Packet, NfVerdict)>,
-        total_ns: u64,
-    ) {
-        let idx = match self.batch_free.pop() {
-            Some(idx) => {
-                debug_assert!(self.batch_slots[idx].is_none(), "free list hit a live batch slot");
-                self.batch_slots[idx] = Some((results, total_ns));
-                idx
+    /// Schedules `event` at `t`: stores it in a free slab slot (or a
+    /// new one) and queues `(t, seq, slot)`. Always inlined: called out
+    /// of line, it takes each 96-byte event through the stack, and
+    /// sim-cluster's op time read about 2% higher (DESIGN.md §10).
+    #[inline(always)]
+    fn push(&mut self, t: u64, event: Event) {
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                debug_assert!(self.slab[slot].is_none(), "free list hit a live slab slot");
+                self.slab[slot] = Some(event);
+                slot
             }
             None => {
-                self.batch_slots.push(Some((results, total_ns)));
-                self.batch_slots.len() - 1
+                self.slab.push(Some(event));
+                self.slab.len() - 1
             }
         };
         let seq = self.mint();
-        self.events.push(t, seq, pack_tag(KIND_BATCH_DONE, stage, idx));
+        self.events.push(t, seq, slot);
     }
 
-    fn take_batch(&mut self, idx: usize) -> (Vec<(Packet, NfVerdict)>, u64) {
+    /// Removes the event at `slot` and frees the slot.
+    #[inline]
+    fn take(&mut self, slot: usize) -> Event {
         #[expect(
             clippy::expect_used,
-            reason = "invariant: batch tags are minted by push_batch_done and consumed exactly once; a vacant slot here is tag corruption"
+            reason = "invariant: every queued slot was filled by push and is taken exactly once; a vacant slot here is slab corruption"
         )]
-        let slot = self.batch_slots[idx].take().expect("batch tag referenced a vacant slot");
-        self.batch_free.push(idx);
-        slot
-    }
-
-    fn push_fault(&mut self, t: u64, action: FaultAction) {
-        let (stage, code) = action.encode();
-        let seq = self.mint();
-        self.events.push(t, seq, pack_tag(KIND_FAULT, stage, code));
+        let event = self.slab[slot].take().expect("queue entry referenced a vacant slab slot");
+        self.free.push(slot);
+        event
     }
 
     /// Routes a same-time forward: into the fused-hop FIFO (fusion on),
@@ -532,36 +456,8 @@ impl<'p> EventCore<'p> {
             let seq = self.mint();
             self.fwd.push_back(FusedHop { seq, stage, pkt });
         } else {
-            self.enqueue_arrive(t, stage, pkt);
+            self.push(t, Event::Arrive { stage, pkt });
         }
-    }
-
-    /// Slab-inserts `pkt` and schedules a `KIND_ARRIVE` event at `t`:
-    /// the unfused forward path.
-    fn enqueue_arrive(&mut self, t: u64, stage: usize, pkt: Packet) {
-        let idx = match self.arrive_free.pop() {
-            Some(idx) => {
-                debug_assert!(self.arrive_slots[idx].is_none(), "free list hit a live arrive slot");
-                self.arrive_slots[idx] = Some(pkt);
-                idx
-            }
-            None => {
-                self.arrive_slots.push(Some(pkt));
-                self.arrive_slots.len() - 1
-            }
-        };
-        let seq = self.mint();
-        self.events.push(t, seq, pack_tag(KIND_ARRIVE, stage, idx));
-    }
-
-    fn take_arrive(&mut self, idx: usize) -> Packet {
-        #[expect(
-            clippy::expect_used,
-            reason = "invariant: arrive tags are minted by forward() and consumed exactly once; a vacant slot here is tag corruption"
-        )]
-        let pkt = self.arrive_slots[idx].take().expect("arrive tag referenced a vacant slot");
-        self.arrive_free.push(idx);
-        pkt
     }
 }
 
@@ -571,22 +467,6 @@ pub struct Engine {
     payload: Option<PayloadConfig>,
     /// Fault plan applied to every run; `None` = fault-free.
     fault_plan: Option<FaultPlan>,
-    /// Pooled batch-result buffers, persisted across `run` calls so a
-    /// reused engine's steady state allocates nothing (the old per-run
-    /// pool started empty every run and reallocated from scratch).
-    batch_pool: Vec<Vec<(Packet, NfVerdict)>>,
-    /// Persisted timestamp-bucket buffer for the dispatch loop.
-    bucket_buf: Vec<(u64, u64, usize)>,
-    /// Scratch for same-time scheduler re-drains inside the dispatch
-    /// walk (events minted at the timestamp being processed).
-    redrain_buf: Vec<(u64, u64, usize)>,
-    /// Fused-hop FIFO, persisted across runs (pool-reuse contract).
-    fwd_buf: VecDeque<FusedHop>,
-    /// Cold slabs for Arrive / BatchDone payloads, persisted likewise.
-    arrive_slots: Vec<Option<Packet>>,
-    arrive_free: Vec<usize>,
-    batch_slots: Vec<Option<BatchSlot>>,
-    batch_free: Vec<usize>,
     /// Zero-latency hop fusion (default on). `false` re-enqueues every
     /// hop through the scheduler — the reference path the fused/unfused
     /// property tests compare against, bit for bit.
@@ -655,7 +535,6 @@ fn try_flush_batches(
     t: u64,
     force_partial: bool,
     core: &mut EventCore,
-    batch_pool: &mut Vec<Vec<(Packet, NfVerdict)>>,
     obs: &mut Option<RunObserver>,
 ) {
     let Some(policy) = st.cfg.batch else { return };
@@ -671,7 +550,7 @@ fn try_flush_batches(
     {
         let n = st.queue.len().min(policy.max_batch);
         let mut total_ns = policy.kernel_overhead_ns;
-        let mut results = batch_pool.pop().unwrap_or_default();
+        let mut results = core.batch_pool.pop().unwrap_or_default();
         results.reserve(n);
         for _ in 0..n {
             #[expect(
@@ -693,7 +572,7 @@ fn try_flush_batches(
         st.busy_ns += u128::from(total_ns);
         st.batch_epoch += 1;
         launched = true;
-        core.push_batch_done(t + total_ns, stage, results, total_ns);
+        core.push(t + total_ns, Event::BatchDone { stage, results, total_ns });
     }
     st.batch_flush_pending = force && !st.queue.is_empty() && st.busy >= st.cfg.servers;
     // A launch invalidated the head's timer (epoch bump). If packets
@@ -708,7 +587,7 @@ fn try_flush_batches(
         )]
         let head_enqueued = st.queue.front().expect("checked non-empty").0;
         let deadline = (head_enqueued + policy.timeout_ns).max(t);
-        core.push_batch_timeout(deadline, stage, st.batch_epoch);
+        core.push(deadline, Event::BatchTimeout { stage, epoch: st.batch_epoch });
     }
 }
 
@@ -716,7 +595,6 @@ impl Engine {
     /// Builds an engine from stage configurations (source feeds stage 0).
     pub fn new(stages: Vec<StageConfig>) -> Self {
         assert!(!stages.is_empty(), "need at least one stage");
-        assert!(stages.len() <= MAX_STAGES, "pipelines are capped at {MAX_STAGES} stages");
         for s in &stages {
             assert!(s.servers > 0, "stage '{}' needs at least one server", s.name);
         }
@@ -724,14 +602,6 @@ impl Engine {
             stages: stages.into_iter().map(StageState::from_cfg).collect(),
             payload: None,
             fault_plan: None,
-            batch_pool: Vec::new(),
-            bucket_buf: Vec::new(),
-            redrain_buf: Vec::new(),
-            fwd_buf: VecDeque::new(),
-            arrive_slots: Vec::new(),
-            arrive_free: Vec::new(),
-            batch_slots: Vec::new(),
-            batch_free: Vec::new(),
             fused: true,
             observer: None,
         }
@@ -786,7 +656,7 @@ impl Engine {
 
 /// Handles one arrival at `stage`: start service, enqueue, or drop.
 /// A free function over the stage slice, not an `Engine` method: the
-/// run loop holds the engine's buffers and observer as locals, and
+/// run loop holds the run's event state and the observer as locals, and
 /// passing each one explicitly keeps those borrows disjoint from the
 /// stages.
 #[expect(
@@ -801,7 +671,6 @@ fn arrive(
     warmup_ns: u64,
     sink: &mut SinkStats,
     core: &mut EventCore,
-    batch_pool: &mut Vec<Vec<(Packet, NfVerdict)>>,
     obs: &mut Option<RunObserver>,
 ) {
     let st = &mut stages[stage];
@@ -835,9 +704,9 @@ fn arrive(
                     reason = "invariant: inside the st.cfg.batch.is_some() branch entered a few lines up"
                 )]
                 let timeout = st.cfg.batch.expect("checked").timeout_ns;
-                core.push_batch_timeout(t + timeout, stage, st.batch_epoch);
+                core.push(t + timeout, Event::BatchTimeout { stage, epoch: st.batch_epoch });
             }
-            try_flush_batches(st, stage, t, false, core, batch_pool, obs);
+            try_flush_batches(st, stage, t, false, core, obs);
         } else {
             st.queue_drops += 1;
             if let Some(o) = obs.as_mut() {
@@ -950,7 +819,6 @@ fn walk_bucket(
     redrain: &mut Vec<(u64, u64, usize)>,
     core: &mut EventCore,
     sink: &mut SinkStats,
-    batch_pool: &mut Vec<Vec<(Packet, NfVerdict)>>,
     fault_plan: Option<&FaultPlan>,
     obs: &mut Option<RunObserver>,
 ) {
@@ -979,16 +847,14 @@ fn walk_bucket(
             )]
             let hop = core.fwd.pop_front().expect("checked above");
             core.retire();
-            arrive(stages, hop.stage, hop.pkt, t, warmup_ns, sink, core, batch_pool, obs);
+            arrive(stages, hop.stage, hop.pkt, t, warmup_ns, sink, core, obs);
             continue;
         }
-        let (_, eseq, tag) = bucket[i];
+        let (_, eseq, slot) = bucket[i];
         i += 1;
         core.retire();
-        let stage = tag_stage(tag);
-        match tag_kind(tag) {
-            KIND_DONE => {
-                let (pkt, verdict, svc_ns) = stages[stage].pool_take(tag_payload(tag));
+        match core.take(slot) {
+            Event::Done { stage, pkt, verdict, svc_ns } => {
                 {
                     let st = &mut stages[stage];
                     st.busy -= 1;
@@ -1016,20 +882,17 @@ fn walk_bucket(
                 }
                 settle(stages, stage, pkt, verdict, t, warmup_ns, sink, core, obs);
             }
-            KIND_ARRIVE => {
-                let pkt = core.take_arrive(tag_payload(tag));
-                arrive(stages, stage, pkt, t, warmup_ns, sink, core, batch_pool, obs);
+            Event::Arrive { stage, pkt } => {
+                arrive(stages, stage, pkt, t, warmup_ns, sink, core, obs);
             }
-            KIND_BATCH_TIMEOUT => {
-                let epoch = tag_payload(tag) as u64;
+            Event::BatchTimeout { stage, epoch } => {
                 let st = &mut stages[stage];
                 if st.batch_epoch == epoch && !st.queue.is_empty() {
                     st.batch_flush_pending = true;
-                    try_flush_batches(st, stage, t, true, core, batch_pool, obs);
+                    try_flush_batches(st, stage, t, true, core, obs);
                 }
             }
-            KIND_BATCH_DONE => {
-                let (mut results, total_ns) = core.take_batch(tag_payload(tag));
+            Event::BatchDone { stage, mut results, total_ns } => {
                 {
                     let st = &mut stages[stage];
                     st.busy -= 1;
@@ -1051,15 +914,14 @@ fn walk_bucket(
                             );
                         }
                     }
-                    try_flush_batches(st, stage, t, false, core, batch_pool, obs);
+                    try_flush_batches(st, stage, t, false, core, obs);
                 }
                 for (pkt, verdict) in results.drain(..) {
                     settle(stages, stage, pkt, verdict, t, warmup_ns, sink, core, obs);
                 }
-                batch_pool.push(results);
+                core.batch_pool.push(results);
             }
-            KIND_FAULT => {
-                let action = FaultAction::decode(stage, tag_payload(tag));
+            Event::Fault(action) => {
                 let fault_tok = match obs.as_mut() {
                     Some(o) => o.span_begin(Phase::FaultApply),
                     None => SpanToken::noop(),
@@ -1084,7 +946,7 @@ fn walk_bucket(
                         let st = &mut stages[stage];
                         st.down = false;
                         if st.cfg.batch.is_some() {
-                            try_flush_batches(st, stage, t, false, core, batch_pool, obs);
+                            try_flush_batches(st, stage, t, false, core, obs);
                         } else {
                             // Resume draining the backlog that
                             // accumulated before the outage.
@@ -1106,7 +968,6 @@ fn walk_bucket(
                     o.span_end(Phase::FaultApply, fault_tok);
                 }
             }
-            _ => unreachable!("event tag carries an unknown kind"),
         }
     }
 }
@@ -1129,28 +990,10 @@ impl Engine {
             st.reset();
         }
 
-        // The event core carries every pooled buffer the SoA layout
-        // needs; clearing (not replacing) retains their capacity, so a
-        // reused engine's steady state allocates nothing.
-        let mut core = EventCore {
-            events: EventScheduler::new(),
-            seq: 0,
-            live: 0,
-            peak_live: 0,
-            total: 0,
-            fwd: std::mem::take(&mut self.fwd_buf),
-            arrive_slots: std::mem::take(&mut self.arrive_slots),
-            arrive_free: std::mem::take(&mut self.arrive_free),
-            batch_slots: std::mem::take(&mut self.batch_slots),
-            batch_free: std::mem::take(&mut self.batch_free),
-            fused: self.fused,
-            payload: self.payload.as_ref().map(|p| PayloadSynth::new(p, payload_seed)),
-        };
-        core.fwd.clear();
-        core.arrive_slots.clear();
-        core.arrive_free.clear();
-        core.batch_slots.clear();
-        core.batch_free.clear();
+        let mut core = EventCore::new(
+            self.fused,
+            self.payload.as_ref().map(|p| PayloadSynth::new(p, payload_seed)),
+        );
 
         // The observer travels alongside the sink through the helpers;
         // taking it out of `self` keeps the borrows disjoint.
@@ -1165,19 +1008,15 @@ impl Engine {
         let fault_plan = self.fault_plan.take();
         if let Some(plan) = &fault_plan {
             for e in plan.events.iter().filter(|e| e.t_ns <= duration_ns) {
-                core.push_fault(e.t_ns, e.action);
+                core.push(e.t_ns, Event::Fault(e.action));
             }
         }
         let mut injected_drops = 0u64;
         let mut corrupted = 0u64;
-        // Scratch buffers persist on the engine across runs: a reused
-        // engine's batch kernels and bucket drains allocate nothing in
-        // steady state.
-        let mut batch_pool = std::mem::take(&mut self.batch_pool);
-        let mut bucket = std::mem::take(&mut self.bucket_buf);
-        bucket.clear();
-        let mut redrain = std::mem::take(&mut self.redrain_buf);
-        redrain.clear();
+        // The timestamp bucket being walked, and same-time scheduler
+        // re-drains during that walk (events minted at its timestamp).
+        let mut bucket = Vec::new();
+        let mut redrain = Vec::new();
 
         // Arrivals are injected lazily: workload arrival times are
         // monotone, so holding the single next packet (rather than the
@@ -1231,17 +1070,7 @@ impl Engine {
                         }
                     }
                 }
-                arrive(
-                    &mut self.stages,
-                    0,
-                    pkt,
-                    t,
-                    warmup_ns,
-                    &mut sink,
-                    &mut core,
-                    &mut batch_pool,
-                    &mut obs,
-                );
+                arrive(&mut self.stages, 0, pkt, t, warmup_ns, &mut sink, &mut core, &mut obs);
                 continue;
             }
 
@@ -1285,7 +1114,6 @@ impl Engine {
                 &mut redrain,
                 &mut core,
                 &mut sink,
-                &mut batch_pool,
                 fault_plan.as_ref(),
                 &mut obs,
             );
@@ -1294,11 +1122,6 @@ impl Engine {
             }
         }
 
-        // Hand the scratch buffers and cold slabs back to the engine
-        // for the next run (pool-reuse contract).
-        self.batch_pool = batch_pool;
-        self.bucket_buf = bucket;
-        self.redrain_buf = redrain;
         self.fault_plan = fault_plan;
         if let Some(o) = obs.as_mut() {
             // Fold in the scheduler's structural counters (deterministic:
@@ -1306,11 +1129,6 @@ impl Engine {
             o.merge_sched(core.events.counters());
         }
         self.observer = obs;
-        self.fwd_buf = core.fwd;
-        self.arrive_slots = core.arrive_slots;
-        self.arrive_free = core.arrive_free;
-        self.batch_slots = core.batch_slots;
-        self.batch_free = core.batch_free;
 
         let stages = self
             .stages
@@ -1359,23 +1177,36 @@ mod tests {
     /// output shows it; this check does.
     #[test]
     fn mint_hands_out_seqs_in_call_order() {
-        let mut core = EventCore {
-            events: EventScheduler::new(),
-            seq: 0,
-            live: 0,
-            peak_live: 0,
-            total: 0,
-            fwd: VecDeque::new(),
-            arrive_slots: Vec::new(),
-            arrive_free: Vec::new(),
-            batch_slots: Vec::new(),
-            batch_free: Vec::new(),
-            fused: true,
-            payload: None,
-        };
+        let mut core = EventCore::new(true, None);
         let seqs: Vec<u64> = (0..1000).map(|_| core.mint()).collect();
         assert!(seqs.iter().copied().eq(0..1000), "first seqs minted: {:?}", &seqs[..8]);
         assert_eq!((core.total, core.live), (1000, 1000));
+    }
+
+    /// A slot is freed the moment its event fires and handed to the next
+    /// push, so the slab holds as many slots as events were ever
+    /// scheduled at once, not one per event of the run.
+    #[test]
+    fn the_slab_reuses_freed_slots() {
+        let mut core = EventCore::new(true, None);
+        let mut bucket = Vec::new();
+        // Each step schedules one event; from the fourth step on it
+        // also fires the earliest, so at most four are ever scheduled.
+        for t in 0..1000u64 {
+            core.push(t, Event::BatchTimeout { stage: 0, epoch: t });
+            assert_eq!(core.slab.len(), (t + 1).min(4) as usize, "after the push at t = {t}");
+            if t >= 3 {
+                core.events.drain_bucket(&mut bucket);
+                let &[(due, _, slot)] = bucket.as_slice() else {
+                    panic!("expected one event per timestamp, got {bucket:?}")
+                };
+                match core.take(slot) {
+                    Event::BatchTimeout { epoch, .. } => assert_eq!(epoch, due),
+                    _ => panic!("slot {slot} held another kind of event"),
+                }
+            }
+        }
+        assert_eq!((core.slab.len(), core.free.len()), (4, 1));
     }
 
     #[test]
@@ -1625,13 +1456,18 @@ mod tests {
 
     #[test]
     fn engine_reuse_resets_state() {
-        let mut engine = Engine::new(vec![forwarding_stage(1)]);
-        let wl = WorkloadSpec::cbr(20e6, 64, 4, 1);
-        let a = engine.run(&wl, 5_000_000, 0);
-        let b = engine.run(&wl, 5_000_000, 0);
-        assert_eq!(a.injected, b.injected);
-        assert_eq!(a.sink.delivered_packets(), b.sink.delivered_packets());
-        assert_eq!(a.stages[0].queue_drops, b.stages[0].queue_drops);
+        // A reused engine's second run must equal its first, which is a
+        // fresh engine's run, in every field: for an overloaded
+        // per-packet stage and for a batch stage.
+        let reuse = |stage: StageConfig, wl: WorkloadSpec, warmup_ns: u64| {
+            let mut engine = Engine::new(vec![stage]);
+            let a = engine.run(&wl, 5_000_000, warmup_ns);
+            let b = engine.run(&wl, 5_000_000, warmup_ns);
+            assert!(a.sink.delivered_packets() > 0);
+            assert_eq!(a, b);
+        };
+        reuse(forwarding_stage(1), WorkloadSpec::cbr(20e6, 64, 4, 1), 0);
+        reuse(batch_stage(16, 30_000, 5_000), WorkloadSpec::cbr(2e6, 200, 8, 3), 500_000);
     }
 
     #[test]
@@ -1664,31 +1500,6 @@ mod tests {
             r.peak_live_events,
             r.total_events
         );
-    }
-
-    #[test]
-    fn scratch_buffers_retain_capacity_across_runs() {
-        // The batch-result pool and the bucket buffer persist on the
-        // engine: a second run must start with the first run's
-        // capacity instead of reallocating from scratch.
-        let mut engine = Engine::new(vec![batch_stage(16, 30_000, 5_000)]);
-        let wl = WorkloadSpec::cbr(2e6, 200, 8, 3);
-        let _ = engine.run(&wl, 5_000_000, 500_000);
-        let pooled = engine.batch_pool.len();
-        let pooled_cap: usize = engine.batch_pool.iter().map(Vec::capacity).sum();
-        let bucket_cap = engine.bucket_buf.capacity();
-        assert!(pooled > 0, "batch pool should retain drained buffers");
-        assert!(pooled_cap >= 16, "pooled buffers should keep batch-sized capacity");
-        assert!(bucket_cap > 0, "bucket buffer should retain capacity");
-        let a = engine.run(&wl, 5_000_000, 500_000);
-        assert!(
-            engine.batch_pool.iter().map(Vec::capacity).sum::<usize>() >= pooled_cap,
-            "second run must not shrink the pooled capacity"
-        );
-        assert!(engine.bucket_buf.capacity() >= bucket_cap);
-        // Reuse must not perturb results.
-        let b = Engine::new(vec![batch_stage(16, 30_000, 5_000)]).run(&wl, 5_000_000, 500_000);
-        assert_eq!(a, b);
     }
 
     #[test]
@@ -1843,6 +1654,26 @@ mod tests {
         let mut engine = Engine::new(vec![forwarding_stage(1)]);
         let wl = WorkloadSpec::cbr(1000.0, 64, 1, 1);
         let _ = engine.run(&wl, 1000, 1000);
+    }
+
+    #[test]
+    fn pipelines_longer_than_4096_stages_run_and_conserve_packets() {
+        // 4,097 forwarding stages in a line; each packet crosses all of
+        // them in about 410 us, so a 2 ms run delivers most of its 20.
+        const STAGES: usize = 4097;
+        let mut engine = Engine::new((0..STAGES).map(|_| forwarding_stage(1)).collect());
+        let wl = WorkloadSpec::cbr(10_000.0, 64, 4, 1);
+        let r = engine.run(&wl, 2_000_000, 0);
+        assert_eq!(r.stages.len(), STAGES);
+        assert!(r.stages[STAGES - 1].served > 0, "packets must reach the last stage");
+        assert!(r.sink.delivered_packets() > 0);
+        assert!(r.stages.iter().all(StageReport::conserves_packets));
+        for pair in r.stages.windows(2) {
+            assert_eq!(pair[0].served - pair[0].policy_drops, pair[1].arrivals);
+        }
+        let accounted = r.sink.delivered_packets()
+            + r.stages.iter().map(|s| s.queue_drops + s.policy_drops + s.in_flight).sum::<u64>();
+        assert_eq!(accounted, r.injected);
     }
 
     #[test]

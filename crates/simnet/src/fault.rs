@@ -161,31 +161,6 @@ pub enum FaultAction {
     },
 }
 
-impl FaultAction {
-    /// Splits the action into `(stage, code)` for the engine's packed
-    /// event tags: under the SoA event layout fault events carry no
-    /// cold payload at all — the whole action fits in the hot slot.
-    pub(crate) fn encode(self) -> (usize, usize) {
-        match self {
-            FaultAction::SlowdownStart { stage } => (stage, 0),
-            FaultAction::SlowdownEnd { stage } => (stage, 1),
-            FaultAction::DeviceDown { stage } => (stage, 2),
-            FaultAction::DeviceUp { stage } => (stage, 3),
-        }
-    }
-
-    /// Inverse of [`FaultAction::encode`].
-    pub(crate) fn decode(stage: usize, code: usize) -> Self {
-        match code {
-            0 => FaultAction::SlowdownStart { stage },
-            1 => FaultAction::SlowdownEnd { stage },
-            2 => FaultAction::DeviceDown { stage },
-            3 => FaultAction::DeviceUp { stage },
-            _ => unreachable!("fault code {code} is not one encode() produces"),
-        }
-    }
-}
-
 /// A fault transition pinned to simulation time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FaultEvent {
@@ -428,25 +403,5 @@ mod tests {
     fn severity_zero_is_none() {
         assert!(FaultSpec::at_severity(0.0).is_none());
         assert!(FaultPlan::derive(1, &FaultSpec::at_severity(0.0), 4, 1_000_000_000).is_none());
-    }
-
-    #[test]
-    fn fault_actions_round_trip_through_tag_codes() {
-        // The SoA event layout carries fault actions as (stage, code)
-        // pairs inside the packed event tag; the round trip must be
-        // lossless for every variant and for large stage indices.
-        for stage in [0usize, 1, 7, 4095] {
-            for action in [
-                FaultAction::SlowdownStart { stage },
-                FaultAction::SlowdownEnd { stage },
-                FaultAction::DeviceDown { stage },
-                FaultAction::DeviceUp { stage },
-            ] {
-                let (s, code) = action.encode();
-                assert_eq!(s, stage);
-                assert!(code < 4);
-                assert_eq!(FaultAction::decode(s, code), action);
-            }
-        }
     }
 }

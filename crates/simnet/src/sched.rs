@@ -4,7 +4,7 @@
 //! The engine orders events by `(time, seq)` — `time` in simulated
 //! nanoseconds, `seq` a monotone tie-breaker minted at push time — and
 //! pops them in exactly that total order. A `BinaryHeap` over the
-//! `(time, seq, tag)` triple gives that order directly; the engine's
+//! `(time, seq, slot)` triple gives that order directly; the engine's
 //! scenarios hold only a handful of live events, so `O(log n)` per push
 //! and pop is a few comparisons (DESIGN.md §5, "The event queue").
 //!
@@ -21,10 +21,9 @@ use apples_obs::SchedCounters;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-/// A scheduled event: `(time_ns, seq, tag)`. The tag is an opaque
-/// 64-bit word the engine packs its event kind, stage, and cold-payload
-/// index into (the hot half of the SoA event layout); the scheduler
-/// never interprets it.
+/// A scheduled event: `(time_ns, seq, slot)`. The slot is the index of
+/// the event's payload in the engine's event slab; the scheduler never
+/// interprets it.
 pub type EventKey = (u64, u64, usize);
 
 /// The engine's event queue: pending events in `(time, seq)` order,

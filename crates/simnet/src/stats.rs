@@ -125,11 +125,6 @@ impl SinkStats {
         let alloc: Vec<f64> = self.per_flow_bytes.iter().map(|b| *b as f64).collect();
         jains_index(&alloc)
     }
-
-    /// Per-flow delivered bytes.
-    pub fn per_flow_bytes(&self) -> &[u64] {
-        &self.per_flow_bytes
-    }
 }
 
 #[cfg(test)]

@@ -48,15 +48,14 @@ struct PowerLine {
     source: UtilSource,
 }
 
-/// Builds custom [`Deployment`]s: arbitrary stage topologies paired with
-/// an explicit power inventory. The presets cover the paper's cast; this
-/// is for everything else (and for sensitivity studies that perturb the
-/// device constants).
+/// Builds [`Deployment`]s: arbitrary stage topologies paired with an
+/// explicit power inventory. Every preset is built with it, and it
+/// serves everything the presets do not cover (and sensitivity studies
+/// that perturb the device constants).
 pub struct DeploymentBuilder {
     name: String,
     stage_factories: Vec<StageFactory>,
     power_lines: Vec<PowerLine>,
-    payload: Option<(f64, Vec<Vec<u8>>)>,
 }
 
 impl DeploymentBuilder {
@@ -66,7 +65,6 @@ impl DeploymentBuilder {
             name: name.into(),
             stage_factories: Vec::new(),
             power_lines: Vec::new(),
-            payload: None,
         }
     }
 
@@ -81,12 +79,6 @@ impl DeploymentBuilder {
     /// `source` (Principle 3: list *everything* the datapath needs).
     pub fn power(mut self, device: DeviceSpec, count: u32, source: UtilSource) -> Self {
         self.power_lines.push(PowerLine { device, count, source });
-        self
-    }
-
-    /// Enables payload synthesis for DPI pipelines.
-    pub fn payloads(mut self, attack_prob: f64, needles: Vec<Vec<u8>>) -> Self {
-        self.payload = Some((attack_prob, needles));
         self
     }
 
@@ -110,14 +102,13 @@ impl DeploymentBuilder {
             name: self.name,
             stage_factories: self.stage_factories,
             power_lines: self.power_lines,
-            payload: self.payload,
+            payload: None,
             faults: None,
             fused: true,
         }
     }
 }
 
-type ChainFactory = Box<dyn Fn() -> NfChain>;
 type StageFactory = Box<dyn Fn() -> StageConfig>;
 
 /// A named, runnable hardware configuration.
@@ -149,39 +140,14 @@ pub struct Deployment {
 
 impl Deployment {
     /// A CPU-only host: `cores` cores running `chain` (built fresh per
-    /// run), behind a conventional NIC.
+    /// run), behind a conventional NIC. The same host as
+    /// [`Deployment::cpu_host_contended`] without contention.
     pub fn cpu_host(
         name: impl Into<String>,
         cores: u32,
         chain: impl Fn() -> NfChain + 'static,
     ) -> Self {
-        let chain: ChainFactory = Box::new(chain);
-        Deployment {
-            name: name.into(),
-            stage_factories: vec![Box::new(move || {
-                StageConfig::new("host-cores", cores, 1024, Box::new(NfService::host_core(chain())))
-            })],
-            power_lines: vec![
-                PowerLine {
-                    device: DeviceSpec::host_chassis(),
-                    count: 1,
-                    source: UtilSource::Fixed(1.0),
-                },
-                PowerLine {
-                    device: DeviceSpec::xeon_core(),
-                    count: cores,
-                    source: UtilSource::Stage(0),
-                },
-                PowerLine {
-                    device: DeviceSpec::dumb_nic_100g(),
-                    count: 1,
-                    source: UtilSource::Stage(0),
-                },
-            ],
-            payload: None,
-            faults: None,
-            fused: true,
-        }
+        Deployment::cpu_host_contended(name, cores, 0.0, chain)
     }
 
     /// A CPU-only host whose cores contend for memory bandwidth: service
@@ -194,38 +160,19 @@ impl Deployment {
         alpha: f64,
         chain: impl Fn() -> NfChain + 'static,
     ) -> Self {
-        let chain: ChainFactory = Box::new(chain);
-        Deployment {
-            name: name.into(),
-            stage_factories: vec![Box::new(move || {
+        DeploymentBuilder::new(name)
+            .stage(move || {
                 StageConfig::new(
                     "host-cores",
                     cores,
                     1024,
                     Box::new(NfService::host_core_contended(chain(), cores, alpha)),
                 )
-            })],
-            power_lines: vec![
-                PowerLine {
-                    device: DeviceSpec::host_chassis(),
-                    count: 1,
-                    source: UtilSource::Fixed(1.0),
-                },
-                PowerLine {
-                    device: DeviceSpec::xeon_core(),
-                    count: cores,
-                    source: UtilSource::Stage(0),
-                },
-                PowerLine {
-                    device: DeviceSpec::dumb_nic_100g(),
-                    count: 1,
-                    source: UtilSource::Stage(0),
-                },
-            ],
-            payload: None,
-            faults: None,
-            fused: true,
-        }
+            })
+            .power(DeviceSpec::host_chassis(), 1, UtilSource::Fixed(1.0))
+            .power(DeviceSpec::xeon_core(), cores, UtilSource::Stage(0))
+            .power(DeviceSpec::dumb_nic_100g(), 1, UtilSource::Stage(0))
+            .build()
     }
 
     /// A SmartNIC-accelerated host: `nic_chain` runs on `nic_cores`
@@ -238,49 +185,27 @@ impl Deployment {
         host_cores: u32,
         host_chain: impl Fn() -> NfChain + 'static,
     ) -> Self {
-        let nic_chain: ChainFactory = Box::new(nic_chain);
-        let host_chain: ChainFactory = Box::new(host_chain);
-        Deployment {
-            name: name.into(),
-            stage_factories: vec![
-                Box::new(move || {
-                    StageConfig::new(
-                        "smartnic-cores",
-                        nic_cores,
-                        2048,
-                        Box::new(NfService::smartnic_core(nic_chain())),
-                    )
-                }),
-                Box::new(move || {
-                    StageConfig::new(
-                        "host-cores",
-                        host_cores,
-                        1024,
-                        Box::new(NfService::host_core(host_chain())),
-                    )
-                }),
-            ],
-            power_lines: vec![
-                PowerLine {
-                    device: DeviceSpec::host_chassis(),
-                    count: 1,
-                    source: UtilSource::Fixed(1.0),
-                },
-                PowerLine {
-                    device: DeviceSpec::xeon_core(),
-                    count: host_cores,
-                    source: UtilSource::Stage(1),
-                },
-                PowerLine {
-                    device: DeviceSpec::smartnic_100g(),
-                    count: 1,
-                    source: UtilSource::Stage(0),
-                },
-            ],
-            payload: None,
-            faults: None,
-            fused: true,
-        }
+        DeploymentBuilder::new(name)
+            .stage(move || {
+                StageConfig::new(
+                    "smartnic-cores",
+                    nic_cores,
+                    2048,
+                    Box::new(NfService::smartnic_core(nic_chain())),
+                )
+            })
+            .stage(move || {
+                StageConfig::new(
+                    "host-cores",
+                    host_cores,
+                    1024,
+                    Box::new(NfService::host_core(host_chain())),
+                )
+            })
+            .power(DeviceSpec::host_chassis(), 1, UtilSource::Fixed(1.0))
+            .power(DeviceSpec::xeon_core(), host_cores, UtilSource::Stage(1))
+            .power(DeviceSpec::smartnic_100g(), 1, UtilSource::Stage(0))
+            .build()
     }
 
     /// A host behind a programmable switch: the switch executes
@@ -292,54 +217,28 @@ impl Deployment {
         host_cores: u32,
         host_chain: impl Fn() -> NfChain + 'static,
     ) -> Self {
-        let switch_chain: ChainFactory = Box::new(switch_chain);
-        let host_chain: ChainFactory = Box::new(host_chain);
-        Deployment {
-            name: name.into(),
-            stage_factories: vec![
-                Box::new(move || {
-                    StageConfig::new(
-                        "switch-pipeline",
-                        1024,
-                        4096,
-                        Box::new(FixedTime::switch_pipeline(switch_chain())),
-                    )
-                }),
-                Box::new(move || {
-                    StageConfig::new(
-                        "host-cores",
-                        host_cores,
-                        1024,
-                        Box::new(NfService::host_core(host_chain())),
-                    )
-                }),
-            ],
-            power_lines: vec![
-                PowerLine {
-                    device: DeviceSpec::programmable_switch_32x100g(),
-                    count: 1,
-                    source: UtilSource::Stage(0),
-                },
-                PowerLine {
-                    device: DeviceSpec::host_chassis(),
-                    count: 1,
-                    source: UtilSource::Fixed(1.0),
-                },
-                PowerLine {
-                    device: DeviceSpec::xeon_core(),
-                    count: host_cores,
-                    source: UtilSource::Stage(1),
-                },
-                PowerLine {
-                    device: DeviceSpec::dumb_nic_100g(),
-                    count: 1,
-                    source: UtilSource::Stage(1),
-                },
-            ],
-            payload: None,
-            faults: None,
-            fused: true,
-        }
+        DeploymentBuilder::new(name)
+            .stage(move || {
+                StageConfig::new(
+                    "switch-pipeline",
+                    1024,
+                    4096,
+                    Box::new(FixedTime::switch_pipeline(switch_chain())),
+                )
+            })
+            .stage(move || {
+                StageConfig::new(
+                    "host-cores",
+                    host_cores,
+                    1024,
+                    Box::new(NfService::host_core(host_chain())),
+                )
+            })
+            .power(DeviceSpec::programmable_switch_32x100g(), 1, UtilSource::Stage(0))
+            .power(DeviceSpec::host_chassis(), 1, UtilSource::Fixed(1.0))
+            .power(DeviceSpec::xeon_core(), host_cores, UtilSource::Stage(1))
+            .power(DeviceSpec::dumb_nic_100g(), 1, UtilSource::Stage(1))
+            .build()
     }
 
     /// A GPU-offloaded host: a host RX core batches packets to a GPU
@@ -352,57 +251,32 @@ impl Deployment {
         batch: crate::engine::BatchPolicy,
         gpu_chain: impl Fn() -> NfChain + 'static,
     ) -> Self {
-        let gpu_chain: ChainFactory = Box::new(gpu_chain);
-        Deployment {
-            name: name.into(),
-            stage_factories: vec![
-                // RX core: cheap per-packet handoff into the batcher.
-                Box::new(move || {
-                    StageConfig::new(
-                        "rx-core",
-                        1,
-                        4096,
-                        Box::new(NfService::new("rx-core", NfChain::empty(), 3.0, 150)),
-                    )
-                }),
-                // The GPU: 2 concurrent kernel streams, 30 ns marginal
-                // per packet inside a kernel.
-                Box::new(move || {
-                    StageConfig::new(
-                        "gpu",
-                        2,
-                        8192,
-                        Box::new(FixedTime::new("gpu-kernel", gpu_chain(), 30)),
-                    )
-                    .with_batching(batch)
-                }),
-            ],
-            power_lines: vec![
-                PowerLine {
-                    device: DeviceSpec::host_chassis(),
-                    count: 1,
-                    source: UtilSource::Fixed(1.0),
-                },
-                PowerLine {
-                    device: DeviceSpec::xeon_core(),
-                    count: 1,
-                    source: UtilSource::Stage(0),
-                },
-                PowerLine {
-                    device: DeviceSpec::gpu_accelerator(),
-                    count: 1,
-                    source: UtilSource::Stage(1),
-                },
-                PowerLine {
-                    device: DeviceSpec::dumb_nic_100g(),
-                    count: 1,
-                    source: UtilSource::Stage(0),
-                },
-            ],
-            payload: None,
-            faults: None,
-            fused: true,
-        }
+        DeploymentBuilder::new(name)
+            // RX core: cheap per-packet handoff into the batcher.
+            .stage(|| {
+                StageConfig::new(
+                    "rx-core",
+                    1,
+                    4096,
+                    Box::new(NfService::new("rx-core", NfChain::empty(), 3.0, 150)),
+                )
+            })
+            // The GPU: 2 concurrent kernel streams, 30 ns marginal per
+            // packet inside a kernel.
+            .stage(move || {
+                StageConfig::new(
+                    "gpu",
+                    2,
+                    8192,
+                    Box::new(FixedTime::new("gpu-kernel", gpu_chain(), 30)),
+                )
+                .with_batching(batch)
+            })
+            .power(DeviceSpec::host_chassis(), 1, UtilSource::Fixed(1.0))
+            .power(DeviceSpec::xeon_core(), 1, UtilSource::Stage(0))
+            .power(DeviceSpec::gpu_accelerator(), 1, UtilSource::Stage(1))
+            .power(DeviceSpec::dumb_nic_100g(), 1, UtilSource::Stage(0))
+            .build()
     }
 
     /// A horizontally scaled cluster: `replicas` identical CPU hosts
@@ -424,64 +298,41 @@ impl Deployment {
     ) -> Self {
         use crate::engine::NextHop;
         assert!(replicas > 0, "need at least one replica");
-        let chain: ChainFactory = Box::new(chain);
         let chain = std::rc::Rc::new(chain);
-        let mut stage_factories: Vec<StageFactory> = Vec::new();
-        // Stage 0: the ECMP splitter — line-rate, no NF semantics.
-        stage_factories.push(Box::new(move || {
-            StageConfig::new(
-                "ecmp-splitter",
-                1024,
-                8192,
-                Box::new(FixedTime::new("ecmp-splitter", NfChain::empty(), 400)),
-            )
-            .with_next(NextHop::Steer(Box::new(move |pkt| {
-                Some(1 + (pkt.tuple.hash64() % u64::from(replicas)) as usize)
-            })))
-        }));
-        let mut power_lines = vec![PowerLine {
-            // The splitter is a (non-programmable) switch; model its
-            // envelope with the same class of box.
-            device: DeviceSpec::programmable_switch_32x100g(),
-            count: 1,
-            source: UtilSource::Stage(0),
-        }];
+        // Stage 0: the ECMP splitter — line-rate, no NF semantics. It is
+        // a (non-programmable) switch; its envelope is modelled with the
+        // same class of box.
+        let mut builder = DeploymentBuilder::new(name)
+            .stage(move || {
+                StageConfig::new(
+                    "ecmp-splitter",
+                    1024,
+                    8192,
+                    Box::new(FixedTime::new("ecmp-splitter", NfChain::empty(), 400)),
+                )
+                .with_next(NextHop::Steer(Box::new(move |pkt| {
+                    Some(1 + (pkt.tuple.hash64() % u64::from(replicas)) as usize)
+                })))
+            })
+            .power(DeviceSpec::programmable_switch_32x100g(), 1, UtilSource::Stage(0));
         for i in 0..replicas {
             let chain = chain.clone();
-            stage_factories.push(Box::new(move || {
-                StageConfig::new(
-                    "host",
-                    cores_per_host,
-                    1024,
-                    Box::new(NfService::host_core_contended(chain(), cores_per_host, alpha)),
-                )
-                .with_next(NextHop::Sink)
-            }));
             let host_stage = 1 + i as usize;
-            power_lines.push(PowerLine {
-                device: DeviceSpec::host_chassis(),
-                count: 1,
-                source: UtilSource::Fixed(1.0),
-            });
-            power_lines.push(PowerLine {
-                device: DeviceSpec::xeon_core(),
-                count: cores_per_host,
-                source: UtilSource::Stage(host_stage),
-            });
-            power_lines.push(PowerLine {
-                device: DeviceSpec::dumb_nic_100g(),
-                count: 1,
-                source: UtilSource::Stage(host_stage),
-            });
+            builder = builder
+                .stage(move || {
+                    StageConfig::new(
+                        "host",
+                        cores_per_host,
+                        1024,
+                        Box::new(NfService::host_core_contended(chain(), cores_per_host, alpha)),
+                    )
+                    .with_next(NextHop::Sink)
+                })
+                .power(DeviceSpec::host_chassis(), 1, UtilSource::Fixed(1.0))
+                .power(DeviceSpec::xeon_core(), cores_per_host, UtilSource::Stage(host_stage))
+                .power(DeviceSpec::dumb_nic_100g(), 1, UtilSource::Stage(host_stage));
         }
-        Deployment {
-            name: name.into(),
-            stage_factories,
-            power_lines,
-            payload: None,
-            faults: None,
-            fused: true,
-        }
+        builder.build()
     }
 
     /// A CPU host with RSS (receive-side scaling): the NIC hashes each
@@ -502,54 +353,33 @@ impl Deployment {
     ) -> Self {
         use crate::engine::NextHop;
         assert!(cores > 0, "need at least one core");
-        let chain: ChainFactory = Box::new(chain);
         let chain = std::rc::Rc::new(chain);
-        let mut stage_factories: Vec<StageFactory> = Vec::new();
         // Stage 0: the NIC's RSS demux — line-rate hashing, steers by
         // flow hash to core stage 1..=cores.
-        stage_factories.push(Box::new(move || {
-            StageConfig::new(
-                "nic-rss-demux",
-                256,
-                4096,
-                Box::new(FixedTime::new("nic-rss-demux", NfChain::empty(), 50)),
-            )
-            .with_next(NextHop::Steer(Box::new(move |pkt| {
-                Some(1 + (pkt.tuple.hash64() % u64::from(cores)) as usize)
-            })))
-        }));
-        let mut power_lines = vec![
-            PowerLine {
-                device: DeviceSpec::host_chassis(),
-                count: 1,
-                source: UtilSource::Fixed(1.0),
-            },
-            PowerLine {
-                device: DeviceSpec::dumb_nic_100g(),
-                count: 1,
-                source: UtilSource::Stage(0),
-            },
-        ];
+        let mut builder = DeploymentBuilder::new(name)
+            .stage(move || {
+                StageConfig::new(
+                    "nic-rss-demux",
+                    256,
+                    4096,
+                    Box::new(FixedTime::new("nic-rss-demux", NfChain::empty(), 50)),
+                )
+                .with_next(NextHop::Steer(Box::new(move |pkt| {
+                    Some(1 + (pkt.tuple.hash64() % u64::from(cores)) as usize)
+                })))
+            })
+            .power(DeviceSpec::host_chassis(), 1, UtilSource::Fixed(1.0))
+            .power(DeviceSpec::dumb_nic_100g(), 1, UtilSource::Stage(0));
         for i in 0..cores {
             let chain = chain.clone();
-            stage_factories.push(Box::new(move || {
-                StageConfig::new("rss-core", 1, 1024, Box::new(NfService::host_core(chain())))
-                    .with_next(NextHop::Sink)
-            }));
-            power_lines.push(PowerLine {
-                device: DeviceSpec::xeon_core(),
-                count: 1,
-                source: UtilSource::Stage(1 + i as usize),
-            });
+            builder = builder
+                .stage(move || {
+                    StageConfig::new("rss-core", 1, 1024, Box::new(NfService::host_core(chain())))
+                        .with_next(NextHop::Sink)
+                })
+                .power(DeviceSpec::xeon_core(), 1, UtilSource::Stage(1 + i as usize));
         }
-        Deployment {
-            name: name.into(),
-            stage_factories,
-            power_lines,
-            payload: None,
-            faults: None,
-            fused: true,
-        }
+        builder.build()
     }
 
     /// An FPGA-NIC-accelerated host (a Pigasus-style IPS shape, cf. the
@@ -562,49 +392,27 @@ impl Deployment {
         host_cores: u32,
         host_chain: impl Fn() -> NfChain + 'static,
     ) -> Self {
-        let fpga_chain: ChainFactory = Box::new(fpga_chain);
-        let host_chain: ChainFactory = Box::new(host_chain);
-        Deployment {
-            name: name.into(),
-            stage_factories: vec![
-                Box::new(move || {
-                    StageConfig::new(
-                        "fpga-pipeline",
-                        512,
-                        4096,
-                        Box::new(FixedTime::new("fpga-pipeline", fpga_chain(), 1_000)),
-                    )
-                }),
-                Box::new(move || {
-                    StageConfig::new(
-                        "host-cores",
-                        host_cores,
-                        1024,
-                        Box::new(NfService::host_core(host_chain())),
-                    )
-                }),
-            ],
-            power_lines: vec![
-                PowerLine {
-                    device: DeviceSpec::host_chassis(),
-                    count: 1,
-                    source: UtilSource::Fixed(1.0),
-                },
-                PowerLine {
-                    device: DeviceSpec::xeon_core(),
-                    count: host_cores,
-                    source: UtilSource::Stage(1),
-                },
-                PowerLine {
-                    device: DeviceSpec::fpga_nic_100g(),
-                    count: 1,
-                    source: UtilSource::Stage(0),
-                },
-            ],
-            payload: None,
-            faults: None,
-            fused: true,
-        }
+        DeploymentBuilder::new(name)
+            .stage(move || {
+                StageConfig::new(
+                    "fpga-pipeline",
+                    512,
+                    4096,
+                    Box::new(FixedTime::new("fpga-pipeline", fpga_chain(), 1_000)),
+                )
+            })
+            .stage(move || {
+                StageConfig::new(
+                    "host-cores",
+                    host_cores,
+                    1024,
+                    Box::new(NfService::host_core(host_chain())),
+                )
+            })
+            .power(DeviceSpec::host_chassis(), 1, UtilSource::Fixed(1.0))
+            .power(DeviceSpec::xeon_core(), host_cores, UtilSource::Stage(1))
+            .power(DeviceSpec::fpga_nic_100g(), 1, UtilSource::Stage(0))
+            .build()
     }
 
     /// Enables payload synthesis (for DPI pipelines).

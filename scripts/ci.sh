@@ -8,6 +8,14 @@ XP=(cargo run -q --release --offline -p apples-bench --bin xp --)
 echo "== fmt =="
 cargo fmt --all -- --check
 
+# Every cargo command on perfbench/Cargo.toml (clippy below, the A/B
+# and the perfbench stage) re-resolves the benchmark's stale lock file
+# in place. A copy taken now is put back when this script exits, pass
+# or fail, so CI leaves the benchmark's files as it found them.
+mkdir -p target
+cp perfbench/Cargo.lock target/perfbench.Cargo.lock
+trap 'cp target/perfbench.Cargo.lock perfbench/Cargo.lock' EXIT
+
 echo "== clippy =="
 # The whole lint gate (DESIGN.md §8): the rules live in clippy.toml
 # (disallowed types and methods), in [workspace.lints] of Cargo.toml and
