@@ -21,8 +21,9 @@ pub fn run() -> ExperimentReport {
     r.paper_line("\u{a7}3.4: power is the running example, but any metric satisfying principles 1-3 substitutes; report them side by side");
 
     let wl = saturating_workload(31);
-    let base = measure(&baseline_host(1), &wl);
-    let nic = measure(&smartnic_system(), &wl);
+    let (base_d, nic_d) = (baseline_host(1), smartnic_system());
+    let base = measure(&base_d, &wl);
+    let nic = measure(&nic_d, &wl);
 
     let perf = PerfMetric::throughput_bps();
     let mk = |m: &apples_simnet::system::Measurement, rack: f64| {
@@ -36,9 +37,8 @@ pub fn run() -> ExperimentReport {
             ],
         )
     };
-    // Both systems are one host; the SmartNIC adds no rack space.
-    let p = mk(&nic, 1.0);
-    let b = mk(&base, 1.0);
+    let p = mk(&nic, nic_d.rack_units());
+    let b = mk(&base, base_d.rack_units());
 
     let result = evaluate_multi(
         &nic.name,

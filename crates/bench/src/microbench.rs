@@ -154,16 +154,11 @@ fn engine_scenario(
 ) -> EngineOutcome {
     // The unfused reference: every zero-latency hop re-enqueued through
     // the event queue. Must be byte-identical; the wall-clock ratio is
-    // what fusion buys on this pipeline shape.
-    let mut fused = build();
-    let mut unfused = build().with_fusion(false);
-    let timing: Interleaved<_, 2> = interleaved(rounds, |k| {
-        if k == 0 {
-            fused.run(wl, sim_ns, 0)
-        } else {
-            unfused.run(wl, sim_ns, 0)
-        }
-    });
+    // what fusion buys on this pipeline shape. A run consumes its
+    // engine, so each timed run builds one (microseconds, against runs
+    // of milliseconds).
+    let timing: Interleaved<_, 2> =
+        interleaved(rounds, |k| build().with_fusion(k == 0).run(wl, sim_ns, 0));
     let fused_speedup = timing.median_ratio(1);
     let [r, r_unfused] = &timing.outs;
     let identical_to_unfused = r == r_unfused;
@@ -243,9 +238,8 @@ fn obs_section(quick: bool, all_identical: &mut bool) -> (Json, ObsOverhead) {
     let wl = WorkloadSpec::cbr(8e6, 200, 16, 7);
     let sim_ns: u64 = if quick { 5_000_000 } else { 20_000_000 };
     let plain = forward_pipeline().run(&wl, sim_ns, 0);
-    let mut observed_engine =
-        forward_pipeline().with_observer(RunObserver::new(&ObsConfig::full()));
-    let observed = observed_engine.run(&wl, sim_ns, 0);
+    let (observed, _) =
+        forward_pipeline().run_observed(&wl, sim_ns, 0, RunObserver::new(&ObsConfig::full()));
     let zero_cost = plain == observed;
     *all_identical &= zero_cost;
 

@@ -1,15 +1,13 @@
-//! A bounded work-stealing thread pool on `std::thread::scope`.
+//! A bounded thread pool on `std::thread::scope`.
 //!
-//! The harness runs dozens of independent, CPU-bound, deterministic
-//! simulations (experiments, sweep points, trial ladders). This pool
-//! saturates the machine without any external crates:
+//! The harness maps a few dozen independent, CPU-bound, deterministic
+//! simulations at a time (experiments, sweep points, trial ladders),
+//! each milliseconds long. At that size one shared cursor is all the
+//! scheduling they need:
 //!
-//! - jobs are indexed up front and a shared **injector** hands each
-//!   worker a contiguous chunk at a time (cheap under low contention);
-//! - each worker owns a **deque**: it pops locally from the front and,
-//!   when both its deque and the injector are empty, **steals** one job
-//!   from the back of a sibling's deque, so stragglers' queues drain
-//!   instead of idling the rest of the machine;
+//! - jobs are indexed up front, and each worker takes the next index
+//!   from one atomic **cursor** until none is left, so a worker that
+//!   finishes early just takes the next job;
 //! - [`Pool::new`] takes one worker per core
 //!   ([`std::thread::available_parallelism`]), and a call never starts
 //!   more workers than it has jobs. The cap is per call: a job that maps
@@ -29,8 +27,8 @@
     reason = "the workspace's one sanctioned thread pool: results land by job index, so every schedule is byte-identical"
 )]
 
-use std::collections::VecDeque;
 use std::num::NonZeroUsize;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 /// A bounded pool; see the module docs.
@@ -86,52 +84,26 @@ impl Pool {
 
         let slots: Vec<Mutex<Option<F>>> = jobs.into_iter().map(|j| Mutex::new(Some(j))).collect();
         let results: Vec<Mutex<Option<T>>> = (0..n).map(|_| Mutex::new(None)).collect();
-        let injector = Mutex::new((0..n).collect::<VecDeque<usize>>());
-        let deques: Vec<Mutex<VecDeque<usize>>> =
-            (0..workers).map(|_| Mutex::new(VecDeque::new())).collect();
-        // Refill granularity: large enough to amortize the injector
-        // lock, small enough to leave stealable work behind.
-        let chunk = (n / (workers * 4)).max(1);
+        let cursor = AtomicUsize::new(0);
 
-        let worker_loop = |me: usize| loop {
-            // 1. Local work, front first (cache-warm order).
-            let idx = deques[me].lock().expect("deque poisoned").pop_front();
-            let idx = match idx {
-                Some(i) => Some(i),
-                None => {
-                    // 2. Refill a chunk from the shared injector.
-                    let mut inj = injector.lock().expect("injector poisoned");
-                    let grabbed: Vec<usize> = (0..chunk).map_while(|_| inj.pop_front()).collect();
-                    drop(inj);
-                    let mut first = None;
-                    if !grabbed.is_empty() {
-                        let mut dq = deques[me].lock().expect("deque poisoned");
-                        let mut it = grabbed.into_iter();
-                        first = it.next();
-                        dq.extend(it);
-                    }
-                    match first {
-                        Some(i) => Some(i),
-                        // 3. Steal one job from the back of a sibling.
-                        None => (0..workers)
-                            .filter(|&w| w != me)
-                            .find_map(|w| deques[w].lock().expect("deque poisoned").pop_back()),
-                    }
-                }
-            };
-            let Some(idx) = idx else {
-                break; // nothing local, injector dry, nothing to steal
-            };
+        let worker_loop = || loop {
+            // Relaxed suffices: the cursor publishes no data, only
+            // distinct indices. Each job and result passes through its
+            // own mutex, and the scope's join publishes the results.
+            let idx = cursor.fetch_add(1, Ordering::Relaxed);
+            if idx >= n {
+                break;
+            }
             let job = slots[idx].lock().expect("job slot poisoned").take().expect("job ran twice");
             let out = job();
             *results[idx].lock().expect("result slot poisoned") = Some(out);
         };
 
         std::thread::scope(|scope| {
-            for w in 1..workers {
-                scope.spawn(move || worker_loop(w));
+            for _ in 1..workers {
+                scope.spawn(worker_loop);
             }
-            worker_loop(0); // the caller works too
+            worker_loop(); // the caller works too
         });
 
         results
@@ -206,7 +178,7 @@ mod tests {
 
     #[test]
     fn uneven_jobs_all_complete() {
-        // Stragglers at the front force the refill + steal paths.
+        // Stragglers at the front: the other workers keep taking jobs.
         let pool = Pool::with_workers(4);
         let out = pool.map((0..40u64).collect(), |i| {
             let spin = if i < 4 { 200_000 } else { 10 };

@@ -78,18 +78,7 @@ impl ExperimentReport {
             out.push('\n');
         }
         for (name, csv) in &self.tables {
-            out.push_str(&format!("### {name}\n\n"));
-            let text = csv.to_string();
-            let mut lines = text.lines();
-            if let Some(header) = lines.next() {
-                let cols = header.split(',').count();
-                out.push_str(&format!("| {} |\n", header.replace(',', " | ")));
-                out.push_str(&format!("|{}\n", "---|".repeat(cols)));
-                for row in lines {
-                    out.push_str(&format!("| {} |\n", row.replace(',', " | ")));
-                }
-            }
-            out.push('\n');
+            out.push_str(&format!("### {name}\n\n{}\n", csv.to_markdown()));
         }
         if let Some(p) = &self.provenance {
             out.push_str(&format!("**Provenance:** `{}`\n", p.render_compact()));
@@ -134,11 +123,14 @@ mod tests {
         r.measured_line("got");
         let mut csv = Csv::new(["a", "b"]);
         csv.row_f64([1.0, 2.0]);
+        csv.row(["5.3 [4.4, 6.2]", "x"]);
         r.table("series", csv);
         let md = r.render_markdown();
         assert!(md.contains("## `figY`"), "{md}");
         assert!(md.contains("| a | b |"), "{md}");
         assert!(md.contains("|---|---|"), "{md}");
+        // A field with a comma stays one cell, without CSV quotes.
+        assert!(md.contains("\n| 5.3 [4.4, 6.2] | x |\n"), "{md}");
         assert!(md.contains("> claims"), "{md}");
         assert!(md.contains("- got"), "{md}");
     }

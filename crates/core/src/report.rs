@@ -89,9 +89,10 @@ pub fn render_markdown(r: &EvaluationResult) -> String {
     out
 }
 
-/// A minimal CSV table builder (quotes fields containing separators, per
-/// RFC 4180's essentials). Kept tiny on purpose — experiment outputs are
-/// simple numeric series.
+/// A minimal table builder with two renderings: CSV (its `Display`,
+/// quoting fields that contain separators, per RFC 4180's essentials)
+/// and a markdown table ([`Csv::to_markdown`]). Kept tiny on purpose —
+/// experiment outputs are simple numeric series.
 #[derive(Debug, Clone, Default)]
 pub struct Csv {
     header: Vec<String>,
@@ -139,6 +140,31 @@ impl Csv {
             } else {
                 out.push_str(cell);
             }
+        }
+        out.push('\n');
+    }
+
+    /// Renders the table as a GitHub-flavored markdown table: a header
+    /// row, a separator, then one row per data row, each field in one
+    /// cell as written (no CSV quoting), with `|` escaped.
+    pub fn to_markdown(&self) -> String {
+        let mut out = String::new();
+        Self::write_markdown_row(&mut out, &self.header);
+        out.push('|');
+        out.push_str(&"---|".repeat(self.header.len()));
+        out.push('\n');
+        for r in &self.rows {
+            Self::write_markdown_row(&mut out, r);
+        }
+        out
+    }
+
+    fn write_markdown_row(out: &mut String, cells: &[String]) {
+        out.push('|');
+        for cell in cells {
+            out.push(' ');
+            out.push_str(&cell.replace('|', "\\|"));
+            out.push_str(" |");
         }
         out.push('\n');
     }
@@ -247,6 +273,12 @@ mod tests {
         let s = t.to_string();
         assert!(s.contains("\"a,b\""));
         assert!(s.contains("\"say \"\"hi\"\"\""));
+        // The markdown rendering keeps each field in one cell, unquoted.
+        t.row(["x|y", ""]);
+        assert_eq!(
+            t.to_markdown(),
+            "| name | note |\n|---|---|\n| a,b | say \"hi\" |\n| x\\|y |  |\n"
+        );
     }
 
     #[test]

@@ -255,26 +255,6 @@ impl CostMetric {
         );
         CostValue { metric: self.clone(), quantity: q }
     }
-
-    /// Sums per-component measurements into an end-to-end total.
-    ///
-    /// Returns `None` when the metric's unit does not compose across
-    /// heterogeneous devices (cores, LUTs) and more than one component is
-    /// present — the mechanical form of the §3.4 observation that "one
-    /// cannot trivially add up cores or LUTs on different devices".
-    pub fn compose(&self, parts: &[Quantity]) -> Option<CostValue> {
-        if parts.is_empty() {
-            return None;
-        }
-        if parts.len() > 1 && !self.unit.composes_across_devices() {
-            return None;
-        }
-        let mut total = parts[0];
-        for p in &parts[1..] {
-            total = total.checked_add(*p).ok()?;
-        }
-        Some(self.value(total))
-    }
 }
 
 impl fmt::Display for CostMetric {
@@ -518,23 +498,6 @@ mod tests {
         let v =
             validate_cost_metric(&m, &[("offload", &[DeviceClass::Cpu, DeviceClass::SmartNic])]);
         assert!(v.iter().any(|x| matches!(x, PrincipleViolation::NotComposable { .. })));
-    }
-
-    #[test]
-    fn compose_sums_universal_metrics() {
-        let m = CostMetric::power_draw();
-        let total = m.compose(&[watts(50.0), watts(20.0)]).unwrap();
-        assert_eq!(total.quantity(), watts(70.0));
-    }
-
-    #[test]
-    fn compose_rejects_multi_device_core_counts() {
-        let m = CostMetric::cpu_cores();
-        assert!(m.compose(&[cores(4.0), cores(2.0)]).is_none());
-        // A single reading is fine.
-        assert!(m.compose(&[cores(4.0)]).is_some());
-        // Empty input composes to nothing.
-        assert!(m.compose(&[]).is_none());
     }
 
     #[test]

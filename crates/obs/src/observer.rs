@@ -2,7 +2,7 @@
 //! that fans hooks out to the tracer, telemetry, time series, and span
 //! profiler.
 //!
-//! The engine holds `Option<RunObserver>`; with `None` every
+//! The engine's run loop holds `Option<RunObserver>`; with `None` every
 //! instrumentation site is a single branch (the zero-cost-when-off
 //! contract the bench harness verifies byte-for-byte). With `Some`,
 //! each hook updates whichever pieces the [`ObsConfig`] enabled.
@@ -27,12 +27,6 @@ pub struct SchedCounters {
 }
 
 impl SchedCounters {
-    /// Adds another run's counters into this one.
-    pub fn merge(&mut self, other: SchedCounters) {
-        self.pushes += other.pushes;
-        self.buckets_drained += other.buckets_drained;
-    }
-
     /// Deterministic JSON rendering.
     pub fn to_json(&self) -> Json {
         Json::obj().field("pushes", self.pushes).field("buckets_drained", self.buckets_drained)
@@ -91,7 +85,7 @@ pub struct RunObserver {
     pub spans: Option<SpanProfiler>,
     /// The sim-time metrics ring, when the time series is on.
     pub timeseries: Option<TimeSeries>,
-    /// Scheduler counters, folded in at the end of every observed run.
+    /// Scheduler counters, set once at the end of the run.
     pub sched: SchedCounters,
 }
 
@@ -105,12 +99,6 @@ impl RunObserver {
             timeseries: cfg.timeseries.then(TimeSeries::default),
             sched: SchedCounters::default(),
         }
-    }
-
-    /// Folds one run's scheduler counters into the observer.
-    #[inline]
-    pub fn merge_sched(&mut self, counters: SchedCounters) {
-        self.sched.merge(counters);
     }
 
     /// Sizes telemetry for `n` stages (the engine calls this once per

@@ -10,6 +10,8 @@
 //! Everything here is keyed by *sim time*, so the series is a pure
 //! function of `(seed, spec)` and identical across fusion modes.
 
+use std::collections::VecDeque;
+
 /// Default interval width: 2^20 ns ≈ 1.05 ms of sim time per interval.
 pub const DEFAULT_INTERVAL_NS: u64 = 1 << 20;
 
@@ -23,16 +25,12 @@ pub const DEFAULT_SERIES_CAPACITY: usize = 512;
 pub struct TimeSeries {
     interval_ns: u64,
     cap: usize,
-    /// Retained interval indices, strictly ascending; parallel to
-    /// `dispatches`.
-    idxs: Vec<u64>,
-    dispatches: Vec<u64>,
-    /// Hot-path cache: the slot of the interval most recently written,
-    /// valid while `has_cur`. Lets a dispatch update the current count
-    /// with one compare instead of a division + search.
-    cur_slot: usize,
+    /// Retained intervals, strictly ascending by index. Dispatch times
+    /// never decrease, so only the back entry is ever written.
+    bins: VecDeque<(u64, u64)>,
+    /// End of the back entry's interval: a dispatch before it counts
+    /// into that entry with one compare.
     cur_end_ns: u64,
-    has_cur: bool,
 }
 
 impl TimeSeries {
@@ -42,11 +40,8 @@ impl TimeSeries {
         TimeSeries {
             interval_ns: interval_ns.max(1),
             cap: capacity.max(1),
-            idxs: Vec::new(),
-            dispatches: Vec::new(),
-            cur_slot: 0,
+            bins: VecDeque::new(),
             cur_end_ns: 0,
-            has_cur: false,
         }
     }
 
@@ -62,63 +57,51 @@ impl TimeSeries {
 
     /// Number of retained intervals.
     pub fn len(&self) -> usize {
-        self.idxs.len()
+        self.bins.len()
     }
 
-    /// True when nothing has been recorded (or everything evicted).
+    /// True when nothing has been recorded.
     pub fn is_empty(&self) -> bool {
-        self.idxs.is_empty()
+        self.bins.is_empty()
     }
 
     /// Retained `(interval index, dispatches)` pairs, ascending by index.
     pub fn bins(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
-        self.idxs.iter().copied().zip(self.dispatches.iter().copied())
+        self.bins.iter().copied()
     }
 
-    /// Cold path: position the cache on interval `idx`, inserting an
-    /// empty count and evicting past-window intervals as needed.
-    fn seek(&mut self, idx: u64) {
-        match self.idxs.binary_search(&idx) {
-            Ok(slot) => self.cur_slot = slot,
-            Err(slot) => {
-                self.idxs.insert(slot, idx);
-                self.dispatches.insert(slot, 0);
-                self.evict();
-                // Eviction only removes from the front, so re-search.
-                self.cur_slot = self.idxs.binary_search(&idx).unwrap_or(0);
-            }
-        }
-        self.cur_end_ns = (idx + 1).saturating_mul(self.interval_ns);
-        self.has_cur = true;
-    }
-
-    /// Drops every interval older than `max_idx - cap + 1`. The
-    /// threshold is a pure function of the maximum interval ever
-    /// retained, which only grows, so an evicted interval never returns.
-    fn evict(&mut self) {
-        let Some(&max_idx) = self.idxs.last() else { return };
-        let threshold = max_idx.saturating_sub(self.cap as u64 - 1);
-        let keep_from = self.idxs.partition_point(|&i| i < threshold);
-        if keep_from > 0 {
-            self.idxs.drain(..keep_from);
-            self.dispatches.drain(..keep_from);
-        }
-    }
-
-    /// A packet was dispatched into service at sim time `t_ns`. The
-    /// common case — same interval as the last dispatch — is a single
-    /// compare.
+    /// A packet was dispatched into service at sim time `t_ns`, no
+    /// earlier than the last dispatch. The common case — same interval
+    /// as the last dispatch — is a single compare.
     #[inline]
     pub fn on_dispatch(&mut self, t_ns: u64) {
-        if !self.has_cur || t_ns >= self.cur_end_ns || t_ns < self.cur_end_ns - self.interval_ns {
-            self.seek(t_ns / self.interval_ns);
+        debug_assert!(
+            self.bins.back().is_none_or(|&(idx, _)| t_ns >= idx * self.interval_ns),
+            "dispatch at {t_ns} ns precedes the current interval"
+        );
+        if t_ns >= self.cur_end_ns {
+            self.open(t_ns / self.interval_ns);
         }
-        self.dispatches[self.cur_slot] += 1;
+        if let Some((_, n)) = self.bins.back_mut() {
+            *n += 1;
+        }
+    }
+
+    /// Cold path: opens interval `idx` as the new back entry and drops
+    /// every front entry older than `idx - cap + 1`, so at most `cap`
+    /// intervals are retained.
+    fn open(&mut self, idx: u64) {
+        self.bins.push_back((idx, 0));
+        let threshold = idx.saturating_sub(self.cap as u64 - 1);
+        while self.bins.front().is_some_and(|&(i, _)| i < threshold) {
+            self.bins.pop_front();
+        }
+        self.cur_end_ns = (idx + 1).saturating_mul(self.interval_ns);
     }
 
     /// Total dispatches across retained intervals.
     pub fn total_dispatches(&self) -> u64 {
-        self.dispatches.iter().sum()
+        self.bins.iter().map(|&(_, n)| n).sum()
     }
 
     /// The busiest retained interval: `(index, dispatches)`, preferring
@@ -145,11 +128,9 @@ mod tests {
     #[test]
     fn bins_align_by_interval_index() {
         let mut ts = series(8);
-        ts.on_dispatch(0);
-        ts.on_dispatch(99);
-        ts.on_dispatch(100);
-        ts.on_dispatch(250);
-        ts.on_dispatch(50);
+        for t in [0, 50, 99, 100, 250] {
+            ts.on_dispatch(t);
+        }
         assert_eq!(ts.len(), 3);
         assert_eq!(ts.bins().collect::<Vec<_>>(), vec![(0, 3), (1, 1), (2, 1)]);
         assert_eq!(ts.total_dispatches(), 5);
@@ -165,9 +146,11 @@ mod tests {
         assert_eq!(ts.len(), 4);
         let idxs: Vec<u64> = ts.bins().map(|(i, _)| i).collect();
         assert_eq!(idxs, vec![6, 7, 8, 9]);
-        // Writes into an evicted interval land in a recreated bin only
-        // if still inside the window; here interval 6 is retained.
-        ts.on_dispatch(650);
-        assert_eq!(ts.bins().next(), Some((6, 2)));
+        // A later dispatch in the newest interval counts into it.
+        ts.on_dispatch(950);
+        assert_eq!(ts.bins().last(), Some((9, 2)));
+        // A jump past the whole window leaves only the new interval.
+        ts.on_dispatch(2_000);
+        assert_eq!(ts.bins().collect::<Vec<_>>(), vec![(20, 1)]);
     }
 }

@@ -2,10 +2,9 @@
 //!
 //! We have no SmartNIC/FPGA/switch testbed (the reproduction gate), so
 //! each device is described by public-datasheet-magnitude constants:
-//! power envelope, die area, rack footprint, memory, and a part id in the
-//! released [`apples_metrics::pricing::PricingModel`]. The experiments
-//! calibrate *deployment-level* configurations against the paper's §4
-//! worked examples; the catalog provides the per-device building blocks.
+//! its power envelope and its rack footprint. The experiments calibrate
+//! *deployment-level* configurations against the paper's §4 worked
+//! examples; the catalog provides the per-device building blocks.
 
 use crate::model::LinearPower;
 use apples_metrics::cost::DeviceClass;
@@ -22,16 +21,6 @@ pub struct DeviceSpec {
     /// Rack footprint in rack units (fractional for components that
     /// share a chassis).
     pub rack_units: f64,
-    /// Silicon die area in mm² (0 when not meaningfully attributable).
-    pub die_area_mm2: f64,
-    /// On-device memory in bytes.
-    pub memory_bytes: f64,
-    /// Processing cores (CPU or NIC cores; 0 for fixed-function).
-    pub cores: u32,
-    /// FPGA LUTs (0 for non-FPGA devices).
-    pub luts: u64,
-    /// Part id in the released pricing model's price list.
-    pub part: &'static str,
 }
 
 impl DeviceSpec {
@@ -43,11 +32,6 @@ impl DeviceSpec {
             class: DeviceClass::Cpu,
             power: LinearPower::constant(20.0),
             rack_units: 1.0,
-            die_area_mm2: 0.0,
-            memory_bytes: 64e9,
-            cores: 0,
-            luts: 0,
-            part: "xeon-server-16c",
         }
     }
 
@@ -60,11 +44,6 @@ impl DeviceSpec {
             class: DeviceClass::Cpu,
             power: LinearPower::new(1.0, 30.0),
             rack_units: 0.0,
-            die_area_mm2: 8.0,
-            memory_bytes: 2e6, // L2 slice
-            cores: 1,
-            luts: 0,
-            part: "xeon-core",
         }
     }
 
@@ -75,11 +54,6 @@ impl DeviceSpec {
             class: DeviceClass::Nic,
             power: LinearPower::new(4.0, 6.0),
             rack_units: 0.0,
-            die_area_mm2: 40.0,
-            memory_bytes: 16e6,
-            cores: 0,
-            luts: 0,
-            part: "dumb-nic-100g",
         }
     }
 
@@ -92,11 +66,6 @@ impl DeviceSpec {
             class: DeviceClass::SmartNic,
             power: LinearPower::new(25.0, 40.0),
             rack_units: 0.0,
-            die_area_mm2: 120.0,
-            memory_bytes: 8e9,
-            cores: 8, // NIC cores — intentionally NOT summable with x86 cores
-            luts: 0,
-            part: "smartnic-100g",
         }
     }
 
@@ -107,11 +76,6 @@ impl DeviceSpec {
             class: DeviceClass::Fpga,
             power: LinearPower::new(20.0, 35.0),
             rack_units: 0.0,
-            die_area_mm2: 600.0,
-            memory_bytes: 8e9,
-            cores: 0,
-            luts: 1_200_000,
-            part: "fpga-nic-100g",
         }
     }
 
@@ -123,11 +87,6 @@ impl DeviceSpec {
             class: DeviceClass::Gpu,
             power: LinearPower::new(30.0, 70.0),
             rack_units: 0.0,
-            die_area_mm2: 545.0,
-            memory_bytes: 16e9,
-            cores: 0,
-            luts: 0,
-            part: "gpu-t4",
         }
     }
 
@@ -139,11 +98,6 @@ impl DeviceSpec {
             class: DeviceClass::ProgrammableSwitch,
             power: LinearPower::new(100.0, 150.0),
             rack_units: 1.0,
-            die_area_mm2: 500.0,
-            memory_bytes: 100e6, // SRAM/TCAM
-            cores: 0,
-            luts: 0,
-            part: "tofino-switch-32x100g",
         }
     }
 
@@ -163,36 +117,9 @@ impl DeviceSpec {
     }
 }
 
-/// The whole catalog, for iteration in tests and docs.
-pub fn catalog() -> Vec<DeviceSpec> {
-    vec![
-        DeviceSpec::host_chassis(),
-        DeviceSpec::xeon_core(),
-        DeviceSpec::dumb_nic_100g(),
-        DeviceSpec::smartnic_100g(),
-        DeviceSpec::fpga_nic_100g(),
-        DeviceSpec::gpu_accelerator(),
-        DeviceSpec::programmable_switch_32x100g(),
-    ]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use apples_metrics::pricing::PricingModel;
-
-    #[test]
-    fn catalog_parts_all_priced() {
-        let model = PricingModel::campus_testbed_2023();
-        for d in catalog() {
-            assert!(
-                model.price_list.contains_key(d.part),
-                "device '{}' references unpriced part '{}'",
-                d.name,
-                d.part
-            );
-        }
-    }
 
     #[test]
     fn section_42_marginal_core_power_matches() {
@@ -236,17 +163,5 @@ mod tests {
     fn switch_is_mostly_load_independent() {
         let s = DeviceSpec::programmable_switch_32x100g();
         assert!(s.power.proportionality() < 0.5);
-    }
-
-    #[test]
-    fn only_fpga_reports_luts_and_only_multicore_devices_report_cores() {
-        for d in catalog() {
-            if d.luts > 0 {
-                assert_eq!(d.class, DeviceClass::Fpga, "{}", d.name);
-            }
-            if d.cores > 0 {
-                assert!(matches!(d.class, DeviceClass::Cpu | DeviceClass::SmartNic), "{}", d.name);
-            }
-        }
     }
 }

@@ -9,10 +9,9 @@
 //! (idle + utilization × dynamic range) per device, which a deployment
 //! evaluates at each stage's measured utilization after a run.
 //!
-//! It also carries the rest of a system's cost inventory — rack units,
-//! die area, memory, bill of materials — so any of the Table 1 metrics
-//! can be reported for a deployment, and the §3.1 pricing-model release
-//! can price it.
+//! Each device also states its rack footprint. A deployment's power
+//! lines list the devices it needs, so they are its whole cost
+//! inventory: its watts and rack units are sums over them.
 //!
 //! The device constants in [`devices`] are synthetic but representative
 //! (documented per device); DESIGN.md records the substitution rationale.
@@ -27,9 +26,7 @@
 )]
 
 pub mod devices;
-pub mod inventory;
 pub mod model;
 
 pub use devices::DeviceSpec;
-pub use inventory::{CostVector, SystemInventory};
 pub use model::LinearPower;

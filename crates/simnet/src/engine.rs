@@ -182,23 +182,6 @@ impl StageState {
         }
     }
 
-    /// Resets everything a run mutates so an engine can be reused.
-    fn reset(&mut self) {
-        self.queue.clear();
-        self.busy = 0;
-        self.busy_ns = 0;
-        self.arrivals = 0;
-        self.served = 0;
-        self.queue_drops = 0;
-        self.policy_drops = 0;
-        self.in_service_pkts = 0;
-        self.batch_epoch = 0;
-        self.batch_flush_pending = false;
-        self.slow_factor = 1.0;
-        self.down = false;
-        self.fault_drops = 0;
-    }
-
     /// Starts service on `pkt` at time `t`: payload synthesis (when the
     /// run has payloads on), one `serve()` call, and the Done event
     /// push. Shared by arrivals, queue pulls on completion, and
@@ -461,20 +444,17 @@ impl<'p> EventCore<'p> {
     }
 }
 
-/// The simulator.
+/// The simulator: one run of a pipeline. Running consumes the engine,
+/// so no service model carries state from one run into the next.
 pub struct Engine {
     stages: Vec<StageState>,
     payload: Option<PayloadConfig>,
-    /// Fault plan applied to every run; `None` = fault-free.
+    /// Fault plan applied to the run; `None` = fault-free.
     fault_plan: Option<FaultPlan>,
     /// Zero-latency hop fusion (default on). `false` re-enqueues every
     /// hop through the scheduler — the reference path the fused/unfused
     /// property tests compare against, bit for bit.
     fused: bool,
-    /// Optional observability hooks (tracing / telemetry / spans).
-    /// `None` — the default — leaves the hot path byte-identical to an
-    /// uninstrumented engine: every site is a single `Option` branch.
-    observer: Option<RunObserver>,
 }
 
 /// The raw result of a run.
@@ -603,20 +583,7 @@ impl Engine {
             payload: None,
             fault_plan: None,
             fused: true,
-            observer: None,
         }
-    }
-
-    /// Attaches observability hooks for subsequent runs. The observer
-    /// accumulates across runs until taken with [`Engine::take_observer`].
-    pub fn with_observer(mut self, observer: RunObserver) -> Self {
-        self.observer = Some(observer);
-        self
-    }
-
-    /// Removes and returns the observer (with everything it collected).
-    pub fn take_observer(&mut self) -> Option<RunObserver> {
-        self.observer.take()
     }
 
     /// Enables or disables zero-latency hop fusion (default: enabled).
@@ -648,9 +615,33 @@ impl Engine {
     /// Runs `workload` for `duration_ns` of simulated time, measuring
     /// from `warmup_ns` on. Deliveries and drops before warmup are not
     /// counted; events after `duration_ns` are not processed.
-    pub fn run(&mut self, workload: &WorkloadSpec, duration_ns: u64, warmup_ns: u64) -> RunResult {
+    pub fn run(self, workload: &WorkloadSpec, duration_ns: u64, warmup_ns: u64) -> RunResult {
         let stream = workload.stream();
-        self.run_stubs(stream, workload.flows, workload.seed, duration_ns, warmup_ns)
+        self.run_stubs(stream, workload.flows, workload.seed, duration_ns, warmup_ns, None).0
+    }
+
+    /// [`Engine::run`] with observability hooks (tracing, telemetry,
+    /// spans, time series) feeding `observer`, which comes back with
+    /// everything the run recorded. The hooks never feed back into the
+    /// simulation: the result equals [`Engine::run`]'s. Without an
+    /// observer every hook site is a single `Option` branch.
+    pub fn run_observed(
+        self,
+        workload: &WorkloadSpec,
+        duration_ns: u64,
+        warmup_ns: u64,
+        observer: RunObserver,
+    ) -> (RunResult, RunObserver) {
+        let stream = workload.stream();
+        let (result, observer) = self.run_stubs(
+            stream,
+            workload.flows,
+            workload.seed,
+            duration_ns,
+            warmup_ns,
+            Some(observer),
+        );
+        (result, observer.unwrap_or_default())
     }
 }
 
@@ -973,39 +964,32 @@ fn walk_bucket(
 }
 
 impl Engine {
+    /// The run loop behind [`Engine::run`] and [`Engine::run_observed`]:
+    /// the observer, when there is one, travels alongside the sink
+    /// through the helpers and comes back with the result.
     fn run_stubs(
-        &mut self,
+        self,
         stubs: impl Iterator<Item = apples_workload::PacketStub>,
         flows: usize,
         payload_seed: u64,
         duration_ns: u64,
         warmup_ns: u64,
-    ) -> RunResult {
+        mut obs: Option<RunObserver>,
+    ) -> (RunResult, Option<RunObserver>) {
         assert!(warmup_ns < duration_ns, "warmup must precede the end of the run");
         let window_ns = duration_ns - warmup_ns;
         let mut sink = SinkStats::new(flows);
+        let Engine { mut stages, payload, fault_plan, fused } = self;
 
-        // Reset per-run state so an Engine can be reused safely.
-        for st in &mut self.stages {
-            st.reset();
-        }
-
-        let mut core = EventCore::new(
-            self.fused,
-            self.payload.as_ref().map(|p| PayloadSynth::new(p, payload_seed)),
-        );
-
-        // The observer travels alongside the sink through the helpers;
-        // taking it out of `self` keeps the borrows disjoint.
-        let mut obs = self.observer.take();
+        let mut core =
+            EventCore::new(fused, payload.as_ref().map(|p| PayloadSynth::new(p, payload_seed)));
         if let Some(o) = obs.as_mut() {
-            o.ensure_stages(self.stages.len());
+            o.ensure_stages(stages.len());
         }
 
         // Materialize the fault plan's windowed transitions as ordinary
         // events before anything else runs: they get the lowest seqs, so
         // their relative order is fixed.
-        let fault_plan = self.fault_plan.take();
         if let Some(plan) = &fault_plan {
             for e in plan.events.iter().filter(|e| e.t_ns <= duration_ns) {
                 core.push(e.t_ns, Event::Fault(e.action));
@@ -1070,7 +1054,7 @@ impl Engine {
                         }
                     }
                 }
-                arrive(&mut self.stages, 0, pkt, t, warmup_ns, &mut sink, &mut core, &mut obs);
+                arrive(&mut stages, 0, pkt, t, warmup_ns, &mut sink, &mut core, &mut obs);
                 continue;
             }
 
@@ -1107,7 +1091,7 @@ impl Engine {
                 None => SpanToken::noop(),
             };
             walk_bucket(
-                &mut self.stages,
+                &mut stages,
                 t,
                 warmup_ns,
                 &mut bucket,
@@ -1122,16 +1106,13 @@ impl Engine {
             }
         }
 
-        self.fault_plan = fault_plan;
         if let Some(o) = obs.as_mut() {
-            // Fold in the scheduler's structural counters (deterministic:
-            // pure functions of the event schedule).
-            o.merge_sched(core.events.counters());
+            // The scheduler's structural counters (deterministic: pure
+            // functions of the event schedule).
+            o.sched = core.events.counters();
         }
-        self.observer = obs;
 
-        let stages = self
-            .stages
+        let reports = stages
             .iter()
             .map(|s| StageReport {
                 name: s.cfg.name,
@@ -1146,17 +1127,18 @@ impl Engine {
             })
             .collect();
 
-        let injected = self.stages[0].arrivals;
-        RunResult {
+        let injected = stages[0].arrivals;
+        let result = RunResult {
             sink,
-            stages,
+            stages: reports,
             window_ns,
             injected,
             injected_drops,
             corrupted,
             total_events: core.total + injected,
             peak_live_events: core.peak_live,
-        }
+        };
+        (result, obs)
     }
 }
 
@@ -1212,7 +1194,7 @@ mod tests {
     #[test]
     fn underloaded_pipeline_delivers_everything() {
         // 100 kpps of 64 B on one core (100 ns/packet service): ~1% load.
-        let mut engine = Engine::new(vec![forwarding_stage(1)]);
+        let engine = Engine::new(vec![forwarding_stage(1)]);
         let wl = WorkloadSpec::cbr(100_000.0, 64, 4, 1);
         let r = engine.run(&wl, 50_000_000, 0);
         assert_eq!(r.sink.queue_drops(), 0);
@@ -1225,7 +1207,7 @@ mod tests {
     #[test]
     fn overloaded_stage_saturates_and_drops() {
         // Service ~100 ns => capacity ~10 Mpps; offer 20 Mpps.
-        let mut engine = Engine::new(vec![StageConfig::new(
+        let engine = Engine::new(vec![StageConfig::new(
             "core",
             1,
             64,
@@ -1244,7 +1226,7 @@ mod tests {
     #[test]
     fn more_servers_raise_capacity() {
         let run_with = |servers: u32| {
-            let mut engine = Engine::new(vec![forwarding_stage(servers)]);
+            let engine = Engine::new(vec![forwarding_stage(servers)]);
             // Offer well above even 4 cores' capacity (~40 Mpps).
             let wl = WorkloadSpec::cbr(60e6, 64, 4, 1);
             let r = engine.run(&wl, 10_000_000, 1_000_000);
@@ -1259,7 +1241,7 @@ mod tests {
     fn policy_drops_are_not_loss() {
         // A deny-all firewall: every packet dropped by policy, none lost.
         let fw = Firewall::new(vec![], Action::Deny);
-        let mut engine = Engine::new(vec![StageConfig::new(
+        let engine = Engine::new(vec![StageConfig::new(
             "fw",
             1,
             256,
@@ -1277,7 +1259,7 @@ mod tests {
     #[test]
     fn latency_includes_queueing_under_load() {
         let lat_at = |rate: f64| {
-            let mut engine = Engine::new(vec![forwarding_stage(1)]);
+            let engine = Engine::new(vec![forwarding_stage(1)]);
             let wl = WorkloadSpec {
                 sizes: apples_workload::PacketSizeDist::Fixed(64),
                 arrivals: apples_workload::ArrivalProcess::Poisson { rate_pps: rate },
@@ -1296,8 +1278,8 @@ mod tests {
     #[test]
     fn multi_stage_pipelines_accumulate_latency() {
         let mk = || StageConfig::new("link", 1, 1024, Box::new(LineRate::new("10G", 10e9)));
-        let mut one = Engine::new(vec![mk()]);
-        let mut three = Engine::new(vec![mk(), mk(), mk()]);
+        let one = Engine::new(vec![mk()]);
+        let three = Engine::new(vec![mk(), mk(), mk()]);
         let wl = WorkloadSpec::cbr(10_000.0, 1500, 2, 1);
         let l1 = one.run(&wl, 10_000_000, 0).sink.latency().mean();
         let l3 = three.run(&wl, 10_000_000, 0).sink.latency().mean();
@@ -1319,7 +1301,7 @@ mod tests {
     fn full_batches_flush_immediately() {
         // 8 packets arrive back-to-back; batch size 4 -> two batches,
         // each kernel 10 us + 4*30 ns.
-        let mut engine = Engine::new(vec![batch_stage(4, 1_000_000, 10_000)]);
+        let engine = Engine::new(vec![batch_stage(4, 1_000_000, 10_000)]);
         let wl = WorkloadSpec::cbr(100e6, 64, 4, 1); // 10 ns spacing
         let r = engine.run(&wl, 60_000, 0);
         assert!(r.sink.delivered_packets() >= 16, "{}", r.sink.delivered_packets());
@@ -1331,7 +1313,7 @@ mod tests {
 
     #[test]
     fn lone_packet_waits_for_the_timeout() {
-        let mut engine = Engine::new(vec![batch_stage(64, 50_000, 10_000)]);
+        let engine = Engine::new(vec![batch_stage(64, 50_000, 10_000)]);
         // One packet per 10 ms: every batch is a timeout flush of 1.
         let wl = WorkloadSpec::cbr(100.0, 64, 1, 1);
         let r = engine.run(&wl, 50_000_000, 0);
@@ -1357,8 +1339,8 @@ mod tests {
         let wl = WorkloadSpec::cbr(10e6, 64, 1, 1);
         let stubs = wl.packets_for(1_000);
         assert_eq!(stubs.len(), 9);
-        let mut engine = Engine::new(vec![batch_stage(4, TIMEOUT, KERNEL)]);
-        let r = engine.run_stubs(stubs.into_iter(), wl.flows, 0, 5_000_000, 0);
+        let engine = Engine::new(vec![batch_stage(4, TIMEOUT, KERNEL)]);
+        let (r, _) = engine.run_stubs(stubs.into_iter(), wl.flows, 0, 5_000_000, 0, None);
         assert_eq!(r.sink.delivered_packets(), 9);
         // Packet 9 enqueues at t=900 while batch 2 is in flight; its
         // timer must run from t=900, so its latency is timeout + kernel
@@ -1377,7 +1359,7 @@ mod tests {
         // Same kernel cost; batch 1 vs batch 256 at a load the former
         // cannot carry.
         let tput = |max_batch: usize| {
-            let mut engine = Engine::new(vec![batch_stage(max_batch, 100_000, 10_000)]);
+            let engine = Engine::new(vec![batch_stage(max_batch, 100_000, 10_000)]);
             let wl = WorkloadSpec::cbr(1e6, 64, 16, 1);
             let r = engine.run(&wl, 10_000_000, 1_000_000);
             r.sink.throughput_pps(r.window_ns)
@@ -1393,7 +1375,7 @@ mod tests {
         // At a light load both configurations keep up, but the large
         // batch makes packets wait for the formation timeout.
         let p99 = |max_batch: usize, timeout: u64| {
-            let mut engine = Engine::new(vec![batch_stage(max_batch, timeout, 10_000)]);
+            let engine = Engine::new(vec![batch_stage(max_batch, timeout, 10_000)]);
             let wl = WorkloadSpec::cbr(10_000.0, 64, 4, 1);
             let r = engine.run(&wl, 20_000_000, 2_000_000);
             r.sink.latency().quantile(0.99)
@@ -1408,7 +1390,7 @@ mod tests {
 
     #[test]
     fn batch_stage_conserves_packets_under_overload() {
-        let mut engine = Engine::new(vec![batch_stage(32, 10_000, 50_000)]);
+        let engine = Engine::new(vec![batch_stage(32, 10_000, 50_000)]);
         let wl = WorkloadSpec::cbr(5e6, 700, 8, 1);
         let r = engine.run(&wl, 5_000_000, 0);
         assert!(r.stages[0].queue_drops > 0, "overload expected");
@@ -1421,7 +1403,7 @@ mod tests {
     #[test]
     fn batch_runs_are_deterministic() {
         let run = || {
-            let mut engine = Engine::new(vec![batch_stage(16, 30_000, 5_000)]);
+            let engine = Engine::new(vec![batch_stage(16, 30_000, 5_000)]);
             let wl = WorkloadSpec::cbr(2e6, 200, 8, 3);
             let r = engine.run(&wl, 5_000_000, 500_000);
             (r.sink.delivered_packets(), r.sink.latency().quantile(0.99))
@@ -1433,7 +1415,7 @@ mod tests {
     fn packets_are_conserved_at_every_stage() {
         // Overloaded two-stage pipeline: drops, queues, and in-flight
         // packets must all be accounted for.
-        let mut engine = Engine::new(vec![
+        let engine = Engine::new(vec![
             StageConfig::new("front", 1, 32, Box::new(NfService::host_core(NfChain::empty()))),
             StageConfig::new("back", 1, 8, Box::new(LineRate::new("1G", 1e9))),
         ]);
@@ -1455,25 +1437,9 @@ mod tests {
     }
 
     #[test]
-    fn engine_reuse_resets_state() {
-        // A reused engine's second run must equal its first, which is a
-        // fresh engine's run, in every field: for an overloaded
-        // per-packet stage and for a batch stage.
-        let reuse = |stage: StageConfig, wl: WorkloadSpec, warmup_ns: u64| {
-            let mut engine = Engine::new(vec![stage]);
-            let a = engine.run(&wl, 5_000_000, warmup_ns);
-            let b = engine.run(&wl, 5_000_000, warmup_ns);
-            assert!(a.sink.delivered_packets() > 0);
-            assert_eq!(a, b);
-        };
-        reuse(forwarding_stage(1), WorkloadSpec::cbr(20e6, 64, 4, 1), 0);
-        reuse(batch_stage(16, 30_000, 5_000), WorkloadSpec::cbr(2e6, 200, 8, 3), 500_000);
-    }
-
-    #[test]
     fn runs_are_deterministic() {
         let run = || {
-            let mut engine = Engine::new(vec![forwarding_stage(2)]);
+            let engine = Engine::new(vec![forwarding_stage(2)]);
             let wl = WorkloadSpec::cbr(5e6, 200, 16, 9);
             let r = engine.run(&wl, 5_000_000, 500_000);
             (r.sink.delivered_packets(), r.sink.latency().quantile(0.999), r.stages[0].served)
@@ -1487,7 +1453,7 @@ mod tests {
         // the slab's high-water mark must stay proportional to what is
         // simultaneously in flight (a handful of service completions
         // plus queued forwards), not to the run length.
-        let mut engine = Engine::new(vec![
+        let engine = Engine::new(vec![
             StageConfig::new("front", 2, 128, Box::new(NfService::host_core(NfChain::empty()))),
             StageConfig::new("back", 1, 128, Box::new(LineRate::new("10G", 10e9))),
         ]);
@@ -1575,16 +1541,6 @@ mod tests {
     }
 
     #[test]
-    fn engine_reuse_keeps_the_fault_plan() {
-        let mut engine = Engine::new(vec![forwarding_stage(1)]).with_fault_plan(severe_plan(1));
-        let wl = WorkloadSpec::cbr(2e6, 200, 8, 3);
-        let a = engine.run(&wl, 5_000_000, 0);
-        let b = engine.run(&wl, 5_000_000, 0);
-        assert_eq!(a, b, "a reused engine must re-apply the same plan");
-        assert!(a.injected_drops > 0);
-    }
-
-    #[test]
     fn slowdown_windows_degrade_throughput() {
         // Pure slowdown (no loss, no outage): the run must deliver
         // strictly less than the fault-free run at a load near capacity.
@@ -1651,7 +1607,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "warmup")]
     fn warmup_must_precede_end() {
-        let mut engine = Engine::new(vec![forwarding_stage(1)]);
+        let engine = Engine::new(vec![forwarding_stage(1)]);
         let wl = WorkloadSpec::cbr(1000.0, 64, 1, 1);
         let _ = engine.run(&wl, 1000, 1000);
     }
@@ -1661,7 +1617,7 @@ mod tests {
         // 4,097 forwarding stages in a line; each packet crosses all of
         // them in about 410 us, so a 2 ms run delivers most of its 20.
         const STAGES: usize = 4097;
-        let mut engine = Engine::new((0..STAGES).map(|_| forwarding_stage(1)).collect());
+        let engine = Engine::new((0..STAGES).map(|_| forwarding_stage(1)).collect());
         let wl = WorkloadSpec::cbr(10_000.0, 64, 4, 1);
         let r = engine.run(&wl, 2_000_000, 0);
         assert_eq!(r.stages.len(), STAGES);

@@ -16,7 +16,7 @@
 //! - [`Deployment::switch_frontend`]: a programmable switch executes a
 //!   preprocessing chain at line rate in front of the host (§4.2.1).
 
-use crate::engine::{Engine, PayloadConfig, StageConfig, StageReport};
+use crate::engine::{Engine, PayloadConfig, RunResult, StageConfig, StageReport};
 use crate::fault::{FaultPlan, FaultSpec};
 use crate::nf::NfChain;
 use crate::service::{FixedTime, NfService};
@@ -467,9 +467,16 @@ impl Deployment {
         v
     }
 
+    /// The rack space the power inventory occupies: count × rack units,
+    /// summed over every power line.
+    pub fn rack_units(&self) -> f64 {
+        self.power_lines.iter().map(|l| f64::from(l.count) * l.device.rack_units).sum()
+    }
+
     /// Runs the deployment against a workload and measures it.
     pub fn run(&self, workload: &WorkloadSpec, duration_ns: u64, warmup_ns: u64) -> Measurement {
-        self.simulate(workload, duration_ns, warmup_ns, None).0
+        let result = self.engine(workload, duration_ns).run(workload, duration_ns, warmup_ns);
+        self.measurement(result)
     }
 
     /// Runs the deployment with observability attached: same simulated
@@ -483,22 +490,18 @@ impl Deployment {
         warmup_ns: u64,
         cfg: &ObsConfig,
     ) -> (Measurement, RunObserver) {
-        let (measurement, observer) = self.simulate(workload, duration_ns, warmup_ns, Some(cfg));
-        // The engine hands the observer back exactly when one was
-        // attached; the fallback is unreachable but keeps this total.
-        (measurement, observer.unwrap_or_else(|| RunObserver::new(cfg)))
+        let (result, observer) = self.engine(workload, duration_ns).run_observed(
+            workload,
+            duration_ns,
+            warmup_ns,
+            RunObserver::new(cfg),
+        );
+        (self.measurement(result), observer)
     }
 
-    /// The body of [`Deployment::run`] and [`Deployment::run_observed`]:
-    /// builds the engine, attaches an observer configured by `observer`
-    /// when there is one, runs, and hands that observer back.
-    fn simulate(
-        &self,
-        workload: &WorkloadSpec,
-        duration_ns: u64,
-        warmup_ns: u64,
-        observer: Option<&ObsConfig>,
-    ) -> (Measurement, Option<RunObserver>) {
+    /// A fresh engine for one run: new stages (so no NF state survives
+    /// from an earlier run), the payload synthesis and the fault plan.
+    fn engine(&self, workload: &WorkloadSpec, duration_ns: u64) -> Engine {
         let stages: Vec<StageConfig> = self.stage_factories.iter().map(|f| f()).collect();
         let mut engine = Engine::new(stages).with_fusion(self.fused);
         if let Some((prob, needles)) = &self.payload {
@@ -508,12 +511,12 @@ impl Deployment {
         if let Some(plan) = self.fault_plan(workload.seed, duration_ns) {
             engine = engine.with_fault_plan(plan);
         }
-        if let Some(cfg) = observer {
-            engine = engine.with_observer(RunObserver::new(cfg));
-        }
-        let result = engine.run(workload, duration_ns, warmup_ns);
-        let observer = engine.take_observer();
+        engine
+    }
 
+    /// Prices a run's stage utilizations through the power lines and
+    /// reads the sink's figures off its result.
+    fn measurement(&self, result: RunResult) -> Measurement {
         let total_watts: f64 = self
             .power_lines
             .iter()
@@ -526,7 +529,7 @@ impl Deployment {
             })
             .sum();
 
-        let measurement = Measurement {
+        Measurement {
             name: self.name.clone(),
             device_classes: self.device_classes(),
             throughput_bps: result.sink.throughput_bps(result.window_ns),
@@ -541,8 +544,7 @@ impl Deployment {
             corrupted: result.corrupted,
             watts: total_watts,
             stages: result.stages,
-        };
-        (measurement, observer)
+        }
     }
 
     /// Canonical digest of everything that determines a run's simulated
@@ -791,8 +793,10 @@ mod tests {
         let host_util =
             |m: &Measurement| m.stages.iter().find(|s| s.name == "host-cores").unwrap().utilization;
         assert!(host_util(&mf) < host_util(&mp), "switch should shed host load");
-        // And it costs far more watts (the switch's idle floor).
+        // And it costs far more watts (the switch's idle floor) and a
+        // second rack unit (the switch's own chassis).
         assert!(mf.watts > mp.watts + 90.0);
+        assert_eq!((plain.rack_units(), fronted.rack_units()), (1.0, 2.0));
     }
 
     #[test]
@@ -889,16 +893,18 @@ mod tests {
     #[test]
     fn replicated_cluster_scales_throughput_and_charges_every_host() {
         let wl = WorkloadSpec::cbr(8e6, 1500, 256, 5);
-        let one = Deployment::replicated_cluster("cluster-1", 1, 2, 0.1, firewall_chain(100))
-            .run(&wl, 20_000_000, 2_000_000);
-        let three = Deployment::replicated_cluster("cluster-3", 3, 2, 0.1, firewall_chain(100))
-            .run(&wl, 20_000_000, 2_000_000);
+        let cluster =
+            |hosts| Deployment::replicated_cluster("cluster", hosts, 2, 0.1, firewall_chain(100));
+        let one = cluster(1).run(&wl, 20_000_000, 2_000_000);
+        let three = cluster(3).run(&wl, 20_000_000, 2_000_000);
         let gain = three.throughput_bps / one.throughput_bps;
         // Sub-ideal: flow-hash imbalance keeps it below 3x.
         assert!(gain > 2.0 && gain < 3.0, "3-replica gain {gain}");
         // Cost covers every chassis: at least 2 extra idle chassis
         // (+40 W) over the 1-replica cluster.
         assert!(three.watts > one.watts + 40.0, "{} vs {}", three.watts, one.watts);
+        // Rack space too: the splitter switch plus one chassis per host.
+        assert_eq!(cluster(3).rack_units(), 4.0);
         // Splitter + 3 hosts = 4 stages.
         assert_eq!(three.stages.len(), 4);
     }
@@ -1079,7 +1085,7 @@ mod tests {
         let tel = obs.telemetry.as_ref().unwrap();
         assert!(tel.stages[0].service_ns.count() > 0);
         assert_eq!(tel.stages[0].service_ns.count(), plain.stages[0].served);
-        assert!(obs.sched.pushes > 0, "scheduler counters must accumulate");
+        assert!(obs.sched.pushes > 0, "an observed run must record the scheduler counters");
         assert!(obs.spans.as_ref().unwrap().total_spans() > 0);
     }
 

@@ -8,36 +8,53 @@
 //! ```
 
 use apples::metrics::pricing::{BomItem, PricingModel};
-use apples::power::devices::DeviceSpec;
-use apples::power::inventory::SystemInventory;
+use apples::metrics::quantity::watts_to_btu_per_hour;
 use apples::prelude::*;
+use apples_bench::scenarios::{
+    firewall_chain, full_chain, measure, saturating_workload, stateful_tail_chain,
+};
 
 fn main() {
-    // Two deployments' inventories at their measured utilizations.
-    let baseline = SystemInventory::new()
-        .add(DeviceSpec::host_chassis(), 1, 1.0)
-        .add(DeviceSpec::xeon_core(), 2, 1.0)
-        .add(DeviceSpec::dumb_nic_100g(), 1, 0.8);
-    let accelerated = SystemInventory::new()
-        .add(DeviceSpec::host_chassis(), 1, 1.0)
-        .add(DeviceSpec::xeon_core(), 1, 0.9)
-        .add(DeviceSpec::smartnic_100g(), 1, 0.95);
+    // Two deployments measured on one workload, each priced from an
+    // explicit bill of materials.
+    let wl = saturating_workload(1);
+    let systems = [
+        (
+            Deployment::cpu_host("baseline", 2, full_chain),
+            vec![BomItem::new("xeon-server-16c", 1), BomItem::new("dumb-nic-100g", 1)],
+        ),
+        (
+            Deployment::smartnic_offload("accelerated", 4, firewall_chain, 1, stateful_tail_chain),
+            vec![BomItem::new("xeon-server-16c", 1), BomItem::new("smartnic-100g", 1)],
+        ),
+    ];
+    let measured: Vec<Measurement> = systems.iter().map(|(d, _)| measure(d, &wl)).collect();
 
-    // Context-independent costs first (what the paper asks papers to report):
-    for (name, inv) in [("baseline", &baseline), ("accelerated", &accelerated)] {
-        let v = inv.cost_vector();
+    // Context-independent costs first (what the paper asks papers to
+    // report), each summed over the devices the deployment lists.
+    for ((d, _), m) in systems.iter().zip(&measured) {
+        let heat = watts_to_btu_per_hour(watts(m.watts)).expect("watts convert to BTU/h");
         println!(
-            "{name:<12} power={:6.1} W  heat={:7.1} BTU/h  rack={:.1} RU",
-            v.watts,
-            v.heat().value(),
-            v.rack_units
+            "{:<12} power={:6.1} W  heat={:7.1} BTU/h  rack={:.1} RU",
+            m.name,
+            m.watts,
+            heat.value(),
+            d.rack_units()
         );
-        match v.core_count() {
-            Some(c) => println!("{:<12} cores compose: {}", "", c),
-            None => println!(
-                "{:<12} cores do NOT compose across device classes (principle 3) — not reported",
-                ""
-            ),
+    }
+
+    // A core count is a fair cost only if it covers every device of
+    // both systems (principle 3); the validator names what it misses.
+    let cores = CostMetric::cpu_cores();
+    let classes: Vec<(&str, &[DeviceClass])> =
+        measured.iter().map(|m| (m.name.as_str(), m.device_classes.as_slice())).collect();
+    let violations = validate_cost_metric(&cores, &classes);
+    if violations.is_empty() {
+        println!("\n'{}' is a fair cost metric for both systems", cores.name());
+    } else {
+        println!("\n'{}' is not reported:", cores.name());
+        for v in &violations {
+            println!("  {v}");
         }
     }
 
@@ -46,10 +63,10 @@ fn main() {
     let hyperscaler = PricingModel::hyperscaler_2023();
     println!("\nyearly TCO under each released model:");
     println!("{:<12} {:>20} {:>20}", "system", campus.name.as_str(), hyperscaler.name.as_str());
-    for (name, inv) in [("baseline", &baseline), ("accelerated", &accelerated)] {
-        let tc = inv.yearly_tco(&campus).expect("priced");
-        let th = inv.yearly_tco(&hyperscaler).expect("priced");
-        println!("{name:<12} {:>20} {:>20}", tc.to_string(), th.to_string());
+    for ((_, bom), m) in systems.iter().zip(&measured) {
+        let tc = campus.yearly_tco(bom, watts(m.watts)).expect("priced");
+        let th = hyperscaler.yearly_tco(bom, watts(m.watts)).expect("priced");
+        println!("{:<12} {:>20} {:>20}", m.name, tc.to_string(), th.to_string());
     }
 
     println!(

@@ -136,6 +136,15 @@ echo "== golden fixtures under the release profile =="
 # profile too (the tier-1 suite runs them in the test profile).
 cargo test -q --release --offline --test golden_reports | tail -n 2
 cargo test -q --release --offline --test observability golden | tail -n 2
+# Each published report under reports/ is a byte copy of its golden
+# fixture, so a fixture regenerated without its copy fails here.
+for golden in tests/golden/*.md; do
+  report="reports/$(basename "${golden}")"
+  if ! cmp -s "${golden}" "${report}"; then
+    echo "${report} differs from ${golden}: copy the fixture to reports/" >&2
+    exit 1
+  fi
+done
 
 echo "== observability: trace determinism + overhead ceiling =="
 # A traced run is a pure function of (seed, spec): the same scenario

@@ -18,8 +18,8 @@
 //! - [`simnet`]: the discrete-event packet-processing simulator with
 //!   heterogeneous device models (CPU, SmartNIC, programmable switch)
 //!   and network functions (ACL firewall, NAT, DPI, flow monitor).
-//! - [`power`]: utilization-driven power models and full cost
-//!   inventories.
+//! - [`power`]: utilization-driven device power models and rack
+//!   footprints; a deployment's power lines are its cost inventory.
 //! - [`workload`]: seeded packet workloads (RFC 2544 sizes, IMIX,
 //!   Poisson/bursty arrivals, Zipf flows).
 //!

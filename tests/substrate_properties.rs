@@ -172,7 +172,7 @@ fn pipelines_conserve_packets() {
         let rate_mpps = rng.range_u64(1, 20);
         let size = rng.range_u32(64, 1500);
         let seed = rng.range_u64(0, 1000);
-        let mut engine = Engine::new(vec![
+        let engine = Engine::new(vec![
             StageConfig::new(
                 "front",
                 servers1,
@@ -205,7 +205,7 @@ fn batch_stages_conserve_packets() {
         let kernel_us = rng.range_u64(0, 50);
         let rate_mpps = rng.range_u64(1, 8);
         let seed = rng.range_u64(0, 200);
-        let mut engine = Engine::new(vec![StageConfig::new(
+        let engine = Engine::new(vec![StageConfig::new(
             "gpu",
             2,
             2048,
@@ -228,7 +228,7 @@ fn batch_stages_conserve_packets() {
 fn more_servers_never_hurt() {
     for seed in 0..50u64 {
         let deliver = |servers: u32| {
-            let mut engine = Engine::new(vec![StageConfig::new(
+            let engine = Engine::new(vec![StageConfig::new(
                 "core",
                 servers,
                 128,
