@@ -13,23 +13,21 @@ use crate::timeseries::TimeSeries;
 use crate::trace::{TraceDrop, TraceEvent, TraceFault, TraceKind, Tracer};
 use apples_core::json::Json;
 
-/// Structural counters from the event queue: how many events it took
-/// and how many timestamp buckets it handed out. Pure functions of the
-/// event schedule, so deterministic for a given `(seed, spec)` — but
-/// *not* invariant across fusion modes (fused hops bypass the queue),
-/// which is why they live beside the trace rather than inside it.
+/// Structural counters from the event queue: how many events it took.
+/// A pure function of the event schedule, so deterministic for a given
+/// `(seed, spec)` — but *not* invariant across fusion modes (fused hops
+/// bypass the queue), which is why it lives beside the trace rather
+/// than inside it.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SchedCounters {
     /// Events pushed into the scheduler.
     pub pushes: u64,
-    /// Timestamp buckets drained (one dispatch pass each).
-    pub buckets_drained: u64,
 }
 
 impl SchedCounters {
     /// Deterministic JSON rendering.
     pub fn to_json(&self) -> Json {
-        Json::obj().field("pushes", self.pushes).field("buckets_drained", self.buckets_drained)
+        Json::obj().field("pushes", self.pushes)
     }
 }
 
@@ -109,10 +107,13 @@ impl RunObserver {
         }
     }
 
+    /// Records a trace event. `seq` is called only when the trace ring
+    /// is on: the engine reads a packet's id through its packet handle,
+    /// and a run without tracing never pays for that load.
     #[inline]
-    fn emit(&mut self, t_ns: u64, seq: u64, kind: TraceKind) {
+    fn emit(&mut self, t_ns: u64, seq: impl FnOnce() -> u64, kind: TraceKind) {
         if let Some(tr) = &mut self.tracer {
-            tr.emit(TraceEvent { t_ns, seq, kind });
+            tr.emit(TraceEvent { t_ns, seq: seq(), kind });
         }
     }
 
@@ -123,13 +124,13 @@ impl RunObserver {
 
     /// A packet arrived at `stage`.
     #[inline]
-    pub fn on_stage_enter(&mut self, t_ns: u64, seq: u64, stage: usize) {
+    pub fn on_stage_enter(&mut self, t_ns: u64, seq: impl FnOnce() -> u64, stage: usize) {
         self.emit(t_ns, seq, TraceKind::StageEnter { stage: stage as u32 });
     }
 
     /// A packet was queued at `stage`; `depth` is the depth after.
     #[inline]
-    pub fn on_enqueue(&mut self, t_ns: u64, seq: u64, stage: usize, depth: usize) {
+    pub fn on_enqueue(&mut self, t_ns: u64, seq: impl FnOnce() -> u64, stage: usize, depth: usize) {
         if let Some(s) = self.stage_mut(stage) {
             s.depth.record(depth as u64);
         }
@@ -138,7 +139,13 @@ impl RunObserver {
 
     /// A packet left the queue into service after `wait_ns` queued.
     #[inline]
-    pub fn on_dispatch(&mut self, t_ns: u64, seq: u64, stage: usize, wait_ns: u64) {
+    pub fn on_dispatch(
+        &mut self,
+        t_ns: u64,
+        seq: impl FnOnce() -> u64,
+        stage: usize,
+        wait_ns: u64,
+    ) {
         if let Some(s) = self.stage_mut(stage) {
             s.wait_ns.record(wait_ns);
         }
@@ -153,7 +160,7 @@ impl RunObserver {
     pub fn on_stage_exit(
         &mut self,
         t_ns: u64,
-        seq: u64,
+        seq: impl FnOnce() -> u64,
         stage: usize,
         service_ns: u64,
         forwarded: bool,
@@ -166,13 +173,25 @@ impl RunObserver {
 
     /// A packet was dropped at `stage`.
     #[inline]
-    pub fn on_drop(&mut self, t_ns: u64, seq: u64, stage: usize, reason: TraceDrop) {
+    pub fn on_drop(
+        &mut self,
+        t_ns: u64,
+        seq: impl FnOnce() -> u64,
+        stage: usize,
+        reason: TraceDrop,
+    ) {
         self.emit(t_ns, seq, TraceKind::Drop { stage: stage as u32, reason });
     }
 
     /// A fault-plan action was applied to `stage`.
     #[inline]
-    pub fn on_fault(&mut self, t_ns: u64, seq: u64, stage: usize, fault: TraceFault) {
+    pub fn on_fault(
+        &mut self,
+        t_ns: u64,
+        seq: impl FnOnce() -> u64,
+        stage: usize,
+        fault: TraceFault,
+    ) {
         if let Some(s) = self.stage_mut(stage) {
             s.fault_events += 1;
         }
@@ -218,12 +237,12 @@ mod tests {
     fn hooks_update_trace_and_telemetry_together() {
         let mut obs = RunObserver::new(&ObsConfig::full());
         obs.ensure_stages(2);
-        obs.on_stage_enter(100, 1, 0);
-        obs.on_enqueue(100, 1, 0, 3);
-        obs.on_dispatch(150, 2, 0, 50);
-        obs.on_stage_exit(250, 3, 0, 100, true);
-        obs.on_drop(300, 4, 1, TraceDrop::QueueFull);
-        obs.on_fault(400, 5, 1, TraceFault::DeviceDown);
+        obs.on_stage_enter(100, || 1, 0);
+        obs.on_enqueue(100, || 1, 0, 3);
+        obs.on_dispatch(150, || 2, 0, 50);
+        obs.on_stage_exit(250, || 3, 0, 100, true);
+        obs.on_drop(300, || 4, 1, TraceDrop::QueueFull);
+        obs.on_fault(400, || 5, 1, TraceFault::DeviceDown);
         let tel = obs.telemetry.as_ref().unwrap();
         let s0 = &tel.stages[0];
         assert_eq!((s0.depth.count(), s0.wait_ns.count(), s0.service_ns.count()), (1, 1, 1));
@@ -237,8 +256,8 @@ mod tests {
     fn out_of_range_stage_is_ignored_by_telemetry_not_trace() {
         let mut obs = RunObserver::new(&ObsConfig::full());
         obs.ensure_stages(1);
-        obs.on_enqueue(10, 1, 9, 4);
-        obs.on_fault(20, 2, 9, TraceFault::DeviceDown);
+        obs.on_enqueue(10, || 1, 9, 4);
+        obs.on_fault(20, || 2, 9, TraceFault::DeviceDown);
         assert_eq!(obs.telemetry.as_ref().unwrap().stages, vec![StageTelemetry::default()]);
         assert_eq!(obs.tracer.as_ref().unwrap().emitted(), 2);
     }

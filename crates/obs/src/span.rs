@@ -2,7 +2,7 @@
 //!
 //! Every span is counted, but the wall clock is read only once per
 //! [`SAMPLE_EVERY`] spans per phase — two `Instant::now` calls per
-//! bucket would dominate a hot loop that dispatches tens of millions of
+//! event would dominate a hot loop that dispatches tens of millions of
 //! events per second. Estimated totals scale the sampled time by the
 //! sampling ratio; the bench harness's overhead gate holds the whole
 //! mechanism under 5%.
@@ -18,9 +18,7 @@ use std::time::Instant;
 /// Engine phases the profiler covers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Phase {
-    /// Draining the next timestamp bucket from the event queue.
-    BucketDrain,
-    /// Dispatching the drained bucket's events through the stages.
+    /// Dispatching one event through the stages.
     Dispatch,
     /// Applying fault-plan actions.
     FaultApply,
@@ -28,12 +26,11 @@ pub enum Phase {
 
 impl Phase {
     /// All phases, in reporting order.
-    pub const ALL: [Phase; 3] = [Phase::BucketDrain, Phase::Dispatch, Phase::FaultApply];
+    pub const ALL: [Phase; 2] = [Phase::Dispatch, Phase::FaultApply];
 
     /// Stable label used in reports.
     pub fn label(self) -> &'static str {
         match self {
-            Phase::BucketDrain => "bucket-drain",
             Phase::Dispatch => "dispatch",
             Phase::FaultApply => "fault-apply",
         }
@@ -41,18 +38,16 @@ impl Phase {
 
     fn idx(self) -> usize {
         match self {
-            Phase::BucketDrain => 0,
-            Phase::Dispatch => 1,
-            Phase::FaultApply => 2,
+            Phase::Dispatch => 0,
+            Phase::FaultApply => 1,
         }
     }
 }
 
 /// Wall clock is read once per this many spans per phase (power of
-/// two). Spans open per *bucket*, and buckets are often a single event,
-/// so the cadence must be sparse for the profiler to stay under its 5%
-/// budget; at 1024 the clock reads are thousands per second, not
-/// hundreds of thousands.
+/// two). A dispatch span opens per *event*, so the cadence must be
+/// sparse for the profiler to stay under its 5% budget; at 1024 the
+/// clock reads are thousands per second, not hundreds of thousands.
 pub const SAMPLE_EVERY: u64 = 1024;
 
 /// Accumulated profile for one phase.
@@ -95,7 +90,7 @@ impl SpanToken {
 /// The profiler: fixed per-phase slots, no allocation after creation.
 #[derive(Debug, Clone, Default)]
 pub struct SpanProfiler {
-    phases: [PhaseProfile; 3],
+    phases: [PhaseProfile; 2],
 }
 
 impl SpanProfiler {
@@ -152,7 +147,6 @@ impl SpanProfiler {
                 out.push_str(&format!("{root};{stack} {}\n", (us.round() as u64).max(1)));
             }
         };
-        line("bucket-drain", self.phase(Phase::BucketDrain).count, est_us(Phase::BucketDrain));
         let dispatch_self = (est_us(Phase::Dispatch) - fault_us).max(0.0);
         line("dispatch", self.phase(Phase::Dispatch).count, dispatch_self);
         line("dispatch;fault-apply", self.phase(Phase::FaultApply).count, fault_us);
@@ -208,22 +202,13 @@ mod tests {
     #[test]
     fn folded_output_is_wellformed_and_nests_faults_under_dispatch() {
         let mut prof = SpanProfiler::new();
-        prof.phases[Phase::BucketDrain.idx()] =
-            PhaseProfile { count: 10, sampled_wall_ns: 5_000_000, samples: 10 };
         prof.phases[Phase::Dispatch.idx()] =
             PhaseProfile { count: 10, sampled_wall_ns: 9_000_000, samples: 10 };
         prof.phases[Phase::FaultApply.idx()] =
             PhaseProfile { count: 4, sampled_wall_ns: 2_000_000, samples: 4 };
         let folded = prof.to_folded("engine");
         let lines: Vec<&str> = folded.lines().collect();
-        assert_eq!(
-            lines,
-            vec![
-                "engine;bucket-drain 5000",
-                "engine;dispatch 7000",
-                "engine;dispatch;fault-apply 2000"
-            ]
-        );
+        assert_eq!(lines, vec!["engine;dispatch 7000", "engine;dispatch;fault-apply 2000"]);
         for l in &lines {
             let (stack, count) = l.rsplit_once(' ').expect("space-separated");
             assert!(!stack.contains(' '), "frames must be space-free: {stack}");
@@ -237,7 +222,6 @@ mod tests {
         let tok = prof.begin(Phase::Dispatch);
         prof.end(Phase::Dispatch, tok);
         let folded = prof.to_folded("engine");
-        assert!(!folded.contains("bucket-drain"), "{folded}");
         assert!(!folded.contains("fault-apply"), "{folded}");
         assert!(folded.contains("engine;dispatch "), "{folded}");
     }
@@ -246,9 +230,8 @@ mod tests {
     fn json_lists_every_phase_in_order() {
         let prof = SpanProfiler::new();
         let s = prof.to_json().render();
-        let a = s.find("bucket-drain").unwrap();
         let b = s.find("\"dispatch\"").unwrap();
         let c = s.find("fault-apply").unwrap();
-        assert!(a < b && b < c, "{s}");
+        assert!(b < c, "{s}");
     }
 }

@@ -11,21 +11,27 @@
 //! Time is `u64` nanoseconds. Events are totally ordered by
 //! `(time, sequence)` so runs are exactly reproducible.
 //!
-//! ## Memory discipline: one event type in one slab
+//! ## Memory discipline: events and packets by handle
 //!
 //! A scheduled event is two things (DESIGN.md §10): the event queue
-//! entry `(t_ns, seq, slot)`, 24 bytes, which is all the heap moves, and
-//! one `Event` in the run's free-listed slab at index `slot`, touched
-//! only at dispatch. A slot is freed the moment its event fires, so
-//! resident memory is O(live events), not O(total events). Every run
-//! builds its own slab and scratch buffers.
+//! entry, a packed `(t_ns, seq)` key plus a slot, which is all the heap
+//! moves, and one `Event` in the run's free-listed event slab at index
+//! `slot`, touched only at dispatch. Packets live in a second
+//! free-listed slab: a packet is written there once, as it enters
+//! stage 0, and events, stage queues, batch results and fused hops
+//! carry its `u32` handle until it leaves at a drop or at the sink. A
+//! slot is freed the moment its event fires or its packet leaves, so
+//! resident memory is O(live events + packets in the pipeline), not
+//! O(total events). Every run builds its own slabs and scratch buffers.
 //!
-//! Zero-latency forwards (a stage settling a packet into the next stage
-//! at the same timestamp) are *fused*: they ride a FIFO straight back
-//! into the dispatch walk instead of re-enqueueing through the queue,
-//! while still minting seqs so the processing order — and therefore
-//! every report and trace — is bit-identical to the unfused reference
-//! path ([`Engine::with_fusion`]).
+//! The run loop pops one event at a time and dispatches it. Zero-latency
+//! forwards (a stage settling a packet into the next stage at the same
+//! timestamp) are *fused*: they ride a FIFO straight back into the loop
+//! instead of re-enqueueing through the queue, while still minting seqs.
+//! A queued event at the current time goes ahead of a hop only when its
+//! seq is lower, so the processing order — and therefore every report
+//! and trace — is bit-identical to the unfused reference path
+//! ([`Engine::with_fusion`]).
 //!
 //! Workload arrivals are injected lazily from the stub iterator
 //! (arrival times are monotone), so a week-long simulated run holds one
@@ -35,7 +41,7 @@
 
 use crate::fault::{FaultAction, FaultPlan};
 use crate::nf::NfVerdict;
-use crate::packet::Packet;
+use crate::packet::{Packet, Payload};
 use crate::sched::EventScheduler;
 use crate::service::ServiceModel;
 use crate::stats::{DropReason, SinkStats};
@@ -133,11 +139,16 @@ impl StageConfig {
     }
 }
 
+/// A packet's index in its run's packet slab ([`EventCore`]): what
+/// events, stage queues, batch results and fused hops carry instead of
+/// the packet.
+type PacketHandle = u32;
+
 struct StageState {
     cfg: StageConfig,
     /// Waiting packets, each with its enqueue timestamp (the batch
     /// formation timer is measured from the head's enqueue time).
-    queue: VecDeque<(u64, Packet)>,
+    queue: VecDeque<(u64, PacketHandle)>,
     busy: u32,
     busy_ns: u128,
     arrivals: u64,
@@ -188,9 +199,9 @@ impl StageState {
     /// outage-recovery drains — the caller has already bumped
     /// `busy`/`in_service_pkts` and emitted its dispatch hook.
     #[inline]
-    fn begin_service(&mut self, stage: usize, pkt: Packet, t: u64, core: &mut EventCore) {
-        let pkt = core.fill_payload(pkt);
-        let (verdict, svc_ns) = self.cfg.service.serve(&pkt);
+    fn begin_service(&mut self, stage: usize, pkt: PacketHandle, t: u64, core: &mut EventCore) {
+        core.fill_payload(pkt);
+        let (verdict, svc_ns) = self.cfg.service.serve(core.packet(pkt));
         let svc_ns = scaled(svc_ns, self.slow_factor);
         self.busy_ns += u128::from(svc_ns);
         core.push(t + svc_ns, Event::Done { stage, pkt, verdict, svc_ns });
@@ -248,7 +259,7 @@ const HEADER_BYTES: usize = 54;
 /// [`PayloadConfig`], its needles borrowed as slices once per run.
 ///
 /// Payload bytes are a pure function of `(seed, packet id, length,
-/// attack_prob, needles)` ([`Packet::with_payload`]), so *when* they are
+/// attack_prob, needles)` ([`Packet::fill_payload`]), so *when* they are
 /// made cannot change any output. The engine makes them as a packet
 /// first enters service, and packets dropped or still queued before
 /// that never pay for them.
@@ -269,26 +280,26 @@ impl<'p> PayloadSynth<'p> {
 }
 
 /// One scheduled event's payload, held in [`EventCore`]'s slab at the
-/// index its queue entry `(t_ns, seq, slot)` carries.
+/// index its queue entry carries.
 ///
 /// The 8-byte tag keeps every variant's fields 8-aligned. With the
-/// default 1-byte tag, taking an event out of the slab copied its fields
-/// in unaligned 16-byte chunks that the next field loads straddled,
-/// which stalled store forwarding: sim-cluster's op time read 8% above
-/// that of the packed-tag layout this slab replaced (DESIGN.md §10).
+/// default 1-byte tag, taking an 88-byte event out of the slab copied
+/// its fields in unaligned 16-byte chunks that the next field loads
+/// straddled, which stalled store forwarding. On today's 48-byte slots
+/// a 1-byte tag measured no different, so the tag stays (DESIGN.md §10).
 #[repr(u64)]
 enum Event {
     /// A packet finished service at `stage`.
-    Done { stage: usize, pkt: Packet, verdict: NfVerdict, svc_ns: u64 },
+    Done { stage: usize, pkt: PacketHandle, verdict: NfVerdict, svc_ns: u64 },
     /// A packet arrives at `stage`: a same-time forward on the unfused
     /// path.
-    Arrive { stage: usize, pkt: Packet },
+    Arrive { stage: usize, pkt: PacketHandle },
     /// `stage`'s batch formation timer fired; stale unless `epoch` is
     /// still the stage's current one.
     BatchTimeout { stage: usize, epoch: u64 },
     /// A batch kernel finished at `stage`: its results and the batch's
     /// total service time.
-    BatchDone { stage: usize, results: Vec<(Packet, NfVerdict)>, total_ns: u64 },
+    BatchDone { stage: usize, results: Vec<(PacketHandle, NfVerdict)>, total_ns: u64 },
     /// A fault-plan transition.
     Fault(FaultAction),
 }
@@ -297,8 +308,9 @@ enum Event {
 // line (it is the entire per-event footprint inside the event queue).
 const _: () = assert!(std::mem::size_of::<crate::sched::EventKey>() <= 64);
 
-/// Bytes per *hot* event slot: one event queue entry `(t_ns, seq, slot)`.
-/// This is what the event queue actually moves per event.
+/// Bytes per *hot* event slot: one event queue entry, the packed
+/// `(t_ns, seq)` key and the slot. This is what the event queue
+/// actually moves per event.
 pub fn hot_slot_bytes() -> usize {
     std::mem::size_of::<crate::sched::EventKey>()
 }
@@ -312,18 +324,18 @@ pub fn cold_slot_bytes() -> usize {
 
 /// A zero-latency forward waiting in the fused-hop FIFO: a packet that
 /// finished service and settles into its next stage at the same
-/// timestamp, carrying the seq it was minted with so the dispatch walk
-/// can merge it in exact `(t, seq)` order against queued events.
+/// timestamp, carrying the seq it was minted with so the run loop can
+/// order it against queued events at that timestamp.
 struct FusedHop {
     seq: u64,
     stage: usize,
-    pkt: Packet,
+    pkt: PacketHandle,
 }
 
 /// One run's event state, threaded through the dispatch helpers: the
 /// scheduler, the seq mint, the live/peak/total accounting, the event
-/// slab, the fused-hop FIFO, the batch result buffers, and the run's
-/// payload synthesis.
+/// slab, the packet slab, the fused-hop FIFO, the batch result buffers,
+/// and the run's payload synthesis.
 struct EventCore<'p> {
     events: EventScheduler,
     seq: u64,
@@ -334,11 +346,15 @@ struct EventCore<'p> {
     /// `None` marks a free slot, listed in `free`.
     slab: Vec<Option<Event>>,
     free: Vec<usize>,
-    /// Same-time forwards bypassing the scheduler (fusion on). Always
-    /// empty between timestamps: the dispatch walk drains it fully.
+    /// Every packet inside the pipeline, at its handle; the slots listed
+    /// in `packet_free` hold departed packets with empty payloads.
+    packets: Vec<Packet>,
+    packet_free: Vec<PacketHandle>,
+    /// Same-time forwards bypassing the scheduler (fusion on). Every
+    /// hop in it sits at the time being dispatched.
     fwd: VecDeque<FusedHop>,
     /// Drained batch result buffers, reused by the next kernel launch.
-    batch_pool: Vec<Vec<(Packet, NfVerdict)>>,
+    batch_pool: Vec<Vec<(PacketHandle, NfVerdict)>>,
     fused: bool,
     /// Payload synthesis at service start; `None` on header-only runs.
     payload: Option<PayloadSynth<'p>>,
@@ -355,6 +371,8 @@ impl<'p> EventCore<'p> {
             total: 0,
             slab: Vec::new(),
             free: Vec::new(),
+            packets: Vec::new(),
+            packet_free: Vec::new(),
             fwd: VecDeque::new(),
             batch_pool: Vec::new(),
             fused,
@@ -362,17 +380,53 @@ impl<'p> EventCore<'p> {
         }
     }
 
-    /// Attaches `pkt`'s payload as it enters service, unless the run
-    /// has payloads off or the packet already carries one (a hop from
-    /// an earlier stage).
+    /// Writes `pkt` into a free packet slot (or a new one) as it enters
+    /// stage 0 and returns its handle.
     #[inline]
-    fn fill_payload(&self, pkt: Packet) -> Packet {
-        match &self.payload {
-            Some(p) if pkt.payload.is_empty() => {
-                let len = (pkt.size_bytes as usize).saturating_sub(HEADER_BYTES);
-                pkt.with_payload(len, p.seed, p.attack_prob, &p.needles)
+    fn admit(&mut self, pkt: Packet) -> PacketHandle {
+        match self.packet_free.pop() {
+            Some(handle) => {
+                self.packets[handle as usize] = pkt;
+                handle
             }
-            _ => pkt,
+            None => {
+                #[expect(
+                    clippy::expect_used,
+                    reason = "invariant: a handle indexes packets inside the pipeline at once, bounded by queue capacities far below 2^32"
+                )]
+                let handle = PacketHandle::try_from(self.packets.len())
+                    .expect("more than u32::MAX packets inside the pipeline");
+                self.packets.push(pkt);
+                handle
+            }
+        }
+    }
+
+    /// Frees `pkt`'s slot as the packet leaves the pipeline (a drop or
+    /// the sink), dropping its payload so none outlives its packet.
+    #[inline]
+    fn release(&mut self, pkt: PacketHandle) {
+        self.packets[pkt as usize].payload = Payload::empty();
+        self.packet_free.push(pkt);
+    }
+
+    /// The packet behind a handle.
+    #[inline]
+    fn packet(&self, pkt: PacketHandle) -> &Packet {
+        &self.packets[pkt as usize]
+    }
+
+    /// Fills `pkt`'s payload in place as it enters service, unless the
+    /// run has payloads off or the packet already carries one (a hop
+    /// from an earlier stage).
+    #[inline]
+    fn fill_payload(&mut self, pkt: PacketHandle) {
+        if let Some(p) = &self.payload {
+            let pkt = &mut self.packets[pkt as usize];
+            if pkt.payload.is_empty() {
+                let len = (pkt.size_bytes as usize).saturating_sub(HEADER_BYTES);
+                pkt.fill_payload(len, p.seed, p.attack_prob, &p.needles);
+            }
         }
     }
 
@@ -399,8 +453,8 @@ impl<'p> EventCore<'p> {
 
     /// Schedules `event` at `t`: stores it in a free slab slot (or a
     /// new one) and queues `(t, seq, slot)`. Always inlined: called out
-    /// of line, it takes each 96-byte event through the stack, and
-    /// sim-cluster's op time read about 2% higher (DESIGN.md §10).
+    /// of line, it took each event (then 96 bytes) through the stack,
+    /// and sim-cluster's op time read about 2% higher (DESIGN.md §10).
     #[inline(always)]
     fn push(&mut self, t: u64, event: Event) {
         let slot = match self.free.pop() {
@@ -434,13 +488,30 @@ impl<'p> EventCore<'p> {
     /// or back through the scheduler as an Arrive event (fusion off).
     /// Both sides mint a seq, so the dispatch order is identical.
     #[inline]
-    fn forward(&mut self, t: u64, stage: usize, pkt: Packet) {
+    fn forward(&mut self, t: u64, stage: usize, pkt: PacketHandle) {
         if self.fused {
             let seq = self.mint();
             self.fwd.push_back(FusedHop { seq, stage, pkt });
         } else {
             self.push(t, Event::Arrive { stage, pkt });
         }
+    }
+}
+
+/// Opens a span when the run is observed.
+#[inline]
+fn span_begin(obs: &mut Option<RunObserver>, phase: Phase) -> SpanToken {
+    match obs.as_mut() {
+        Some(o) => o.span_begin(phase),
+        None => SpanToken::noop(),
+    }
+}
+
+/// Closes a span opened by [`span_begin`].
+#[inline]
+fn span_end(obs: &mut Option<RunObserver>, phase: Phase, token: SpanToken) {
+    if let Some(o) = obs.as_mut() {
+        o.span_end(phase, token);
     }
 }
 
@@ -539,10 +610,10 @@ fn try_flush_batches(
             )]
             let (enq_t, pkt) = st.queue.pop_front().expect("checked non-empty");
             if let Some(o) = obs.as_mut() {
-                o.on_dispatch(t, pkt.id, stage, t - enq_t);
+                o.on_dispatch(t, || core.packet(pkt).id, stage, t - enq_t);
             }
-            let pkt = core.fill_payload(pkt);
-            let (verdict, svc_ns) = st.cfg.service.serve(&pkt);
+            core.fill_payload(pkt);
+            let (verdict, svc_ns) = st.cfg.service.serve(core.packet(pkt));
             total_ns += svc_ns;
             results.push((pkt, verdict));
         }
@@ -588,7 +659,7 @@ impl Engine {
 
     /// Enables or disables zero-latency hop fusion (default: enabled).
     /// Fused runs push same-time forwards through a FIFO straight back
-    /// into the dispatch walk; unfused runs re-enqueue them through the
+    /// into the run loop; unfused runs re-enqueue them through the
     /// scheduler. Both mint seqs identically, so results, traces, and
     /// telemetry are byte-identical — the unfused path exists as the
     /// reference oracle for A/B tests and the bench's `fused_speedup`.
@@ -657,7 +728,7 @@ impl Engine {
 fn arrive(
     stages: &mut [StageState],
     stage: usize,
-    pkt: Packet,
+    pkt: PacketHandle,
     t: u64,
     warmup_ns: u64,
     sink: &mut SinkStats,
@@ -667,25 +738,25 @@ fn arrive(
     let st = &mut stages[stage];
     st.arrivals += 1;
     if let Some(o) = obs.as_mut() {
-        o.on_stage_enter(t, pkt.id, stage);
+        o.on_stage_enter(t, || core.packet(pkt).id, stage);
     }
     if st.down {
         // Outage window: the device is gone; packets addressed to
         // it are lost rather than queued.
         st.fault_drops += 1;
         if let Some(o) = obs.as_mut() {
-            o.on_drop(t, pkt.id, stage, TraceDrop::Fault);
+            o.on_drop(t, || core.packet(pkt).id, stage, TraceDrop::Fault);
         }
         if t >= warmup_ns {
             sink.drop(DropReason::Fault);
         }
+        core.release(pkt);
     } else if st.cfg.batch.is_some() {
         if st.queue.len() < st.cfg.queue_capacity {
             let was_empty = st.queue.is_empty();
-            let pkt_id = pkt.id;
             st.queue.push_back((t, pkt));
             if let Some(o) = obs.as_mut() {
-                o.on_enqueue(t, pkt_id, stage, st.queue.len());
+                o.on_enqueue(t, || core.packet(pkt).id, stage, st.queue.len());
             }
             if was_empty {
                 // New head: the formation timer runs from its
@@ -701,33 +772,34 @@ fn arrive(
         } else {
             st.queue_drops += 1;
             if let Some(o) = obs.as_mut() {
-                o.on_drop(t, pkt.id, stage, TraceDrop::QueueFull);
+                o.on_drop(t, || core.packet(pkt).id, stage, TraceDrop::QueueFull);
             }
             if t >= warmup_ns {
                 sink.drop(DropReason::QueueFull);
             }
+            core.release(pkt);
         }
     } else if st.busy < st.cfg.servers {
         st.busy += 1;
         st.in_service_pkts += 1;
         if let Some(o) = obs.as_mut() {
-            o.on_dispatch(t, pkt.id, stage, 0);
+            o.on_dispatch(t, || core.packet(pkt).id, stage, 0);
         }
         st.begin_service(stage, pkt, t, core);
     } else if st.queue.len() < st.cfg.queue_capacity {
-        let pkt_id = pkt.id;
         st.queue.push_back((t, pkt));
         if let Some(o) = obs.as_mut() {
-            o.on_enqueue(t, pkt_id, stage, st.queue.len());
+            o.on_enqueue(t, || core.packet(pkt).id, stage, st.queue.len());
         }
     } else {
         st.queue_drops += 1;
         if let Some(o) = obs.as_mut() {
-            o.on_drop(t, pkt.id, stage, TraceDrop::QueueFull);
+            o.on_drop(t, || core.packet(pkt).id, stage, TraceDrop::QueueFull);
         }
         if t >= warmup_ns {
             sink.drop(DropReason::QueueFull);
         }
+        core.release(pkt);
     }
 }
 
@@ -740,7 +812,7 @@ fn arrive(
 fn settle(
     stages: &[StageState],
     stage: usize,
-    pkt: Packet,
+    pkt: PacketHandle,
     verdict: NfVerdict,
     t: u64,
     warmup_ns: u64,
@@ -751,11 +823,12 @@ fn settle(
     match verdict {
         NfVerdict::Drop => {
             if let Some(o) = obs.as_mut() {
-                o.on_drop(t, pkt.id, stage, TraceDrop::Policy);
+                o.on_drop(t, || core.packet(pkt).id, stage, TraceDrop::Policy);
             }
             if t >= warmup_ns {
                 sink.drop(DropReason::Policy);
             }
+            core.release(pkt);
         }
         NfVerdict::Forward => {
             let dest = match &stages[stage].cfg.next {
@@ -767,7 +840,7 @@ fn settle(
                     }
                 }
                 NextHop::Sink => None,
-                NextHop::Steer(f) => f(&pkt),
+                NextHop::Steer(f) => f(core.packet(pkt)),
             };
             match dest {
                 Some(next_stage) => {
@@ -779,22 +852,18 @@ fn settle(
                     core.forward(t, next_stage, pkt);
                 }
                 None => {
-                    if t >= warmup_ns && pkt.t_arrival_ns >= warmup_ns {
-                        sink.deliver(pkt.flow, pkt.wire_bits(), t - pkt.t_arrival_ns);
+                    let p = core.packet(pkt);
+                    if t >= warmup_ns && p.t_arrival_ns >= warmup_ns {
+                        sink.deliver(p.flow, p.wire_bits(), t - p.t_arrival_ns);
                     }
+                    core.release(pkt);
                 }
             }
         }
     }
 }
 
-/// Walks every event at timestamp `t` in ascending seq order, merging
-/// three seq-sorted sources: the drained `bucket`, the fused-hop FIFO,
-/// and scheduler re-drains (events minted *during* the walk at exactly
-/// `t`). That merge is precisely the order the serial heap engine pops
-/// — fused hops mint seqs exactly where their Arrive events used to —
-/// so results, traces, and telemetry are bit-identical across fusion
-/// modes.
+/// Dispatches the queued event `(t, seq)` held at `slot`.
 ///
 /// A free function for the same reason as [`arrive`]: every buffer it
 /// touches is passed in, so the run loop's borrows stay disjoint.
@@ -802,163 +871,121 @@ fn settle(
     clippy::too_many_arguments,
     reason = "the run loop's locals are passed explicitly so their borrows stay disjoint from the stages"
 )]
-fn walk_bucket(
+fn dispatch(
     stages: &mut [StageState],
     t: u64,
+    seq: u64,
+    slot: usize,
     warmup_ns: u64,
-    bucket: &mut Vec<(u64, u64, usize)>,
-    redrain: &mut Vec<(u64, u64, usize)>,
     core: &mut EventCore,
     sink: &mut SinkStats,
     fault_plan: Option<&FaultPlan>,
     obs: &mut Option<RunObserver>,
 ) {
-    let mut i = 0;
-    loop {
-        // Refill: follow-ups minted at exactly t sit in the
-        // scheduler's live bucket; pull them into the walk.
-        // Everything appended was minted after everything
-        // already in `bucket`, so the bucket stays seq-sorted.
-        if i == bucket.len() && core.events.peek_time() == Some(t) {
-            core.events.drain_bucket(redrain);
-            bucket.append(redrain);
+    match core.take(slot) {
+        Event::Done { stage, pkt, verdict, svc_ns } => {
+            {
+                let st = &mut stages[stage];
+                st.busy -= 1;
+                st.in_service_pkts -= 1;
+                st.served += 1;
+                if verdict == NfVerdict::Drop {
+                    st.policy_drops += 1;
+                }
+                if let Some(o) = obs.as_mut() {
+                    let id = || core.packet(pkt).id;
+                    o.on_stage_exit(t, id, stage, svc_ns, verdict == NfVerdict::Forward);
+                }
+                // Pull the next queued packet into service (unless an
+                // outage window is open — queued work resumes at
+                // DeviceUp).
+                if !st.down {
+                    if let Some((enq_t, next)) = st.queue.pop_front() {
+                        st.busy += 1;
+                        st.in_service_pkts += 1;
+                        if let Some(o) = obs.as_mut() {
+                            o.on_dispatch(t, || core.packet(next).id, stage, t - enq_t);
+                        }
+                        st.begin_service(stage, next, t, core);
+                    }
+                }
+            }
+            settle(stages, stage, pkt, verdict, t, warmup_ns, sink, core, obs);
         }
-        let queued_seq = bucket.get(i).map(|&(_, s, _)| s);
-        let hop_seq = core.fwd.front().map(|h| h.seq);
-        let use_queued = match (queued_seq, hop_seq) {
-            (None, None) => break,
-            (Some(_), None) => true,
-            (None, Some(_)) => false,
-            (Some(w), Some(h)) => w < h,
-        };
-        if !use_queued {
-            #[expect(
-                clippy::expect_used,
-                reason = "invariant: hop_seq matched Some in the merge selection directly above"
-            )]
-            let hop = core.fwd.pop_front().expect("checked above");
-            core.retire();
-            arrive(stages, hop.stage, hop.pkt, t, warmup_ns, sink, core, obs);
-            continue;
+        Event::Arrive { stage, pkt } => {
+            arrive(stages, stage, pkt, t, warmup_ns, sink, core, obs);
         }
-        let (_, eseq, slot) = bucket[i];
-        i += 1;
-        core.retire();
-        match core.take(slot) {
-            Event::Done { stage, pkt, verdict, svc_ns } => {
-                {
+        Event::BatchTimeout { stage, epoch } => {
+            let st = &mut stages[stage];
+            if st.batch_epoch == epoch && !st.queue.is_empty() {
+                st.batch_flush_pending = true;
+                try_flush_batches(st, stage, t, true, core, obs);
+            }
+        }
+        Event::BatchDone { stage, mut results, total_ns } => {
+            {
+                let st = &mut stages[stage];
+                st.busy -= 1;
+                st.in_service_pkts -= results.len() as u64;
+                st.served += results.len() as u64;
+                st.policy_drops +=
+                    results.iter().filter(|(_, v)| *v == NfVerdict::Drop).count() as u64;
+                if let Some(o) = obs.as_mut() {
+                    // Every batch member shares the batch's wall of
+                    // service: the kernel is the unit of work.
+                    for &(pkt, verdict) in results.iter() {
+                        let id = || core.packet(pkt).id;
+                        o.on_stage_exit(t, id, stage, total_ns, verdict == NfVerdict::Forward);
+                    }
+                }
+                try_flush_batches(st, stage, t, false, core, obs);
+            }
+            for (pkt, verdict) in results.drain(..) {
+                settle(stages, stage, pkt, verdict, t, warmup_ns, sink, core, obs);
+            }
+            core.batch_pool.push(results);
+        }
+        Event::Fault(action) => {
+            let fault_tok = span_begin(obs, Phase::FaultApply);
+            if let Some(o) = obs.as_mut() {
+                let (stage, kind) = fault_trace(action);
+                o.on_fault(t, || seq, stage, kind);
+            }
+            match action {
+                FaultAction::SlowdownStart { stage } => {
+                    if let Some(plan) = fault_plan {
+                        stages[stage].slow_factor = plan.slow_factor;
+                    }
+                }
+                FaultAction::SlowdownEnd { stage } => {
+                    stages[stage].slow_factor = 1.0;
+                }
+                FaultAction::DeviceDown { stage } => {
+                    stages[stage].down = true;
+                }
+                FaultAction::DeviceUp { stage } => {
                     let st = &mut stages[stage];
-                    st.busy -= 1;
-                    st.in_service_pkts -= 1;
-                    st.served += 1;
-                    if verdict == NfVerdict::Drop {
-                        st.policy_drops += 1;
-                    }
-                    if let Some(o) = obs.as_mut() {
-                        o.on_stage_exit(t, pkt.id, stage, svc_ns, verdict == NfVerdict::Forward);
-                    }
-                    // Pull the next queued packet into service
-                    // (unless an outage window is open — queued
-                    // work resumes at DeviceUp).
-                    if !st.down {
-                        if let Some((enq_t, next)) = st.queue.pop_front() {
+                    st.down = false;
+                    if st.cfg.batch.is_some() {
+                        try_flush_batches(st, stage, t, false, core, obs);
+                    } else {
+                        // Resume draining the backlog that
+                        // accumulated before the outage.
+                        while st.busy < st.cfg.servers {
+                            let Some((enq_t, next)) = st.queue.pop_front() else {
+                                break;
+                            };
                             st.busy += 1;
                             st.in_service_pkts += 1;
                             if let Some(o) = obs.as_mut() {
-                                o.on_dispatch(t, next.id, stage, t - enq_t);
+                                o.on_dispatch(t, || core.packet(next).id, stage, t - enq_t);
                             }
                             st.begin_service(stage, next, t, core);
                         }
                     }
                 }
-                settle(stages, stage, pkt, verdict, t, warmup_ns, sink, core, obs);
             }
-            Event::Arrive { stage, pkt } => {
-                arrive(stages, stage, pkt, t, warmup_ns, sink, core, obs);
-            }
-            Event::BatchTimeout { stage, epoch } => {
-                let st = &mut stages[stage];
-                if st.batch_epoch == epoch && !st.queue.is_empty() {
-                    st.batch_flush_pending = true;
-                    try_flush_batches(st, stage, t, true, core, obs);
-                }
-            }
-            Event::BatchDone { stage, mut results, total_ns } => {
-                {
-                    let st = &mut stages[stage];
-                    st.busy -= 1;
-                    st.in_service_pkts -= results.len() as u64;
-                    st.served += results.len() as u64;
-                    st.policy_drops +=
-                        results.iter().filter(|(_, v)| *v == NfVerdict::Drop).count() as u64;
-                    if let Some(o) = obs.as_mut() {
-                        // Every batch member shares the batch's
-                        // wall of service: the kernel is the
-                        // unit of work.
-                        for (pkt, verdict) in results.iter() {
-                            o.on_stage_exit(
-                                t,
-                                pkt.id,
-                                stage,
-                                total_ns,
-                                *verdict == NfVerdict::Forward,
-                            );
-                        }
-                    }
-                    try_flush_batches(st, stage, t, false, core, obs);
-                }
-                for (pkt, verdict) in results.drain(..) {
-                    settle(stages, stage, pkt, verdict, t, warmup_ns, sink, core, obs);
-                }
-                core.batch_pool.push(results);
-            }
-            Event::Fault(action) => {
-                let fault_tok = match obs.as_mut() {
-                    Some(o) => o.span_begin(Phase::FaultApply),
-                    None => SpanToken::noop(),
-                };
-                if let Some(o) = obs.as_mut() {
-                    let (stage, kind) = fault_trace(action);
-                    o.on_fault(t, eseq, stage, kind);
-                }
-                match action {
-                    FaultAction::SlowdownStart { stage } => {
-                        if let Some(plan) = fault_plan {
-                            stages[stage].slow_factor = plan.slow_factor;
-                        }
-                    }
-                    FaultAction::SlowdownEnd { stage } => {
-                        stages[stage].slow_factor = 1.0;
-                    }
-                    FaultAction::DeviceDown { stage } => {
-                        stages[stage].down = true;
-                    }
-                    FaultAction::DeviceUp { stage } => {
-                        let st = &mut stages[stage];
-                        st.down = false;
-                        if st.cfg.batch.is_some() {
-                            try_flush_batches(st, stage, t, false, core, obs);
-                        } else {
-                            // Resume draining the backlog that
-                            // accumulated before the outage.
-                            while st.busy < st.cfg.servers {
-                                let Some((enq_t, next)) = st.queue.pop_front() else {
-                                    break;
-                                };
-                                st.busy += 1;
-                                st.in_service_pkts += 1;
-                                if let Some(o) = obs.as_mut() {
-                                    o.on_dispatch(t, next.id, stage, t - enq_t);
-                                }
-                                st.begin_service(stage, next, t, core);
-                            }
-                        }
-                    }
-                }
-                if let Some(o) = obs.as_mut() {
-                    o.span_end(Phase::FaultApply, fault_tok);
-                }
-            }
+            span_end(obs, Phase::FaultApply, fault_tok);
         }
     }
 }
@@ -997,10 +1024,6 @@ impl Engine {
         }
         let mut injected_drops = 0u64;
         let mut corrupted = 0u64;
-        // The timestamp bucket being walked, and same-time scheduler
-        // re-drains during that walk (events minted at its timestamp).
-        let mut bucket = Vec::new();
-        let mut redrain = Vec::new();
 
         // Arrivals are injected lazily: workload arrival times are
         // monotone, so holding the single next packet (rather than the
@@ -1012,99 +1035,105 @@ impl Engine {
         let mut arrivals = stubs
             .take_while(move |stub| stub.t_ns < duration_ns)
             .zip(0u64..)
-            .map(|(stub, id)| Packet::new(id, stub.flow, stub.tuple, stub.size_bytes, stub.t_ns));
+            .map(|(stub, id)| Packet::from_stub(id, &stub));
         let mut next_arrival = arrivals.next();
+        // The time being dispatched; every fused hop sits at it.
+        let mut now = 0;
 
         loop {
-            // Arrivals sort before simulation events at the same time
-            // (they were scheduled first in program order).
-            let take_arrival = match (&next_arrival, core.events.peek_time()) {
-                (Some(a), Some(t)) => a.t_arrival_ns <= t,
-                (Some(_), None) => true,
-                (None, Some(_)) => false,
-                (None, None) => break,
-            };
-
-            if take_arrival {
-                #[expect(
-                    clippy::expect_used,
-                    reason = "invariant: take_arrival is only true when next_arrival matched Some in the selection above"
-                )]
-                let mut pkt = next_arrival.take().expect("checked above");
-                let t = pkt.t_arrival_ns;
-                next_arrival = arrivals.next();
-                // Injection-point faults: hash decisions on the packet
-                // id, independent of schedule and of each other.
-                if let Some(plan) = &fault_plan {
-                    if plan.drops(pkt.id) {
-                        injected_drops += 1;
-                        if let Some(o) = obs.as_mut() {
-                            o.on_fault(t, pkt.id, 0, TraceFault::InjectedDrop);
-                        }
-                        if t >= warmup_ns {
-                            sink.drop(DropReason::Fault);
-                        }
+            match core.fwd.front().map(|hop| hop.seq) {
+                // A fused hop goes next unless a queued entry at `now`
+                // has a lower seq. No arrival can be due while a hop
+                // waits: every arrival at or before `now` came in before
+                // the first pop at `now`.
+                Some(hop_seq) => {
+                    if core.events.peek_key().is_none_or(|key| key > (now, hop_seq)) {
+                        #[expect(
+                            clippy::expect_used,
+                            reason = "invariant: the FIFO's front matched Some directly above"
+                        )]
+                        let hop = core.fwd.pop_front().expect("checked above");
+                        core.retire();
+                        let tok = span_begin(&mut obs, Phase::Dispatch);
+                        arrive(
+                            &mut stages,
+                            hop.stage,
+                            hop.pkt,
+                            now,
+                            warmup_ns,
+                            &mut sink,
+                            &mut core,
+                            &mut obs,
+                        );
+                        span_end(&mut obs, Phase::Dispatch, tok);
                         continue;
                     }
-                    if plan.corrupts(pkt.id) {
-                        pkt.corrupted = true;
-                        corrupted += 1;
-                        if let Some(o) = obs.as_mut() {
-                            o.on_fault(t, pkt.id, 0, TraceFault::Corrupt);
+                }
+                // Arrivals sort before simulation events at the same
+                // time (they were scheduled first in program order).
+                None => {
+                    let due = |a: &mut Packet| {
+                        core.events.peek_key().is_none_or(|(t, _)| a.t_arrival_ns <= t)
+                    };
+                    if let Some(mut pkt) = next_arrival.take_if(due) {
+                        let t = pkt.t_arrival_ns;
+                        next_arrival = arrivals.next();
+                        // Injection-point faults: hash decisions on the
+                        // packet id, independent of schedule and of each
+                        // other.
+                        if let Some(plan) = &fault_plan {
+                            if plan.drops(pkt.id) {
+                                injected_drops += 1;
+                                if let Some(o) = obs.as_mut() {
+                                    o.on_fault(t, || pkt.id, 0, TraceFault::InjectedDrop);
+                                }
+                                if t >= warmup_ns {
+                                    sink.drop(DropReason::Fault);
+                                }
+                                continue;
+                            }
+                            if plan.corrupts(pkt.id) {
+                                pkt.corrupted = true;
+                                corrupted += 1;
+                                if let Some(o) = obs.as_mut() {
+                                    o.on_fault(t, || pkt.id, 0, TraceFault::Corrupt);
+                                }
+                            }
                         }
+                        let pkt = core.admit(pkt);
+                        arrive(&mut stages, 0, pkt, t, warmup_ns, &mut sink, &mut core, &mut obs);
+                        continue;
                     }
                 }
-                arrive(&mut stages, 0, pkt, t, warmup_ns, &mut sink, &mut core, &mut obs);
-                continue;
             }
 
-            // Drain the earliest-timestamp bucket and walk everything at
-            // that timestamp in ascending seq order, merging three
-            // seq-sorted sources: the drained bucket, the fused-hop
-            // FIFO, and scheduler re-drains (events minted *during* the
-            // walk at exactly this timestamp). That merge is precisely
-            // the order the serial heap engine pops — fused hops mint
-            // seqs exactly where their Arrive events used to — so
-            // results, traces, and telemetry are bit-identical. All
-            // arrivals at <= this time were injected above, and none can
-            // appear mid-walk (stub times are monotone), so the
-            // arrival/event interleave is unchanged too.
-            let drain_tok = match obs.as_mut() {
-                Some(o) => o.span_begin(Phase::BucketDrain),
-                None => SpanToken::noop(),
-            };
-            core.events.drain_bucket(&mut bucket);
-            let t = match bucket.first() {
-                Some(&(t, _, _)) => t,
-                // peek_time returned Some, so the bucket cannot be
-                // empty; keep the engine total rather than panicking.
-                None => break,
-            };
-            if let Some(o) = obs.as_mut() {
-                o.span_end(Phase::BucketDrain, drain_tok);
-            }
+            let Some((t, seq, slot)) = core.events.pop() else { break };
             if t > duration_ns {
                 break;
             }
-            let disp_tok = match obs.as_mut() {
-                Some(o) => o.span_begin(Phase::Dispatch),
-                None => SpanToken::noop(),
-            };
-            walk_bucket(
+            now = t;
+            core.retire();
+            let tok = span_begin(&mut obs, Phase::Dispatch);
+            dispatch(
                 &mut stages,
                 t,
+                seq,
+                slot,
                 warmup_ns,
-                &mut bucket,
-                &mut redrain,
                 &mut core,
                 &mut sink,
                 fault_plan.as_ref(),
                 &mut obs,
             );
-            if let Some(o) = obs.as_mut() {
-                o.span_end(Phase::Dispatch, disp_tok);
-            }
+            span_end(&mut obs, Phase::Dispatch, tok);
         }
+        // Every packet the loop admitted left at a drop or the sink, or
+        // is still queued or in service.
+        debug_assert_eq!(
+            (core.packets.len() - core.packet_free.len()) as u64,
+            stages.iter().map(|s| s.queue.len() as u64 + s.in_service_pkts).sum::<u64>(),
+            "the packet slab leaked or lost a packet"
+        );
 
         if let Some(o) = obs.as_mut() {
             // The scheduler's structural counters (deterministic: pure
@@ -1171,16 +1200,14 @@ mod tests {
     #[test]
     fn the_slab_reuses_freed_slots() {
         let mut core = EventCore::new(true, None);
-        let mut bucket = Vec::new();
         // Each step schedules one event; from the fourth step on it
         // also fires the earliest, so at most four are ever scheduled.
         for t in 0..1000u64 {
             core.push(t, Event::BatchTimeout { stage: 0, epoch: t });
             assert_eq!(core.slab.len(), (t + 1).min(4) as usize, "after the push at t = {t}");
             if t >= 3 {
-                core.events.drain_bucket(&mut bucket);
-                let &[(due, _, slot)] = bucket.as_slice() else {
-                    panic!("expected one event per timestamp, got {bucket:?}")
+                let Some((due, _, slot)) = core.events.pop() else {
+                    panic!("expected an event pending at step {t}")
                 };
                 match core.take(slot) {
                     Event::BatchTimeout { epoch, .. } => assert_eq!(epoch, due),
@@ -1189,6 +1216,29 @@ mod tests {
             }
         }
         assert_eq!((core.slab.len(), core.free.len()), (4, 1));
+    }
+
+    /// A packet's slot is freed where it leaves, with its payload, and
+    /// handed to the next packet to enter, so the packet slab holds as
+    /// many slots as packets were ever inside the pipeline at once.
+    #[test]
+    fn the_packet_slab_reuses_slots_and_drops_departed_payloads() {
+        let cfg = PayloadConfig { attack_prob: 0.0, needles: Vec::new() };
+        let mut core = EventCore::new(true, Some(PayloadSynth::new(&cfg, 9)));
+        let tuple =
+            apples_workload::FiveTuple { src_ip: 1, dst_ip: 2, src_port: 3, dst_port: 4, proto: 6 };
+        let a = core.admit(Packet::new(0, 0, tuple, 1500, 0));
+        let b = core.admit(Packet::new(1, 0, tuple, 1500, 0));
+        core.fill_payload(a);
+        assert_eq!(core.packet(a).payload.len(), 1500 - HEADER_BYTES);
+        assert!(core.packet(b).payload.is_empty(), "payloads are filled per packet");
+        core.release(a);
+        assert!(
+            core.packets[a as usize].payload.is_empty(),
+            "a departed payload outlived its packet"
+        );
+        let c = core.admit(Packet::new(2, 0, tuple, 64, 0));
+        assert_eq!((c, core.packet(c).id, core.packets.len()), (a, 2, 2));
     }
 
     #[test]

@@ -91,7 +91,7 @@ impl NfChain {
     /// functions passes it through degraded.
     ///
     /// `#[inline]`: called once per packet per stage from the engine's
-    /// fused dispatch walk; inlining lets the empty-chain case (pure
+    /// run loop; inlining lets the empty-chain case (pure
     /// forwarding) collapse to a constant.
     #[inline]
     pub fn run(&mut self, pkt: &Packet) -> (NfVerdict, u64) {

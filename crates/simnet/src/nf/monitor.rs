@@ -113,7 +113,8 @@ impl NetworkFunction for FlowMonitor {
     }
 
     fn process(&mut self, pkt: &Packet) -> (NfVerdict, u64) {
-        let key = pkt.tuple.hash64();
+        let key = pkt.flow_hash;
+        debug_assert_eq!(key, pkt.tuple.hash64(), "the sketch key must be the tuple's hash");
         let (before, after) = self.sketch.add_between_estimates(key, u64::from(pkt.size_bytes));
         if before < self.threshold_bytes && after >= self.threshold_bytes {
             self.heavy.push(pkt.tuple);

@@ -1,17 +1,18 @@
 //! Simulated packets.
 //!
 //! A [`Packet`] carries its wire size, flow identity (an IPv4 5-tuple
-//! from the workload generator), arrival timestamp, and — only when a
-//! payload-inspecting function is in the pipeline — synthesized payload
-//! bytes. Packets enter the engine header-only; the engine attaches the
-//! payload ([`Packet::with_payload`]) when a packet first enters
+//! from the workload generator and that tuple's hash), arrival
+//! timestamp, and — only when a payload-inspecting function is in the
+//! pipeline — synthesized payload bytes. Packets enter the engine
+//! header-only; the engine fills the payload in place (the bytes
+//! [`Packet::with_payload`] would attach) when a packet first enters
 //! service, so packets dropped or still queued before then never carry
 //! one. Payloads use the in-repo [`Payload`] type: clones inside the
 //! pipeline are reference-counted, not copied, and the (overwhelmingly
 //! common) empty payload allocates nothing at all.
 
 use apples_rng::Rng;
-use apples_workload::FiveTuple;
+use apples_workload::{FiveTuple, PacketStub};
 use std::ops::Deref;
 use std::sync::Arc;
 
@@ -77,6 +78,9 @@ pub struct Packet {
     pub flow: u32,
     /// The flow's 5-tuple.
     pub tuple: FiveTuple,
+    /// `tuple.hash64()`, computed once per flow by the workload's
+    /// population: what ECMP and RSS steering and sketches key on.
+    pub flow_hash: u64,
     /// Frame size on the wire, bytes.
     pub size_bytes: u32,
     /// Arrival time at the first stage, simulated nanoseconds.
@@ -90,14 +94,32 @@ pub struct Packet {
 }
 
 impl Packet {
-    /// Creates a packet without payload bytes (header-only processing).
+    /// Creates a packet without payload bytes (header-only processing),
+    /// hashing its tuple.
     pub fn new(id: u64, flow: u32, tuple: FiveTuple, size_bytes: u32, t_arrival_ns: u64) -> Self {
         Packet {
             id,
             flow,
             tuple,
+            flow_hash: tuple.hash64(),
             size_bytes,
             t_arrival_ns,
+            payload: Payload::empty(),
+            corrupted: false,
+        }
+    }
+
+    /// The header-only packet `id` for a generated stub, taking the
+    /// tuple's hash from the stub rather than hashing again.
+    #[inline]
+    pub(crate) fn from_stub(id: u64, stub: &PacketStub) -> Self {
+        Packet {
+            id,
+            flow: stub.flow,
+            tuple: stub.tuple,
+            flow_hash: stub.flow_hash,
+            size_bytes: stub.size_bytes,
+            t_arrival_ns: stub.t_ns,
             payload: Payload::empty(),
             corrupted: false,
         }
@@ -113,6 +135,19 @@ impl Packet {
         attack_prob: f64,
         needles: &[&[u8]],
     ) -> Self {
+        self.fill_payload(len, seed, attack_prob, needles);
+        self
+    }
+
+    /// [`Packet::with_payload`] in place: the engine fills a packet's
+    /// payload where the packet sits in its run's packet slab.
+    pub(crate) fn fill_payload(
+        &mut self,
+        len: usize,
+        seed: u64,
+        attack_prob: f64,
+        needles: &[&[u8]],
+    ) {
         let mut rng = Rng::seed_from_u64(seed ^ self.id.wrapping_mul(0x9E3779B97F4A7C15));
         let mut buf = vec![0u8; len];
         // Printable-ish filler so needles are unambiguous.
@@ -127,15 +162,15 @@ impl Packet {
             }
         }
         self.payload = Payload::from_vec(buf);
-        self
     }
 
     /// Wire bits including Ethernet preamble + inter-frame gap (20 B),
-    /// the quantity that occupies a link. Per-event on the engine's hot
-    /// path, hence the inline hint.
+    /// the quantity that occupies a link, summed in `u64` so no frame
+    /// size wraps. Per-event on the engine's hot path, hence the inline
+    /// hint.
     #[inline]
     pub fn wire_bits(&self) -> u64 {
-        u64::from(self.size_bytes + 20) * 8
+        (u64::from(self.size_bytes) + 20) * 8
     }
 }
 
@@ -158,6 +193,42 @@ mod tests {
     fn wire_bits_include_overhead() {
         let p = Packet::new(1, 0, tuple(), 64, 0);
         assert_eq!(p.wire_bits(), (64 + 20) * 8);
+    }
+
+    #[test]
+    fn wire_bits_do_not_wrap_at_the_largest_frame() {
+        // A u32 sum would wrap to 19 bytes here (and panic in debug).
+        let p = Packet::new(1, 0, tuple(), u32::MAX, 0);
+        assert_eq!(p.wire_bits(), (u64::from(u32::MAX) + 20) * 8);
+        assert_eq!(
+            Packet::new(1, 0, tuple(), u32::MAX - 20, 0).wire_bits(),
+            u64::from(u32::MAX) * 8
+        );
+    }
+
+    #[test]
+    fn packets_carry_their_tuples_hash() {
+        use apples_workload::{ArrivalProcess, PacketSizeDist, WorkloadSpec};
+        assert_eq!(Packet::new(1, 0, tuple(), 64, 0).flow_hash, tuple().hash64());
+        let spec = WorkloadSpec {
+            sizes: PacketSizeDist::Imix,
+            arrivals: ArrivalProcess::Poisson { rate_pps: 1e6 },
+            flows: 512,
+            zipf_s: 1.0,
+            seed: 71,
+        };
+        let stubs = spec.packets_for(2_000_000);
+        assert!(stubs.len() > 1_000, "{} stubs", stubs.len());
+        for (id, stub) in (0u64..).zip(&stubs) {
+            let minted = Packet::from_stub(id, stub);
+            let built = Packet::new(id, stub.flow, stub.tuple, stub.size_bytes, stub.t_ns);
+            assert_eq!(minted.flow_hash, stub.tuple.hash64(), "stub {id}");
+            assert_eq!(built.flow_hash, minted.flow_hash, "stub {id}");
+            assert_eq!(
+                (minted.id, minted.flow, minted.tuple, minted.size_bytes, minted.t_arrival_ns),
+                (built.id, built.flow, built.tuple, built.size_bytes, built.t_arrival_ns)
+            );
+        }
     }
 
     #[test]

@@ -311,7 +311,7 @@ impl Deployment {
                     Box::new(FixedTime::new("ecmp-splitter", NfChain::empty(), 400)),
                 )
                 .with_next(NextHop::Steer(Box::new(move |pkt| {
-                    Some(1 + (pkt.tuple.hash64() % u64::from(replicas)) as usize)
+                    Some(1 + (pkt.flow_hash % u64::from(replicas)) as usize)
                 })))
             })
             .power(DeviceSpec::programmable_switch_32x100g(), 1, UtilSource::Stage(0));
@@ -365,7 +365,7 @@ impl Deployment {
                     Box::new(FixedTime::new("nic-rss-demux", NfChain::empty(), 50)),
                 )
                 .with_next(NextHop::Steer(Box::new(move |pkt| {
-                    Some(1 + (pkt.tuple.hash64() % u64::from(cores)) as usize)
+                    Some(1 + (pkt.flow_hash % u64::from(cores)) as usize)
                 })))
             })
             .power(DeviceSpec::host_chassis(), 1, UtilSource::Fixed(1.0))

@@ -1,46 +1,49 @@
 //! Property tests for the event queue against an independent model: a
-//! plain `Vec` of pending entries, drained by taking the minimum
-//! timestamp and then every entry at it in ascending `seq` order.
+//! plain `Vec` of pending `(time, seq, slot)` entries, popped by taking
+//! the smallest `(time, seq)` pair.
 //!
 //! The schedules are the shapes the engine and the fault-injection
 //! layer generate — near-term completions, millisecond fault windows,
 //! timers straddling 2^48 ns, same-timestamp bursts, times near
-//! `u64::MAX`, and pushes into the bucket being dispatched. After every
-//! push and drain, the queue's `peek_time`, `len` and `counters().pushes`
-//! must agree with the model too. Every push respects the module's one
-//! ordering contract (never push earlier than the last drained bucket's
-//! timestamp).
+//! `u64::MAX`, and pushes at the time being dispatched — plus seqs near
+//! `u64::MAX`, so a mis-shifted or narrowed `(t << 64) | seq` key fails
+//! here instead of reordering events silently. After every push and
+//! pop, the queue's `peek_key`, `len` and `counters().pushes` must agree
+//! with the model too. Every push respects the module's one ordering
+//! contract (never push earlier than the last popped entry's time).
 
 use apples_rng::Rng;
-use apples_simnet::sched::{EventKey, EventScheduler};
+use apples_simnet::sched::EventScheduler;
 
 const EPOCH: u64 = 1 << 48;
+
+/// A popped entry: `(time, seq, slot)`.
+type Entry = (u64, u64, usize);
 
 /// The reference: pending entries in push order, plus a push count.
 #[derive(Default)]
 struct Model {
-    pending: Vec<EventKey>,
+    pending: Vec<Entry>,
     pushes: u64,
 }
 
 impl Model {
-    fn push(&mut self, t: u64, seq: u64) {
-        self.pending.push((t, seq, seq as usize));
+    fn push(&mut self, t: u64, seq: u64, slot: usize) {
+        self.pending.push((t, seq, slot));
         self.pushes += 1;
     }
 
-    fn peek_time(&self) -> Option<u64> {
-        self.pending.iter().map(|&(t, _, _)| t).min()
+    /// Position of the smallest `(time, seq)`, by a linear scan.
+    fn min_at(&self) -> Option<usize> {
+        (0..self.pending.len()).min_by_key(|&i| (self.pending[i].0, self.pending[i].1))
     }
 
-    /// Every entry at the minimum timestamp, ascending by `seq`.
-    fn drain_bucket(&mut self) -> Vec<EventKey> {
-        let Some(t) = self.peek_time() else { return Vec::new() };
-        let (mut bucket, rest): (Vec<_>, Vec<_>) =
-            self.pending.iter().partition(|&&(et, _, _)| et == t);
-        self.pending = rest;
-        bucket.sort_unstable_by_key(|&(_, seq, _)| seq);
-        bucket
+    fn peek_key(&self) -> Option<(u64, u64)> {
+        self.min_at().map(|i| (self.pending[i].0, self.pending[i].1))
+    }
+
+    fn pop(&mut self) -> Option<Entry> {
+        self.min_at().map(|i| self.pending.swap_remove(i))
     }
 }
 
@@ -49,39 +52,44 @@ impl Model {
 struct Pair {
     queue: EventScheduler,
     model: Model,
-    bucket: Vec<EventKey>,
+    /// Slots count pushes, so each entry's slot is distinct from its
+    /// seq and a swapped field shows.
+    next_slot: usize,
 }
 
 impl Pair {
     fn push(&mut self, t: u64, seq: u64) {
-        self.queue.push(t, seq, seq as usize);
-        self.model.push(t, seq);
+        let slot = self.next_slot;
+        self.next_slot += 1;
+        self.queue.push(t, seq, slot);
+        self.model.push(t, seq, slot);
         self.check_state("push");
     }
 
-    /// Drains one bucket from both, asserts they match, and returns it.
-    fn drain(&mut self, ctx: &str) -> &[EventKey] {
-        self.queue.drain_bucket(&mut self.bucket);
-        assert_eq!(self.bucket, self.model.drain_bucket(), "{ctx}: bucket diverged");
+    /// Pops one entry from both, asserts they match, and returns it.
+    fn pop(&mut self, ctx: &str) -> Option<Entry> {
+        let got = self.queue.pop();
+        assert_eq!(got, self.model.pop(), "{ctx}: popped entry diverged");
         self.check_state(ctx);
-        &self.bucket
+        got
     }
 
-    /// Drains both fully and returns the number of events drained.
-    fn drain_all(&mut self, ctx: &str) -> usize {
-        let mut drained = 0;
-        loop {
-            let n = self.drain(ctx).len();
-            if n == 0 {
-                assert!(self.queue.is_empty(), "{ctx}: empty bucket but events left");
-                return drained;
-            }
-            drained += n;
+    /// Pops both dry; returns the number of entries popped, asserting
+    /// that they came out in strictly ascending `(time, seq)` order.
+    fn pop_all(&mut self, ctx: &str) -> usize {
+        let mut popped = 0;
+        let mut last: Option<(u64, u64)> = None;
+        while let Some((t, seq, _)) = self.pop(ctx) {
+            assert!(last < Some((t, seq)), "{ctx}: ({t}, {seq}) popped after {last:?}");
+            last = Some((t, seq));
+            popped += 1;
         }
+        assert!(self.queue.is_empty(), "{ctx}: pop returned None with events left");
+        popped
     }
 
     fn check_state(&self, ctx: &str) {
-        assert_eq!(self.queue.peek_time(), self.model.peek_time(), "{ctx}: peek_time");
+        assert_eq!(self.queue.peek_key(), self.model.peek_key(), "{ctx}: peek_key");
         assert_eq!(self.queue.len(), self.model.pending.len(), "{ctx}: len");
         assert_eq!(self.queue.counters().pushes, self.model.pushes, "{ctx}: pushes");
     }
@@ -89,7 +97,7 @@ impl Pair {
 
 #[test]
 fn randomized_fault_schedules_match_the_model() {
-    // Interleaved push/drain over many seeds: the schedule mixes
+    // Interleaved pushes and pops over many seeds: the schedule mixes
     // near-term completions, fault-window timers at millisecond range,
     // and far-out recovery timers around and beyond 2^48 ns — what a
     // FaultPlan's DeviceDown/DeviceUp events look like.
@@ -110,11 +118,13 @@ fn randomized_fault_schedules_match_the_model() {
                 pair.push(now + delta, seq);
                 seq += 1;
             }
-            if let Some(&(t, _, _)) = pair.drain(&format!("seed {seed}")).first() {
-                now = t;
+            for _ in 0..rng.range_u64(1, 4) {
+                if let Some((t, _, _)) = pair.pop(&format!("seed {seed}")) {
+                    now = t;
+                }
             }
         }
-        pair.drain_all("tail");
+        pair.pop_all("tail");
     }
 }
 
@@ -123,31 +133,33 @@ fn timers_around_two_to_the_48() {
     // Timers either side of 2^48 and 2^49 from a cursor at 0 come back
     // in (time, seq) order.
     let mut pair = Pair::default();
-    for (i, t) in [EPOCH - 1, EPOCH, EPOCH + 1, 2 * EPOCH - 1, 2 * EPOCH].iter().enumerate() {
+    for (i, t) in [2 * EPOCH, EPOCH + 1, EPOCH - 1, 2 * EPOCH - 1, EPOCH].iter().enumerate() {
         pair.push(*t, i as u64);
     }
-    assert_eq!(pair.drain_all("2^48"), 5);
+    assert_eq!(pair.pop_all("2^48"), 5);
 }
 
 #[test]
-fn same_timestamp_bursts_drain_in_seq_order() {
-    // Same-time bursts pushed in scrambled seq order: each bucket must
-    // hold the whole burst, sorted by seq.
+fn same_timestamp_bursts_pop_in_seq_order() {
+    // Same-time bursts pushed in scrambled seq order: each burst must
+    // pop whole, sorted by seq, before the next time.
     let mut pair = Pair::default();
     let mut seq = 0u64;
     let times = [7_777u64, EPOCH, 5 * EPOCH + 123];
-    for &t in &times {
+    for &t in times.iter().rev() {
         for k in [3u64, 0, 4, 1, 2] {
             pair.push(t, seq + k);
         }
         seq += 5;
     }
-    for expect_t in times {
-        let bucket = pair.drain("burst");
-        assert_eq!(bucket.len(), 5, "burst at {expect_t} must drain as one bucket");
-        assert!(bucket.iter().all(|&(t, _, _)| t == expect_t));
-        assert!(bucket.windows(2).all(|w| w[0].1 < w[1].1), "seq order within bucket: {bucket:?}");
+    for (burst, expect_t) in times.into_iter().enumerate() {
+        let first = 5 * (times.len() - 1 - burst) as u64;
+        for k in 0..5 {
+            let popped = pair.pop("burst").map(|(t, q, _)| (t, q));
+            assert_eq!(popped, Some((expect_t, first + k)), "burst at {expect_t}");
+        }
     }
+    assert!(pair.queue.is_empty());
 }
 
 #[test]
@@ -160,25 +172,59 @@ fn times_near_u64_max_stay_ordered() {
     // An anchor event gets the cursor near the top of the range first,
     // respecting the never-push-earlier contract for what follows.
     pair.push(base, 0);
-    pair.drain("anchor");
+    pair.pop("anchor");
     for seq in 1..200u64 {
         pair.push(base + rng.range_u64(0, 3 * EPOCH), seq);
     }
     pair.push(u64::MAX, 200);
-    assert_eq!(pair.drain_all("near u64::MAX"), 200);
+    pair.push(u64::MAX, u64::MAX);
+    assert_eq!(pair.pop_all("near u64::MAX"), 201);
 }
 
 #[test]
-fn pushing_into_the_live_bucket_is_legal_and_ordered() {
-    // The contract allows pushes at exactly the last drained timestamp;
-    // they come back in the next drain of that timestamp.
+fn seqs_near_u64_max_never_outrank_time() {
+    // Seqs in the top of their range, including u64::MAX and values
+    // with bit 63 or bit 32 set, each against times one apart: a key
+    // whose seq spilled into the time bits, or whose time lost its top
+    // bits, pops these out of (time, seq) order.
+    let mut rng = Rng::seed_from_u64(0x5E9);
+    for round in 0..50u64 {
+        let mut pair = Pair::default();
+        let now = match round % 3 {
+            0 => 0,
+            1 => EPOCH + round,
+            _ => u64::MAX - 64,
+        };
+        // u64::MAX itself is kept for the push after the first pop.
+        let mut seqs: Vec<u64> = vec![u64::MAX - 1, 1 << 63, (1 << 63) - 1, 1 << 32];
+        seqs.extend((0..20).map(|_| u64::MAX - rng.range_u64(1, 1 << 20)));
+        seqs.extend((0..20).map(|_| rng.range_u64(0, u64::MAX)));
+        seqs.sort_unstable();
+        seqs.dedup();
+        for &seq in &seqs {
+            pair.push(now + rng.range_u64(0, 4), seq);
+        }
+        // A push at the time being dispatched, as the engine mints it:
+        // with a seq above every one already queued.
+        let Some((t, _, _)) = pair.pop("first") else { panic!("nothing popped") };
+        pair.push(t, u64::MAX);
+        assert_eq!(pair.pop_all(&format!("round {round}")), seqs.len());
+    }
+}
+
+#[test]
+fn pushing_at_the_time_being_dispatched_is_legal_and_ordered() {
+    // The contract allows pushes at exactly the last popped time; they
+    // pop after every entry already queued at that time, in seq order.
     let mut pair = Pair::default();
     pair.push(100, 0);
-    pair.push(200, 1);
-    assert_eq!(pair.drain("first")[0].0, 100);
+    pair.push(100, 1);
+    pair.push(200, 2);
+    assert_eq!(pair.pop("first").map(|e| e.1), Some(0));
     // While "processing" t=100, schedule more work at t=100 and t=150.
-    pair.push(100, 2);
-    pair.push(150, 3);
-    assert_eq!(pair.drain("live bucket"), [(100, 2, 2)]);
-    assert_eq!(pair.drain_all("live-bucket tail"), 2);
+    pair.push(100, 3);
+    pair.push(150, 4);
+    assert_eq!(pair.pop("queued at 100").map(|e| (e.0, e.1)), Some((100, 1)));
+    assert_eq!(pair.pop("pushed at 100").map(|e| (e.0, e.1)), Some((100, 3)));
+    assert_eq!(pair.pop_all("tail"), 2);
 }

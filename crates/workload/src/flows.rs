@@ -88,6 +88,8 @@ const MAX_GUIDE_BUCKETS: usize = 1 << 16;
 #[derive(Debug, Clone)]
 pub struct FlowPopulation {
     tuples: Vec<FiveTuple>,
+    /// `hashes[i] = tuples[i].hash64()`, hashed once at construction.
+    hashes: Vec<u64>,
     /// Cumulative popularity distribution for sampling.
     cdf: Vec<f64>,
     /// `guide[j] = #{i : cdf[i] < j / G}` for `j` in `0..=G`, where
@@ -102,7 +104,7 @@ impl FlowPopulation {
         assert!(n > 0, "need at least one flow");
         assert!(u32::try_from(n).is_ok(), "flow indices must fit in a u32");
         assert!(s >= 0.0, "Zipf exponent must be non-negative");
-        let tuples = (0..n)
+        let tuples: Vec<FiveTuple> = (0..n)
             .map(|_| FiveTuple {
                 // Private address space on both sides; ephemeral source
                 // ports and one of a few well-known destination ports.
@@ -132,7 +134,8 @@ impl FlowPopulation {
             })
             .collect();
         let guide = guide_table(&cdf);
-        FlowPopulation { tuples, cdf, guide }
+        let hashes = tuples.iter().map(FiveTuple::hash64).collect();
+        FlowPopulation { tuples, hashes, cdf, guide }
     }
 
     /// Number of flows.
@@ -164,6 +167,11 @@ impl FlowPopulation {
     /// The 5-tuple of flow `i`.
     pub fn tuple(&self, i: usize) -> FiveTuple {
         self.tuples[i]
+    }
+
+    /// `tuple(i).hash64()`, without hashing again.
+    pub(crate) fn hash(&self, i: usize) -> u64 {
+        self.hashes[i]
     }
 }
 
@@ -246,6 +254,16 @@ mod tests {
         let distinct: std::collections::BTreeSet<u64> =
             (0..64).map(|i| pop.tuple(i).hash64()).collect();
         assert!(distinct.len() >= 60, "{} distinct hashes", distinct.len());
+    }
+
+    #[test]
+    fn each_flow_carries_its_tuples_hash() {
+        for n in [1, 64, 256, 512, 4096] {
+            let pop = FlowPopulation::zipf(n, 1.0, &mut rng());
+            for i in 0..n {
+                assert_eq!(pop.hash(i), pop.tuple(i).hash64(), "n {n}: flow {i}");
+            }
+        }
     }
 
     #[test]

@@ -10,7 +10,7 @@ use crate::sizes::PacketSizeDist;
 use apples_rng::Rng;
 
 /// A generated packet before it enters the simulator: arrival time,
-/// wire size, and flow identity.
+/// wire size, and flow identity with the flow's hash.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PacketStub {
     /// Arrival time, nanoseconds since workload start.
@@ -21,6 +21,8 @@ pub struct PacketStub {
     pub flow: u32,
     /// The flow's 5-tuple.
     pub tuple: FiveTuple,
+    /// `tuple.hash64()`, taken from the population's per-flow table.
+    pub flow_hash: u64,
 }
 
 /// The complete, reproducible description of a packet workload.
@@ -127,6 +129,7 @@ impl Iterator for PacketStream {
             size_bytes: self.sizes.sample(&mut self.rng),
             flow: flow as u32,
             tuple: self.population.tuple(flow),
+            flow_hash: self.population.hash(flow),
         })
     }
 }
@@ -186,6 +189,23 @@ mod tests {
         };
         let pkts = spec.packets_for(20_000_000);
         assert!(pkts.windows(2).all(|w| w[0].t_ns <= w[1].t_ns));
+    }
+
+    #[test]
+    fn every_stub_carries_its_tuples_hash() {
+        let spec = WorkloadSpec {
+            sizes: PacketSizeDist::Imix,
+            arrivals: ArrivalProcess::Poisson { rate_pps: 1e6 },
+            flows: 512,
+            zipf_s: 1.0,
+            seed: 71,
+        }
+        .with_overload_bursts(3.0, 100_000, 1_000_000);
+        let stubs = spec.packets_for(5_000_000);
+        assert!(stubs.len() > 1_000, "{} stubs", stubs.len());
+        for p in stubs {
+            assert_eq!(p.flow_hash, p.tuple.hash64(), "{p:?}");
+        }
     }
 
     #[test]

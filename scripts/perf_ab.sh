@@ -16,7 +16,11 @@
 #         an unreadable BENCHMARK.json, a build failure).
 #
 # A metric whose parent spread, (q3 - q1) / median, exceeds its bound is
-# marked `unresolved`: printed, not failed. Takes no arguments and reads
+# marked `unresolved`: printed, not failed. Each row also prints the
+# paired reading, report-only (it never enters the verdict or the exit
+# status): the median of the within-pair change/parent ratios and how
+# many pairs the change won (read lower). Drift that spans both runs of
+# a pair cancels in a within-pair ratio. Takes no arguments and reads
 # no environment variables.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -102,8 +106,8 @@ echo "perf_ab: parent ${base:0:12} (merge base of HEAD and main) against the wor
 # The last five lines of standard input.
 last5() { awk '{ line[NR] = $0 } END { for (i = NR > 5 ? NR - 4 : 1; i <= NR; i++) print line[i] }'; }
 
-# One run of one side; appends "workload metric side value" lines to
-# runs.txt, or exits 1 naming what failed.
+# One run of one side; appends "workload metric side value pair" lines
+# to runs.txt, or exits 1 naming what failed.
 runs=${ab}/runs.txt
 : > "${runs}"
 run() {
@@ -136,7 +140,8 @@ run() {
     last5 < "${ab}/stderr.txt" >&2
     exit 1
   fi
-  awk -v w="${w}" -v side="${side}" '{ print w, $1, side, $2 }' <<< "${values}" >> "${runs}"
+  awk -v w="${w}" -v side="${side}" -v pair="${pair}" '{ print w, $1, side, $2, pair }' \
+    <<< "${values}" >> "${runs}"
 }
 
 # In each pair every workload runs on both sides back to back; the
@@ -176,18 +181,43 @@ verdicts=$(sort -k1,1 -k2,2 -k3,3 -k4,4g "${runs}" | awk \
     out["q1"] = quartile(v, n, 1)
     out["q3"] = quartile(v, n, 3)
   }
-  { key = $1 " " $2 " " $3; value[key, ++count[key]] = $4 }
+  # The median of the within-pair change/parent ratios of one workload
+  # and metric, and the number of pairs whose change value is lower.
+  function paired_stats(wm, out, n, i, j, tmp, r) {
+    n = 0
+    out["won"] = 0
+    for (i = 1; i <= pairs; i++) {
+      if (!((wm, i, "parent") in paired) || !((wm, i, "change") in paired)) continue
+      if (paired[wm, i, "parent"] == 0) continue
+      r[++n] = paired[wm, i, "change"] / paired[wm, i, "parent"]
+      if (paired[wm, i, "change"] < paired[wm, i, "parent"]) out["won"]++
+    }
+    for (i = 2; i <= n; i++) {
+      tmp = r[i]
+      for (j = i - 1; j >= 1 && r[j] > tmp; j--) r[j + 1] = r[j]
+      r[j + 1] = tmp
+    }
+    out["n"] = n
+    out["ratio"] = n ? median(r, n) : 0
+  }
+  {
+    key = $1 " " $2 " " $3
+    value[key, ++count[key]] = $4
+    paired[$1 " " $2, $5, $3] = $4
+    if ($5 > pairs) pairs = $5
+  }
   END {
     nw = split(workloads, w, " ")
     nm = split(metrics, m, ";")
-    fmt = "%-12s %-12s %-28s %-28s %7s %7s  %s\n"
+    fmt = "%-12s %-12s %-28s %-28s %7s %7s %7s %6s  %s\n"
     printf fmt, "workload", "metric", "parent median [q1, q3]", "change median [q1, q3]",
-      "ratio", "spread", "verdict"
+      "ratio", "spread", "paired", "won", "verdict"
     for (i = 1; i <= nw; i++) {
       for (k = 1; k <= nm; k++) {
         split(m[k], f, " ")
         stats(w[i] " " f[1] " parent", p)
         stats(w[i] " " f[1] " change", c)
+        paired_stats(w[i] " " f[1], pr)
         spread = (p["q3"] - p["q1"]) / p["med"]
         verdict = "ok"
         if (c["med"] > p["med"] * (1 + f[2])) { verdict = "worse"; failed++ }
@@ -195,7 +225,8 @@ verdicts=$(sort -k1,1 -k2,2 -k3,3 -k4,4g "${runs}" | awk \
         printf fmt, w[i], f[1],
           sprintf("%.4g [%.4g, %.4g]", p["med"], p["q1"], p["q3"]),
           sprintf("%.4g [%.4g, %.4g]", c["med"], c["q1"], c["q3"]),
-          sprintf("%.3f", c["med"] / p["med"]), sprintf("%.1f%%", 100 * spread), verdict
+          sprintf("%.3f", c["med"] / p["med"]), sprintf("%.1f%%", 100 * spread),
+          sprintf("%.3f", pr["ratio"]), pr["won"] "/" pr["n"], verdict
       }
     }
     exit (failed > 0)
