@@ -38,21 +38,21 @@
 //! pending arrival at a time instead of the whole packet sequence.
 //! Batch result buffers are pooled and reused across the kernel
 //! invocations of one run.
+//!
+//! A run's state is one private struct, `Run`, whose methods dispatch
+//! events. Every drop goes through `Run::drop_packet`, and every server
+//! freed by a completion or an outage's end is refilled by `Run::refill`.
 
 use crate::fault::{FaultAction, FaultPlan};
 use crate::nf::NfVerdict;
-use crate::packet::{Packet, Payload};
+use crate::packet::Packet;
 use crate::sched::EventScheduler;
 use crate::service::ServiceModel;
-use crate::stats::{DropReason, SinkStats};
+use crate::stats::SinkStats;
 use apples_obs::span::SpanToken;
 use apples_obs::{Phase, RunObserver, TraceDrop, TraceFault};
 use apples_workload::WorkloadSpec;
 use std::collections::VecDeque;
-
-/// A per-packet steering function: maps a packet to the next stage
-/// index, or `None` for the sink.
-pub type SteerFn = Box<dyn Fn(&Packet) -> Option<usize> + Send>;
 
 /// Where a stage's forwarded packets go next.
 pub enum NextHop {
@@ -61,9 +61,16 @@ pub enum NextHop {
     Linear,
     /// Straight to the sink.
     Sink,
-    /// Per-packet steering (e.g. RSS: hash the flow to one of several
-    /// core stages). Returning `None` sends the packet to the sink.
-    Steer(SteerFn),
+    /// Flow-hash fan-out (ECMP, RSS): a packet goes to stage
+    /// `first + flow_hash % count`, so every packet of a flow lands on
+    /// the same one of `count` consecutive stages. [`Engine::new`]
+    /// checks that the range is non-empty and inside the pipeline.
+    FlowHash {
+        /// The first stage of the range.
+        first: usize,
+        /// How many stages the range spans.
+        count: u32,
+    },
 }
 
 /// Batch-processing policy for vector accelerators (GPUs, wide SIMD
@@ -160,8 +167,8 @@ struct StageState {
     in_service_pkts: u64,
     /// Invalidates stale batch timers.
     batch_epoch: u64,
-    /// A batch timeout fired while all servers were busy; flush a
-    /// partial batch as soon as one frees.
+    /// The formation timer fired: launch partial batches too, now and,
+    /// while every server is busy, as soon as one frees.
     batch_flush_pending: bool,
     /// Service-time multiplier from the fault plan (1.0 = nominal).
     slow_factor: f64,
@@ -195,9 +202,8 @@ impl StageState {
 
     /// Starts service on `pkt` at time `t`: payload synthesis (when the
     /// run has payloads on), one `serve()` call, and the Done event
-    /// push. Shared by arrivals, queue pulls on completion, and
-    /// outage-recovery drains — the caller has already bumped
-    /// `busy`/`in_service_pkts` and emitted its dispatch hook.
+    /// push. Shared by arrivals and refills — the caller has already
+    /// bumped `busy`/`in_service_pkts` and emitted its dispatch hook.
     #[inline]
     fn begin_service(&mut self, stage: usize, pkt: PacketHandle, t: u64, core: &mut EventCore) {
         core.fill_payload(pkt);
@@ -244,6 +250,13 @@ impl StageReport {
 }
 
 /// Optional payload synthesis for payload-inspecting pipelines.
+///
+/// Payload bytes are a pure function of `(seed, packet id, length,
+/// attack_prob, needles)` ([`Packet::with_payload`]), so *when* they
+/// are made cannot change any output. The engine makes them as a packet
+/// first enters service, and packets dropped or still queued before
+/// that never pay for them.
+#[derive(Clone)]
 pub struct PayloadConfig {
     /// Probability a packet carries one of the needles.
     pub attack_prob: f64,
@@ -254,30 +267,6 @@ pub struct PayloadConfig {
 /// L2–L4 header bytes: a packet's synthesized payload is its frame
 /// size minus these.
 const HEADER_BYTES: usize = 54;
-
-/// One run's payload synthesis: the run's payload seed and the engine's
-/// [`PayloadConfig`], its needles borrowed as slices once per run.
-///
-/// Payload bytes are a pure function of `(seed, packet id, length,
-/// attack_prob, needles)` ([`Packet::fill_payload`]), so *when* they are
-/// made cannot change any output. The engine makes them as a packet
-/// first enters service, and packets dropped or still queued before
-/// that never pay for them.
-struct PayloadSynth<'p> {
-    seed: u64,
-    attack_prob: f64,
-    needles: Vec<&'p [u8]>,
-}
-
-impl<'p> PayloadSynth<'p> {
-    fn new(cfg: &'p PayloadConfig, seed: u64) -> Self {
-        PayloadSynth {
-            seed,
-            attack_prob: cfg.attack_prob,
-            needles: cfg.needles.iter().map(Vec::as_slice).collect(),
-        }
-    }
-}
 
 /// One scheduled event's payload, held in [`EventCore`]'s slab at the
 /// index its queue entry carries.
@@ -332,10 +321,10 @@ struct FusedHop {
     pkt: PacketHandle,
 }
 
-/// One run's event state, threaded through the dispatch helpers: the
-/// scheduler, the seq mint, the live/peak/total accounting, the event
-/// slab, the packet slab, the fused-hop FIFO, the batch result buffers,
-/// and the run's payload synthesis.
+/// One run's event state: the scheduler, the seq mint, the
+/// live/peak/total accounting, the event slab, the packet slab, the
+/// fused-hop FIFO, the batch result buffers, and the run's payload seed
+/// and configuration.
 struct EventCore<'p> {
     events: EventScheduler,
     seq: u64,
@@ -356,13 +345,14 @@ struct EventCore<'p> {
     /// Drained batch result buffers, reused by the next kernel launch.
     batch_pool: Vec<Vec<(PacketHandle, NfVerdict)>>,
     fused: bool,
-    /// Payload synthesis at service start; `None` on header-only runs.
-    payload: Option<PayloadSynth<'p>>,
+    /// The run's payload seed and configuration, for synthesis at
+    /// service start; `None` on header-only runs.
+    payload: Option<(u64, &'p PayloadConfig)>,
 }
 
 impl<'p> EventCore<'p> {
     /// An empty event state for one run.
-    fn new(fused: bool, payload: Option<PayloadSynth<'p>>) -> Self {
+    fn new(fused: bool, payload: Option<(u64, &'p PayloadConfig)>) -> Self {
         EventCore {
             events: EventScheduler::new(),
             seq: 0,
@@ -406,7 +396,7 @@ impl<'p> EventCore<'p> {
     /// the sink), dropping its payload so none outlives its packet.
     #[inline]
     fn release(&mut self, pkt: PacketHandle) {
-        self.packets[pkt as usize].payload = Payload::empty();
+        self.packets[pkt as usize].payload = Box::default();
         self.packet_free.push(pkt);
     }
 
@@ -421,11 +411,11 @@ impl<'p> EventCore<'p> {
     /// from an earlier stage).
     #[inline]
     fn fill_payload(&mut self, pkt: PacketHandle) {
-        if let Some(p) = &self.payload {
+        if let Some((seed, cfg)) = self.payload {
             let pkt = &mut self.packets[pkt as usize];
             if pkt.payload.is_empty() {
                 let len = (pkt.size_bytes as usize).saturating_sub(HEADER_BYTES);
-                pkt.fill_payload(len, p.seed, p.attack_prob, &p.needles);
+                pkt.fill_payload(len, seed, cfg.attack_prob, &cfg.needles);
             }
         }
     }
@@ -498,23 +488,6 @@ impl<'p> EventCore<'p> {
     }
 }
 
-/// Opens a span when the run is observed.
-#[inline]
-fn span_begin(obs: &mut Option<RunObserver>, phase: Phase) -> SpanToken {
-    match obs.as_mut() {
-        Some(o) => o.span_begin(phase),
-        None => SpanToken::noop(),
-    }
-}
-
-/// Closes a span opened by [`span_begin`].
-#[inline]
-fn span_end(obs: &mut Option<RunObserver>, phase: Phase, token: SpanToken) {
-    if let Some(o) = obs.as_mut() {
-        o.span_end(phase, token);
-    }
-}
-
 /// The simulator: one run of a pipeline. Running consumes the engine,
 /// so no service model carries state from one run into the next.
 pub struct Engine {
@@ -578,76 +551,25 @@ fn fault_trace(action: FaultAction) -> (usize, TraceFault) {
     }
 }
 
-/// Starts as many batches as servers and buffered packets allow.
-/// `force_partial` flushes a below-max batch (the formation timer fired).
-fn try_flush_batches(
-    st: &mut StageState,
-    stage: usize,
-    t: u64,
-    force_partial: bool,
-    core: &mut EventCore,
-    obs: &mut Option<RunObserver>,
-) {
-    let Some(policy) = st.cfg.batch else { return };
-    if st.down {
-        // No new kernels launch during an outage; a pending flush (or
-        // queued packets) will be picked up again at DeviceUp.
-        return;
-    }
-    let force = force_partial || st.batch_flush_pending;
-    let mut launched = false;
-    while st.busy < st.cfg.servers
-        && (st.queue.len() >= policy.max_batch || (force && !st.queue.is_empty()))
-    {
-        let n = st.queue.len().min(policy.max_batch);
-        let mut total_ns = policy.kernel_overhead_ns;
-        let mut results = core.batch_pool.pop().unwrap_or_default();
-        results.reserve(n);
-        for _ in 0..n {
-            #[expect(
-                clippy::expect_used,
-                reason = "invariant: loop condition just checked the queue holds at least max_batch (or is non-empty under force)"
-            )]
-            let (enq_t, pkt) = st.queue.pop_front().expect("checked non-empty");
-            if let Some(o) = obs.as_mut() {
-                o.on_dispatch(t, || core.packet(pkt).id, stage, t - enq_t);
-            }
-            core.fill_payload(pkt);
-            let (verdict, svc_ns) = st.cfg.service.serve(core.packet(pkt));
-            total_ns += svc_ns;
-            results.push((pkt, verdict));
-        }
-        let total_ns = scaled(total_ns, st.slow_factor);
-        st.busy += 1;
-        st.in_service_pkts += n as u64;
-        st.busy_ns += u128::from(total_ns);
-        st.batch_epoch += 1;
-        launched = true;
-        core.push(t + total_ns, Event::BatchDone { stage, results, total_ns });
-    }
-    st.batch_flush_pending = force && !st.queue.is_empty() && st.busy >= st.cfg.servers;
-    // A launch invalidated the head's timer (epoch bump). If packets
-    // remain, re-arm for the new head — measured from *its* enqueue
-    // time, so no packet waits more than timeout_ns while a server is
-    // free. (Timers for an unchanged head are still in the heap and
-    // stay valid: the epoch has not moved.)
-    if launched && !st.queue.is_empty() && !st.batch_flush_pending {
-        #[expect(
-            clippy::expect_used,
-            reason = "invariant: guarded by the !st.queue.is_empty() conjunct on the if directly above"
-        )]
-        let head_enqueued = st.queue.front().expect("checked non-empty").0;
-        let deadline = (head_enqueued + policy.timeout_ns).max(t);
-        core.push(deadline, Event::BatchTimeout { stage, epoch: st.batch_epoch });
-    }
-}
-
 impl Engine {
     /// Builds an engine from stage configurations (source feeds stage 0).
+    ///
+    /// # Panics
+    /// If there are no stages, a stage has no servers, or a
+    /// [`NextHop::FlowHash`] range is empty or runs past the last stage.
     pub fn new(stages: Vec<StageConfig>) -> Self {
         assert!(!stages.is_empty(), "need at least one stage");
         for s in &stages {
             assert!(s.servers > 0, "stage '{}' needs at least one server", s.name);
+            if let NextHop::FlowHash { first, count } = s.next {
+                assert!(count > 0, "stage '{}' fans out over zero stages", s.name);
+                let end = first.checked_add(count as usize);
+                assert!(
+                    end.is_some_and(|end| end <= stages.len()),
+                    "stage '{}' fans out past the last stage",
+                    s.name
+                );
+            }
         }
         Engine {
             stages: stages.into_iter().map(StageState::from_cfg).collect(),
@@ -714,286 +636,10 @@ impl Engine {
         );
         (result, observer.unwrap_or_default())
     }
-}
 
-/// Handles one arrival at `stage`: start service, enqueue, or drop.
-/// A free function over the stage slice, not an `Engine` method: the
-/// run loop holds the run's event state and the observer as locals, and
-/// passing each one explicitly keeps those borrows disjoint from the
-/// stages.
-#[expect(
-    clippy::too_many_arguments,
-    reason = "the run loop's locals are passed explicitly so their borrows stay disjoint from the stages"
-)]
-fn arrive(
-    stages: &mut [StageState],
-    stage: usize,
-    pkt: PacketHandle,
-    t: u64,
-    warmup_ns: u64,
-    sink: &mut SinkStats,
-    core: &mut EventCore,
-    obs: &mut Option<RunObserver>,
-) {
-    let st = &mut stages[stage];
-    st.arrivals += 1;
-    if let Some(o) = obs.as_mut() {
-        o.on_stage_enter(t, || core.packet(pkt).id, stage);
-    }
-    if st.down {
-        // Outage window: the device is gone; packets addressed to
-        // it are lost rather than queued.
-        st.fault_drops += 1;
-        if let Some(o) = obs.as_mut() {
-            o.on_drop(t, || core.packet(pkt).id, stage, TraceDrop::Fault);
-        }
-        if t >= warmup_ns {
-            sink.drop(DropReason::Fault);
-        }
-        core.release(pkt);
-    } else if st.cfg.batch.is_some() {
-        if st.queue.len() < st.cfg.queue_capacity {
-            let was_empty = st.queue.is_empty();
-            st.queue.push_back((t, pkt));
-            if let Some(o) = obs.as_mut() {
-                o.on_enqueue(t, || core.packet(pkt).id, stage, st.queue.len());
-            }
-            if was_empty {
-                // New head: the formation timer runs from its
-                // enqueue time (which is now).
-                #[expect(
-                    clippy::expect_used,
-                    reason = "invariant: inside the st.cfg.batch.is_some() branch entered a few lines up"
-                )]
-                let timeout = st.cfg.batch.expect("checked").timeout_ns;
-                core.push(t + timeout, Event::BatchTimeout { stage, epoch: st.batch_epoch });
-            }
-            try_flush_batches(st, stage, t, false, core, obs);
-        } else {
-            st.queue_drops += 1;
-            if let Some(o) = obs.as_mut() {
-                o.on_drop(t, || core.packet(pkt).id, stage, TraceDrop::QueueFull);
-            }
-            if t >= warmup_ns {
-                sink.drop(DropReason::QueueFull);
-            }
-            core.release(pkt);
-        }
-    } else if st.busy < st.cfg.servers {
-        st.busy += 1;
-        st.in_service_pkts += 1;
-        if let Some(o) = obs.as_mut() {
-            o.on_dispatch(t, || core.packet(pkt).id, stage, 0);
-        }
-        st.begin_service(stage, pkt, t, core);
-    } else if st.queue.len() < st.cfg.queue_capacity {
-        st.queue.push_back((t, pkt));
-        if let Some(o) = obs.as_mut() {
-            o.on_enqueue(t, || core.packet(pkt).id, stage, st.queue.len());
-        }
-    } else {
-        st.queue_drops += 1;
-        if let Some(o) = obs.as_mut() {
-            o.on_drop(t, || core.packet(pkt).id, stage, TraceDrop::QueueFull);
-        }
-        if t >= warmup_ns {
-            sink.drop(DropReason::QueueFull);
-        }
-        core.release(pkt);
-    }
-}
-
-/// Routes a packet that finished service at `stage` according to its
-/// verdict: policy drop, next stage, or sink delivery.
-#[expect(
-    clippy::too_many_arguments,
-    reason = "the run loop's locals are passed explicitly so their borrows stay disjoint from the stages"
-)]
-fn settle(
-    stages: &[StageState],
-    stage: usize,
-    pkt: PacketHandle,
-    verdict: NfVerdict,
-    t: u64,
-    warmup_ns: u64,
-    sink: &mut SinkStats,
-    core: &mut EventCore,
-    obs: &mut Option<RunObserver>,
-) {
-    match verdict {
-        NfVerdict::Drop => {
-            if let Some(o) = obs.as_mut() {
-                o.on_drop(t, || core.packet(pkt).id, stage, TraceDrop::Policy);
-            }
-            if t >= warmup_ns {
-                sink.drop(DropReason::Policy);
-            }
-            core.release(pkt);
-        }
-        NfVerdict::Forward => {
-            let dest = match &stages[stage].cfg.next {
-                NextHop::Linear => {
-                    if stage + 1 < stages.len() {
-                        Some(stage + 1)
-                    } else {
-                        None
-                    }
-                }
-                NextHop::Sink => None,
-                NextHop::Steer(f) => f(core.packet(pkt)),
-            };
-            match dest {
-                Some(next_stage) => {
-                    assert!(
-                        next_stage < stages.len(),
-                        "stage '{}' steered to nonexistent stage {next_stage}",
-                        stages[stage].cfg.name
-                    );
-                    core.forward(t, next_stage, pkt);
-                }
-                None => {
-                    let p = core.packet(pkt);
-                    if t >= warmup_ns && p.t_arrival_ns >= warmup_ns {
-                        sink.deliver(p.flow, p.wire_bits(), t - p.t_arrival_ns);
-                    }
-                    core.release(pkt);
-                }
-            }
-        }
-    }
-}
-
-/// Dispatches the queued event `(t, seq)` held at `slot`.
-///
-/// A free function for the same reason as [`arrive`]: every buffer it
-/// touches is passed in, so the run loop's borrows stay disjoint.
-#[expect(
-    clippy::too_many_arguments,
-    reason = "the run loop's locals are passed explicitly so their borrows stay disjoint from the stages"
-)]
-fn dispatch(
-    stages: &mut [StageState],
-    t: u64,
-    seq: u64,
-    slot: usize,
-    warmup_ns: u64,
-    core: &mut EventCore,
-    sink: &mut SinkStats,
-    fault_plan: Option<&FaultPlan>,
-    obs: &mut Option<RunObserver>,
-) {
-    match core.take(slot) {
-        Event::Done { stage, pkt, verdict, svc_ns } => {
-            {
-                let st = &mut stages[stage];
-                st.busy -= 1;
-                st.in_service_pkts -= 1;
-                st.served += 1;
-                if verdict == NfVerdict::Drop {
-                    st.policy_drops += 1;
-                }
-                if let Some(o) = obs.as_mut() {
-                    let id = || core.packet(pkt).id;
-                    o.on_stage_exit(t, id, stage, svc_ns, verdict == NfVerdict::Forward);
-                }
-                // Pull the next queued packet into service (unless an
-                // outage window is open — queued work resumes at
-                // DeviceUp).
-                if !st.down {
-                    if let Some((enq_t, next)) = st.queue.pop_front() {
-                        st.busy += 1;
-                        st.in_service_pkts += 1;
-                        if let Some(o) = obs.as_mut() {
-                            o.on_dispatch(t, || core.packet(next).id, stage, t - enq_t);
-                        }
-                        st.begin_service(stage, next, t, core);
-                    }
-                }
-            }
-            settle(stages, stage, pkt, verdict, t, warmup_ns, sink, core, obs);
-        }
-        Event::Arrive { stage, pkt } => {
-            arrive(stages, stage, pkt, t, warmup_ns, sink, core, obs);
-        }
-        Event::BatchTimeout { stage, epoch } => {
-            let st = &mut stages[stage];
-            if st.batch_epoch == epoch && !st.queue.is_empty() {
-                st.batch_flush_pending = true;
-                try_flush_batches(st, stage, t, true, core, obs);
-            }
-        }
-        Event::BatchDone { stage, mut results, total_ns } => {
-            {
-                let st = &mut stages[stage];
-                st.busy -= 1;
-                st.in_service_pkts -= results.len() as u64;
-                st.served += results.len() as u64;
-                st.policy_drops +=
-                    results.iter().filter(|(_, v)| *v == NfVerdict::Drop).count() as u64;
-                if let Some(o) = obs.as_mut() {
-                    // Every batch member shares the batch's wall of
-                    // service: the kernel is the unit of work.
-                    for &(pkt, verdict) in results.iter() {
-                        let id = || core.packet(pkt).id;
-                        o.on_stage_exit(t, id, stage, total_ns, verdict == NfVerdict::Forward);
-                    }
-                }
-                try_flush_batches(st, stage, t, false, core, obs);
-            }
-            for (pkt, verdict) in results.drain(..) {
-                settle(stages, stage, pkt, verdict, t, warmup_ns, sink, core, obs);
-            }
-            core.batch_pool.push(results);
-        }
-        Event::Fault(action) => {
-            let fault_tok = span_begin(obs, Phase::FaultApply);
-            if let Some(o) = obs.as_mut() {
-                let (stage, kind) = fault_trace(action);
-                o.on_fault(t, || seq, stage, kind);
-            }
-            match action {
-                FaultAction::SlowdownStart { stage } => {
-                    if let Some(plan) = fault_plan {
-                        stages[stage].slow_factor = plan.slow_factor;
-                    }
-                }
-                FaultAction::SlowdownEnd { stage } => {
-                    stages[stage].slow_factor = 1.0;
-                }
-                FaultAction::DeviceDown { stage } => {
-                    stages[stage].down = true;
-                }
-                FaultAction::DeviceUp { stage } => {
-                    let st = &mut stages[stage];
-                    st.down = false;
-                    if st.cfg.batch.is_some() {
-                        try_flush_batches(st, stage, t, false, core, obs);
-                    } else {
-                        // Resume draining the backlog that
-                        // accumulated before the outage.
-                        while st.busy < st.cfg.servers {
-                            let Some((enq_t, next)) = st.queue.pop_front() else {
-                                break;
-                            };
-                            st.busy += 1;
-                            st.in_service_pkts += 1;
-                            if let Some(o) = obs.as_mut() {
-                                o.on_dispatch(t, || core.packet(next).id, stage, t - enq_t);
-                            }
-                            st.begin_service(stage, next, t, core);
-                        }
-                    }
-                }
-            }
-            span_end(obs, Phase::FaultApply, fault_tok);
-        }
-    }
-}
-
-impl Engine {
     /// The run loop behind [`Engine::run`] and [`Engine::run_observed`]:
-    /// the observer, when there is one, travels alongside the sink
-    /// through the helpers and comes back with the result.
+    /// the observer, when there is one, lives in the run's state and
+    /// comes back with the result.
     fn run_stubs(
         self,
         stubs: impl Iterator<Item = apples_workload::PacketStub>,
@@ -1001,29 +647,32 @@ impl Engine {
         payload_seed: u64,
         duration_ns: u64,
         warmup_ns: u64,
-        mut obs: Option<RunObserver>,
+        obs: Option<RunObserver>,
     ) -> (RunResult, Option<RunObserver>) {
         assert!(warmup_ns < duration_ns, "warmup must precede the end of the run");
-        let window_ns = duration_ns - warmup_ns;
-        let mut sink = SinkStats::new(flows);
-        let Engine { mut stages, payload, fault_plan, fused } = self;
-
-        let mut core =
-            EventCore::new(fused, payload.as_ref().map(|p| PayloadSynth::new(p, payload_seed)));
-        if let Some(o) = obs.as_mut() {
-            o.ensure_stages(stages.len());
+        let Engine { stages, payload, fault_plan, fused } = self;
+        let mut run = Run {
+            stages,
+            core: EventCore::new(fused, payload.as_ref().map(|cfg| (payload_seed, cfg))),
+            sink: SinkStats::new(flows),
+            obs,
+            fault_plan,
+            warmup_ns,
+            injected_drops: 0,
+            corrupted: 0,
+        };
+        if let Some(o) = run.obs.as_mut() {
+            o.ensure_stages(run.stages.len());
         }
 
         // Materialize the fault plan's windowed transitions as ordinary
         // events before anything else runs: they get the lowest seqs, so
         // their relative order is fixed.
-        if let Some(plan) = &fault_plan {
+        if let Some(plan) = &run.fault_plan {
             for e in plan.events.iter().filter(|e| e.t_ns <= duration_ns) {
-                core.push(e.t_ns, Event::Fault(e.action));
+                run.core.push(e.t_ns, Event::Fault(e.action));
             }
         }
-        let mut injected_drops = 0u64;
-        let mut corrupted = 0u64;
 
         // Arrivals are injected lazily: workload arrival times are
         // monotone, so holding the single next packet (rather than the
@@ -1041,31 +690,22 @@ impl Engine {
         let mut now = 0;
 
         loop {
-            match core.fwd.front().map(|hop| hop.seq) {
+            match run.core.fwd.front().map(|hop| hop.seq) {
                 // A fused hop goes next unless a queued entry at `now`
                 // has a lower seq. No arrival can be due while a hop
                 // waits: every arrival at or before `now` came in before
                 // the first pop at `now`.
                 Some(hop_seq) => {
-                    if core.events.peek_key().is_none_or(|key| key > (now, hop_seq)) {
+                    if run.core.events.peek_key().is_none_or(|key| key > (now, hop_seq)) {
                         #[expect(
                             clippy::expect_used,
                             reason = "invariant: the FIFO's front matched Some directly above"
                         )]
-                        let hop = core.fwd.pop_front().expect("checked above");
-                        core.retire();
-                        let tok = span_begin(&mut obs, Phase::Dispatch);
-                        arrive(
-                            &mut stages,
-                            hop.stage,
-                            hop.pkt,
-                            now,
-                            warmup_ns,
-                            &mut sink,
-                            &mut core,
-                            &mut obs,
-                        );
-                        span_end(&mut obs, Phase::Dispatch, tok);
+                        let hop = run.core.fwd.pop_front().expect("checked above");
+                        run.core.retire();
+                        let tok = run.span_begin(Phase::Dispatch);
+                        run.arrive(hop.stage, hop.pkt, now);
+                        run.span_end(Phase::Dispatch, tok);
                         continue;
                     }
                 }
@@ -1073,60 +713,328 @@ impl Engine {
                 // time (they were scheduled first in program order).
                 None => {
                     let due = |a: &mut Packet| {
-                        core.events.peek_key().is_none_or(|(t, _)| a.t_arrival_ns <= t)
+                        run.core.events.peek_key().is_none_or(|(t, _)| a.t_arrival_ns <= t)
                     };
-                    if let Some(mut pkt) = next_arrival.take_if(due) {
-                        let t = pkt.t_arrival_ns;
+                    if let Some(pkt) = next_arrival.take_if(due) {
                         next_arrival = arrivals.next();
-                        // Injection-point faults: hash decisions on the
-                        // packet id, independent of schedule and of each
-                        // other.
-                        if let Some(plan) = &fault_plan {
-                            if plan.drops(pkt.id) {
-                                injected_drops += 1;
-                                if let Some(o) = obs.as_mut() {
-                                    o.on_fault(t, || pkt.id, 0, TraceFault::InjectedDrop);
-                                }
-                                if t >= warmup_ns {
-                                    sink.drop(DropReason::Fault);
-                                }
-                                continue;
-                            }
-                            if plan.corrupts(pkt.id) {
-                                pkt.corrupted = true;
-                                corrupted += 1;
-                                if let Some(o) = obs.as_mut() {
-                                    o.on_fault(t, || pkt.id, 0, TraceFault::Corrupt);
-                                }
-                            }
-                        }
-                        let pkt = core.admit(pkt);
-                        arrive(&mut stages, 0, pkt, t, warmup_ns, &mut sink, &mut core, &mut obs);
+                        run.inject(pkt);
                         continue;
                     }
                 }
             }
 
-            let Some((t, seq, slot)) = core.events.pop() else { break };
+            let Some((t, seq, slot)) = run.core.events.pop() else { break };
             if t > duration_ns {
                 break;
             }
             now = t;
-            core.retire();
-            let tok = span_begin(&mut obs, Phase::Dispatch);
-            dispatch(
-                &mut stages,
-                t,
-                seq,
-                slot,
-                warmup_ns,
-                &mut core,
-                &mut sink,
-                fault_plan.as_ref(),
-                &mut obs,
-            );
-            span_end(&mut obs, Phase::Dispatch, tok);
+            run.core.retire();
+            let tok = run.span_begin(Phase::Dispatch);
+            run.dispatch(t, seq, slot);
+            run.span_end(Phase::Dispatch, tok);
         }
+        run.finish(duration_ns)
+    }
+}
+
+/// One run's state. The dispatch helpers are its methods, so the run
+/// loop threads one value instead of its locals. `core` stays a field
+/// of its own so [`StageState::begin_service`] can borrow it apart from
+/// the stage it serves.
+struct Run<'p> {
+    stages: Vec<StageState>,
+    core: EventCore<'p>,
+    sink: SinkStats,
+    obs: Option<RunObserver>,
+    fault_plan: Option<FaultPlan>,
+    warmup_ns: u64,
+    injected_drops: u64,
+    corrupted: u64,
+}
+
+impl Run<'_> {
+    /// Opens a span when the run is observed.
+    #[inline]
+    fn span_begin(&mut self, phase: Phase) -> SpanToken {
+        match self.obs.as_mut() {
+            Some(o) => o.span_begin(phase),
+            None => SpanToken::noop(),
+        }
+    }
+
+    /// Closes a span opened by [`Run::span_begin`].
+    #[inline]
+    fn span_end(&mut self, phase: Phase, token: SpanToken) {
+        if let Some(o) = self.obs.as_mut() {
+            o.span_end(phase, token);
+        }
+    }
+
+    /// Takes an arriving packet through the fault plan's
+    /// injection-point decisions (hash decisions on the packet id,
+    /// independent of schedule and of each other) and, unless the plan
+    /// drops it, into stage 0.
+    fn inject(&mut self, mut pkt: Packet) {
+        let t = pkt.t_arrival_ns;
+        if let Some(plan) = &self.fault_plan {
+            if plan.drops(pkt.id) {
+                self.injected_drops += 1;
+                if let Some(o) = self.obs.as_mut() {
+                    o.on_fault(t, || pkt.id, 0, TraceFault::InjectedDrop);
+                }
+                if t >= self.warmup_ns {
+                    self.sink.drop(TraceDrop::Fault);
+                }
+                return;
+            }
+            if plan.corrupts(pkt.id) {
+                pkt.corrupted = true;
+                self.corrupted += 1;
+                if let Some(o) = self.obs.as_mut() {
+                    o.on_fault(t, || pkt.id, 0, TraceFault::Corrupt);
+                }
+            }
+        }
+        let pkt = self.core.admit(pkt);
+        self.arrive(0, pkt, t);
+    }
+
+    /// Handles one arrival at `stage`: drop it at a down stage, serve it
+    /// on a free server of a per-packet stage, drop it at a full queue,
+    /// or enqueue it (and, on a batch stage, try to launch a batch).
+    fn arrive(&mut self, stage: usize, pkt: PacketHandle, t: u64) {
+        let st = &mut self.stages[stage];
+        st.arrivals += 1;
+        if let Some(o) = self.obs.as_mut() {
+            o.on_stage_enter(t, || self.core.packet(pkt).id, stage);
+        }
+        if st.down {
+            // Outage window: the device is gone; packets addressed to
+            // it are lost rather than queued.
+            self.drop_packet(stage, pkt, t, TraceDrop::Fault);
+        } else if st.cfg.batch.is_none() && st.busy < st.cfg.servers {
+            st.busy += 1;
+            st.in_service_pkts += 1;
+            if let Some(o) = self.obs.as_mut() {
+                o.on_dispatch(t, || self.core.packet(pkt).id, stage, 0);
+            }
+            st.begin_service(stage, pkt, t, &mut self.core);
+        } else if st.queue.len() >= st.cfg.queue_capacity {
+            self.drop_packet(stage, pkt, t, TraceDrop::QueueFull);
+        } else {
+            st.queue.push_back((t, pkt));
+            if let Some(o) = self.obs.as_mut() {
+                o.on_enqueue(t, || self.core.packet(pkt).id, stage, st.queue.len());
+            }
+            if let Some(policy) = st.cfg.batch {
+                if st.queue.len() == 1 {
+                    // New head: the formation timer runs from its
+                    // enqueue time (which is now).
+                    self.core.push(
+                        t + policy.timeout_ns,
+                        Event::BatchTimeout { stage, epoch: st.batch_epoch },
+                    );
+                }
+                self.try_flush_batches(stage, t);
+            }
+        }
+    }
+
+    /// Drops `pkt` at `stage` for `cause`: the stage's counter for the
+    /// cause, the observer's drop hook, the sink's count inside the
+    /// measurement window, and the packet's slot back to the slab.
+    /// Always inlined, as the code it replaced was: left to the
+    /// compiler it stayed out of line, one call more per drop.
+    #[inline(always)]
+    fn drop_packet(&mut self, stage: usize, pkt: PacketHandle, t: u64, cause: TraceDrop) {
+        let st = &mut self.stages[stage];
+        match cause {
+            TraceDrop::QueueFull => st.queue_drops += 1,
+            TraceDrop::Policy => st.policy_drops += 1,
+            TraceDrop::Fault => st.fault_drops += 1,
+        }
+        if let Some(o) = self.obs.as_mut() {
+            o.on_drop(t, || self.core.packet(pkt).id, stage, cause);
+        }
+        if t >= self.warmup_ns {
+            self.sink.drop(cause);
+        }
+        self.core.release(pkt);
+    }
+
+    /// Puts `stage`'s free servers back to work after a completion or at
+    /// the end of an outage: a batch stage launches what batches it can;
+    /// a per-packet stage pulls queued packets while it is up and a
+    /// server is free. A stage that is up with a non-empty queue has
+    /// every server busy, so after a Done this pulls at most one packet.
+    /// Always inlined, like [`Run::drop_packet`].
+    #[inline(always)]
+    fn refill(&mut self, stage: usize, t: u64) {
+        let st = &mut self.stages[stage];
+        if st.cfg.batch.is_some() {
+            self.try_flush_batches(stage, t);
+            return;
+        }
+        while !st.down && st.busy < st.cfg.servers {
+            let Some((enq_t, pkt)) = st.queue.pop_front() else { break };
+            st.busy += 1;
+            st.in_service_pkts += 1;
+            if let Some(o) = self.obs.as_mut() {
+                o.on_dispatch(t, || self.core.packet(pkt).id, stage, t - enq_t);
+            }
+            st.begin_service(stage, pkt, t, &mut self.core);
+        }
+    }
+
+    /// Starts as many batches as servers and buffered packets allow,
+    /// below-max ones too while a flush is pending (the formation timer
+    /// fired).
+    fn try_flush_batches(&mut self, stage: usize, t: u64) {
+        let st = &mut self.stages[stage];
+        let Some(policy) = st.cfg.batch else { return };
+        if st.down {
+            // No new kernels launch during an outage; a pending flush (or
+            // queued packets) will be picked up again at DeviceUp.
+            return;
+        }
+        let force = st.batch_flush_pending;
+        let mut launched = false;
+        while st.busy < st.cfg.servers
+            && (st.queue.len() >= policy.max_batch || (force && !st.queue.is_empty()))
+        {
+            let n = st.queue.len().min(policy.max_batch);
+            let mut total_ns = policy.kernel_overhead_ns;
+            let mut results = self.core.batch_pool.pop().unwrap_or_default();
+            results.reserve(n);
+            for (enq_t, pkt) in st.queue.drain(..n) {
+                if let Some(o) = self.obs.as_mut() {
+                    o.on_dispatch(t, || self.core.packet(pkt).id, stage, t - enq_t);
+                }
+                self.core.fill_payload(pkt);
+                let (verdict, svc_ns) = st.cfg.service.serve(self.core.packet(pkt));
+                total_ns += svc_ns;
+                results.push((pkt, verdict));
+            }
+            let total_ns = scaled(total_ns, st.slow_factor);
+            st.busy += 1;
+            st.in_service_pkts += n as u64;
+            st.busy_ns += u128::from(total_ns);
+            st.batch_epoch += 1;
+            launched = true;
+            self.core.push(t + total_ns, Event::BatchDone { stage, results, total_ns });
+        }
+        st.batch_flush_pending = force && !st.queue.is_empty() && st.busy >= st.cfg.servers;
+        // A launch invalidated the head's timer (epoch bump). If packets
+        // remain, re-arm for the new head — measured from *its* enqueue
+        // time, so no packet waits more than timeout_ns while a server is
+        // free. (Timers for an unchanged head are still in the heap and
+        // stay valid: the epoch has not moved.)
+        if launched && !st.batch_flush_pending {
+            if let Some(&(head_enqueued, _)) = st.queue.front() {
+                let deadline = (head_enqueued + policy.timeout_ns).max(t);
+                self.core.push(deadline, Event::BatchTimeout { stage, epoch: st.batch_epoch });
+            }
+        }
+    }
+
+    /// Routes a packet that finished service at `stage` according to its
+    /// verdict: policy drop, next stage, or sink delivery.
+    fn settle(&mut self, stage: usize, pkt: PacketHandle, verdict: NfVerdict, t: u64) {
+        match verdict {
+            NfVerdict::Drop => self.drop_packet(stage, pkt, t, TraceDrop::Policy),
+            NfVerdict::Forward => {
+                let dest = match self.stages[stage].cfg.next {
+                    NextHop::Linear => Some(stage + 1).filter(|&next| next < self.stages.len()),
+                    NextHop::Sink => None,
+                    NextHop::FlowHash { first, count } => {
+                        let hash = self.core.packet(pkt).flow_hash;
+                        Some(first + (hash % u64::from(count)) as usize)
+                    }
+                };
+                match dest {
+                    Some(next_stage) => self.core.forward(t, next_stage, pkt),
+                    None => {
+                        let p = self.core.packet(pkt);
+                        if t >= self.warmup_ns && p.t_arrival_ns >= self.warmup_ns {
+                            self.sink.deliver(p.flow, p.wire_bits(), t - p.t_arrival_ns);
+                        }
+                        self.core.release(pkt);
+                    }
+                }
+            }
+        }
+    }
+
+    /// Dispatches the queued event `(t, seq)` held at `slot`.
+    fn dispatch(&mut self, t: u64, seq: u64, slot: usize) {
+        match self.core.take(slot) {
+            Event::Done { stage, pkt, verdict, svc_ns } => {
+                let st = &mut self.stages[stage];
+                st.busy -= 1;
+                st.in_service_pkts -= 1;
+                st.served += 1;
+                if let Some(o) = self.obs.as_mut() {
+                    let id = || self.core.packet(pkt).id;
+                    o.on_stage_exit(t, id, stage, svc_ns, verdict == NfVerdict::Forward);
+                }
+                self.refill(stage, t);
+                self.settle(stage, pkt, verdict, t);
+            }
+            Event::Arrive { stage, pkt } => self.arrive(stage, pkt, t),
+            Event::BatchTimeout { stage, epoch } => {
+                let st = &mut self.stages[stage];
+                if st.batch_epoch == epoch && !st.queue.is_empty() {
+                    st.batch_flush_pending = true;
+                    self.try_flush_batches(stage, t);
+                }
+            }
+            Event::BatchDone { stage, mut results, total_ns } => {
+                let st = &mut self.stages[stage];
+                st.busy -= 1;
+                st.in_service_pkts -= results.len() as u64;
+                st.served += results.len() as u64;
+                if let Some(o) = self.obs.as_mut() {
+                    // Every batch member shares the batch's wall of
+                    // service: the kernel is the unit of work.
+                    for &(pkt, verdict) in &results {
+                        let id = || self.core.packet(pkt).id;
+                        o.on_stage_exit(t, id, stage, total_ns, verdict == NfVerdict::Forward);
+                    }
+                }
+                self.refill(stage, t);
+                for (pkt, verdict) in results.drain(..) {
+                    self.settle(stage, pkt, verdict, t);
+                }
+                self.core.batch_pool.push(results);
+            }
+            Event::Fault(action) => {
+                let fault_tok = self.span_begin(Phase::FaultApply);
+                if let Some(o) = self.obs.as_mut() {
+                    let (stage, kind) = fault_trace(action);
+                    o.on_fault(t, || seq, stage, kind);
+                }
+                match action {
+                    FaultAction::SlowdownStart { stage } => {
+                        if let Some(plan) = &self.fault_plan {
+                            self.stages[stage].slow_factor = plan.slow_factor;
+                        }
+                    }
+                    FaultAction::SlowdownEnd { stage } => self.stages[stage].slow_factor = 1.0,
+                    FaultAction::DeviceDown { stage } => self.stages[stage].down = true,
+                    FaultAction::DeviceUp { stage } => {
+                        self.stages[stage].down = false;
+                        self.refill(stage, t);
+                    }
+                }
+                self.span_end(Phase::FaultApply, fault_tok);
+            }
+        }
+    }
+
+    /// Ends the run at `duration_ns`: the per-stage reports, the
+    /// scheduler's counters for the observer, and the result.
+    fn finish(self, duration_ns: u64) -> (RunResult, Option<RunObserver>) {
+        let Run { stages, core, sink, mut obs, warmup_ns, injected_drops, corrupted, .. } = self;
         // Every packet the loop admitted left at a drop or the sink, or
         // is still queued or in service.
         debug_assert_eq!(
@@ -1160,7 +1068,7 @@ impl Engine {
         let result = RunResult {
             sink,
             stages: reports,
-            window_ns,
+            window_ns: duration_ns - warmup_ns,
             injected,
             injected_drops,
             corrupted,
@@ -1224,7 +1132,7 @@ mod tests {
     #[test]
     fn the_packet_slab_reuses_slots_and_drops_departed_payloads() {
         let cfg = PayloadConfig { attack_prob: 0.0, needles: Vec::new() };
-        let mut core = EventCore::new(true, Some(PayloadSynth::new(&cfg, 9)));
+        let mut core = EventCore::new(true, Some((9, &cfg)));
         let tuple =
             apples_workload::FiveTuple { src_ip: 1, dst_ip: 2, src_port: 3, dst_port: 4, proto: 6 };
         let a = core.admit(Packet::new(0, 0, tuple, 1500, 0));
@@ -1686,5 +1594,24 @@ mod tests {
     #[should_panic(expected = "at least one stage")]
     fn empty_pipeline_rejected() {
         let _ = Engine::new(vec![]);
+    }
+
+    /// A flow-hash fan-out is checked once, when the engine is built: a
+    /// range ending past the last stage would otherwise index out of
+    /// bounds only when some flow first hashed there.
+    #[test]
+    #[should_panic(expected = "fans out past the last stage")]
+    fn flow_hash_past_the_last_stage_rejected() {
+        let splitter = forwarding_stage(1).with_next(NextHop::FlowHash { first: 1, count: 3 });
+        let _ = Engine::new(vec![splitter, forwarding_stage(1), forwarding_stage(1)]);
+    }
+
+    /// A fan-out over zero stages would divide by zero on the first
+    /// forwarded packet.
+    #[test]
+    #[should_panic(expected = "fans out over zero stages")]
+    fn flow_hash_over_zero_stages_rejected() {
+        let splitter = forwarding_stage(1).with_next(NextHop::FlowHash { first: 1, count: 0 });
+        let _ = Engine::new(vec![splitter, forwarding_stage(1)]);
     }
 }

@@ -200,7 +200,6 @@ impl NetworkFunction for Dpi {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::packet::Payload;
     use apples_rng::Rng;
     use apples_workload::FiveTuple;
 
@@ -212,7 +211,7 @@ mod tests {
             1500,
             0,
         );
-        p.payload = Payload::copy_from_slice(payload);
+        p.payload = payload.into();
         p
     }
 

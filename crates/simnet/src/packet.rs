@@ -7,67 +7,12 @@
 //! header-only; the engine fills the payload in place (the bytes
 //! [`Packet::with_payload`] would attach) when a packet first enters
 //! service, so packets dropped or still queued before then never carry
-//! one. Payloads use the in-repo [`Payload`] type: clones inside the
-//! pipeline are reference-counted, not copied, and the (overwhelmingly
-//! common) empty payload allocates nothing at all.
+//! one. A payload is a plain boxed byte slice owned by its packet: no
+//! packet is cloned inside the pipeline, and the empty payload
+//! allocates nothing.
 
 use apples_rng::Rng;
 use apples_workload::{FiveTuple, PacketStub};
-use std::ops::Deref;
-use std::sync::Arc;
-
-/// Reference-counted, immutable packet payload bytes.
-///
-/// The hot path (header-only processing) carries the empty payload,
-/// which is a `None` internally — no allocation, no refcount traffic.
-/// DPI workloads attach a shared `Arc<[u8]>` so per-stage packet clones
-/// stay O(1) regardless of payload length.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct Payload(Option<Arc<[u8]>>);
-
-impl Payload {
-    /// The empty payload. Allocation-free.
-    pub const fn empty() -> Self {
-        Payload(None)
-    }
-
-    /// Wraps owned bytes (one allocation, shared by all clones).
-    pub fn from_vec(buf: Vec<u8>) -> Self {
-        if buf.is_empty() {
-            Payload(None)
-        } else {
-            Payload(Some(Arc::from(buf.into_boxed_slice())))
-        }
-    }
-
-    /// Copies a slice into a new payload.
-    pub fn copy_from_slice(bytes: &[u8]) -> Self {
-        Payload::from_vec(bytes.to_vec())
-    }
-
-    /// The payload bytes (empty slice when no payload is attached).
-    #[inline]
-    pub fn as_slice(&self) -> &[u8] {
-        match &self.0 {
-            Some(bytes) => bytes,
-            None => &[],
-        }
-    }
-}
-
-impl Deref for Payload {
-    type Target = [u8];
-
-    fn deref(&self) -> &[u8] {
-        self.as_slice()
-    }
-}
-
-impl From<Vec<u8>> for Payload {
-    fn from(buf: Vec<u8>) -> Self {
-        Payload::from_vec(buf)
-    }
-}
 
 /// A packet traversing the simulated pipeline.
 #[derive(Debug, Clone)]
@@ -87,7 +32,7 @@ pub struct Packet {
     pub t_arrival_ns: u64,
     /// L4 payload bytes (empty unless synthesized for DPI workloads,
     /// which happens as the packet first enters service).
-    pub payload: Payload,
+    pub payload: Box<[u8]>,
     /// Set by the fault-injection layer when the packet was corrupted
     /// in transit; NFs apply their fail-open/fail-closed policy to it.
     pub corrupted: bool,
@@ -104,7 +49,7 @@ impl Packet {
             flow_hash: tuple.hash64(),
             size_bytes,
             t_arrival_ns,
-            payload: Payload::empty(),
+            payload: Box::default(),
             corrupted: false,
         }
     }
@@ -120,7 +65,7 @@ impl Packet {
             flow_hash: stub.flow_hash,
             size_bytes: stub.size_bytes,
             t_arrival_ns: stub.t_ns,
-            payload: Payload::empty(),
+            payload: Box::default(),
             corrupted: false,
         }
     }
@@ -128,25 +73,27 @@ impl Packet {
     /// Attaches a synthesized payload of `len` bytes, deterministic in
     /// `(seed, id)`. With probability `attack_prob`, one of `needles` is
     /// embedded at a random offset — the DPI experiments' ground truth.
-    pub fn with_payload(
+    pub fn with_payload<N: AsRef<[u8]>>(
         mut self,
         len: usize,
         seed: u64,
         attack_prob: f64,
-        needles: &[&[u8]],
+        needles: &[N],
     ) -> Self {
         self.fill_payload(len, seed, attack_prob, needles);
         self
     }
 
     /// [`Packet::with_payload`] in place: the engine fills a packet's
-    /// payload where the packet sits in its run's packet slab.
-    pub(crate) fn fill_payload(
+    /// payload where the packet sits in its run's packet slab. Out of
+    /// line, so the engine's payload check inlines at each service start.
+    #[inline(never)]
+    pub(crate) fn fill_payload<N: AsRef<[u8]>>(
         &mut self,
         len: usize,
         seed: u64,
         attack_prob: f64,
-        needles: &[&[u8]],
+        needles: &[N],
     ) {
         let mut rng = Rng::seed_from_u64(seed ^ self.id.wrapping_mul(0x9E3779B97F4A7C15));
         let mut buf = vec![0u8; len];
@@ -155,13 +102,13 @@ impl Packet {
             *b = rng.range_u8_inclusive(b'a', b'z');
         }
         if !needles.is_empty() && len > 0 && rng.gen_bool(attack_prob) {
-            let needle = needles[rng.range_usize(0, needles.len())];
+            let needle = needles[rng.range_usize(0, needles.len())].as_ref();
             if needle.len() <= len {
                 let off = rng.range_usize(0, len - needle.len() + 1);
                 buf[off..off + needle.len()].copy_from_slice(needle);
             }
         }
-        self.payload = Payload::from_vec(buf);
+        self.payload = buf.into_boxed_slice();
     }
 
     /// Wire bits including Ethernet preamble + inter-frame gap (20 B),
@@ -233,10 +180,11 @@ mod tests {
 
     #[test]
     fn payload_is_deterministic_per_seed_and_id() {
-        let a = Packet::new(7, 0, tuple(), 256, 0).with_payload(200, 99, 0.0, &[]);
-        let b = Packet::new(7, 0, tuple(), 256, 0).with_payload(200, 99, 0.0, &[]);
+        let none: &[&[u8]] = &[];
+        let a = Packet::new(7, 0, tuple(), 256, 0).with_payload(200, 99, 0.0, none);
+        let b = Packet::new(7, 0, tuple(), 256, 0).with_payload(200, 99, 0.0, none);
         assert_eq!(a.payload, b.payload);
-        let c = Packet::new(8, 0, tuple(), 256, 0).with_payload(200, 99, 0.0, &[]);
+        let c = Packet::new(8, 0, tuple(), 256, 0).with_payload(200, 99, 0.0, none);
         assert_ne!(a.payload, c.payload);
     }
 
@@ -261,25 +209,5 @@ mod tests {
         let needles: &[&[u8]] = &[b"AVERYLONGNEEDLE"];
         let p = Packet::new(1, 0, tuple(), 64, 0).with_payload(4, 1, 1.0, needles);
         assert_eq!(p.payload.len(), 4);
-    }
-
-    #[test]
-    #[expect(
-        clippy::disallowed_methods,
-        reason = "compares two buffer addresses for identity; no address feeds a dispatch key"
-    )]
-    fn payload_clone_is_cheap_reference() {
-        let p = Packet::new(1, 0, tuple(), 1500, 0).with_payload(1400, 5, 0.0, &[]);
-        let q = p.clone();
-        // Clones share the underlying Arc'd buffer.
-        assert_eq!(p.payload.as_ptr(), q.payload.as_ptr());
-    }
-
-    #[test]
-    fn empty_payload_is_allocation_free_and_shared() {
-        let a = Payload::empty();
-        let b = Payload::from_vec(Vec::new());
-        assert_eq!(a, b);
-        assert!(a.as_slice().is_empty());
     }
 }

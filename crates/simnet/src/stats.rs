@@ -7,19 +7,7 @@
 //! counts for Jain's fairness index.
 
 use apples_metrics::fairness::jains_index;
-use apples_obs::LogHistogram;
-
-/// Why a packet failed to reach the sink.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DropReason {
-    /// A stage's queue was full (overload loss).
-    QueueFull,
-    /// A network function's policy dropped it (firewall deny, IDS block).
-    Policy,
-    /// The fault-injection layer lost it (injection-point loss or a
-    /// device outage while the packet queued for a down stage).
-    Fault,
-}
+use apples_obs::{LogHistogram, TraceDrop};
 
 /// Aggregated sink-side statistics for one simulation run.
 #[derive(Debug, Clone, PartialEq)]
@@ -57,12 +45,12 @@ impl SinkStats {
         }
     }
 
-    /// Records a dropped packet.
-    pub fn drop(&mut self, reason: DropReason) {
-        match reason {
-            DropReason::QueueFull => self.queue_drops += 1,
-            DropReason::Policy => self.policy_drops += 1,
-            DropReason::Fault => self.fault_drops += 1,
+    /// Records a packet dropped for `cause`.
+    pub fn drop(&mut self, cause: TraceDrop) {
+        match cause {
+            TraceDrop::QueueFull => self.queue_drops += 1,
+            TraceDrop::Policy => self.policy_drops += 1,
+            TraceDrop::Fault => self.fault_drops += 1,
         }
     }
 
@@ -137,8 +125,8 @@ mod tests {
         // Two delivered packets of 84 wire-bytes each over 1 ms.
         s.deliver(0, 84 * 8, 1000);
         s.deliver(1, 84 * 8, 2000);
-        s.drop(DropReason::QueueFull);
-        s.drop(DropReason::Policy);
+        s.drop(TraceDrop::QueueFull);
+        s.drop(TraceDrop::Policy);
         let dur = 1_000_000; // 1 ms
         assert!((s.throughput_bps(dur) - 2.0 * 84.0 * 8.0 / 1e-3).abs() < 1.0);
         assert!((s.throughput_pps(dur) - 2000.0).abs() < 1e-9);

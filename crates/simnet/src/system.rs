@@ -16,7 +16,7 @@
 //! - [`Deployment::switch_frontend`]: a programmable switch executes a
 //!   preprocessing chain at line rate in front of the host (§4.2.1).
 
-use crate::engine::{Engine, PayloadConfig, RunResult, StageConfig, StageReport};
+use crate::engine::{Engine, NextHop, PayloadConfig, RunResult, StageConfig, StageReport};
 use crate::fault::{FaultPlan, FaultSpec};
 use crate::nf::NfChain;
 use crate::service::{FixedTime, NfService};
@@ -133,7 +133,7 @@ pub struct Deployment {
     name: String,
     stage_factories: Vec<StageFactory>,
     power_lines: Vec<PowerLine>,
-    payload: Option<(f64, Vec<Vec<u8>>)>,
+    payload: Option<PayloadConfig>,
     faults: Option<FaultSpec>,
     fused: bool,
 }
@@ -296,7 +296,6 @@ impl Deployment {
         alpha: f64,
         chain: impl Fn() -> NfChain + 'static,
     ) -> Self {
-        use crate::engine::NextHop;
         assert!(replicas > 0, "need at least one replica");
         let chain = std::rc::Rc::new(chain);
         // Stage 0: the ECMP splitter — line-rate, no NF semantics. It is
@@ -310,9 +309,7 @@ impl Deployment {
                     8192,
                     Box::new(FixedTime::new("ecmp-splitter", NfChain::empty(), 400)),
                 )
-                .with_next(NextHop::Steer(Box::new(move |pkt| {
-                    Some(1 + (pkt.flow_hash % u64::from(replicas)) as usize)
-                })))
+                .with_next(NextHop::FlowHash { first: 1, count: replicas })
             })
             .power(DeviceSpec::programmable_switch_32x100g(), 1, UtilSource::Stage(0));
         for i in 0..replicas {
@@ -351,7 +348,6 @@ impl Deployment {
         cores: u32,
         chain: impl Fn() -> NfChain + 'static,
     ) -> Self {
-        use crate::engine::NextHop;
         assert!(cores > 0, "need at least one core");
         let chain = std::rc::Rc::new(chain);
         // Stage 0: the NIC's RSS demux — line-rate hashing, steers by
@@ -364,9 +360,7 @@ impl Deployment {
                     4096,
                     Box::new(FixedTime::new("nic-rss-demux", NfChain::empty(), 50)),
                 )
-                .with_next(NextHop::Steer(Box::new(move |pkt| {
-                    Some(1 + (pkt.flow_hash % u64::from(cores)) as usize)
-                })))
+                .with_next(NextHop::FlowHash { first: 1, count: cores })
             })
             .power(DeviceSpec::host_chassis(), 1, UtilSource::Fixed(1.0))
             .power(DeviceSpec::dumb_nic_100g(), 1, UtilSource::Stage(0));
@@ -417,7 +411,7 @@ impl Deployment {
 
     /// Enables payload synthesis (for DPI pipelines).
     pub fn with_payloads(mut self, attack_prob: f64, needles: Vec<Vec<u8>>) -> Self {
-        self.payload = Some((attack_prob, needles));
+        self.payload = Some(PayloadConfig { attack_prob, needles });
         self
     }
 
@@ -504,9 +498,8 @@ impl Deployment {
     fn engine(&self, workload: &WorkloadSpec, duration_ns: u64) -> Engine {
         let stages: Vec<StageConfig> = self.stage_factories.iter().map(|f| f()).collect();
         let mut engine = Engine::new(stages).with_fusion(self.fused);
-        if let Some((prob, needles)) = &self.payload {
-            engine = engine
-                .with_payloads(PayloadConfig { attack_prob: *prob, needles: needles.clone() });
+        if let Some(cfg) = &self.payload {
+            engine = engine.with_payloads(cfg.clone());
         }
         if let Some(plan) = self.fault_plan(workload.seed, duration_ns) {
             engine = engine.with_fault_plan(plan);
@@ -561,7 +554,7 @@ impl Deployment {
         // stamp of a header-only deployment is unchanged.
         let payload = match &self.payload {
             None => "false".to_owned(),
-            Some((prob, needles)) => format!("true:{:016x}:{needles:?}", prob.to_bits()),
+            Some(p) => format!("true:{:016x}:{:?}", p.attack_prob.to_bits(), p.needles),
         };
         let s = format!(
             "name={};stages={};faults={:?};payload={};wl={:?};dur={};warm={}",

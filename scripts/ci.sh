@@ -197,6 +197,20 @@ for run in sim-cluster:71 sim-cluster:1071 sim-ips:17 sim-ips:1017 sim-faults:1 
     exit 1
   fi
 done
+# The traced path runs `Deployment::run_observed` with every observer
+# piece off, checks its measurement bit for bit against the first op,
+# and cross-checks the scheduler's push count and the fault plan's
+# decisions. One traced run per workload, at its default seed.
+for workload in sim-cluster sim-ips sim-faults; do
+  cargo run -q --release --offline --manifest-path perfbench/Cargo.toml -- \
+    --workload "${workload}" --seconds 1 --trace 1 \
+    | tail -n 1 | tee target/perfbench-trace.json
+  if ! grep -q '"correct": true' target/perfbench-trace.json \
+    || ! grep -q '"failed": 0,' target/perfbench-trace.json; then
+    echo "perfbench ${workload} --trace 1: an op failed its checks (see the lines above)" >&2
+    exit 1
+  fi
+done
 
 echo "== dependency hygiene: workspace members only =="
 if cargo tree --offline -e normal --prefix none | grep -v '^apples' | grep -q '[^[:space:]]'; then

@@ -10,7 +10,7 @@
 
 use apples_bench::scenarios::{
     baseline_host, faulted, firewall_chain, measure_quick, optimized_host, perturbed_workload,
-    saturating_workload, smartnic_system, switch_system, SEVERITY_LADDER,
+    saturating_workload, scenario, smartnic_system, switch_system, SEVERITY_LADDER,
 };
 use apples_rng::Rng;
 use apples_simnet::engine::BatchPolicy;
@@ -36,6 +36,10 @@ fn scenario_pool() -> Vec<(&'static str, BuildFn)> {
                 firewall_chain,
             )
         }),
+        // Flow-hash fan-outs: an ECMP splitter in front of four hosts,
+        // and an RSS demux in front of four single-core stages.
+        ("cluster", || scenario("cluster").expect("registered scenario")),
+        ("rss", || scenario("rss").expect("registered scenario")),
     ]
 }
 
